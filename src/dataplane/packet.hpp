@@ -8,9 +8,11 @@
 // datagram) are defined here too, as plain packet formats.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <variant>
-#include <vector>
 
 #include "rns/biguint.hpp"
 #include "topology/graph.hpp"
@@ -36,6 +38,41 @@ struct SackBlock {
   friend bool operator==(const SackBlock&, const SackBlock&) = default;
 };
 
+/// The SACK option of one ACK: up to three blocks stored inline, so an ACK
+/// carries them without allocating.
+class SackList {
+ public:
+  static constexpr std::size_t kMaxBlocks = 3;
+
+  SackList() = default;
+  /// Copies `blocks`; throws std::length_error beyond kMaxBlocks.
+  SackList& operator=(std::span<const SackBlock> blocks) {
+    if (blocks.size() > kMaxBlocks) {
+      throw std::length_error("SackList: more than three SACK blocks");
+    }
+    count_ = 0;
+    for (const SackBlock& block : blocks) push_back(block);
+    return *this;
+  }
+
+  /// Appends a block. Precondition: size() < kMaxBlocks.
+  void push_back(const SackBlock& block) noexcept { blocks_[count_++] = block; }
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] const SackBlock& operator[](std::size_t i) const noexcept {
+    return blocks_[i];
+  }
+  [[nodiscard]] const SackBlock* begin() const noexcept { return blocks_.data(); }
+  [[nodiscard]] const SackBlock* end() const noexcept {
+    return blocks_.data() + count_;
+  }
+
+ private:
+  std::array<SackBlock, kMaxBlocks> blocks_{};
+  std::uint8_t count_ = 0;
+};
+
 /// TCP segment header (sequence space counted in segments, not bytes; the
 /// MSS scaling happens in the transport layer).
 struct TcpSegment {
@@ -45,7 +82,7 @@ struct TcpSegment {
   std::uint32_t payload_bytes = 0;
   /// Up to 3 SACK blocks (most recently changed first), empty when the
   /// receiver has no out-of-order data or SACK is disabled.
-  std::vector<SackBlock> sack;
+  SackList sack;
 };
 
 /// Connectionless datagram (probe traffic, walk sampling).

@@ -21,7 +21,7 @@ std::uint64_t ResidueCache::lookup(const rns::BigUint& route_id,
   if (entries_.empty()) entries_.resize(capacity_);
   const std::uint64_t d = digest(route_id);
   Entry& entry = entries_[d & (capacity_ - 1)];
-  if (entry.valid && entry.digest == d && entry.key == route_id.limbs()) {
+  if (entry.valid && entry.digest == d && entry.key == route_id) {
     ++stats_.hits;
     hits_.inc();
     return entry.residue;
@@ -34,7 +34,7 @@ std::uint64_t ResidueCache::lookup(const rns::BigUint& route_id,
     evictions_.inc();
   }
   entry.digest = d;
-  entry.key = route_id.limbs();
+  entry.key = route_id;  // inline limbs, or the slot's own heap buffer
   entry.residue = residue;
   entry.valid = true;
   return residue;

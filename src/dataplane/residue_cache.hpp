@@ -64,14 +64,14 @@ class ResidueCache {
   /// Drops every entry (stats and bound counters are kept).
   void clear() noexcept;
 
-  /// FNV-1a over the limb vector: the slot-selection digest.
+  /// FNV-1a over the route-ID limbs: the slot-selection digest.
   [[nodiscard]] static std::uint64_t digest(
       const rns::BigUint& route_id) noexcept;
 
  private:
   struct Entry {
     std::uint64_t digest = 0;
-    std::vector<std::uint32_t> key;  ///< Full route-ID limbs (alias guard).
+    rns::BigUint key;  ///< Full route ID (alias guard); refilled in place.
     std::uint64_t residue = 0;
     bool valid = false;
   };

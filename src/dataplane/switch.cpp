@@ -44,22 +44,36 @@ KarSwitch::KarSwitch(const topo::Topology& topology, topo::NodeId node,
 ForwardDecision KarSwitch::random_among_available(
     std::optional<topo::PortIndex> excluded_port, bool marked,
     common::Rng& rng) const {
-  std::vector<topo::PortIndex> candidates = topo_->available_ports(node_);
-  if (excluded_port) {
-    std::erase(candidates, *excluded_port);
+  // Candidates are the available ports in ascending order, the excluded
+  // one skipped: count them, draw once, then walk to the pick (no
+  // candidate vector, so a deflection does not allocate).
+  const std::size_t ports = topo_->port_count(node_);
+  const auto candidate = [&](topo::PortIndex p) {
+    return (!excluded_port || p != *excluded_port) &&
+           topo_->port_available(node_, p);
+  };
+  std::size_t count = 0;
+  for (topo::PortIndex p = 0; p < ports; ++p) {
+    if (candidate(p)) ++count;
   }
-  if (candidates.empty()) {
-    ForwardDecision decision;
+  ForwardDecision decision;
+  if (count == 0) {
     decision.action = ForwardDecision::Action::kDrop;
     decision.drop_reason = DropReason::kNoViablePort;
     return decision;
   }
-  ForwardDecision decision;
-  decision.action = ForwardDecision::Action::kForward;
-  decision.out_port = candidates[rng.below(candidates.size())];
-  decision.deflected = true;
-  decision.marked_hot_potato = marked;
-  return decision;
+  std::uint64_t pick = rng.below(count);
+  for (topo::PortIndex p = 0; p < ports; ++p) {
+    if (!candidate(p)) continue;
+    if (pick-- == 0) {
+      decision.action = ForwardDecision::Action::kForward;
+      decision.out_port = p;
+      decision.deflected = true;
+      decision.marked_hot_potato = marked;
+      return decision;
+    }
+  }
+  throw std::logic_error("random_among_available: pick out of range");
 }
 
 ForwardDecision KarSwitch::forward(const Packet& packet,

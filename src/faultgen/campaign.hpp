@@ -41,12 +41,10 @@ struct CampaignConfig {
   /// are bit-identical either way (tests/test_fastpath_differential.cpp);
   /// the knob exists for that differential suite and for benchmarking.
   dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
-  /// Reconvergence engine for any control plane attached to the run's
-  /// network (sim::ReactiveController); forwarded into
-  /// sim::NetworkConfig::route_engine. Campaign runs themselves follow the
-  /// paper's static-controller policy, so this knob only matters to
-  /// reaction-delay scenarios — it exists so the campaign smoke suites and
-  /// the churn bench share one plumbing path (like `residue_path`).
+  /// Reconvergence engine a reaction-delay scenario hands to
+  /// sim::ReactiveController. Campaign runs follow the paper's
+  /// static-controller policy and attach no ReactiveController, so no run
+  /// reads it today; it keeps `fault_campaign --engine` accepted.
   ctrlplane::EngineMode route_engine = ctrlplane::EngineMode::kIncremental;
   /// Core-switch batch size, forwarded into sim::NetworkConfig::batch_size
   /// (0 = per-packet). Aggregates are byte-identical at any value — the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
 
@@ -11,22 +12,78 @@ namespace {
 constexpr std::uint64_t kBase = 1ULL << 32;
 }  // namespace
 
-BigUint::BigUint(std::uint64_t value) {
-  if (value != 0) {
-    limbs_.push_back(static_cast<std::uint32_t>(value));
-    if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
-  }
+BigUint::BigUint(std::uint64_t value) : inline_{} {
+  inline_[0] = static_cast<std::uint32_t>(value);
+  inline_[1] = static_cast<std::uint32_t>(value >> 32);
+  size_ = (value >> 32) != 0 ? 2 : (value != 0 ? 1 : 0);
 }
 
-BigUint BigUint::from_limbs(std::vector<std::uint32_t> limbs) {
-  BigUint out;
-  out.limbs_ = std::move(limbs);
-  out.normalize();
-  return out;
+BigUint::BigUint(const BigUint& other) : inline_{} { *this = other; }
+
+BigUint::BigUint(BigUint&& other) noexcept : inline_{} {
+  *this = std::move(other);
+}
+
+BigUint& BigUint::operator=(const BigUint& other) {
+  if (this == &other) return *this;
+  if (other.size_ > capacity_) {
+    // No limb survives, so allocate fresh rather than grow.
+    release();
+    heap_ = new std::uint32_t[other.size_];
+    capacity_ = other.size_;
+  }
+  std::memcpy(data(), other.data(), other.size_ * sizeof(std::uint32_t));
+  size_ = other.size_;
+  return *this;
+}
+
+BigUint& BigUint::operator=(BigUint&& other) noexcept {
+  if (this == &other) return *this;
+  release();
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (other.on_heap()) {
+    heap_ = other.heap_;
+    other.capacity_ = kInlineLimbs;
+    std::fill_n(other.inline_, kInlineLimbs, 0U);
+  } else {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+  }
+  other.size_ = 0;
+  return *this;
+}
+
+void BigUint::release() noexcept {
+  if (on_heap()) {
+    delete[] heap_;
+    capacity_ = kInlineLimbs;
+    std::fill_n(inline_, kInlineLimbs, 0U);
+  }
+  size_ = 0;
+}
+
+void BigUint::resize(std::size_t n) {
+  if (n > capacity_) {
+    const auto capacity =
+        static_cast<std::uint32_t>(std::max<std::size_t>(n, 2 * capacity_));
+    auto* grown = new std::uint32_t[capacity];
+    std::memcpy(grown, data(), size_ * sizeof(std::uint32_t));
+    if (on_heap()) delete[] heap_;
+    heap_ = grown;
+    capacity_ = capacity;
+  }
+  if (n > size_) std::fill(data() + size_, data() + n, 0U);
+  size_ = static_cast<std::uint32_t>(n);
+}
+
+void BigUint::push_back(std::uint32_t limb) {
+  resize(size_ + 1);
+  data()[size_ - 1] = limb;
 }
 
 void BigUint::normalize() noexcept {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+  const std::uint32_t* limbs = data();
+  while (size_ > 0 && limbs[size_ - 1] == 0) --size_;
 }
 
 BigUint BigUint::from_string(std::string_view text) {
@@ -56,47 +113,53 @@ BigUint BigUint::from_string(std::string_view text) {
 }
 
 std::size_t BigUint::bit_length() const noexcept {
-  if (limbs_.empty()) return 0;
-  const std::uint32_t top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 32;
+  if (size_ == 0) return 0;
+  const std::uint32_t top = data()[size_ - 1];
+  const std::size_t bits = (size_ - 1) * std::size_t{32};
   return bits + (32 - static_cast<std::size_t>(__builtin_clz(top)));
 }
 
 std::uint64_t BigUint::to_u64() const {
   if (!fits_u64()) throw std::overflow_error("BigUint::to_u64: value exceeds 64 bits");
+  const std::uint32_t* limbs = data();
   std::uint64_t out = 0;
-  if (limbs_.size() > 1) out = static_cast<std::uint64_t>(limbs_[1]) << 32;
-  if (!limbs_.empty()) out |= limbs_[0];
+  if (size_ > 1) out = static_cast<std::uint64_t>(limbs[1]) << 32;
+  if (size_ > 0) out |= limbs[0];
   return out;
 }
 
 BigUint& BigUint::operator+=(const BigUint& rhs) {
-  const std::size_t n = std::max(limbs_.size(), rhs.limbs_.size());
-  limbs_.resize(n, 0);
+  const std::size_t rn = rhs.size_;
+  const std::size_t n = std::max<std::size_t>(size_, rn);
+  resize(n);  // never reallocates when rhs aliases *this (n == size_)
+  std::uint32_t* limbs = data();
+  const std::uint32_t* other = rhs.data();
   std::uint64_t carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry + limbs_[i];
-    if (i < rhs.limbs_.size()) sum += rhs.limbs_[i];
-    limbs_[i] = static_cast<std::uint32_t>(sum);
+    std::uint64_t sum = carry + limbs[i];
+    if (i < rn) sum += other[i];
+    limbs[i] = static_cast<std::uint32_t>(sum);
     carry = sum >> 32;
   }
-  if (carry) limbs_.push_back(static_cast<std::uint32_t>(carry));
+  if (carry) push_back(static_cast<std::uint32_t>(carry));
   return *this;
 }
 
 BigUint& BigUint::operator-=(const BigUint& rhs) {
   if (*this < rhs) throw std::underflow_error("BigUint: negative subtraction result");
+  std::uint32_t* limbs = data();
+  const std::uint32_t* other = rhs.data();
   std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow -
-                        (i < rhs.limbs_.size() ? rhs.limbs_[i] : 0);
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::int64_t diff = static_cast<std::int64_t>(limbs[i]) - borrow -
+                        (i < rhs.size_ ? other[i] : 0);
     if (diff < 0) {
       diff += static_cast<std::int64_t>(kBase);
       borrow = 1;
     } else {
       borrow = 0;
     }
-    limbs_[i] = static_cast<std::uint32_t>(diff);
+    limbs[i] = static_cast<std::uint32_t>(diff);
   }
   normalize();
   return *this;
@@ -104,16 +167,20 @@ BigUint& BigUint::operator-=(const BigUint& rhs) {
 
 BigUint operator*(const BigUint& lhs, const BigUint& rhs) {
   if (lhs.is_zero() || rhs.is_zero()) return {};
-  std::vector<std::uint32_t> out(lhs.limbs_.size() + rhs.limbs_.size(), 0);
-  for (std::size_t i = 0; i < lhs.limbs_.size(); ++i) {
+  BigUint product;
+  product.resize(lhs.size_ + rhs.size_);
+  std::uint32_t* out = product.data();
+  const std::uint32_t* a_limbs = lhs.data();
+  const std::uint32_t* b_limbs = rhs.data();
+  for (std::size_t i = 0; i < lhs.size_; ++i) {
     std::uint64_t carry = 0;
-    const std::uint64_t a = lhs.limbs_[i];
-    for (std::size_t j = 0; j < rhs.limbs_.size(); ++j) {
-      const std::uint64_t cur = out[i + j] + a * rhs.limbs_[j] + carry;
+    const std::uint64_t a = a_limbs[i];
+    for (std::size_t j = 0; j < rhs.size_; ++j) {
+      const std::uint64_t cur = out[i + j] + a * b_limbs[j] + carry;
       out[i + j] = static_cast<std::uint32_t>(cur);
       carry = cur >> 32;
     }
-    std::size_t k = i + rhs.limbs_.size();
+    std::size_t k = i + rhs.size_;
     while (carry) {
       const std::uint64_t cur = out[k] + carry;
       out[k] = static_cast<std::uint32_t>(cur);
@@ -121,7 +188,8 @@ BigUint operator*(const BigUint& lhs, const BigUint& rhs) {
       ++k;
     }
   }
-  return BigUint::from_limbs(std::move(out));
+  product.normalize();
+  return product;
 }
 
 BigUint& BigUint::operator*=(const BigUint& rhs) {
@@ -133,16 +201,23 @@ BigUint& BigUint::operator<<=(std::size_t bits) {
   if (is_zero() || bits == 0) return *this;
   const std::size_t limb_shift = bits / 32;
   const std::size_t bit_shift = bits % 32;
-  limbs_.insert(limbs_.begin(), limb_shift, 0);
+  const std::size_t old_size = size_;
+  resize(old_size + limb_shift + (bit_shift != 0 ? 1 : 0));
+  std::uint32_t* limbs = data();
+  if (limb_shift != 0) {
+    std::memmove(limbs + limb_shift, limbs, old_size * sizeof(std::uint32_t));
+    std::fill_n(limbs, limb_shift, 0U);
+  }
   if (bit_shift != 0) {
     std::uint32_t carry = 0;
-    for (std::size_t i = limb_shift; i < limbs_.size(); ++i) {
-      const std::uint64_t cur = (static_cast<std::uint64_t>(limbs_[i]) << bit_shift) | carry;
-      limbs_[i] = static_cast<std::uint32_t>(cur);
+    for (std::size_t i = limb_shift; i < limb_shift + old_size; ++i) {
+      const std::uint64_t cur = (static_cast<std::uint64_t>(limbs[i]) << bit_shift) | carry;
+      limbs[i] = static_cast<std::uint32_t>(cur);
       carry = static_cast<std::uint32_t>(cur >> 32);
     }
-    if (carry) limbs_.push_back(carry);
+    limbs[limb_shift + old_size] = carry;
   }
+  normalize();
   return *this;
 }
 
@@ -150,31 +225,41 @@ BigUint& BigUint::operator>>=(std::size_t bits) {
   if (is_zero() || bits == 0) return *this;
   const std::size_t limb_shift = bits / 32;
   const std::size_t bit_shift = bits % 32;
-  if (limb_shift >= limbs_.size()) {
-    limbs_.clear();
+  if (limb_shift >= size_) {
+    size_ = 0;
     return *this;
   }
-  limbs_.erase(limbs_.begin(),
-               limbs_.begin() + static_cast<std::ptrdiff_t>(limb_shift));
+  const std::size_t n = size_ - limb_shift;
+  std::uint32_t* limbs = data();
+  if (limb_shift != 0) {
+    std::memmove(limbs, limbs + limb_shift, n * sizeof(std::uint32_t));
+  }
   if (bit_shift != 0) {
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-      std::uint64_t cur = limbs_[i] >> bit_shift;
-      if (i + 1 < limbs_.size()) {
-        cur |= static_cast<std::uint64_t>(limbs_[i + 1]) << (32 - bit_shift);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t cur = limbs[i] >> bit_shift;
+      if (i + 1 < n) {
+        cur |= static_cast<std::uint64_t>(limbs[i + 1]) << (32 - bit_shift);
       }
-      limbs_[i] = static_cast<std::uint32_t>(cur);
+      limbs[i] = static_cast<std::uint32_t>(cur);
     }
   }
+  size_ = static_cast<std::uint32_t>(n);
   normalize();
   return *this;
 }
 
+bool operator==(const BigUint& lhs, const BigUint& rhs) noexcept {
+  return lhs.size_ == rhs.size_ &&
+         std::memcmp(lhs.data(), rhs.data(),
+                     lhs.size_ * sizeof(std::uint32_t)) == 0;
+}
+
 std::strong_ordering operator<=>(const BigUint& lhs, const BigUint& rhs) noexcept {
-  if (lhs.limbs_.size() != rhs.limbs_.size()) {
-    return lhs.limbs_.size() <=> rhs.limbs_.size();
-  }
-  for (std::size_t i = lhs.limbs_.size(); i-- > 0;) {
-    if (lhs.limbs_[i] != rhs.limbs_[i]) return lhs.limbs_[i] <=> rhs.limbs_[i];
+  if (lhs.size_ != rhs.size_) return lhs.size_ <=> rhs.size_;
+  const std::uint32_t* a = lhs.data();
+  const std::uint32_t* b = rhs.data();
+  for (std::size_t i = lhs.size_; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] <=> b[i];
   }
   return std::strong_ordering::equal;
 }
@@ -182,47 +267,58 @@ std::strong_ordering operator<=>(const BigUint& lhs, const BigUint& rhs) noexcep
 BigUint::DivMod BigUint::divmod(const BigUint& divisor) const {
   if (divisor.is_zero()) throw std::domain_error("BigUint: division by zero");
   if (*this < divisor) return {BigUint{}, *this};
-  if (divisor.limbs_.size() == 1) {
+  const std::uint32_t* u = data();
+  const std::uint32_t* v = divisor.data();
+  if (divisor.size_ == 1) {
     // Fast single-limb path.
-    const std::uint64_t d = divisor.limbs_[0];
-    std::vector<std::uint32_t> quo(limbs_.size(), 0);
+    const std::uint64_t d = v[0];
+    BigUint quotient;
+    quotient.resize(size_);
+    std::uint32_t* quo = quotient.data();
     std::uint64_t rem = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | limbs_[i];
+    for (std::size_t i = size_; i-- > 0;) {
+      const std::uint64_t cur = (rem << 32) | u[i];
       quo[i] = static_cast<std::uint32_t>(cur / d);
       rem = cur % d;
     }
-    return {from_limbs(std::move(quo)), BigUint(rem)};
+    quotient.normalize();
+    return {std::move(quotient), BigUint(rem)};
   }
   // General case: Knuth Algorithm D (TAOCP 4.3.1) on 32-bit limbs. O(m*n)
   // word operations instead of the O(bits * n) of bit-at-a-time division;
   // the CRT encoder's `sum % range` calls sit on this path.
-  const std::size_t n = divisor.limbs_.size();
-  const std::size_t m = limbs_.size() - n;
+  const std::size_t n = divisor.size_;
+  const std::size_t m = size_ - n;
 
   // D1: normalize so the divisor's top limb has its high bit set. The
-  // dividend gains one extra (possibly zero) limb.
-  const unsigned shift =
-      static_cast<unsigned>(__builtin_clz(divisor.limbs_.back()));
-  std::vector<std::uint32_t> un(limbs_.size() + 1, 0);
-  std::vector<std::uint32_t> vn(n);
+  // dividend gains one extra (possibly zero) limb. Both working copies are
+  // plain limb buffers (BigUints used for their small-buffer storage, not
+  // as normalized values).
+  const unsigned shift = static_cast<unsigned>(__builtin_clz(v[n - 1]));
+  BigUint un_buffer;
+  un_buffer.resize(size_ + 1);
+  BigUint vn_buffer;
+  vn_buffer.resize(n);
+  std::uint32_t* un = un_buffer.data();
+  std::uint32_t* vn = vn_buffer.data();
   if (shift == 0) {
-    std::copy(limbs_.begin(), limbs_.end(), un.begin());
-    std::copy(divisor.limbs_.begin(), divisor.limbs_.end(), vn.begin());
+    std::copy(u, u + size_, un);
+    std::copy(v, v + n, vn);
   } else {
-    un[limbs_.size()] = limbs_.back() >> (32 - shift);
-    for (std::size_t i = limbs_.size(); i-- > 1;) {
-      un[i] = (limbs_[i] << shift) | (limbs_[i - 1] >> (32 - shift));
+    un[size_] = u[size_ - 1] >> (32 - shift);
+    for (std::size_t i = size_; i-- > 1;) {
+      un[i] = (u[i] << shift) | (u[i - 1] >> (32 - shift));
     }
-    un[0] = limbs_[0] << shift;
+    un[0] = u[0] << shift;
     for (std::size_t i = n; i-- > 1;) {
-      vn[i] = (divisor.limbs_[i] << shift) |
-              (divisor.limbs_[i - 1] >> (32 - shift));
+      vn[i] = (v[i] << shift) | (v[i - 1] >> (32 - shift));
     }
-    vn[0] = divisor.limbs_[0] << shift;
+    vn[0] = v[0] << shift;
   }
 
-  std::vector<std::uint32_t> quo(m + 1, 0);
+  BigUint quotient;
+  quotient.resize(m + 1);
+  std::uint32_t* quo = quotient.data();
   for (std::size_t j = m + 1; j-- > 0;) {
     // D3: estimate the quotient digit from the top two dividend limbs and
     // the top divisor limb, then refine with the second divisor limb until
@@ -269,17 +365,20 @@ BigUint::DivMod BigUint::divmod(const BigUint& divisor) const {
   }
 
   // D8: denormalize the remainder (un[0..n-1] >> shift).
-  std::vector<std::uint32_t> rem(n);
+  BigUint remainder;
+  remainder.resize(n);
+  std::uint32_t* rem = remainder.data();
   if (shift == 0) {
-    std::copy(un.begin(), un.begin() + static_cast<std::ptrdiff_t>(n),
-              rem.begin());
+    std::copy(un, un + n, rem);
   } else {
     for (std::size_t i = 0; i + 1 < n; ++i) {
       rem[i] = (un[i] >> shift) | (un[i + 1] << (32 - shift));
     }
     rem[n - 1] = un[n - 1] >> shift;
   }
-  return {from_limbs(std::move(quo)), from_limbs(std::move(rem))};
+  quotient.normalize();
+  remainder.normalize();
+  return {std::move(quotient), std::move(remainder)};
 }
 
 BigUint::DivMod BigUint::divmod_binary(const BigUint& divisor) const {
@@ -290,17 +389,18 @@ BigUint::DivMod BigUint::divmod_binary(const BigUint& divisor) const {
   if (*this < divisor) return {BigUint{}, *this};
   BigUint quotient;
   BigUint remainder;
-  quotient.limbs_.assign(limbs_.size(), 0);
+  quotient.resize(size_);
+  const std::uint32_t* limbs = data();
   const std::size_t total_bits = bit_length();
   for (std::size_t bit = total_bits; bit-- > 0;) {
     remainder <<= 1;
-    const std::uint32_t limb = limbs_[bit / 32];
+    const std::uint32_t limb = limbs[bit / 32];
     if ((limb >> (bit % 32)) & 1U) {
       remainder += BigUint(1);
     }
     if (remainder >= divisor) {
       remainder -= divisor;
-      quotient.limbs_[bit / 32] |= (1U << (bit % 32));
+      quotient.data()[bit / 32] |= (1U << (bit % 32));
     }
   }
   quotient.normalize();
@@ -309,9 +409,10 @@ BigUint::DivMod BigUint::divmod_binary(const BigUint& divisor) const {
 
 std::uint64_t BigUint::mod_u64(std::uint64_t divisor) const {
   if (divisor == 0) throw std::domain_error("BigUint: division by zero");
+  const std::uint32_t* limbs = data();
   std::uint64_t rem = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    const auto cur = static_cast<__uint128_t>(rem) << 32 | limbs_[i];
+  for (std::size_t i = size_; i-- > 0;) {
+    const auto cur = static_cast<__uint128_t>(rem) << 32 | limbs[i];
     rem = static_cast<std::uint64_t>(cur % divisor);
   }
   return rem;
@@ -339,10 +440,11 @@ std::string BigUint::to_string() const {
 std::string BigUint::to_hex() const {
   if (is_zero()) return "0";
   static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint32_t* limbs = data();
   std::string out;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
+  for (std::size_t i = size_; i-- > 0;) {
     for (int shift = 28; shift >= 0; shift -= 4) {
-      out.push_back(kHex[(limbs_[i] >> shift) & 0xF]);
+      out.push_back(kHex[(limbs[i] >> shift) & 0xF]);
     }
   }
   const std::size_t first = out.find_first_not_of('0');

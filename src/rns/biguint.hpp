@@ -7,15 +7,21 @@
 // integer. Only what the CRT encoder and header packing need is implemented:
 // +, -, *, divmod, mod-by-small, comparisons, shifts, bit length, and
 // decimal/hex conversion. Representation: little-endian 32-bit limbs,
-// normalized (no high zero limbs; zero is an empty limb vector).
+// normalized (no high zero limbs; zero has no limbs).
+//
+// Storage: up to kInlineLimbs limbs (128 bits) live inside the object, so
+// every paper route (<= 59 bits) and nearly every generated mesh route is
+// copied, moved and reduced without touching the heap. Wider values spill
+// to a heap buffer that copy-assignment reuses when it is large enough.
+// The object is no larger than a std::vector of limbs.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace kar::rns {
 
@@ -23,7 +29,12 @@ namespace kar::rns {
 class BigUint {
  public:
   /// Zero.
-  BigUint() = default;
+  BigUint() noexcept : inline_{} {}
+  BigUint(const BigUint& other);
+  BigUint(BigUint&& other) noexcept;
+  BigUint& operator=(const BigUint& other);
+  BigUint& operator=(BigUint&& other) noexcept;
+  ~BigUint() { release(); }
 
   /// From a native unsigned value.
   BigUint(std::uint64_t value);  // NOLINT(google-explicit-constructor): numeric literal ergonomics
@@ -33,13 +44,13 @@ class BigUint {
   static BigUint from_string(std::string_view text);
 
   /// True iff the value is zero.
-  [[nodiscard]] bool is_zero() const noexcept { return limbs_.empty(); }
+  [[nodiscard]] bool is_zero() const noexcept { return size_ == 0; }
 
   /// Number of significant bits (0 for zero).
   [[nodiscard]] std::size_t bit_length() const noexcept;
 
   /// True iff the value fits in 64 bits.
-  [[nodiscard]] bool fits_u64() const noexcept { return limbs_.size() <= 2; }
+  [[nodiscard]] bool fits_u64() const noexcept { return size_ <= 2; }
 
   /// Converts to uint64_t; throws std::overflow_error if it does not fit.
   [[nodiscard]] std::uint64_t to_u64() const;
@@ -81,24 +92,45 @@ class BigUint {
   [[nodiscard]] std::uint64_t mod_u64(std::uint64_t divisor) const;
 
   // -- comparisons -----------------------------------------------------------
-  friend bool operator==(const BigUint& lhs, const BigUint& rhs) noexcept {
-    return lhs.limbs_ == rhs.limbs_;
-  }
+  friend bool operator==(const BigUint& lhs, const BigUint& rhs) noexcept;
   friend std::strong_ordering operator<=>(const BigUint& lhs,
                                           const BigUint& rhs) noexcept;
 
   friend std::ostream& operator<<(std::ostream& os, const BigUint& value);
 
-  /// Read-only access to the limb vector (for tests and header packing).
-  [[nodiscard]] const std::vector<std::uint32_t>& limbs() const noexcept {
-    return limbs_;
+  /// Read-only view of the limbs, least significant first (for tests,
+  /// reductions and header packing).
+  [[nodiscard]] std::span<const std::uint32_t> limbs() const noexcept {
+    return {data(), size_};
   }
 
  private:
-  void normalize() noexcept;
-  static BigUint from_limbs(std::vector<std::uint32_t> limbs);
+  /// Limbs stored inside the object before the value spills to the heap.
+  static constexpr std::uint32_t kInlineLimbs = 4;
 
-  std::vector<std::uint32_t> limbs_;  // little-endian base 2^32
+  [[nodiscard]] bool on_heap() const noexcept {
+    return capacity_ > kInlineLimbs;
+  }
+  [[nodiscard]] std::uint32_t* data() noexcept {
+    return on_heap() ? heap_ : inline_;
+  }
+  [[nodiscard]] const std::uint32_t* data() const noexcept {
+    return on_heap() ? heap_ : inline_;
+  }
+  /// Sets the limb count to `n`; new high limbs are zero. Grows the buffer
+  /// (keeping the low limbs) when `n` exceeds the capacity.
+  void resize(std::size_t n);
+  void push_back(std::uint32_t limb);
+  /// Frees a heap buffer and leaves an empty inline value.
+  void release() noexcept;
+  void normalize() noexcept;
+
+  std::uint32_t size_ = 0;                 ///< Significant limbs.
+  std::uint32_t capacity_ = kInlineLimbs;  ///< > kInlineLimbs iff on the heap.
+  union {
+    std::uint32_t inline_[kInlineLimbs];  // little-endian base 2^32
+    std::uint32_t* heap_;
+  };
 };
 
 struct BigUint::DivMod {

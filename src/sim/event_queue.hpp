@@ -1,6 +1,15 @@
 // Discrete-event scheduler. Events fire in timestamp order; ties fire in
 // scheduling order (FIFO), which keeps simulations deterministic.
 //
+// Layout: a 4-ary min-heap of 24-byte trivially copyable entries
+// {time, seq, slot, kind}, ordered by (time, seq) — seq is the scheduling
+// counter, so the firing order is a strict total order fixed at schedule
+// time, whatever the heap's shape. A generic event's slot indexes a slab of
+// std::function handlers recycled through a free list; a packet event's
+// slot is a packet-pool index handed back to the attached PacketEventSink
+// (sim::Network's per-hop link-arrival / switch / edge events), so the
+// per-hop path carries no closure at all.
+//
 // Observability: every event carries a coarse EventKind tag; attaching an
 // EventLoopProfile makes step() account each fired event's count and wall
 // time per kind (the event-kind breakdown behind `--profile`). With no
@@ -10,8 +19,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace kar::sim {
@@ -59,6 +68,17 @@ struct EventLoopProfile {
   }
 };
 
+/// Receiver of handler-free packet events: step() hands each one's kind
+/// and slot back here (sim::Network, which owns the pooled packet and the
+/// hop fields its pending event needs).
+class PacketEventSink {
+ public:
+  virtual void on_packet_event(EventKind kind, std::uint32_t slot) = 0;
+
+ protected:
+  ~PacketEventSink() = default;
+};
+
 /// A minimal deterministic event queue.
 class EventQueue {
  public:
@@ -82,6 +102,14 @@ class EventQueue {
     schedule_at(now_ + delay, kind, std::move(fn));
   }
 
+  /// Schedules a packet event at `time` (clamped like schedule_at): when it
+  /// fires, the attached sink receives (kind, slot). Same (time, seq)
+  /// ordering as handler events. Throws std::logic_error with no sink.
+  void schedule_packet_at(double time, EventKind kind, std::uint32_t slot);
+
+  /// Attaches the sink that receives packet events (nullptr detaches).
+  void set_packet_sink(PacketEventSink* sink) noexcept { sink_ = sink; }
+
   /// Attaches (or detaches, with nullptr) per-kind event accounting. The
   /// profile must outlive its attachment; timing costs two clock reads per
   /// event, so attach only when profiling is wanted.
@@ -101,21 +129,30 @@ class EventQueue {
  private:
   struct Entry {
     double time;
-    std::uint64_t seq;  // tiebreak: FIFO among same-time events
+    std::uint64_t seq;   ///< Tiebreak: FIFO among same-time events.
+    std::uint32_t slot;  ///< Handler-slab index, or packet slot if `packet`.
     EventKind kind;
-    Handler fn;
+    bool packet;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
+
+  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  void push(const Entry& entry);
+  /// Removes and returns the earliest entry. Precondition: !empty().
+  Entry pop();
+  /// Runs one popped entry's handler or hands it to the sink.
+  void dispatch(const Entry& entry);
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   EventLoopProfile* profile_ = nullptr;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  PacketEventSink* sink_ = nullptr;
+  std::vector<Entry> heap_;  ///< 4-ary min-heap by earlier().
+  std::vector<Handler> handlers_;
+  std::vector<std::uint32_t> free_handlers_;
 };
 
 }  // namespace kar::sim

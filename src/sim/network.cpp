@@ -11,12 +11,27 @@ using dataplane::DropReason;
 using dataplane::ForwardDecision;
 using dataplane::Packet;
 
+std::uint32_t Network::PacketPool::acquire(Packet&& packet) {
+  if (free_.empty()) {
+    if (created_ == chunks_.size() * kChunkSize) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+      free_.reserve(chunks_.size() * kChunkSize);
+    }
+    free_.push_back(created_++);
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  (*this)[slot].packet = std::move(packet);
+  return slot;
+}
+
 Network::Network(topo::Topology& topology, const routing::Controller& controller,
                  NetworkConfig config)
     : topo_(&topology),
       controller_(&controller),
       config_(config),
       rng_(config.seed) {
+  events_.set_packet_sink(this);
   const std::size_t n = topology.node_count();
   switches_.resize(n);
   edges_.resize(n);
@@ -59,7 +74,7 @@ void Network::trace(TraceEvent event) {
   if (trace_) trace_(event);
 }
 
-void Network::drop(const Packet& packet, topo::NodeId at, DropReason reason) {
+void Network::drop(std::uint32_t slot, topo::NodeId at, DropReason reason) {
   switch (reason) {
     case DropReason::kNoViablePort: ++counters_.drop_no_viable_port; break;
     case DropReason::kLinkFailed: ++counters_.drop_link_failed; break;
@@ -67,8 +82,21 @@ void Network::drop(const Packet& packet, topo::NodeId at, DropReason reason) {
     case DropReason::kTtlExceeded: ++counters_.drop_ttl; break;
     case DropReason::kAqmEarly: ++counters_.drop_aqm_early; break;
   }
+  const Packet& packet = pool_[slot].packet;
   trace(TraceEvent{TraceEvent::Kind::kDrop, now(), packet.packet_id, at, 0,
                    false, reason, 0, &packet});
+  pool_.release(slot);
+}
+
+std::uint32_t Network::admit(topo::NodeId edge, Packet&& packet) {
+  const std::uint32_t slot = pool_.acquire(std::move(packet));
+  Packet& admitted = pool_[slot].packet;
+  admitted.packet_id = next_packet_id_++;
+  admitted.created_at = now();
+  ++counters_.injected;
+  trace(TraceEvent{TraceEvent::Kind::kInject, now(), admitted.packet_id, edge,
+                   0, false, DropReason::kNoViablePort, 0, &admitted});
+  return slot;
 }
 
 void Network::inject(topo::NodeId edge, Packet packet) {
@@ -79,13 +107,9 @@ void Network::inject(topo::NodeId edge, Packet packet) {
     throw std::logic_error("Network::inject: edge node has no uplink");
   }
   maybe_flush();  // the inject trace must not overtake staged decisions
-  packet.packet_id = next_packet_id_++;
-  packet.created_at = now();
-  ++counters_.injected;
-  trace(TraceEvent{TraceEvent::Kind::kInject, now(), packet.packet_id, edge, 0,
-                   false, DropReason::kNoViablePort, 0, &packet});
+  const std::uint32_t slot = admit(edge, std::move(packet));
   // Edge nodes use their (single) uplink, port 0.
-  transmit(edge, 0, std::move(packet));
+  transmit(edge, 0, slot);
 }
 
 void Network::inject_burst(topo::NodeId edge, std::vector<Packet> packets) {
@@ -97,24 +121,20 @@ void Network::inject_burst(topo::NodeId edge, std::vector<Packet> packets) {
   }
   maybe_flush();
   if (packets.empty()) return;
-  for (Packet& packet : packets) {
-    packet.packet_id = next_packet_id_++;
-    packet.created_at = now();
-    ++counters_.injected;
-    trace(TraceEvent{TraceEvent::Kind::kInject, now(), packet.packet_id, edge,
-                     0, false, DropReason::kNoViablePort, 0, &packet});
-  }
+  std::vector<std::uint32_t> slots;
+  slots.reserve(packets.size());
+  for (Packet& packet : packets) slots.push_back(admit(edge, std::move(packet)));
   const topo::LinkId link_id = topo_->link_at(edge, 0);
   if (link_id == topo::kInvalidLink) {
-    for (const Packet& packet : packets) {
-      drop(packet, edge, DropReason::kNoViablePort);
+    for (const std::uint32_t slot : slots) {
+      drop(slot, edge, DropReason::kNoViablePort);
     }
     return;
   }
   const topo::Link& link = topo_->link(link_id);
   if (!link.up) {
-    for (const Packet& packet : packets) {
-      drop(packet, edge, DropReason::kLinkFailed);
+    for (const std::uint32_t slot : slots) {
+      drop(slot, edge, DropReason::kLinkFailed);
     }
     return;
   }
@@ -126,14 +146,14 @@ void Network::inject_burst(topo::NodeId edge, std::vector<Packet> packets) {
   const double start = std::max(now(), state.busy_until);
   double total_tx = 0.0;
   std::size_t admitted = 0;
-  for (const Packet& packet : packets) {
+  for (const std::uint32_t slot : slots) {
     if (state.queued + admitted >= link.params.queue_packets) break;
-    total_tx +=
-        static_cast<double>(packet.size_bytes) * 8.0 / link.params.rate_bps;
+    total_tx += static_cast<double>(pool_[slot].packet.size_bytes) * 8.0 /
+                link.params.rate_bps;
     ++admitted;
   }
-  for (std::size_t i = admitted; i < packets.size(); ++i) {
-    drop(packets[i], edge, DropReason::kQueueOverflow);
+  for (std::size_t i = admitted; i < slots.size(); ++i) {
+    drop(slots[i], edge, DropReason::kQueueOverflow);
   }
   if (admitted == 0) return;
   state.busy_until = start + total_tx;
@@ -143,37 +163,36 @@ void Network::inject_burst(topo::NodeId edge, std::vector<Packet> packets) {
   const topo::LinkEnd& far = (dir == 0) ? link.b : link.a;
   const std::uint64_t epoch = state.epoch;
   for (std::size_t i = 0; i < admitted; ++i) {
-    schedule_link_delivery(link_id, dir, arrival, epoch, far.node, far.port,
-                           std::move(packets[i]));
+    schedule_link_delivery(link_id, dir, arrival, epoch, far, slots[i]);
   }
 }
 
 void Network::transmit(topo::NodeId from, topo::PortIndex out_port,
-                       Packet&& packet) {
+                       std::uint32_t slot) {
   const topo::LinkId link_id = topo_->link_at(from, out_port);
   if (link_id == topo::kInvalidLink) {
     maybe_flush();
-    drop(packet, from, DropReason::kNoViablePort);
+    drop(slot, from, DropReason::kNoViablePort);
     return;
   }
   const topo::Link& link = topo_->link(link_id);
   if (!link.up) {
     maybe_flush();
-    drop(packet, from, DropReason::kLinkFailed);
+    drop(slot, from, DropReason::kLinkFailed);
     return;
   }
   const int dir = (link.a.node == from) ? 0 : 1;
   DirectionState& state = link_state_[link_id][static_cast<std::size_t>(dir)];
-  const double tx_time =
-      static_cast<double>(packet.size_bytes) * 8.0 / link.params.rate_bps;
+  const double tx_time = static_cast<double>(pool_[slot].packet.size_bytes) *
+                        8.0 / link.params.rate_bps;
   if (link.params.red && !red_admit(*link.params.red, state, tx_time)) {
     maybe_flush();
-    drop(packet, from, DropReason::kAqmEarly);
+    drop(slot, from, DropReason::kAqmEarly);
     return;
   }
   if (state.queued >= link.params.queue_packets) {
     maybe_flush();
-    drop(packet, from, DropReason::kQueueOverflow);
+    drop(slot, from, DropReason::kQueueOverflow);
     return;
   }
   const double start = std::max(now(), state.busy_until);
@@ -182,8 +201,7 @@ void Network::transmit(topo::NodeId from, topo::PortIndex out_port,
   ++state.queued;
 
   const topo::LinkEnd& far = (dir == 0) ? link.b : link.a;
-  schedule_link_delivery(link_id, dir, arrival, state.epoch, far.node,
-                         far.port, std::move(packet));
+  schedule_link_delivery(link_id, dir, arrival, state.epoch, far, slot);
 }
 
 bool Network::red_admit(const topo::RedParams& red, DirectionState& state,
@@ -226,34 +244,45 @@ bool Network::red_admit(const topo::RedParams& red, DirectionState& state,
 
 void Network::schedule_link_delivery(topo::LinkId link_id, int dir,
                                      double arrival, std::uint64_t epoch,
-                                     topo::NodeId far_node,
-                                     topo::PortIndex far_port,
-                                     Packet&& packet) {
-  events_.schedule_at(
-      arrival, EventKind::kLinkArrival,
-      [this, link_id, dir, epoch, far_node, far_port,
-       pkt = std::move(packet)]() mutable {
-        DirectionState& st = link_state_[link_id][static_cast<std::size_t>(dir)];
-        if (st.queued > 0) --st.queued;
-        // The link failed while the packet was queued or on the wire — or
-        // it was dead all along and the sender had not detected it yet.
-        if (st.epoch != epoch || !physically_up_[link_id] ||
-            !topo_->link(link_id).up) {
-          maybe_flush();  // this drop's trace must stay in arrival order
-          drop(pkt, far_node, DropReason::kLinkFailed);
-          return;
-        }
-        arrive_at(far_node, far_port, std::move(pkt));
-      });
+                                     const topo::LinkEnd& far,
+                                     std::uint32_t slot) {
+  pool_[slot].hop = PacketPool::Hop{far.node, far.port, link_id,
+                                    static_cast<std::uint8_t>(dir), epoch};
+  events_.schedule_packet_at(arrival, EventKind::kLinkArrival, slot);
+}
+
+void Network::on_packet_event(EventKind kind, std::uint32_t slot) {
+  if (kind == EventKind::kLinkArrival) {
+    link_arrival(slot);
+    return;
+  }
+  // kSwitchProcess / kEdgeProcess: the processing latency has elapsed.
+  const PacketPool::Hop& hop = pool_[slot].hop;
+  transmit(hop.node, hop.port, slot);
+}
+
+void Network::link_arrival(std::uint32_t slot) {
+  const PacketPool::Hop hop = pool_[slot].hop;
+  DirectionState& st = link_state_[hop.link][hop.dir];
+  if (st.queued > 0) --st.queued;
+  // The link failed while the packet was queued or on the wire — or it was
+  // dead all along and the sender had not detected it yet.
+  if (st.epoch != hop.epoch || !physically_up_[hop.link] ||
+      !topo_->link(hop.link).up) {
+    maybe_flush();  // this drop's trace must stay in arrival order
+    drop(slot, hop.node, DropReason::kLinkFailed);
+    return;
+  }
+  arrive_at(hop.node, hop.port, slot);
 }
 
 void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
-                        Packet&& packet) {
+                        std::uint32_t slot) {
   if (edges_[node]) {
     // Edge processing traces (deliver/reencode/bounce) must land after the
     // decisions of every switch arrival that preceded this event.
     maybe_flush();
-    Packet pkt = std::move(packet);
+    Packet& pkt = pool_[slot].packet;
     const auto verdict = edges_[node]->receive(pkt);
     switch (verdict) {
       case dataplane::EdgeNode::Verdict::kDeliver: {
@@ -261,8 +290,11 @@ void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
         counters_.delivered_bytes += pkt.size_bytes;
         trace(TraceEvent{TraceEvent::Kind::kDeliver, now(), pkt.packet_id, node,
                          0, false, DropReason::kNoViablePort, 0, &pkt});
+        // The handler may inject (an ACK): the slot stays held, and its
+        // address stable, until the handler returns.
         const auto it = delivery_.find(node);
         if (it != delivery_.end() && it->second) it->second(pkt);
+        pool_.release(slot);
         return;
       }
       case dataplane::EdgeNode::Verdict::kReinject: {
@@ -278,61 +310,62 @@ void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
                            node, 0, false, DropReason::kNoViablePort, 0, &pkt});
         }
         // Back out of the uplink after the edge's processing latency.
-        events_.schedule_in(config_.switch_latency_s, EventKind::kEdgeProcess,
-                            [this, node, p = std::move(pkt)]() mutable {
-                              transmit(node, 0, std::move(p));
-                            });
+        pool_[slot].hop.node = node;
+        pool_[slot].hop.port = 0;
+        events_.schedule_packet_at(now() + config_.switch_latency_s,
+                                   EventKind::kEdgeProcess, slot);
         return;
       }
       case dataplane::EdgeNode::Verdict::kDrop:
-        drop(pkt, node, DropReason::kNoViablePort);
+        drop(slot, node, DropReason::kNoViablePort);
         return;
     }
     return;
   }
-  forward_from_switch(node, in_port, std::move(packet));
+  forward_from_switch(node, in_port, slot);
 }
 
 void Network::forward_from_switch(topo::NodeId node, topo::PortIndex in_port,
-                                  Packet&& packet) {
+                                  std::uint32_t slot) {
   if (config_.mode == DataPlaneMode::kFailoverFib) {
     // Table-driven fast-failover baseline: the route ID is ignored.
     const auto selection =
         config_.failover_fib
-            ? config_.failover_fib->select_with_status(*topo_, node,
-                                                       packet.dst_edge)
+            ? config_.failover_fib->select_with_status(
+                  *topo_, node, pool_[slot].packet.dst_edge)
             : std::nullopt;
     if (!selection) {
-      drop(packet, node, DropReason::kNoViablePort);
+      drop(slot, node, DropReason::kNoViablePort);
       return;
     }
     ForwardDecision decision;
     decision.action = ForwardDecision::Action::kForward;
     decision.out_port = selection->port;
     decision.deflected = selection->failed_over;
-    apply_decision(node, in_port, std::move(packet), decision);
+    apply_decision(node, in_port, slot, decision);
     return;
   }
   if (batching()) {
-    stage_arrival(node, in_port, std::move(packet));
+    stage_arrival(node, in_port, slot);
     return;
   }
   const ForwardDecision decision =
-      switches_[node]->forward(packet, in_port, rng_);
-  apply_decision(node, in_port, std::move(packet), decision);
+      switches_[node]->forward(pool_[slot].packet, in_port, rng_);
+  apply_decision(node, in_port, slot, decision);
 }
 
 void Network::apply_decision(topo::NodeId node, topo::PortIndex in_port,
-                             Packet&& packet,
+                             std::uint32_t slot,
                              const ForwardDecision& decision) {
   if (decision.action == ForwardDecision::Action::kDrop) {
-    drop(packet, node, decision.drop_reason);
+    drop(slot, node, decision.drop_reason);
     return;
   }
+  Packet& packet = pool_[slot].packet;
   packet.hop_count += 1;
   ++counters_.hops;
   if (packet.hop_count > config_.max_hops) {
-    drop(packet, node, DropReason::kTtlExceeded);
+    drop(slot, node, DropReason::kTtlExceeded);
     return;
   }
   if (decision.deflected) {
@@ -343,16 +376,15 @@ void Network::apply_decision(topo::NodeId node, topo::PortIndex in_port,
   trace(TraceEvent{TraceEvent::Kind::kHop, now(), packet.packet_id, node,
                    decision.out_port, decision.deflected,
                    DropReason::kNoViablePort, in_port, &packet});
-  const topo::PortIndex out = decision.out_port;
-  events_.schedule_in(config_.switch_latency_s, EventKind::kSwitchProcess,
-                      [this, node, out, p = std::move(packet)]() mutable {
-                        transmit(node, out, std::move(p));
-                      });
+  pool_[slot].hop.node = node;
+  pool_[slot].hop.port = decision.out_port;
+  events_.schedule_packet_at(now() + config_.switch_latency_s,
+                             EventKind::kSwitchProcess, slot);
 }
 
 void Network::stage_arrival(topo::NodeId node, topo::PortIndex in_port,
-                            Packet&& packet) {
-  pending_.push_back(PendingArrival{node, in_port, std::move(packet)});
+                            std::uint32_t slot) {
+  pending_.push_back(PendingArrival{node, in_port, slot});
   ++batch_stats_.staged;
   if (pending_.size() >= config_.batch_size) {
     // Full: sweep now. Any flush event still in the queue finds nothing.
@@ -385,7 +417,7 @@ void Network::flush_batches() {
     batch_->clear();
     std::size_t j = i;
     while (j < total && pending_[j].node == node && !batch_->full()) {
-      batch_->push(&pending_[j].packet, pending_[j].in_port);
+      batch_->push(&pool_[pending_[j].slot].packet, pending_[j].in_port);
       ++j;
     }
     switches_[node]->forward_batch(*batch_, rng_);
@@ -395,7 +427,7 @@ void Network::flush_batches() {
     }
     const dataplane::ForwardDecision* decisions = batch_->decisions();
     for (std::size_t k = i; k < j; ++k) {
-      apply_decision(node, pending_[k].in_port, std::move(pending_[k].packet),
+      apply_decision(node, pending_[k].in_port, pending_[k].slot,
                      decisions[k - i]);
     }
     i = j;

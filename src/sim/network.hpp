@@ -11,6 +11,13 @@
 //     on the failed link are lost, and switches see the port as
 //     unavailable from that instant (local failure detection);
 //   * edge nodes stamp/strip route IDs and run the wrong-edge policy.
+//
+// Packet lifecycle: a packet enters the network's PacketPool at inject /
+// inject_burst and keeps that slot until it is delivered or dropped (any
+// drop reason). Its per-hop events (link arrival, switch and edge
+// processing) are handler-free EventQueue packet events that carry only the
+// slot; the hop fields they need ride in the slot beside the packet. A hop
+// therefore neither moves the packet nor allocates.
 #pragma once
 
 #include <array>
@@ -23,7 +30,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "ctrlplane/engine_mode.hpp"
 #include "dataplane/arena.hpp"
 #include "dataplane/batch.hpp"
 #include "dataplane/edge.hpp"
@@ -69,10 +75,6 @@ struct NetworkConfig {
   /// hop of the run. kNaive: recompute BigUint::mod_u64 per packet per hop
   /// — the differential oracle (tests/test_fastpath_differential.cpp).
   dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
-  /// Which reconvergence engine a control plane attached to this network
-  /// (sim::ReactiveController) runs: affected-set incremental (default) or
-  /// the full-recompute oracle. The data plane ignores this knob.
-  ctrlplane::EngineMode route_engine = ctrlplane::EngineMode::kIncremental;
   /// Core-switch batch size. 0 (default) is the per-packet path — the
   /// differential oracle. N > 0 stages same-instant switch arrivals into
   /// PacketBatches of up to N and sweeps each through
@@ -125,18 +127,25 @@ struct TraceEvent {
 };
 
 /// The simulated KAR network.
-class Network {
+class Network : private PacketEventSink {
  public:
   /// `topology` is mutated by failure injection and must outlive the
   /// network; `controller` serves wrong-edge re-encodes.
   Network(topo::Topology& topology, const routing::Controller& controller,
           NetworkConfig config = {});
+  // Pending events point back at this object.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   [[nodiscard]] EventQueue& events() noexcept { return events_; }
   [[nodiscard]] double now() const noexcept { return events_.now(); }
   [[nodiscard]] const topo::Topology& topology() const noexcept { return *topo_; }
   [[nodiscard]] const NetworkCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
+  /// Packets currently in flight (held pool slots).
+  [[nodiscard]] std::size_t packets_in_flight() const noexcept {
+    return pool_.in_use();
+  }
 
   /// The edge-node object bound to `node` (for route stamping).
   /// Throws std::invalid_argument if `node` is not an edge node.
@@ -228,6 +237,50 @@ class Network {
   }
 
  private:
+  /// Packets in flight, addressed by slot index (the Click `Packet*` handle,
+  /// as an index). Storage grows in fixed chunks that never move, so a slot's
+  /// address is stable while it is held: a delivery handler reading its
+  /// packet may inject new ones. Released slots are reused LIFO; once the
+  /// pool has reached its peak occupancy it never allocates again.
+  class PacketPool {
+   public:
+    /// Where a pooled packet goes when its pending event fires.
+    struct Hop {
+      topo::NodeId node = 0;     ///< Far end (arrival) / processing node.
+      topo::PortIndex port = 0;  ///< Arrival port / output port.
+      topo::LinkId link = 0;     ///< Link being crossed (arrival only).
+      std::uint8_t dir = 0;      ///< Its direction (arrival only).
+      std::uint64_t epoch = 0;   ///< Direction epoch at transmit (arrival only).
+    };
+    struct Slot {
+      dataplane::Packet packet;
+      Hop hop;
+    };
+
+    /// Moves `packet` into a free slot and returns the slot's index.
+    std::uint32_t acquire(dataplane::Packet&& packet);
+    /// Returns `slot` to the free list; its contents are overwritten on reuse.
+    void release(std::uint32_t slot) noexcept { free_.push_back(slot); }
+
+    [[nodiscard]] Slot& operator[](std::uint32_t slot) noexcept {
+      return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+    }
+    /// Slots currently held (packets in flight or staged).
+    [[nodiscard]] std::size_t in_use() const noexcept {
+      return created_ - free_.size();
+    }
+
+   private:
+    static constexpr std::uint32_t kChunkBits = 8;
+    static constexpr std::uint32_t kChunkSize = 1U << kChunkBits;
+
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    /// Free slot indices; capacity always covers every slot created, so
+    /// release() never allocates.
+    std::vector<std::uint32_t> free_;
+    std::uint32_t created_ = 0;
+  };
+
   struct DirectionState {
     double busy_until = 0.0;
     std::size_t queued = 0;
@@ -243,21 +296,27 @@ class Network {
   [[nodiscard]] bool red_admit(const topo::RedParams& red,
                                DirectionState& state, double tx_time);
 
-  void arrive_at(topo::NodeId node, topo::PortIndex in_port, dataplane::Packet&& packet);
+  /// PacketEventSink: the per-hop events, dispatched by kind.
+  void on_packet_event(EventKind kind, std::uint32_t slot) override;
+  /// Admits a new packet: pool slot, id, creation time, inject trace.
+  std::uint32_t admit(topo::NodeId edge, dataplane::Packet&& packet);
+  void link_arrival(std::uint32_t slot);
+  void arrive_at(topo::NodeId node, topo::PortIndex in_port, std::uint32_t slot);
   void forward_from_switch(topo::NodeId node, topo::PortIndex in_port,
-                           dataplane::Packet&& packet);
+                           std::uint32_t slot);
   /// Everything after a forwarding decision: counters, TTL, trace, and the
   /// switch-latency transmit — shared by the per-packet and batched paths.
   void apply_decision(topo::NodeId node, topo::PortIndex in_port,
-                      dataplane::Packet&& packet,
+                      std::uint32_t slot,
                       const dataplane::ForwardDecision& decision);
-  void transmit(topo::NodeId from, topo::PortIndex out_port, dataplane::Packet&& packet);
+  void transmit(topo::NodeId from, topo::PortIndex out_port, std::uint32_t slot);
   /// Schedules one packet's delivery at the far end of a link (the shared
   /// tail of transmit() and inject_burst()).
   void schedule_link_delivery(topo::LinkId link_id, int dir, double arrival,
-                              std::uint64_t epoch, topo::NodeId far_node,
-                              topo::PortIndex far_port, dataplane::Packet&& packet);
-  void drop(const dataplane::Packet& packet, topo::NodeId at, dataplane::DropReason reason);
+                              std::uint64_t epoch, const topo::LinkEnd& far,
+                              std::uint32_t slot);
+  /// Counts and traces the drop, then frees the packet's slot.
+  void drop(std::uint32_t slot, topo::NodeId at, dataplane::DropReason reason);
   void trace(TraceEvent event);
 
   // -- batched forwarding (config_.batch_size > 0, kKar mode only) -----------
@@ -265,7 +324,7 @@ class Network {
   /// Stages a switch arrival into the open batch; schedules the flush event
   /// and sweeps early when the batch fills.
   void stage_arrival(topo::NodeId node, topo::PortIndex in_port,
-                     dataplane::Packet&& packet);
+                     std::uint32_t slot);
   /// Sweeps every staged arrival now, in arrival order, grouping
   /// consecutive same-switch runs into PacketBatches.
   void flush_batches();
@@ -285,6 +344,7 @@ class Network {
   EventQueue events_;
   common::Rng rng_;
   NetworkCounters counters_;
+  PacketPool pool_;
   // Indexed by NodeId; exactly one of the two is engaged per node.
   std::vector<std::optional<dataplane::KarSwitch>> switches_;
   std::vector<std::optional<dataplane::EdgeNode>> edges_;
@@ -306,7 +366,7 @@ class Network {
   struct PendingArrival {
     topo::NodeId node;
     topo::PortIndex in_port;
-    dataplane::Packet packet;
+    std::uint32_t slot;
   };
   std::vector<PendingArrival> pending_;
   bool flush_scheduled_ = false;

@@ -4,10 +4,9 @@
 
 namespace kar::sim {
 
-ReactiveController::ReactiveController(Network& network, double reaction_delay_s)
-    : net_(&network),
-      delay_(reaction_delay_s),
-      mode_(network.config().route_engine) {
+ReactiveController::ReactiveController(Network& network, double reaction_delay_s,
+                                       ctrlplane::EngineMode mode)
+    : net_(&network), delay_(reaction_delay_s), mode_(mode) {
   if (mode_ == ctrlplane::EngineMode::kIncremental) {
     store_.emplace(net_->topology());
     ctrlplane::EngineConfig config;

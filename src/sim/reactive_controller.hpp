@@ -9,7 +9,7 @@
 // runs on ctrlplane::ReconvergenceEngine: link events reconverge only the
 // affected route set, the result is installed into the network as one
 // versioned epoch, and only flows whose route actually changed see their
-// update callback. NetworkConfig::route_engine == kFullRecompute restores
+// update callback. Constructing it with EngineMode::kFullRecompute restores
 // the original behavior — full Dijkstra per watched flow per reaction,
 // every callback invoked — as the differential baseline.
 #pragma once
@@ -33,9 +33,12 @@ class ReactiveController {
  public:
   /// `reaction_delay_s` models notification transport + controller
   /// processing + rule installation (the window in which in-flight traffic
-  /// is lost when no data-plane protection exists). The engine mode is
-  /// taken from the network's config (NetworkConfig::route_engine).
-  ReactiveController(Network& network, double reaction_delay_s);
+  /// is lost when no data-plane protection exists). `mode` picks the
+  /// reconvergence engine: affected-set incremental (default) or the
+  /// full-recompute oracle.
+  ReactiveController(
+      Network& network, double reaction_delay_s,
+      ctrlplane::EngineMode mode = ctrlplane::EngineMode::kIncremental);
 
   ReactiveController(const ReactiveController&) = delete;
   ReactiveController& operator=(const ReactiveController&) = delete;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 namespace kar::transport {
 
 using dataplane::Packet;
 using dataplane::SackBlock;
+using dataplane::SackList;
 using dataplane::TcpSegment;
 
 // ---------------------------------------------------------------------------
@@ -99,10 +101,15 @@ void TcpSender::send_segment(std::uint64_t seq, bool is_retransmit) {
   if (is_retransmit) {
     ++stats_.retransmits;
     m_retransmits_.inc();
-    send_time_.erase(seq);  // Karn: never sample RTT from retransmits
+    // Karn: never sample RTT from retransmits — tombstone the stamp.
+    const auto it = std::lower_bound(
+        send_time_.begin() + static_cast<std::ptrdiff_t>(send_head_),
+        send_time_.end(), seq,
+        [](const SendStamp& stamp, std::uint64_t s) { return stamp.seq < s; });
+    if (it != send_time_.end() && it->seq == seq) it->time = -1.0;
     retransmitted_.insert(seq);
   } else {
-    send_time_[seq] = net_->now();
+    send_time_.push_back(SendStamp{seq, net_->now()});
   }
   if (!rto_armed_) restart_rto();
 }
@@ -161,6 +168,7 @@ void TcpSender::on_rto() {
   trace_tcp("rto");
   rto_ = std::min(rto_ * 2.0, params_.max_rto_s);
   send_time_.clear();  // Karn: outstanding samples are invalid now
+  send_head_ = 0;
   if (snd_una_ < highest_sent_) {
     // Go-back-N: everything outstanding is presumed lost; pull snd_nxt_
     // back so the window is retransmitted as the ACK clock restarts
@@ -173,16 +181,21 @@ void TcpSender::on_rto() {
 }
 
 void TcpSender::sample_rtt(std::uint64_t acked_up_to) {
-  // Use the newest segment at or below the cumulative ACK that still has a
-  // valid (non-retransmitted) timestamp; drop all covered entries.
+  // Sample from every segment below the cumulative ACK that still has a
+  // valid (non-retransmitted) timestamp, taking the largest; pop them all.
   double sample = -1.0;
-  for (auto it = send_time_.begin(); it != send_time_.end();) {
-    if (it->first < acked_up_to) {
-      sample = std::max(sample, net_->now() - it->second);
-      it = send_time_.erase(it);
-    } else {
-      ++it;
-    }
+  while (send_head_ < send_time_.size() &&
+         send_time_[send_head_].seq < acked_up_to) {
+    const SendStamp& stamp = send_time_[send_head_++];
+    if (stamp.time >= 0.0) sample = std::max(sample, net_->now() - stamp.time);
+  }
+  if (send_head_ == send_time_.size()) {
+    send_time_.clear();
+    send_head_ = 0;
+  } else if (2 * send_head_ >= send_time_.size()) {
+    send_time_.erase(send_time_.begin(),
+                     send_time_.begin() + static_cast<std::ptrdiff_t>(send_head_));
+    send_head_ = 0;
   }
   if (sample < 0.0) return;
   m_rtt_.observe(sample);
@@ -209,7 +222,7 @@ void TcpSender::note_reordering(std::uint64_t distance) {
   dupthresh_ = std::max(dupthresh_, std::max(candidate, params_.dupack_threshold));
 }
 
-bool TcpSender::merge_sack(const std::vector<SackBlock>& blocks,
+bool TcpSender::merge_sack(const SackList& blocks,
                            std::uint64_t prev_highest_sacked) {
   bool news = false;
   for (const SackBlock& block : blocks) {
@@ -398,30 +411,34 @@ TcpReceiver::TcpReceiver(sim::Network& network,
       params_(params),
       goodput_(goodput_bin_s) {}
 
-std::vector<SackBlock> TcpReceiver::sack_blocks(std::uint64_t latest_seq) const {
-  std::vector<SackBlock> blocks;
+SackList TcpReceiver::sack_blocks(std::uint64_t latest_seq) const {
+  SackList blocks;
   if (!params_.enable_sack || ooo_.empty()) return blocks;
-  // Contiguous ranges of the reassembly buffer, ascending.
-  std::vector<SackBlock> ranges;
-  for (auto it = ooo_.begin(); it != ooo_.end(); ++it) {
-    if (!ranges.empty() && ranges.back().end == it->first) {
-      ranges.back().end = it->first + 1;
-    } else {
-      ranges.push_back(SackBlock{it->first, it->first + 1});
-    }
-  }
   // RFC 2018: the block containing the most recent arrival comes first.
-  std::size_t first_index = ranges.size();
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    if (latest_seq >= ranges[i].begin && latest_seq < ranges[i].end) {
-      first_index = i;
-      break;
+  // Blocks are contiguous runs of the reassembly buffer.
+  std::optional<SackBlock> latest;
+  if (const auto it = ooo_.find(latest_seq); it != ooo_.end()) {
+    SackBlock block{latest_seq, latest_seq + 1};
+    for (auto lo = it; lo != ooo_.begin() &&
+                       std::prev(lo)->first + 1 == block.begin;) {
+      --lo;
+      block.begin = lo->first;
     }
+    for (auto hi = std::next(it); hi != ooo_.end() && hi->first == block.end;
+         ++hi) {
+      ++block.end;
+    }
+    latest = block;
+    blocks.push_back(block);
   }
-  if (first_index < ranges.size()) blocks.push_back(ranges[first_index]);
-  // Then the highest remaining ranges (newest data), up to 3 total.
-  for (std::size_t i = ranges.size(); i-- > 0 && blocks.size() < 3;) {
-    if (i != first_index) blocks.push_back(ranges[i]);
+  // Then the highest remaining runs (newest data), up to 3 blocks in all.
+  for (auto it = ooo_.rbegin();
+       it != ooo_.rend() && blocks.size() < SackList::kMaxBlocks;) {
+    SackBlock block{it->first, it->first + 1};
+    for (++it; it != ooo_.rend() && it->first + 1 == block.begin; ++it) {
+      block.begin = it->first;
+    }
+    if (!latest || latest->begin != block.begin) blocks.push_back(block);
   }
   return blocks;
 }
@@ -434,7 +451,7 @@ void TcpReceiver::send_ack(std::uint64_t latest_seq) {
   segment.sack = sack_blocks(latest_seq);
   const std::size_t sack_option_bytes =
       segment.sack.empty() ? 0 : 2 + 8 * segment.sack.size();
-  packet.transport = std::move(segment);
+  packet.transport = segment;
   packet.flow_id = flow_id_;
   net_->edge_at(route_->src_edge).stamp(packet, *route_, /*payload_bytes=*/0);
   packet.size_bytes += sack_option_bytes;

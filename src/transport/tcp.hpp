@@ -28,7 +28,7 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dataplane/packet.hpp"
@@ -140,7 +140,7 @@ class TcpSender {
   void on_new_ack(std::uint64_t ack, std::uint64_t prev_highest_sacked);
   /// Merges SACK blocks into the scoreboard; returns true when new
   /// information arrived.
-  bool merge_sack(const std::vector<dataplane::SackBlock>& blocks,
+  bool merge_sack(const dataplane::SackList& blocks,
                   std::uint64_t prev_highest_sacked);
   void note_reordering(std::uint64_t distance);
   /// True when the loss-detection rule fires for snd_una_.
@@ -183,8 +183,18 @@ class TcpSender {
   bool rto_armed_ = false;
   common::Rng jitter_rng_;  ///< Per-flow RTO jitter stream (rto_jitter > 0).
 
-  /// Send timestamps of unretransmitted segments (Karn's rule).
-  std::unordered_map<std::uint64_t, double> send_time_;
+  /// Send timestamps of unretransmitted segments (Karn's rule), oldest
+  /// first. New data always goes out above every earlier send, so pushing
+  /// at the back keeps the queue ordered by seq. A retransmission turns
+  /// its segment's entry into a tombstone (time < 0); sample_rtt pops the
+  /// acked prefix. The live part is [send_head_, end); the consumed prefix
+  /// is compacted away in place, so the steady state never allocates.
+  struct SendStamp {
+    std::uint64_t seq;
+    double time;
+  };
+  std::vector<SendStamp> send_time_;
+  std::size_t send_head_ = 0;
 
   // Observability (all inert until set_observability).
   obs::TraceRecorder* trace_ = nullptr;
@@ -228,8 +238,7 @@ class TcpReceiver {
 
   /// The SACK blocks that would accompany an ACK right now (exposed for
   /// tests); first block contains `latest_seq` when it is buffered.
-  [[nodiscard]] std::vector<dataplane::SackBlock> sack_blocks(
-      std::uint64_t latest_seq) const;
+  [[nodiscard]] dataplane::SackList sack_blocks(std::uint64_t latest_seq) const;
 
  private:
   void send_ack(std::uint64_t latest_seq);

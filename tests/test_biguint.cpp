@@ -5,9 +5,14 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace kar::rns {
 namespace {
+
+static_assert(sizeof(BigUint) <= sizeof(std::vector<std::uint32_t>),
+              "BigUint must stay no larger than a limb vector");
 
 TEST(BigUint, DefaultIsZero) {
   const BigUint zero;
@@ -194,6 +199,96 @@ TEST(BigUint, LeadingZeroNormalization) {
   const BigUint x(7);
   const BigUint y = BigUint(1) << 96;
   EXPECT_EQ((x + y) - y, x);
+}
+
+// -- inline / heap storage boundary (kInlineLimbs = 4 limbs = 128 bits) ----
+
+/// 2^bits - 1: `bits` one bits (zero for bits == 0).
+BigUint ones(std::size_t bits) { return (BigUint(1) << bits) - BigUint(1); }
+
+const std::size_t kBoundaryBits[] = {0, 32, 64, 96, 128, 129, 200, 257};
+
+TEST(BigUint, CopyAndMoveAcrossTheInlineHeapBoundary) {
+  for (const std::size_t bits : kBoundaryBits) {
+    const BigUint value = ones(bits);
+    ASSERT_EQ(value.bit_length(), bits);
+    BigUint copy(value);
+    EXPECT_EQ(copy, value) << bits;
+    BigUint moved(std::move(copy));
+    EXPECT_EQ(moved, value) << bits;
+    copy = value;  // a moved-from value is reusable
+    EXPECT_EQ(copy, value) << bits;
+    for (const std::size_t other_bits : kBoundaryBits) {
+      // Assignment into every storage shape, both ways.
+      BigUint target = ones(other_bits);
+      target = value;
+      EXPECT_EQ(target, value) << other_bits << " <- " << bits;
+      BigUint target_moved = ones(other_bits);
+      BigUint source = value;
+      target_moved = std::move(source);
+      EXPECT_EQ(target_moved, value) << other_bits << " <- " << bits;
+      EXPECT_EQ(target_moved.limbs().size(), (bits + 31) / 32);
+    }
+    BigUint self = value;
+    const BigUint& alias = self;
+    self = alias;
+    EXPECT_EQ(self, value) << bits;
+  }
+}
+
+TEST(BigUint, ArithmeticCrossesTheInlineHeapBoundary) {
+  BigUint value = ones(128);  // the widest inline value
+  value += BigUint(1);        // grows onto the heap
+  EXPECT_EQ(value.to_hex(), "1" + std::string(32, '0'));
+  value -= BigUint(1);  // shrinks back to 128 bits, still heap-backed
+  EXPECT_EQ(value, ones(128));
+  EXPECT_EQ(value.bit_length(), 128u);
+  value += value;  // aliased operand
+  EXPECT_EQ(value, ones(129) - BigUint(1));
+  EXPECT_EQ(ones(64) * ones(64), ones(128) - (ones(65) - BigUint(1)));
+  EXPECT_EQ((ones(100) * ones(100)).bit_length(), 200u);
+}
+
+TEST(BigUint, ShiftsAcrossTheInlineHeapBoundary) {
+  for (const std::size_t bits : kBoundaryBits) {
+    const BigUint value = ones(bits) - (bits > 8 ? BigUint(0x5A) : BigUint(0));
+    for (const std::size_t shift : {1U, 4U, 31U, 32U, 33U, 64U, 100U, 128U}) {
+      const BigUint shifted = value << shift;
+      EXPECT_EQ(shifted >> shift, value) << bits << " << " << shift;
+      if (!value.is_zero()) {
+        EXPECT_EQ(shifted.bit_length(), bits + shift);
+      }
+      if (shift % 4 == 0 && !value.is_zero()) {
+        // Independent oracle: a 4k-bit shift appends k hex zeros.
+        EXPECT_EQ(shifted.to_hex(), value.to_hex() + std::string(shift / 4, '0'));
+      }
+    }
+    EXPECT_TRUE((value >> (bits + 1)).is_zero());
+  }
+}
+
+TEST(BigUint, DivisionAndReductionAcrossTheInlineHeapBoundary) {
+  const BigUint divisors[] = {BigUint(7), BigUint(0xFFFFFFFBULL),
+                              ones(33), ones(64), ones(96) - BigUint(12),
+                              ones(128), ones(129), ones(160) - ones(40)};
+  for (const std::size_t bits : kBoundaryBits) {
+    // A dense, irregular dividend of exactly `bits` bits.
+    const BigUint dividend =
+        bits == 0 ? BigUint(0) : ones(bits) - (ones(bits / 2) << (bits / 4));
+    for (const BigUint& divisor : divisors) {
+      const auto [q, r] = dividend.divmod(divisor);
+      EXPECT_TRUE(r < divisor);
+      EXPECT_EQ(q * divisor + r, dividend) << bits;
+      const auto reference = dividend.divmod_binary(divisor);
+      EXPECT_EQ(q, reference.quotient) << bits;
+      EXPECT_EQ(r, reference.remainder) << bits;
+    }
+    for (const std::uint64_t m : {2ULL, 61ULL, 0xFFFFFFFFULL, 0x1FFFFFFFFULL,
+                                  0xFFFFFFFFFFFFFFC5ULL}) {
+      EXPECT_EQ(BigUint(dividend.mod_u64(m)), dividend.divmod(BigUint(m)).remainder)
+          << bits << " mod " << m;
+    }
+  }
 }
 
 }  // namespace

@@ -482,10 +482,8 @@ TEST(ReactiveControllerIncremental, OnlyAffectedFlowsReact) {
 TEST(ReactiveControllerFullRecompute, EveryFlowRecomputesEveryReaction) {
   topo::Topology t = make_two_islands();
   const routing::Controller controller(t);
-  sim::NetworkConfig config;
-  config.route_engine = EngineMode::kFullRecompute;
-  sim::Network net(t, controller, config);
-  sim::ReactiveController reactive(net, 0.010);
+  sim::Network net(t, controller);
+  sim::ReactiveController reactive(net, 0.010, EngineMode::kFullRecompute);
   EXPECT_EQ(reactive.engine_mode(), EngineMode::kFullRecompute);
 
   int ab_updates = 0;

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,8 +244,19 @@ void run_sharded_sequence(const std::string& topology, std::uint64_t sequence,
   }
 }
 
-class CtrlplaneDifferential
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+// One topology and its churn-sequence count. PrintTo prints the topology
+// name, so the listed parameter (and the ctest name built from it) does not
+// carry the address of the string literal, which moves from run to run.
+struct TopologyRuns {
+  const char* topology;
+  int sequences;
+};
+
+void PrintTo(const TopologyRuns& runs, std::ostream* os) {
+  *os << runs.topology;
+}
+
+class CtrlplaneDifferential : public ::testing::TestWithParam<TopologyRuns> {};
 
 TEST_P(CtrlplaneDifferential, IncrementalEqualsFullRecompute) {
   const auto [topology, sequences] = GetParam();
@@ -259,15 +271,12 @@ TEST_P(CtrlplaneDifferential, IncrementalEqualsFullRecompute) {
 // 70 + 70 + 60 = 200 churn sequences.
 INSTANTIATE_TEST_SUITE_P(
     Topologies, CtrlplaneDifferential,
-    ::testing::Values(std::pair<const char*, int>{"fig1", 70},
-                      std::pair<const char*, int>{"fig2", 70},
-                      std::pair<const char*, int>{"rnp28", 60}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, int>>& info) {
-      return std::string(info.param.first);
-    });
+    ::testing::Values(TopologyRuns{"fig1", 70},
+                      TopologyRuns{"fig2", 70},
+                      TopologyRuns{"rnp28", 60}));
 
 class CtrlplaneShardedDifferential
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<TopologyRuns> {};
 
 TEST_P(CtrlplaneShardedDifferential, ShardWidthsBitIdentical) {
   const auto [topology, sequences] = GetParam();
@@ -285,12 +294,9 @@ TEST_P(CtrlplaneShardedDifferential, ShardWidthsBitIdentical) {
 // rotate through on every topology.
 INSTANTIATE_TEST_SUITE_P(
     Topologies, CtrlplaneShardedDifferential,
-    ::testing::Values(std::pair<const char*, int>{"fig1", 16},
-                      std::pair<const char*, int>{"fig2", 16},
-                      std::pair<const char*, int>{"rnp28", 12}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, int>>& info) {
-      return std::string(info.param.first);
-    });
+    ::testing::Values(TopologyRuns{"fig1", 16},
+                      TopologyRuns{"fig2", 16},
+                      TopologyRuns{"rnp28", 12}));
 
 }  // namespace
 }  // namespace kar

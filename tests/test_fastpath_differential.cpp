@@ -130,6 +130,8 @@ TracedRun run_traced(const std::string& topology_name,
     });
   }
   net.events().run_all();
+  EXPECT_EQ(net.packets_in_flight(), 0u)
+      << "a delivered or dropped packet kept its pool slot";
 
   TracedRun result;
   result.trace = out.str() + render_counters(net.counters());

@@ -2,6 +2,7 @@
 // across randomized topologies, routes and failure choices.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "analysis/markov.hpp"
@@ -335,11 +336,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FailoverProperty,
 // Eq. 9 (bit length) monotonicity across protection levels, all scenarios.
 // ---------------------------------------------------------------------------
 
-class ScenarioBitLength
-    : public ::testing::TestWithParam<Scenario (*)(topo::LinkParams)> {};
+// A scenario builder with its name. PrintTo prints the name, so the listed
+// parameter (and the ctest name built from it) does not carry the builder's
+// address, which moves from run to run.
+struct NamedScenario {
+  const char* name;
+  Scenario (*make)(topo::LinkParams);
+};
+
+void PrintTo(const NamedScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+class ScenarioBitLength : public ::testing::TestWithParam<NamedScenario> {};
 
 TEST_P(ScenarioBitLength, ProtectionCostsBitsMonotonically) {
-  const Scenario s = GetParam()(topo::LinkParams{});
+  const Scenario s = GetParam().make(topo::LinkParams{});
   const routing::Controller controller(s.topology);
   const auto u = controller.encode_scenario(s.route,
                                             topo::ProtectionLevel::kUnprotected);
@@ -356,10 +368,13 @@ TEST_P(ScenarioBitLength, ProtectionCostsBitsMonotonically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperScenarios, ScenarioBitLength,
-                         ::testing::Values(&topo::make_fig1_network,
-                                           &topo::make_experimental15,
-                                           &topo::make_rnp28,
-                                           &topo::make_fig8_redundant));
+                         ::testing::Values(
+                             NamedScenario{"fig1", &topo::make_fig1_network},
+                             NamedScenario{"experimental15",
+                                           &topo::make_experimental15},
+                             NamedScenario{"rnp28", &topo::make_rnp28},
+                             NamedScenario{"fig8_redundant",
+                                           &topo::make_fig8_redundant}));
 
 }  // namespace
 }  // namespace kar

@@ -237,5 +237,45 @@ TEST_F(TcpFixture, CbrProbeCountsLossDuringOutage) {
   EXPECT_GT(probe.received(), 180u);
 }
 
+// Karn's rule: no RTT sample from a segment that was retransmitted. The
+// sender is driven by hand-made ACKs (data reaching DST has no receiver).
+TEST_F(TcpFixture, KarnNoRttSampleFromRetransmittedSegmentAfterRto) {
+  sim::Network net(scenario.topology, controller, {});
+  const routing::EncodedRoute route = forward_route();
+  TcpSender sender(net, route, /*flow_id=*/1);
+  sender.start();               // segments 0..9 sent at t = 0
+  net.events().run_until(1.5);  // the initial 1 s RTO fires; seq 0 resent
+  ASSERT_EQ(sender.stats().timeouts, 1u);
+  dataplane::TcpSegment ack;
+  ack.ack = 1;
+  sender.on_ack(ack);
+  // Either transmission could be the one acknowledged: no sample at all.
+  EXPECT_DOUBLE_EQ(sender.srtt_s(), 0.0);
+}
+
+TEST_F(TcpFixture, KarnSkipsFastRetransmittedSegmentsButSamplesTheRest) {
+  sim::Network net(scenario.topology, controller, {});
+  const routing::EncodedRoute route = forward_route();
+  TcpSender sender(net, route, /*flow_id=*/1);
+  sender.start();  // segments 0..9 sent at t = 0
+  net.events().run_until(0.2);
+  // Three SACKs above a hole at 0: fast retransmit of 0 (and of the
+  // un-SACKed segments 4..9 as the recovery window fills).
+  for (const std::uint64_t end : {2ULL, 3ULL, 4ULL}) {
+    dataplane::TcpSegment dup;
+    dup.ack = 0;
+    dup.sack.push_back(dataplane::SackBlock{1, end});
+    sender.on_ack(dup);
+  }
+  ASSERT_TRUE(sender.in_fast_recovery());
+  dataplane::TcpSegment ack;
+  ack.ack = 1;  // covers only the retransmitted segment 0
+  sender.on_ack(ack);
+  EXPECT_DOUBLE_EQ(sender.srtt_s(), 0.0);
+  ack.ack = 5;  // 1..3 were sent once at t = 0; 4 was retransmitted
+  sender.on_ack(ack);
+  EXPECT_DOUBLE_EQ(sender.srtt_s(), 0.2);
+}
+
 }  // namespace
 }  // namespace kar::transport

@@ -1,16 +1,19 @@
-// Zero-allocation regression test for the batched data plane (ISSUE 6).
+// Zero-allocation regression tests for the forwarding hot paths.
 //
 // The whole point of PacketBatch + BumpArena is that the warmed
 // steady-state forward loop — clear, push, forward_batch, read decisions —
-// touches the heap exactly zero times. This test replaces the global
-// operator new/delete with counting versions (routed through malloc/free)
-// and asserts the count stays at zero across thousands of batch sweeps,
-// for every deflection technique, with narrow routes, pre-memoized wide
-// routes and dead ports forcing deflection draws in the mix.
+// touches the heap exactly zero times. Likewise a warmed simulator hop
+// (pooled packet, handler-free event, inline route ID, fixed SACK array)
+// must not allocate. These tests replace the global operator new/delete
+// with counting versions (routed through malloc/free) and assert the count
+// stays at zero: across thousands of batch sweeps, for every deflection
+// technique, with narrow routes, pre-memoized wide routes and dead ports
+// forcing deflection draws in the mix; and across >= 100k events of a
+// window-limited TCP flow through sim::Network.
 //
-// Registered under the `bench` ctest label next to the throughput smokes:
-// an allocation sneaking into the hot loop is a performance regression
-// before it is anything else.
+// Registered under the `bench` and `sim` ctest labels: an allocation
+// sneaking into the hot loop is a performance regression before it is
+// anything else.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,8 +25,11 @@
 #include "dataplane/arena.hpp"
 #include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
+#include "routing/controller.hpp"
+#include "sim/network.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
+#include "transport/flows.hpp"
 
 namespace {
 // Counting is thread-local and off by default, so gtest internals and
@@ -128,6 +134,46 @@ TEST(ZeroAlloc, WarmedBatchedForwardLoopDoesNotTouchTheHeap) {
     EXPECT_EQ(g_allocations, 0u)
         << to_string(technique) << " allocated in the warmed forward loop";
   }
+}
+
+TEST(ZeroAlloc, WarmedSimulatorTcpFlowDoesNotTouchTheHeap) {
+  // Paper Fig. 4 setting without the failure: one window-limited bulk TCP
+  // flow over experimental15 with 1 Gb/s links. Nothing reorders, so the
+  // receiver's reassembly buffer and the sender's SACK scoreboard stay
+  // empty; every event is a link arrival, switch process, delivery or ACK.
+  topo::Scenario s = topo::make_experimental15(
+      topo::LinkParams{.rate_bps = 1e9, .delay_s = 0.6e-3, .queue_packets = 200});
+  const routing::Controller controller(s.topology);
+  sim::Network net(s.topology, controller);
+  transport::FlowDispatcher dispatcher(net);
+  topo::ScenarioRoute reverse_path;
+  reverse_path.src_edge = s.route.dst_edge;
+  reverse_path.dst_edge = s.route.src_edge;
+  reverse_path.core_path = {"SW29", "SW31", "SW19", "SW11", "SW10"};
+  transport::TcpParams params;
+  params.receiver_window_segments = 128;
+  transport::BulkTransferFlow flow(
+      net, dispatcher,
+      controller.encode_scenario(s.route, topo::ProtectionLevel::kPartial),
+      controller.encode_scenario(reverse_path, topo::ProtectionLevel::kPartial),
+      /*flow_id=*/1, params, /*goodput_bin_s=*/1.0);
+  flow.start_at(0.0);
+
+  // Warm-up: slow start reaches the 128-segment window, and the packet
+  // pool, event heap, handler slab and RTT queue reach their steady size.
+  // The measured window stays inside one goodput bin (1 s), so the binned
+  // series does not grow either.
+  net.events().run_until(1.1);
+  ASSERT_GT(flow.receiver().stats().delivered_segments, 0u);
+  g_allocations = 0;
+  g_counting = true;
+  const std::size_t events = net.events().run_until(1.9);
+  g_counting = false;
+  EXPECT_GE(events, 100000u);
+  EXPECT_EQ(g_allocations, 0u)
+      << g_allocations << " allocations over " << events << " events";
+  EXPECT_EQ(flow.sender().stats().retransmits, 0u);
+  EXPECT_EQ(flow.receiver().stats().out_of_order_segments, 0u);
 }
 
 }  // namespace
