@@ -1,24 +1,74 @@
 // Shared harness for the paper-reproduction benches: configures a KAR
 // network + bulk TCP flow, injects a link failure, and reports goodput the
-// way the paper does (iperf-style averages and 1-second timelines).
+// way the paper does (iperf-style averages and 1-second timelines). Also
+// the machine provenance every committed BENCH record carries.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dataplane/switch.hpp"
 #include "obs/instrument.hpp"
 #include "routing/controller.hpp"
+#include "runner/jsonl.hpp"
 #include "sim/network.hpp"
 #include "stats/summary.hpp"
 #include "topology/builders.hpp"
 #include "transport/flows.hpp"
 
+// The bench targets define KAR_BUILD_TYPE from CMAKE_BUILD_TYPE.
+#ifndef KAR_BUILD_TYPE
+#ifdef NDEBUG
+#define KAR_BUILD_TYPE "unknown (NDEBUG)"
+#else
+#define KAR_BUILD_TYPE "unknown (assertions on)"
+#endif
+#endif
+
 namespace kar::bench {
+
+/// `git describe --always --dirty` of the working directory's checkout,
+/// or "unknown" outside a git checkout.
+inline std::string git_describe() {
+  std::string out;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) out += buffer;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+/// Where a BENCH record was measured: hardware threads, build type,
+/// compiler and source revision, as one JSON object. Every committed
+/// record carries it under "provenance", so numbers from different
+/// machines are never compared blind.
+inline std::string provenance_json() {
+#if defined(__clang__)
+  const std::string compiler = "Clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "GNU " + std::to_string(__GNUC__) + '.' +
+                               std::to_string(__GNUC_MINOR__) + '.' +
+                               std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  const std::string compiler = "unknown";
+#endif
+  runner::JsonObject o;
+  o.field("nproc",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .field("build_type", KAR_BUILD_TYPE)
+      .field("compiler", compiler)
+      .field("git", git_describe());
+  return o.str();
+}
 
 /// Link parameters for the paper-reproduction experiments. The paper's
 /// emulated TCP tops out near 200 Mb/s while AVP-style bounce-backs (which

@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -99,6 +100,12 @@ struct EngineRun {
   double total_s = 0.0;
   double p50_s = 0.0;
   double p99_s = 0.0;
+  /// Engine phase totals over every epoch (EpochStats phase fields).
+  double spt_s = 0.0;
+  double merge_s = 0.0;
+  double reconverge_s = 0.0;
+  double replay_s = 0.0;
+  double admission_s = 0.0;
 
   /// Raw-event throughput: every pass is charged the same raw stream.
   [[nodiscard]] double events_per_s(std::size_t events) const {
@@ -176,6 +183,11 @@ EngineRun run_engine(const std::string& topology, const RunSpec& spec,
     run.withdrawn += result.stats.withdrawn;
     run.spt_fallbacks += result.stats.spt_fallbacks;
     run.total_s += result.stats.wall_s;
+    run.spt_s += result.stats.spt_s;
+    run.merge_s += result.stats.merge_s;
+    run.reconverge_s += result.stats.reconverge_s;
+    run.replay_s += result.stats.replay_s;
+    run.admission_s += result.stats.admission_s;
   };
   if (spec.window_s <= 0.0) {
     // One epoch per distinct event timestamp.
@@ -405,7 +417,27 @@ int main(int argc, char** argv) {
       pass = pass && c.coalesced_speedup() > min_coalesced_speedup;
     }
   }
-  std::cout << table.render()
+  std::cout << table.render();
+  kar::common::TextTable phase_table({"topology", "routes", "engine", "wall s",
+                                      "spt s", "merge s", "reconverge s",
+                                      "replay s", "admission s"});
+  for (const auto& c : results) {
+    const auto row = [&](const char* name, const EngineRun& run) {
+      phase_table.add_row({c.topology, std::to_string(c.routes), name,
+                           kar::common::fmt_double(run.total_s, 3),
+                           kar::common::fmt_double(run.spt_s, 3),
+                           kar::common::fmt_double(run.merge_s, 3),
+                           kar::common::fmt_double(run.reconverge_s, 3),
+                           kar::common::fmt_double(run.replay_s, 3),
+                           kar::common::fmt_double(run.admission_s, 3)});
+    };
+    row("incremental", c.incremental);
+    row("sharded", c.sharded);
+    row("coalesced", c.coalesced);
+    if (c.full_ran) row("full", c.full);
+  }
+  std::cout << "\n=== engine phase split (seconds over all epochs) ===\n"
+            << phase_table.render()
             << "\nspeedups (full wall / incremental wall):";
   for (const auto& c : results) {
     std::cout << ' ' << c.topology << '/' << c.routes << "="
@@ -444,10 +476,18 @@ int main(int argc, char** argv) {
             .field("withdrawn", static_cast<std::uint64_t>(run.withdrawn))
             .field("spt_fallbacks",
                    static_cast<std::uint64_t>(run.spt_fallbacks));
+        kar::runner::JsonObject phases;
+        phases.field("spt", run.spt_s)
+            .field("merge", run.merge_s)
+            .field("reconverge", run.reconverge_s)
+            .field("replay", run.replay_s)
+            .field("admission", run.admission_s);
+        o.raw("phases_s", phases.str());
         return o.str();
       };
       kar::runner::JsonObject record;
       record.field("bench", "churn_convergence")
+          .raw("provenance", kar::bench::provenance_json())
           .field("topology", c.topology)
           .field("routes", static_cast<std::uint64_t>(c.routes))
           .field("events", static_cast<std::uint64_t>(c.events))

@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -304,6 +305,7 @@ int main(int argc, char** argv) {
     };
     kar::runner::JsonObject record;
     record.field("bench", "daemon_sustained")
+        .raw("provenance", kar::bench::provenance_json())
         .field("topology", topology)
         .field("routes", static_cast<std::uint64_t>(routes))
         .field("ops", static_cast<std::uint64_t>(ops))

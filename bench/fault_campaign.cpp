@@ -8,7 +8,7 @@
 //                  [--schedule=updown|srlg|flap|sweep] [--runs=100]
 //                  [--packets=20] [--horizon=0.5] [--max-hops=256]
 //                  [--detection-delay=0] [--seed=1] [--no-shrink]
-//                  [--engine=incremental|full] [--batch=0]
+//                  [--batch=0]
 //                  [--mutate-hop-budget=N] [--quiet]
 //                  [--jobs=N] [--timeout=S] [--progress] [--jsonl=PATH]
 //                  [--bench-json[=PATH]]
@@ -37,9 +37,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
-#include "ctrlplane/engine_mode.hpp"
 #include "faultgen/campaign.hpp"
 #include "obs/export.hpp"
 #include "runner/campaign_runner.hpp"
@@ -248,6 +248,7 @@ int run_bench_json(const CliOptions& options, const std::string& path) {
 
   runner::JsonObject record;
   record.field("bench", "fault_campaign")
+      .raw("provenance", bench::provenance_json())
       .field("topology", options.base.topology)
       .field("total_runs", static_cast<std::uint64_t>(serial.total_runs))
       .field("campaigns",
@@ -312,13 +313,6 @@ int main(int argc, char** argv) {
   if (flags.has("mutate-hop-budget")) {
     options.base.hop_budget_override =
         static_cast<std::uint32_t>(flags.get_int("mutate-hop-budget", 0));
-  }
-  try {
-    options.base.route_engine = ctrlplane::engine_mode_from_string(
-        flags.get_string("engine", "incremental"));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << '\n';
-    return 2;
   }
   const std::string protection = flags.get_string("protection", "partial");
   if (protection == "none" || protection == "unprotected") {

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -502,6 +503,7 @@ int main(int argc, char** argv) {
 
     kar::runner::JsonObject record;
     record.field("bench", "micro_dataplane")
+        .raw("provenance", kar::bench::provenance_json())
         .field("iters", static_cast<std::uint64_t>(iters))
         .field("divmod_iters", static_cast<std::uint64_t>(divmod_iters))
         .field("batch_iters", static_cast<std::uint64_t>(batch_iters))

@@ -37,6 +37,7 @@
 #include <limits>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -263,6 +264,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     kar::runner::JsonObject record;
     record.field("bench", "micro_obs")
+        .raw("provenance", kar::bench::provenance_json())
         .field("loop", "KarSwitch::forward nip experimental15 SW7")
         .field("iters", static_cast<std::uint64_t>(iters))
         .field("reps", static_cast<std::uint64_t>(reps))

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -270,6 +271,7 @@ int main(int argc, char** argv) {
       curve_json += ']';
       kar::runner::JsonObject record;
       record.field("family", point.family)
+          .raw("provenance", kar::bench::provenance_json())
           .field("requested", static_cast<std::uint64_t>(point.requested))
           .field("switches", static_cast<std::uint64_t>(point.switches))
           .field("build_ms", point.build_ms)
@@ -294,6 +296,7 @@ int main(int argc, char** argv) {
 
     kar::runner::JsonObject record;
     record.field("bench", "topogen_scale")
+        .raw("provenance", kar::bench::provenance_json())
         .field("sizes", sizes_csv)
         .field("path_samples", static_cast<std::uint64_t>(path_samples))
         .field("seed", seed)

@@ -1,6 +1,7 @@
 #include "ctrlplane/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 
 #include "obs/profile.hpp"
@@ -39,10 +40,6 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
   return state;
 }
 
-DynamicSpt& ReconvergenceEngine::spt_for(topo::NodeId dst) {
-  return *dst_state(dst).spt;
-}
-
 runner::ThreadPool& ReconvergenceEngine::pool(std::size_t shards) {
   // Shard 0 runs on the applying thread, so the pool backs shards - 1.
   if (!pool_ || pool_->size() < shards - 1) {
@@ -58,10 +55,11 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
   epochs_total_ = registry.counter("kar_ctrlplane_epochs_total",
                                    "Reconvergence epochs applied", labels);
   reencodes_total_ = registry.counter("kar_ctrlplane_reencodes_total",
-                                      "Routes freshly encoded", labels);
-  withdrawals_total_ = registry.counter("kar_ctrlplane_withdrawals_total",
-                                        "Routes withdrawn (no usable path)",
-                                        labels);
+                                      "Endpoint groups freshly encoded",
+                                      labels);
+  withdrawals_total_ = registry.counter(
+      "kar_ctrlplane_withdrawals_total",
+      "Endpoint groups withdrawn (no usable path)", labels);
   fallbacks_total_ =
       registry.counter("kar_ctrlplane_spt_fallbacks_total",
                        "Dynamic-SPT full-rebuild fallbacks", labels);
@@ -72,17 +70,32 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
       "Wall time per reconvergence epoch",
       {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 1.0},
       labels);
+  const auto phase = [&](const char* name) {
+    obs::Labels phase_labels = labels;
+    phase_labels.emplace_back("phase", name);
+    return registry.gauge("kar_ctrlplane_phase_seconds",
+                          "Cumulative engine wall time per epoch phase",
+                          phase_labels);
+  };
+  phase_spt_ = phase("spt");
+  phase_merge_ = phase("merge");
+  phase_reconverge_ = phase("reconverge");
+  phase_replay_ = phase("replay");
+  phase_admission_ = phase("admission");
   affected_routes_ = registry.histogram(
-      "kar_ctrlplane_affected_routes", "Candidate routes examined per epoch",
+      "kar_ctrlplane_affected_routes",
+      "Candidate endpoint groups examined per epoch",
       {1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000, 25000, 100000}, labels);
   updated_routes_ = registry.histogram(
-      "kar_ctrlplane_updated_routes", "Routes changed per epoch",
+      "kar_ctrlplane_updated_routes", "Endpoint groups changed per epoch",
       {1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000, 25000, 100000}, labels);
 }
 
 const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
 ReconvergenceEngine::protection_for(DstState& state, topo::NodeId dst,
                                     const std::vector<topo::NodeId>& core_path) {
+  static const std::vector<std::pair<topo::NodeId, topo::NodeId>> kNone;
+  if (!config_.plan_protection) return kNone;
   auto it = state.protection.find(core_path);
   if (it == state.protection.end()) {
     it = state.protection
@@ -103,86 +116,56 @@ bool ReconvergenceEngine::extract_core(DstState& state, topo::NodeId src,
   return true;
 }
 
-const ReconvergenceEngine::CachedEncoding& ReconvergenceEngine::lookup_encoding(
+const routing::EncodedRoute& ReconvergenceEngine::lookup_encoding(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
   auto cache_key = std::make_pair(src, core);
   auto it = state.encodings.find(cache_key);
   if (it == state.encodings.end()) {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, dst, core)
-                                 : kNoProtection;
-    CachedEncoding cached;
-    cached.route = controller_.encode_path(src, core, dst, protection);
-    cached.footprint = store_->build_footprint(src, core, cached.route);
-    it = state.encodings.emplace(std::move(cache_key), std::move(cached)).first;
+    it = state.encodings
+             .emplace(std::move(cache_key),
+                      controller_.encode_path(src, core, dst,
+                                              protection_for(state, dst, core)))
+             .first;
   }
   return it->second;
 }
 
-void ReconvergenceEngine::reconverge_one(RouteKey key,
-                                         std::vector<RouteKey>& updated,
-                                         EpochStats& stats) {
-  const StoredRoute& entry = store_->get(key);
-  DstState& state = dst_state(entry.dst);
+void ReconvergenceEngine::reconverge_group(GroupId id,
+                                           std::vector<GroupId>& changed,
+                                           EpochStats& stats, ShardLog* log) {
+  const RouteGroup& group = store_->group(id);
+  DstState& state = dst_state(group.dst);
   std::vector<topo::NodeId> core;
-  if (!extract_core(state, entry.src, core)) {
-    if (entry.live) {
-      store_->set_dead(key, version_);
-      updated.push_back(key);
+  if (!extract_core(state, group.src, core)) {
+    if (group.live) {
+      store_->set_dead(id, version_, log);
+      changed.push_back(id);
       ++stats.withdrawn;
     }
     return;
   }
-  if (entry.live && core == entry.core_path) return;  // canonical path held
-  if (config_.mode == EngineMode::kIncremental) {
-    const CachedEncoding& enc =
-        lookup_encoding(state, entry.src, entry.dst, core);
-    store_->set_encoding(key, std::move(core), enc.route, version_,
-                         &enc.footprint);
-  } else {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, entry.dst, core)
-                                 : kNoProtection;
-    routing::EncodedRoute encoded =
-        controller_.encode_path(entry.src, core, entry.dst, protection);
-    store_->set_encoding(key, std::move(core), std::move(encoded), version_);
-  }
-  updated.push_back(key);
+  if (group.live && core == group.core_path) return;  // canonical path held
+  routing::EncodedRoute encoded =
+      config_.mode == EngineMode::kIncremental
+          ? lookup_encoding(state, group.src, group.dst, core)
+          : controller_.encode_path(group.src, core, group.dst,
+                                    protection_for(state, group.dst, core));
+  store_->set_encoding(id, std::move(core), std::move(encoded), version_, log);
+  changed.push_back(id);
   ++stats.reencoded;
 }
 
-void ReconvergenceEngine::reconverge_group(RouteKey rep,
-                                           std::vector<RouteKey>& updated,
-                                           EpochStats& stats, ShardLog* log) {
-  const StoredRoute& head = store_->get(rep);
-  const topo::NodeId src = head.src;
-  const topo::NodeId dst = head.dst;
-  const bool was_live = head.live;
-  DstState& state = dst_state(dst);
-  std::vector<topo::NodeId> core;
-  if (!extract_core(state, src, core)) {
-    if (was_live) {
-      for (const RouteKey member : store_->group(rep)) {
-        store_->set_dead(member, version_, log);
-        updated.push_back(member);
-        ++stats.withdrawn;
-      }
-    }
-    return;
+RouteKey ReconvergenceEngine::admit(topo::NodeId src, topo::NodeId dst,
+                                    std::vector<GroupId>& changed,
+                                    EpochStats& stats) {
+  const RouteKey key = store_->add(src, dst);
+  const GroupId id = store_->route(key).group;
+  if (store_->group(id).members.size() == 1) {
+    reconverge_group(id, changed, stats, nullptr);
   }
-  if (was_live && core == head.core_path) return;  // canonical path held
-  const CachedEncoding& enc = lookup_encoding(state, src, dst, core);
-  for (const RouteKey member : store_->group(rep)) {
-    store_->set_encoding(member, core, enc.route, version_, &enc.footprint,
-                         log);
-    updated.push_back(member);
-    ++stats.reencoded;
-  }
+  store_->set_stamp(key, version_, !store_->group(id).live);
+  return key;
 }
 
 bool ReconvergenceEngine::preview(topo::NodeId src, topo::NodeId dst,
@@ -198,16 +181,10 @@ bool ReconvergenceEngine::preview(topo::NodeId src, topo::NodeId dst,
   }
   DstState& state = dst_state(dst);
   if (!extract_core(state, src, core_out)) return false;
-  if (config_.mode == EngineMode::kIncremental) {
-    route_out = lookup_encoding(state, src, dst, core_out).route;
-  } else {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, dst, core_out)
-                                 : kNoProtection;
-    route_out = controller_.encode_path(src, core_out, dst, protection);
-  }
+  route_out = config_.mode == EngineMode::kIncremental
+                  ? lookup_encoding(state, src, dst, core_out)
+                  : controller_.encode_path(src, core_out, dst,
+                                            protection_for(state, dst, core_out));
   return true;
 }
 
@@ -218,11 +195,9 @@ void ReconvergenceEngine::warm_spts() {
   // dominant startup cost, and it parallelises embarrassingly.
   std::vector<std::pair<topo::NodeId, DstState*>> missing;
   for (const topo::NodeId dst : store_->destinations()) {
-    auto it = dsts_.find(dst);
-    if (it == dsts_.end()) {
-      it = dsts_.emplace(dst, std::make_unique<DstState>()).first;
-    }
-    if (!it->second->spt) missing.emplace_back(dst, it->second.get());
+    std::unique_ptr<DstState>& slot = dsts_[dst];
+    if (!slot) slot = std::make_unique<DstState>();
+    if (!slot->spt) missing.emplace_back(dst, slot.get());
   }
   if (missing.empty()) return;
   const std::size_t shards = std::min(shard_count(), missing.size());
@@ -241,10 +216,9 @@ void ReconvergenceEngine::warm_spts() {
 }
 
 RouteKey ReconvergenceEngine::add_route(topo::NodeId src, topo::NodeId dst) {
-  const RouteKey key = store_->add(src, dst);
-  std::vector<RouteKey> updated;
+  std::vector<GroupId> changed;
   EpochStats scratch;
-  reconverge_one(key, updated, scratch);
+  const RouteKey key = admit(src, dst, changed, scratch);
   routes_gauge_.set(static_cast<double>(store_->size()));
   return key;
 }
@@ -259,22 +233,32 @@ EpochResult ReconvergenceEngine::apply(
     const std::vector<RouteKey>& withdraws,
     std::vector<RouteKey>* installed_keys) {
   EpochResult result;
+  EpochStats& stats = result.stats;
   {
-    obs::SpanTimer timer(&result.stats.wall_s, trace_, "ctrlplane.apply");
+    obs::SpanTimer timer(&stats.wall_s, trace_, "ctrlplane.apply");
     ++version_;
     result.version = version_;
-    result.stats.events = events.size();
+    stats.events = events.size();
+    // Phase clock: lap(x) charges the time since the previous lap to x.
+    auto mark = std::chrono::steady_clock::now();
+    const auto lap = [&mark](double& phase_s) {
+      const auto now = std::chrono::steady_clock::now();
+      phase_s += std::chrono::duration<double>(now - mark).count();
+      mark = now;
+    };
 
     if (config_.mode == EngineMode::kFullRecompute) {
       for (const topo::NodeId dst : store_->destinations()) {
-        spt_for(dst).rebuild();
+        dst_state(dst).spt->rebuild();
       }
-      result.stats.candidates = store_->size();
-      for (RouteKey key = 0; key < store_->size(); ++key) {
-        reconverge_one(key, result.updated, result.stats);
+      lap(stats.spt_s);
+      stats.candidates = store_->group_count();
+      for (GroupId id = 0; id < store_->group_count(); ++id) {
+        reconverge_group(id, result.changed, stats, nullptr);
       }
+      lap(stats.reconverge_s);
     } else {
-      key_scratch_.clear();
+      std::vector<GroupId> merged;
       const auto& dsts = store_->destinations();
       const std::size_t shards =
           std::max<std::size_t>(1, std::min(shard_count(), dsts.size()));
@@ -286,10 +270,10 @@ EpochResult ReconvergenceEngine::apply(
       /// Per-shard working set; shard s owns destinations s, s+shards, ...
       /// in first-appearance order.
       struct ShardScratch {
-        std::vector<topo::NodeId> changed;
-        std::vector<RouteKey> keys;        // phase A candidates
-        std::vector<RouteKey> candidates;  // phase C input (reps)
-        std::vector<RouteKey> updated;
+        std::vector<topo::NodeId> changed_nodes;
+        std::vector<GroupId> swept;       // phase A candidates
+        std::vector<GroupId> candidates;  // phase C input
+        std::vector<GroupId> changed;
         EpochStats stats;
         ShardLog log;
       };
@@ -303,18 +287,18 @@ EpochResult ReconvergenceEngine::apply(
       };
 
       // Phase A (forked): advance each owned destination's SPT through the
-      // epoch event by event, collecting routes (to that destination) that
+      // epoch event by event, collecting groups (to that destination) that
       // depend on a moved distance. The event direction bounds the sweep:
       // a repair only *decreases* distances, and a decrease at node n can
       // steal the argmin at any neighbor of n — so it takes the full
       // neighborhood dependency index. A failure only *increases*
       // distances, and a worsened candidate can only matter where it was
-      // the one chosen — so only routes whose path contains the node need
-      // the path index. (Masks are indexed against each route's
-      // epoch-start path; the first event that changes a route's path sees
+      // the one chosen — so only groups whose path contains the node need
+      // the path index. (Masks are indexed against each group's
+      // epoch-start path; the first event that changes a group's path sees
       // those masks still valid, which is enough for the superset argument
       // — see docs/ctrlplane.md.) Every structure touched — the SPT, the
-      // destination's posting slabs, the indexed routes' masks — belongs
+      // destination's posting slabs, the indexed groups' masks — belongs
       // to the shard's own destinations.
       if (!events.empty()) {
         forked([&](std::size_t shard) {
@@ -323,126 +307,137 @@ EpochResult ReconvergenceEngine::apply(
             const topo::NodeId dst = dsts[i];
             DynamicSpt& spt = *dsts_.find(dst)->second->spt;
             for (const LinkChange& event : events) {
-              sc.changed.clear();
+              sc.changed_nodes.clear();
               const SptUpdateStats s =
-                  spt.apply_link_event(event.link, event.up, sc.changed);
+                  spt.apply_link_event(event.link, event.up, sc.changed_nodes);
               sc.stats.spt_dirty += s.dirty;
               if (s.fallback) ++sc.stats.spt_fallbacks;
-              std::sort(sc.changed.begin(), sc.changed.end());
-              sc.changed.erase(
-                  std::unique(sc.changed.begin(), sc.changed.end()),
-                  sc.changed.end());
-              for (const topo::NodeId node : sc.changed) {
+              std::sort(sc.changed_nodes.begin(), sc.changed_nodes.end());
+              sc.changed_nodes.erase(
+                  std::unique(sc.changed_nodes.begin(), sc.changed_nodes.end()),
+                  sc.changed_nodes.end());
+              for (const topo::NodeId node : sc.changed_nodes) {
                 if (event.up) {
-                  store_->collect_node_dependents(node, dst, sc.keys);
+                  store_->collect_node_dependents(node, dst, sc.swept);
                 } else {
-                  store_->collect_path_dependents(node, dst, sc.keys);
+                  store_->collect_path_dependents(node, dst, sc.swept);
                 }
               }
             }
           }
         });
       }
-      // Phase B (serial): routes whose encoding references an event link;
-      // for link-up events additionally every route choosing a next hop at
+      lap(stats.spt_s);
+      // Phase B (serial): groups whose encoding references an event link;
+      // for link-up events additionally every group choosing a next hop at
       // an endpoint — a repaired link can appear as a new equal-cost
       // candidate there and flip the tie-break without moving any
       // distance. (A link-down needs no endpoint sweep: removing a
       // candidate only changes an argmin if it *was* the argmin, i.e. the
       // link was on the chosen path and is in the link index.) Then merge
       // every shard's phase-A candidates and canonicalise: sort + unique
-      // makes the representative list identical at every shard width.
+      // makes the group list identical at every shard width.
       for (const LinkChange& event : events) {
-        store_->collect_link_dependents(event.link, key_scratch_);
+        store_->collect_link_dependents(event.link, merged);
         if (event.up) {
           const topo::Link& link = topo_->link(event.link);
-          store_->collect_path_dependents(link.a.node, key_scratch_);
-          store_->collect_path_dependents(link.b.node, key_scratch_);
+          store_->collect_path_dependents(link.a.node, merged);
+          store_->collect_path_dependents(link.b.node, merged);
         }
       }
       for (const ShardScratch& sc : shard_scratch) {
-        key_scratch_.insert(key_scratch_.end(), sc.keys.begin(),
-                            sc.keys.end());
+        merged.insert(merged.end(), sc.swept.begin(),
+                              sc.swept.end());
       }
-      std::sort(key_scratch_.begin(), key_scratch_.end());
-      key_scratch_.erase(std::unique(key_scratch_.begin(), key_scratch_.end()),
-                         key_scratch_.end());
-      result.stats.candidates = key_scratch_.size();
+      std::sort(merged.begin(), merged.end());
+      merged.erase(
+          std::unique(merged.begin(), merged.end()),
+          merged.end());
+      stats.candidates = merged.size();
       // Route each candidate group to the shard owning its destination.
       if (shards == 1) {
-        shard_scratch[0].candidates.swap(key_scratch_);
+        shard_scratch[0].candidates.swap(merged);
       } else {
         std::vector<std::uint32_t> owner(topo_->node_count(), 0);
         for (std::size_t i = 0; i < dsts.size(); ++i) {
           owner[dsts[i]] = static_cast<std::uint32_t>(i % shards);
         }
-        for (const RouteKey rep : key_scratch_) {
-          shard_scratch[owner[store_->get(rep).dst]].candidates.push_back(rep);
+        for (const GroupId id : merged) {
+          shard_scratch[owner[store_->group(id).dst]].candidates.push_back(id);
         }
       }
+      lap(stats.merge_s);
       // Phase C (forked): reconverge once per endpoint group — the
       // decision (extract core, memo-encode, install or withdraw) reads
-      // only the group's own SPT, memos and route slots, all owned by this
+      // only the group's own SPT, memos and state, all owned by this
       // shard; side effects on cross-shard structures are buffered in the
       // shard's log.
       forked([&](std::size_t shard) {
         ShardScratch& sc = shard_scratch[shard];
-        for (const RouteKey rep : sc.candidates) {
-          reconverge_group(rep, sc.updated, sc.stats, &sc.log);
+        for (const GroupId id : sc.candidates) {
+          reconverge_group(id, sc.changed, sc.stats, &sc.log);
         }
       });
+      lap(stats.reconverge_s);
       // Serial epilogue: replay the shard logs and merge results in shard
-      // order (the updated list is canonicalised by the sort below).
+      // order (the changed list is canonicalised by the sort below).
       for (ShardScratch& sc : shard_scratch) {
         store_->apply_shard_log(sc.log);
-        result.updated.insert(result.updated.end(), sc.updated.begin(),
-                              sc.updated.end());
-        result.stats.reencoded += sc.stats.reencoded;
-        result.stats.withdrawn += sc.stats.withdrawn;
-        result.stats.spt_dirty += sc.stats.spt_dirty;
-        result.stats.spt_fallbacks += sc.stats.spt_fallbacks;
+        result.changed.insert(result.changed.end(), sc.changed.begin(),
+                              sc.changed.end());
+        stats.reencoded += sc.stats.reencoded;
+        stats.withdrawn += sc.stats.withdrawn;
+        stats.spt_dirty += sc.stats.spt_dirty;
+        stats.spt_fallbacks += sc.stats.spt_fallbacks;
       }
+      lap(stats.replay_s);
     }
 
     // Admissions converge against the post-event SPTs, under this epoch's
     // version; withdrawals last, so a key installed above can be
     // tombstoned in the same epoch.
     for (const auto& [src, dst] : installs) {
-      const RouteKey key = store_->add(src, dst);
-      reconverge_one(key, result.updated, result.stats);
+      const RouteKey key = admit(src, dst, result.changed, stats);
       if (installed_keys != nullptr) installed_keys->push_back(key);
-      ++result.stats.installed;
+      ++stats.installed;
     }
     for (const RouteKey key : withdraws) {
       store_->set_withdrawn(key, version_);
-      result.updated.push_back(key);
-      ++result.stats.tombstoned;
+      ++stats.tombstoned;
     }
-    std::sort(result.updated.begin(), result.updated.end());
-    result.updated.erase(
-        std::unique(result.updated.begin(), result.updated.end()),
-        result.updated.end());
+    std::sort(result.changed.begin(), result.changed.end());
+    lap(stats.admission_s);
   }
 
-  totals_.events += result.stats.events;
-  totals_.candidates += result.stats.candidates;
-  totals_.reencoded += result.stats.reencoded;
-  totals_.withdrawn += result.stats.withdrawn;
-  totals_.installed += result.stats.installed;
-  totals_.tombstoned += result.stats.tombstoned;
-  totals_.spt_fallbacks += result.stats.spt_fallbacks;
-  totals_.spt_dirty += result.stats.spt_dirty;
-  totals_.wall_s += result.stats.wall_s;
+  totals_.events += stats.events;
+  totals_.candidates += stats.candidates;
+  totals_.reencoded += stats.reencoded;
+  totals_.withdrawn += stats.withdrawn;
+  totals_.installed += stats.installed;
+  totals_.tombstoned += stats.tombstoned;
+  totals_.spt_fallbacks += stats.spt_fallbacks;
+  totals_.spt_dirty += stats.spt_dirty;
+  totals_.wall_s += stats.wall_s;
+  totals_.spt_s += stats.spt_s;
+  totals_.merge_s += stats.merge_s;
+  totals_.reconverge_s += stats.reconverge_s;
+  totals_.replay_s += stats.replay_s;
+  totals_.admission_s += stats.admission_s;
 
-  events_total_.inc(result.stats.events);
+  events_total_.inc(stats.events);
   epochs_total_.inc();
-  reencodes_total_.inc(result.stats.reencoded);
-  withdrawals_total_.inc(result.stats.withdrawn);
-  fallbacks_total_.inc(result.stats.spt_fallbacks);
+  reencodes_total_.inc(stats.reencoded);
+  withdrawals_total_.inc(stats.withdrawn);
+  fallbacks_total_.inc(stats.spt_fallbacks);
   routes_gauge_.set(static_cast<double>(store_->size()));
-  reconvergence_seconds_.observe(result.stats.wall_s);
-  affected_routes_.observe(static_cast<double>(result.stats.candidates));
-  updated_routes_.observe(static_cast<double>(result.updated.size()));
+  reconvergence_seconds_.observe(stats.wall_s);
+  phase_spt_.set(totals_.spt_s);
+  phase_merge_.set(totals_.merge_s);
+  phase_reconverge_.set(totals_.reconverge_s);
+  phase_replay_.set(totals_.replay_s);
+  phase_admission_.set(totals_.admission_s);
+  affected_routes_.observe(static_cast<double>(stats.candidates));
+  updated_routes_.observe(static_cast<double>(result.changed.size()));
   return result;
 }
 

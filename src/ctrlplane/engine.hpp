@@ -12,17 +12,17 @@
 //      and routes depending on a node whose distance *decreased*
 //      (repairs — a decrease can steal an argmin anywhere next door);
 //   3. re-extracts each candidate group's canonical path from its SPT —
-//      the store indexes one representative per (src, dst) endpoint
-//      group, since routes sharing endpoints share paths and encodings —
-//      and only when the path actually differs re-encodes (primary +
-//      cached driven-deflection protection, both memoised on the static
-//      topology) and installs into every group member with the new epoch
-//      version.
+//      the store keeps route state once per (src, dst) endpoint group,
+//      since routes sharing endpoints share paths and encodings — and only
+//      when the path actually differs re-encodes (primary + cached
+//      driven-deflection protection, both memoised on the static topology)
+//      and installs into the group once, stamped with the new epoch
+//      version; every member reads it through its group.
 // Every route outside the candidate set provably keeps its canonical path
 // (docs/ctrlplane.md walks the superset argument), so skipping it is safe.
 //
 // Full-recompute mode is the differential oracle: rebuild every SPT, walk
-// every route. Identical outputs are enforced by
+// every group, encode without the memo. Identical outputs are enforced by
 // tests/test_ctrlplane_differential.cpp.
 //
 // Protection is planned on the *intended* topology (the planner ignores
@@ -38,14 +38,14 @@
 //   A. each shard advances its own destinations' SPTs through the epoch and
 //      collects distance-driven candidates into a shard-local vector;
 //   B. (serial) the link-index sweep runs, then all candidate vectors merge
-//      — sort + unique — into one deterministic representative list;
+//      — sort + unique — into one deterministic group list;
 //   C. each shard reconverges the candidate groups whose destination it
 //      owns, buffering cross-shard store side effects (link-posting
 //      appends, the live counter) in a ShardLog; the logs replay serially
 //      after the join, in shard order.
 // Every decision is a pure function of the quiescent post-advance SPT
 // distances and epoch-start store state, groups are disjoint across shards,
-// and the only order-sensitive merge points (candidate list, updated list)
+// and the only order-sensitive merge points (candidate list, changed list)
 // are sorted — so the epoch result is bit-identical for every shard count,
 // which tests/test_ctrlplane_differential.cpp enforces at 1, 4, and
 // hardware width.
@@ -98,24 +98,34 @@ struct EngineConfig {
 /// Per-epoch accounting.
 struct EpochStats {
   std::size_t events = 0;        ///< Link changes in the epoch.
-  /// Affected-superset size examined this epoch: endpoint *groups* in
-  /// incremental mode, individual routes in full-recompute mode.
+  /// Affected-superset size examined this epoch, in endpoint groups (every
+  /// group in full-recompute mode).
   std::size_t candidates = 0;
-  std::size_t reencoded = 0;     ///< Routes freshly encoded.
-  std::size_t withdrawn = 0;     ///< Routes that went dead.
+  std::size_t reencoded = 0;     ///< Groups freshly encoded.
+  std::size_t withdrawn = 0;     ///< Groups that went dead.
   std::size_t installed = 0;     ///< Routes admitted this epoch.
   std::size_t tombstoned = 0;    ///< Routes withdrawn by request (hidden).
   std::size_t spt_fallbacks = 0; ///< Dynamic-SPT full-rebuild escapes.
   std::size_t spt_dirty = 0;     ///< Sum of per-SPT dirty node counts.
   double wall_s = 0.0;
+  /// Wall time per phase, together <= wall_s: SPT advance (full mode:
+  /// rebuild) with the distance sweep, link sweep and candidate merge,
+  /// group reconvergence, shard-log replay, admissions and withdrawals.
+  double spt_s = 0.0;
+  double merge_s = 0.0;
+  double reconverge_s = 0.0;
+  double replay_s = 0.0;
+  double admission_s = 0.0;
 };
 
-/// Outcome of one apply(): the new table version and the changed keys.
+/// Outcome of one apply(): the new table version and the changed groups.
 struct EpochResult {
   std::uint64_t version = 0;
-  /// Keys whose table entry changed this epoch, ascending (re-encoded and
-  /// withdrawn alike; unchanged candidates are not listed).
-  std::vector<RouteKey> updated;
+  /// Groups whose shared state (liveness, path, encoding) changed this
+  /// epoch, ascending — re-encoded, died, or admitted live for the first
+  /// time. Every member of a listed group changed with it; admissions into
+  /// existing groups and tombstones are per-route and not listed.
+  std::vector<GroupId> changed;
   EpochStats stats;
 };
 
@@ -132,9 +142,9 @@ class ReconvergenceEngine {
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
   /// Registers kar_ctrlplane_* metric families on `registry` and binds the
-  /// engine's handles to them (reconvergence-latency histogram, affected /
-  /// updated per-epoch histograms, event/re-encode/fallback counters,
-  /// stored-route gauge).
+  /// engine's handles to them (reconvergence-latency histogram, per-phase
+  /// cumulative-seconds gauges, affected / updated per-epoch histograms,
+  /// event/re-encode/fallback counters, stored-route gauge).
   void attach_metrics(obs::MetricsRegistry& registry,
                       const obs::Labels& labels = {});
 
@@ -162,12 +172,13 @@ class ReconvergenceEngine {
   /// The admission-batching seam (docs/daemon.md): applies link events,
   /// route admissions and withdrawals as ONE atomically-versioned epoch —
   /// a coalesced burst costs a single version bump and a single SPT
-  /// advance. Order within the epoch: events, then installs (each admitted
-  /// route converges against the post-event SPTs; its key is appended to
-  /// `installed_keys` when non-null), then withdrawals (tombstones — the
-  /// keys must be valid and not yet withdrawn; installs from this same
-  /// epoch may be withdrawn). Endpoints of every install must already be
-  /// validated as edge nodes.
+  /// advance. Order within the epoch: events, then installs (an admission
+  /// into an existing group only joins it, since the group already
+  /// converged against the post-event SPTs; one opening a new group
+  /// converges it; each key is appended to `installed_keys` when
+  /// non-null), then withdrawals (tombstones — the keys must be valid and
+  /// not yet withdrawn; installs from this same epoch may be withdrawn).
+  /// Endpoints of every install must already be validated as edge nodes.
   EpochResult apply(
       const std::vector<LinkChange>& events,
       const std::vector<std::pair<topo::NodeId, topo::NodeId>>& installs,
@@ -192,16 +203,6 @@ class ReconvergenceEngine {
   [[nodiscard]] const EpochStats& totals() const noexcept { return totals_; }
 
  private:
-  /// Persistent encoding memo entry: on the static topology structure the
-  /// encoding and its index footprint are pure functions of
-  /// (src, dst, core path) — like the protection memo, never invalidated.
-  /// Churn that flips a pair between a handful of alternate paths pays the
-  /// CRT solve and footprint walk only on first sight of each path.
-  struct CachedEncoding {
-    routing::EncodedRoute route;
-    IndexFootprint footprint;
-  };
-
   /// Everything the engine keeps per destination, bundled so one shard
   /// owns it outright during a forked epoch: the dynamic SPT plus the
   /// protection and encoding memos (both keyed with the destination
@@ -214,10 +215,13 @@ class ReconvergenceEngine {
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
-    /// Encoding memo: (src, core path) -> CachedEncoding (incremental
-    /// mode only; see CachedEncoding).
+    /// Encoding memo (incremental mode only): (src, core path) ->
+    /// encoding. On the static topology structure the encoding is a pure
+    /// function of (src, dst, core path), so — like the protection memo —
+    /// it is never invalidated: churn that flips a pair between a handful
+    /// of alternate paths pays the CRT solve once per path.
     std::map<std::pair<topo::NodeId, std::vector<topo::NodeId>>,
-             CachedEncoding>
+             routing::EncodedRoute>
         encodings;
   };
 
@@ -227,26 +231,27 @@ class ReconvergenceEngine {
   [[nodiscard]] std::size_t shard_count() const;
   /// Finds or creates the destination's state (serial path only).
   DstState& dst_state(topo::NodeId dst);
-  DynamicSpt& spt_for(topo::NodeId dst);
   /// Canonical core path for (src, dst) from the destination's SPT; false
   /// when no usable path exists (a route needs src + >= 1 switch + dst).
   bool extract_core(DstState& state, topo::NodeId src,
                     std::vector<topo::NodeId>& core);
-  /// Finds or builds the persistent encoding-cache entry for
-  /// (src, dst, core) — incremental mode's encode path.
-  const CachedEncoding& lookup_encoding(DstState& state, topo::NodeId src,
-                                        topo::NodeId dst,
-                                        const std::vector<topo::NodeId>& core);
-  /// Naive per-route reconvergence (full reference mode, add_route and
-  /// epoch admissions — all serial).
-  void reconverge_one(RouteKey key, std::vector<RouteKey>& updated,
-                      EpochStats& stats);
-  /// Group reconvergence (incremental mode): decide once per endpoint
-  /// group via its representative, fan the install out to every member.
-  /// `log` non-null routes cross-shard store side effects through a
-  /// ShardLog (forked phase C); null writes the store directly (serial).
-  void reconverge_group(RouteKey rep, std::vector<RouteKey>& updated,
+  /// Finds or builds the memoised encoding of (src, dst, core) —
+  /// incremental mode's encode path.
+  const routing::EncodedRoute& lookup_encoding(
+      DstState& state, topo::NodeId src, topo::NodeId dst,
+      const std::vector<topo::NodeId>& core);
+  /// Decides and installs once for endpoint group `id`: extract its
+  /// canonical path, and on a change re-encode or withdraw it. `log`
+  /// non-null routes cross-shard store side effects through a ShardLog
+  /// (forked phase C); null writes the store directly (serial).
+  void reconverge_group(GroupId id, std::vector<GroupId>& changed,
                         EpochStats& stats, ShardLog* log);
+  /// Registers one route and stamps it with the current version; a route
+  /// opening a new group converges that group first (serial only).
+  RouteKey admit(topo::NodeId src, topo::NodeId dst,
+                 std::vector<GroupId>& changed, EpochStats& stats);
+  /// Planned protection for `core_path` (memoised; empty when
+  /// EngineConfig::plan_protection is off).
   [[nodiscard]] const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
   protection_for(DstState& state, topo::NodeId dst,
                  const std::vector<topo::NodeId>& core_path);
@@ -273,9 +278,12 @@ class ReconvergenceEngine {
   obs::Histogram reconvergence_seconds_;
   obs::Histogram affected_routes_;
   obs::Histogram updated_routes_;
-  // Scratch for the serial merge phase (per-shard scratch lives on the
-  // apply() stack).
-  std::vector<RouteKey> key_scratch_;
+  /// kar_ctrlplane_phase_seconds: totals() per EpochStats phase.
+  obs::Gauge phase_spt_;
+  obs::Gauge phase_merge_;
+  obs::Gauge phase_reconverge_;
+  obs::Gauge phase_replay_;
+  obs::Gauge phase_admission_;
 };
 
 /// One hop of a pure modulo walk over an encoded route.

@@ -1,14 +1,20 @@
 #include "ctrlplane/route_store.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace kar::ctrlplane {
 
 RouteStore::RouteStore(const topo::Topology& topology)
-    : topo_(&topology), link_index_(topology.link_count()) {
-  dst_seen_.assign(topology.node_count(), false);
+    : topo_(&topology),
+      edge_ordinal_(topology.node_count(), kNone),
+      link_index_(topology.link_count()),
+      dst_postings_(topology.node_count()) {
+  for (const topo::NodeId edge :
+       topology.nodes_of_kind(topo::NodeKind::kEdgeNode)) {
+    edge_ordinal_[edge] = static_cast<std::uint32_t>(edge_count_++);
+  }
+  group_of_pair_.assign(edge_count_ * edge_count_, kNone);
 }
 
 RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
@@ -21,87 +27,103 @@ RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
                                 " is not an edge node");
   }
   const RouteKey key = routes_.size();
-  StoredRoute entry;
-  entry.key = key;
-  entry.rep = rep_of_.try_emplace(std::make_pair(src, dst), key).first->second;
-  entry.src = src;
-  entry.dst = dst;
-  entry.deps = NodeMask(topo_->node_count());
-  entry.path_nodes = NodeMask(topo_->node_count());
-  groups_.emplace_back();
-  groups_[entry.rep].push_back(key);
-  routes_.push_back(std::move(entry));
-  if (!dst_seen_[dst]) {
-    dst_seen_[dst] = true;
-    destinations_.push_back(dst);
-    // The destination's posting slab is born here, while the store is
-    // quiescent: shards later index into existing slabs only.
+  GroupId& id =
+      group_of_pair_[edge_ordinal_[src] * edge_count_ + edge_ordinal_[dst]];
+  if (id == kNone) {
+    id = static_cast<GroupId>(groups_.size());
+    RouteGroup& group = groups_.emplace_back();
+    group.src = src;
+    group.dst = dst;
+    group.deps = NodeMask(topo_->node_count());
+    group.path_nodes = NodeMask(topo_->node_count());
     DstPostings& slab = dst_postings_[dst];
-    slab.node.resize(topo_->node_count());
-    slab.path.resize(topo_->node_count());
+    if (slab.node.empty()) {
+      // The destination's posting slab is born here, while the store is
+      // quiescent: shards later index into existing slabs only.
+      destinations_.push_back(dst);
+      slab.node.resize(topo_->node_count());
+      slab.path.resize(topo_->node_count());
+    }
+    reindex(group, id, nullptr);
   }
-  reindex(routes_.back(), nullptr, nullptr);
+  RouteGroup& group = groups_[id];
+  group.members.push_back(key);
+  if (group.live) ++live_;
+  routes_.push_back(StoredRoute{.group = id});
   return key;
 }
 
-void RouteStore::set_encoding(RouteKey key, std::vector<topo::NodeId> core_path,
-                              routing::EncodedRoute route,
-                              std::uint64_t version,
-                              const IndexFootprint* footprint, ShardLog* log) {
-  StoredRoute& entry = routes_[key];
-  if (!entry.live) {
-    if (log != nullptr) {
-      ++log->live_delta;
-    } else {
-      ++live_;
-    }
+void RouteStore::add_live(std::ptrdiff_t delta, ShardLog* log) {
+  if (log != nullptr) {
+    log->live_delta += delta;
+  } else {
+    live_ = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(live_) + delta);
   }
-  entry.live = true;
-  entry.route = std::move(route);
-  entry.core_path = std::move(core_path);
-  entry.version = version;
-  reindex(entry, footprint, log);
 }
 
-void RouteStore::set_dead(RouteKey key, std::uint64_t version, ShardLog* log) {
-  StoredRoute& entry = routes_[key];
-  if (entry.live) {
-    if (log != nullptr) {
-      --log->live_delta;
-    } else {
-      --live_;
-    }
+void RouteStore::set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
+                              routing::EncodedRoute route,
+                              std::uint64_t version, ShardLog* log) {
+  RouteGroup& group = groups_[id];
+  if (!group.live) {
+    add_live(static_cast<std::ptrdiff_t>(group.members.size()), log);
   }
-  entry.live = false;
-  entry.route = routing::EncodedRoute{};
-  entry.core_path.clear();
-  entry.version = version;
-  reindex(entry, nullptr, log);
+  group.live = true;
+  group.route = std::move(route);
+  group.core_path = std::move(core_path);
+  group.version = version;
+  reindex(group, id, log);
+}
+
+void RouteStore::set_dead(GroupId id, std::uint64_t version, ShardLog* log) {
+  RouteGroup& group = groups_[id];
+  if (group.live) {
+    add_live(-static_cast<std::ptrdiff_t>(group.members.size()), log);
+  }
+  group.live = false;
+  group.route = routing::EncodedRoute{};
+  group.core_path.clear();
+  group.version = version;
+  reindex(group, id, log);
+}
+
+void RouteStore::set_stamp(RouteKey key, std::uint64_t stamp,
+                           bool admitted_dead) {
+  routes_[key].stamp = stamp;
+  routes_[key].admitted_dead = admitted_dead;
 }
 
 void RouteStore::set_withdrawn(RouteKey key, std::uint64_t version) {
   StoredRoute& entry = routes_[key];
   if (!entry.withdrawn) ++withdrawn_;
   entry.withdrawn = true;
-  entry.version = version;
+  entry.admitted_dead = false;
+  entry.stamp = version;
 }
 
 void RouteStore::apply_shard_log(const ShardLog& log) {
-  live_ = static_cast<std::size_t>(
-      static_cast<std::ptrdiff_t>(live_) + log.live_delta);
-  for (const auto& [link, key] : log.link_appends) {
-    std::vector<RouteKey>& posting = link_index_[link];
-    if (posting.empty() || posting.back() != key) posting.push_back(key);
+  add_live(log.live_delta, nullptr);
+  for (const auto& [link, id] : log.link_appends) {
+    std::vector<GroupId>& posting = link_index_[link];
+    if (posting.empty() || posting.back() != id) posting.push_back(id);
   }
 }
 
+namespace {
+
+bool uses_link(const RouteGroup& group, topo::LinkId link) {
+  return std::binary_search(group.links.begin(), group.links.end(), link);
+}
+
+}  // namespace
+
 std::size_t RouteStore::compact_postings() {
   std::size_t dropped = 0;
-  const auto rewrite = [&](std::vector<RouteKey>& posting, const auto& keep) {
-    std::vector<RouteKey> fresh;
+  const auto rewrite = [&](std::vector<GroupId>& posting, const auto& keep) {
+    std::vector<GroupId> fresh;
     fresh.reserve(posting.size());
-    for (const RouteKey key : posting) {
-      if (keep(key)) fresh.push_back(key);
+    for (const GroupId id : posting) {
+      if (keep(groups_[id])) fresh.push_back(id);
     }
     std::sort(fresh.begin(), fresh.end());
     fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
@@ -109,136 +131,101 @@ std::size_t RouteStore::compact_postings() {
     posting = std::move(fresh);
   };
   for (topo::LinkId link = 0; link < link_index_.size(); ++link) {
-    rewrite(link_index_[link], [&](RouteKey key) {
-      return route_uses_link(routes_[key], link);
-    });
+    rewrite(link_index_[link],
+            [&](const RouteGroup& group) { return uses_link(group, link); });
   }
   for (const topo::NodeId dst : destinations_) {
-    DstPostings& slab = postings_for(dst);
+    DstPostings& slab = dst_postings_[dst];
     for (topo::NodeId node = 0; node < slab.node.size(); ++node) {
       rewrite(slab.node[node],
-              [&](RouteKey key) { return routes_[key].deps.test(node); });
-      rewrite(slab.path[node],
-              [&](RouteKey key) { return routes_[key].path_nodes.test(node); });
+              [&](const RouteGroup& group) { return group.deps.test(node); });
+      rewrite(slab.path[node], [&](const RouteGroup& group) {
+        return group.path_nodes.test(node);
+      });
     }
   }
   return dropped;
 }
 
-IndexFootprint RouteStore::build_footprint(
-    topo::NodeId src, const std::vector<topo::NodeId>& core_path,
-    const routing::EncodedRoute& route) const {
-  IndexFootprint f;
-  f.deps = NodeMask(topo_->node_count());
-  f.path_nodes = NodeMask(topo_->node_count());
-  // Canonical path selection at a node reads the distances of *all* its
-  // neighbors plus the state of its incident links, so the dependency set
-  // closes over the neighborhood of the source and every path node.
-  const auto depend_on_neighborhood = [&](topo::NodeId node) {
-    f.deps.set(node);
-    for (const auto& [port, next] : topo_->neighbors(node)) {
-      (void)port;
-      f.deps.set(next);
+void RouteStore::reindex(RouteGroup& group, GroupId id, ShardLog* log) {
+  // The footprint (file comment); a dead group keeps only its source edge.
+  // Path selection at a node reads the distances of *all* its neighbors
+  // and its incident links, so the dependency set closes over the
+  // neighborhoods of the source and every path node, and the link set is
+  // the source uplink plus every assignment's egress link.
+  NodeMask deps(topo_->node_count());
+  NodeMask path_nodes(topo_->node_count());
+  std::vector<topo::LinkId> links;
+  deps.set(group.src);
+  path_nodes.set(group.src);
+  if (group.live) {
+    const auto depend_on_neighborhood = [&](topo::NodeId node) {
+      deps.set(node);
+      for (const auto& [port, next] : topo_->neighbors(node)) {
+        (void)port;
+        deps.set(next);
+      }
+    };
+    depend_on_neighborhood(group.src);
+    for (const topo::NodeId node : group.core_path) {
+      depend_on_neighborhood(node);
+      path_nodes.set(node);
     }
-  };
-  f.path_nodes.set(src);
-  depend_on_neighborhood(src);
-  for (const topo::NodeId node : core_path) {
-    depend_on_neighborhood(node);
-    f.path_nodes.set(node);
+    if (const auto uplink = topo_->port_to(group.src, group.core_path.front())) {
+      links.push_back(topo_->link_at(group.src, *uplink));
+    }
+    for (const routing::PortAssignment& a : group.route.assignments) {
+      const topo::LinkId link = topo_->link_at(a.node, a.port);
+      if (link != topo::kInvalidLink) links.push_back(link);
+    }
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
   }
 
-  // Link set: the source uplink plus every assignment's egress link
-  // (primary hops and protection edges alike).
-  if (const auto uplink_port = topo_->port_to(src, core_path.front())) {
-    f.links.push_back(topo_->link_at(src, *uplink_port));
-  }
-  for (const routing::PortAssignment& a : route.assignments) {
-    const topo::LinkId link = topo_->link_at(a.node, a.port);
-    if (link != topo::kInvalidLink) f.links.push_back(link);
-  }
-  std::sort(f.links.begin(), f.links.end());
-  f.links.erase(std::unique(f.links.begin(), f.links.end()), f.links.end());
-  return f;
-}
-
-void RouteStore::reindex(StoredRoute& entry, const IndexFootprint* footprint,
-                         ShardLog* log) {
-  // Diff-append: a bit already set in the old mask means the key is already
-  // in that posting (scans only drop a key once its bit clears), so only
-  // newly set bits and newly referenced links need an append. This keeps
-  // reinstall cost proportional to how much the footprint moved, not to
-  // its size, and bounds posting growth under path flapping.
-  // Only the group representative is posted (see file comment); member
-  // routes still mirror the footprint so direct inspection stays truthful.
-  const bool is_rep = entry.key == entry.rep;
-  const auto post = [&](std::vector<RouteKey>& posting) {
-    if (posting.empty() || posting.back() != entry.key) {
-      posting.push_back(entry.key);
-    }
+  // Diff-append: a bit already set in the old mask means the group is
+  // already in that posting (scans only drop a group once its bit clears),
+  // so only newly set bits and newly referenced links need an append. This
+  // keeps reinstall cost proportional to how much the footprint moved, not
+  // to its size, and bounds posting growth under path flapping.
+  const auto post = [id](std::vector<GroupId>& posting) {
+    if (posting.empty() || posting.back() != id) posting.push_back(id);
   };
-  DstPostings& slab = postings_for(entry.dst);
-  if (!entry.live) {
-    // A dead route revives only via d(src) changing.
-    if (is_rep) {
-      if (!entry.deps.test(entry.src)) post(slab.node[entry.src]);
-      if (!entry.path_nodes.test(entry.src)) post(slab.path[entry.src]);
-    }
-    entry.deps.clear();
-    entry.path_nodes.clear();
-    entry.links.clear();
-    entry.deps.set(entry.src);
-    entry.path_nodes.set(entry.src);
-    return;
-  }
-  IndexFootprint local;
-  if (footprint == nullptr) {
-    local = build_footprint(entry.src, entry.core_path, entry.route);
-    footprint = &local;
-  }
-  if (is_rep) {
-    footprint->deps.for_each_not_in(entry.deps, [&](std::size_t node) {
-      post(slab.node[node]);
-    });
-    footprint->path_nodes.for_each_not_in(
-        entry.path_nodes, [&](std::size_t node) { post(slab.path[node]); });
-    for (const topo::LinkId link : footprint->links) {
-      if (!std::binary_search(entry.links.begin(), entry.links.end(), link)) {
-        if (log != nullptr) {
-          log->link_appends.emplace_back(link, entry.key);
-        } else {
-          post(link_index_[link]);
-        }
+  DstPostings& slab = dst_postings_[group.dst];
+  deps.for_each_not_in(group.deps,
+                       [&](std::size_t node) { post(slab.node[node]); });
+  path_nodes.for_each_not_in(group.path_nodes,
+                             [&](std::size_t node) { post(slab.path[node]); });
+  for (const topo::LinkId link : links) {
+    if (!uses_link(group, link)) {
+      if (log != nullptr) {
+        log->link_appends.emplace_back(link, id);
+      } else {
+        post(link_index_[link]);
       }
     }
   }
-  entry.deps = footprint->deps;
-  entry.path_nodes = footprint->path_nodes;
-  entry.links = footprint->links;
-}
-
-bool RouteStore::route_uses_link(const StoredRoute& entry,
-                                 topo::LinkId link) const {
-  return std::binary_search(entry.links.begin(), entry.links.end(), link);
+  group.deps = std::move(deps);
+  group.path_nodes = std::move(path_nodes);
+  group.links = std::move(links);
 }
 
 namespace {
 
-/// Shared posting scan: append keys passing `keep`, lazily compacting the
-/// posting when more than half of it was stale.
+/// Shared posting scan: append groups passing `keep`, lazily compacting
+/// the posting when more than half of it was stale.
 template <typename Keep>
-void scan_posting(std::vector<RouteKey>& posting, const Keep& keep,
-                  std::vector<RouteKey>& out) {
+void scan_posting(std::vector<GroupId>& posting, const Keep& keep,
+                  std::vector<GroupId>& out) {
   std::size_t kept = 0;
-  for (const RouteKey key : posting) {
-    if (keep(key)) {
-      out.push_back(key);
+  for (const GroupId id : posting) {
+    if (keep(id)) {
+      out.push_back(id);
       ++kept;
     }
   }
   if (kept * 2 < posting.size()) {
-    std::vector<RouteKey> fresh(out.end() - static_cast<std::ptrdiff_t>(kept),
-                                out.end());
+    std::vector<GroupId> fresh(out.end() - static_cast<std::ptrdiff_t>(kept),
+                               out.end());
     std::sort(fresh.begin(), fresh.end());
     fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
     posting = std::move(fresh);
@@ -248,39 +235,39 @@ void scan_posting(std::vector<RouteKey>& posting, const Keep& keep,
 }  // namespace
 
 void RouteStore::collect_link_dependents(topo::LinkId link,
-                                         std::vector<RouteKey>& out) const {
+                                         std::vector<GroupId>& out) const {
   scan_posting(
       link_index_[link],
-      [&](RouteKey key) { return route_uses_link(routes_[key], link); }, out);
+      [&](GroupId id) { return uses_link(groups_[id], link); }, out);
 }
 
 void RouteStore::collect_node_dependents(topo::NodeId node, topo::NodeId dst,
-                                         std::vector<RouteKey>& out) const {
-  const auto it = dst_postings_.find(dst);
-  if (it == dst_postings_.end()) return;
+                                         std::vector<GroupId>& out) const {
+  DstPostings& slab = dst_postings_[dst];
+  if (slab.node.empty()) return;
   scan_posting(
-      it->second.node[node],
-      [&](RouteKey key) { return routes_[key].deps.test(node); }, out);
+      slab.node[node], [&](GroupId id) { return groups_[id].deps.test(node); },
+      out);
 }
 
 void RouteStore::collect_node_dependents(topo::NodeId node,
-                                         std::vector<RouteKey>& out) const {
+                                         std::vector<GroupId>& out) const {
   for (const topo::NodeId dst : destinations_) {
     collect_node_dependents(node, dst, out);
   }
 }
 
 void RouteStore::collect_path_dependents(topo::NodeId node, topo::NodeId dst,
-                                         std::vector<RouteKey>& out) const {
-  const auto it = dst_postings_.find(dst);
-  if (it == dst_postings_.end()) return;
+                                         std::vector<GroupId>& out) const {
+  DstPostings& slab = dst_postings_[dst];
+  if (slab.path.empty()) return;
   scan_posting(
-      it->second.path[node],
-      [&](RouteKey key) { return routes_[key].path_nodes.test(node); }, out);
+      slab.path[node],
+      [&](GroupId id) { return groups_[id].path_nodes.test(node); }, out);
 }
 
 void RouteStore::collect_path_dependents(topo::NodeId node,
-                                         std::vector<RouteKey>& out) const {
+                                         std::vector<GroupId>& out) const {
   for (const topo::NodeId dst : destinations_) {
     collect_path_dependents(node, dst, out);
   }

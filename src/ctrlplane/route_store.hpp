@@ -3,45 +3,47 @@
 // incremental engine needs to answer "which routes can a link event touch?"
 // without scanning the table.
 //
-// Index invariants (docs/ctrlplane.md):
-//   * link index — a live route is reachable from every link its encoding
+// Routes sharing (src, dst) share one canonical path, hence one encoding,
+// so state is stored once per such *endpoint group* (RouteGroup) and a
+// route is only {group, tombstone, own version stamp}: a link epoch costs
+// O(changed groups), whatever the group sizes (docs/ctrlplane.md).
+//
+// Index invariants (docs/ctrlplane.md) — every posting holds group ids:
+//   * link index — a live group is reachable from every link its encoding
 //     references: each primary-path hop, the source edge's uplink, and every
 //     driven-deflection protection edge (assignment port -> link);
-//   * dependency index — a route is reachable from every node whose distance
+//   * dependency index — a group is reachable from every node whose distance
 //     field or incident-link set its canonical path selection reads: the
 //     source edge, every primary-path node, and all their neighbors (a dead
-//     route keeps only its source edge, whose distance turning finite is the
+//     group keeps only its source edge, whose distance turning finite is the
 //     only event that can revive it);
-//   * path index — a route is reachable from every node where its canonical
+//   * path index — a group is reachable from every node where its canonical
 //     next hop is chosen ({src} ∪ core path; {src} when dead): a link-up
 //     event can flip an equal-cost tie at its endpoints without moving any
 //     distance, and a distance *increase* (link failure) only matters to
-//     routes whose chosen path runs through the worsened node — in both
-//     cases only routes actually choosing there;
+//     groups whose chosen path runs through the worsened node — in both
+//     cases only groups actually choosing there;
 //   * node and path postings are bucketed by destination: the engine's
 //     distance-change sweep runs per destination SPT, and a flat posting
 //     would make every sweep scan (then discard) the other destinations'
-//     routes — a |destinations|-fold overscan at scale. The buckets are
+//     groups — a |destinations|-fold overscan at scale. The buckets are
 //     *slabs owned by the destination* (one posting vector per node), so a
 //     reconvergence shard that owns a set of destinations touches only its
-//     own slabs — the sharded engine mutates disjoint memory without locks;
+//     own slabs and groups — the sharded engine mutates disjoint memory
+//     without locks;
 //   * the link index and the live-route counter are the only structures
 //     shared across destinations: sharded mutators buffer those side
 //     effects in a ShardLog and the engine replays the logs serially after
 //     the join (append order within a link posting is not observable —
 //     every consumer sorts or dedups);
-//   * only each (src, dst) group's *representative* route is posted: all
-//     routes sharing endpoints carry identical state, so indexing every
-//     member would multiply scan and dedup cost by the mean group size.
-//     collect_*() therefore yields representatives; expand with group();
 //   * postings are append-only with lazy compaction: a lookup filters stale
-//     entries against the route's current link set / dependency mask and
+//     entries against the group's current link set / dependency mask and
 //     rewrites the posting list when more than half of it was stale.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -52,6 +54,8 @@ namespace kar::ctrlplane {
 
 /// Dense route handle: the i-th added route has key i.
 using RouteKey = std::uint64_t;
+/// Dense endpoint-group handle: the i-th distinct (src, dst) added has id i.
+using GroupId = std::uint32_t;
 
 /// Fixed-capacity bitset over NodeIds (the store sizes it to the topology).
 class NodeMask {
@@ -72,16 +76,6 @@ class NodeMask {
   }
   void clear() { words_.assign(words_.size(), 0); }
 
-  /// Calls `fn(bit)` for every set bit, ascending.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  }
-
   /// Calls `fn(bit)` for every bit set here but not in `other` (which must
   /// have the same capacity), ascending.
   template <typename Fn>
@@ -100,32 +94,20 @@ class NodeMask {
   std::vector<std::uint64_t> words_;
 };
 
-/// One stored route. `route` is meaningful only while `live` is true; a dead
-/// route (no usable path) keeps its endpoints and revives on repair.
-struct StoredRoute {
-  RouteKey key = 0;
-  /// Representative of this route's (src, dst) group — the first route
-  /// added with these endpoints (== key for that route). All routes of a
-  /// group carry identical state, so only the representative is posted in
-  /// the inverted indexes; the engine fans changes out to group(rep).
-  RouteKey rep = 0;
+/// Everything routes with the same (src, dst) share. `route` is meaningful
+/// only while `live` is true; a dead group (no usable path) keeps its
+/// endpoints and revives on repair.
+struct RouteGroup {
   topo::NodeId src = topo::kInvalidNode;
   topo::NodeId dst = topo::kInvalidNode;
   bool live = false;
-  /// Tombstone: the route was withdrawn by an operator and is hidden from
-  /// clients. Keys are dense and never reused, so the slot remains and —
-  /// to preserve the representative invariant (all members of an endpoint
-  /// group carry identical path/encoding state) — keeps tracking its
-  /// group's state through reconvergence; `withdrawn` is a pure
-  /// visibility flag layered on top (docs/daemon.md).
-  bool withdrawn = false;
+  /// Update epoch that last changed liveness, path or encoding (0 = never).
+  std::uint64_t version = 0;
   routing::EncodedRoute route;
   /// The primary core path (switch handles, ingress to egress) the current
   /// encoding was built from; empty when dead. Two encodings over the same
   /// (src, dst, core path) are identical, so this is the change detector.
   std::vector<topo::NodeId> core_path;
-  /// Update epoch that last changed this route (0 = initial load).
-  std::uint64_t version = 0;
   /// Dependency node set (see file comment).
   NodeMask deps;
   /// Path membership: {src} ∪ core_path ({src} alone when dead). A strict
@@ -134,16 +116,34 @@ struct StoredRoute {
   NodeMask path_nodes;
   /// Sorted link handles the current encoding references.
   std::vector<topo::LinkId> links;
+  /// Keys of the group's routes, ascending (withdrawn ones included).
+  std::vector<RouteKey> members;
 };
 
-/// A live route's complete index footprint (dependency mask, path mask,
-/// referenced links). A pure function of (src, core path, encoding) on the
-/// static topology structure, so callers installing the same encoding into
-/// many routes can build it once and share it.
-struct IndexFootprint {
-  NodeMask deps;
-  NodeMask path_nodes;
-  std::vector<topo::LinkId> links;
+/// One stored route: its group plus what is the route's own.
+struct StoredRoute {
+  GroupId group = 0;
+  /// Tombstone: withdrawn by an operator and hidden from clients. Keys are
+  /// dense and never reused, so the slot (and its group membership)
+  /// remains; `withdrawn` is a pure visibility flag (docs/daemon.md).
+  bool withdrawn = false;
+  /// Admitted while its group was dead; cleared by a withdrawal.
+  bool admitted_dead = false;
+  /// Admission (or withdrawal) epoch; RouteStore::get() has the rule.
+  std::uint64_t stamp = 0;
+};
+
+/// Read-only view of one route: the route's own fields joined with its
+/// group's. The references point into the store and are invalidated by
+/// the next add().
+struct RouteView {
+  RouteKey key;
+  GroupId group;
+  topo::NodeId src, dst;
+  bool live, withdrawn;
+  std::uint64_t version;
+  const routing::EncodedRoute& route;
+  const std::vector<topo::NodeId>& core_path;
 };
 
 /// Side effects of a sharded mutation that land in structures shared
@@ -153,27 +153,44 @@ struct IndexFootprint {
 /// log serially with apply_shard_log() after the join. Replay order only
 /// permutes link-posting append order, which no consumer observes.
 struct ShardLog {
-  std::vector<std::pair<topo::LinkId, RouteKey>> link_appends;
+  std::vector<std::pair<topo::LinkId, GroupId>> link_appends;
   std::ptrdiff_t live_delta = 0;
 };
 
-/// Owns the routes and the inverted indexes. Mutation goes through the
-/// engine: add() registers a (src, dst) pair dead, set_encoding()/set_dead()
-/// swap in the reconverged state and reindex.
+/// Owns the routes, their groups and the inverted indexes. Mutation goes
+/// through the engine: add() registers a route (creating its group dead on
+/// first sight of the endpoints), set_encoding()/set_dead() swap in a
+/// group's reconverged state and reindex it.
 class RouteStore {
  public:
   /// The topology reference is used to derive dependency sets and link
-  /// handles at (re)index time; it must outlive the store.
+  /// handles at (re)index time; it must outlive the store, and its node
+  /// set must not change.
   explicit RouteStore(const topo::Topology& topology);
 
-  /// Registers a route slot for (src, dst), initially dead. Keys are dense
-  /// and returned in insertion order.
+  /// Registers a route for (src, dst) in that pair's group, creating the
+  /// group (dead) if the pair is new. Keys are dense and returned in
+  /// insertion order; the route starts with stamp 0.
   RouteKey add(topo::NodeId src, topo::NodeId dst);
 
   [[nodiscard]] std::size_t size() const noexcept { return routes_.size(); }
-  [[nodiscard]] const StoredRoute& get(RouteKey key) const { return routes_[key]; }
+  [[nodiscard]] std::size_t group_count() const noexcept { return groups_.size(); }
+  [[nodiscard]] const StoredRoute& route(RouteKey key) const { return routes_[key]; }
+  [[nodiscard]] const RouteGroup& group(GroupId id) const { return groups_[id]; }
+  /// A route's reported version is the later of its own stamp and its
+  /// group's change version — except that a route admitted into a dead
+  /// group reports 0 until the group changes after its admission.
+  [[nodiscard]] RouteView get(RouteKey key) const {
+    const StoredRoute& r = routes_[key];
+    const RouteGroup& g = groups_[r.group];
+    const std::uint64_t version =
+        r.admitted_dead ? (g.version > r.stamp ? g.version : 0)
+                        : std::max(r.stamp, g.version);
+    return RouteView{key,     r.group, g.src,   g.dst,      g.live,
+                     r.withdrawn, version, g.route, g.core_path};
+  }
 
-  /// Routes currently live (usable path installed).
+  /// Routes currently live (their group has a usable path installed).
   [[nodiscard]] std::size_t live_count() const noexcept { return live_; }
   /// Routes tombstoned by set_withdrawn().
   [[nodiscard]] std::size_t withdrawn_count() const noexcept { return withdrawn_; }
@@ -183,101 +200,88 @@ class RouteStore {
     return destinations_;
   }
 
-  /// Members of `rep`'s endpoint group (including `rep` itself), insertion
-  /// order. Empty for keys that are not a group representative.
-  [[nodiscard]] const std::vector<RouteKey>& group(RouteKey rep) const {
-    return groups_[rep];
-  }
-
-  /// Builds the index footprint a live route with this (src, core path,
-  /// encoding) would get — link-state-independent, so it can be cached.
-  [[nodiscard]] IndexFootprint build_footprint(
-      topo::NodeId src, const std::vector<topo::NodeId>& core_path,
-      const routing::EncodedRoute& route) const;
-
-  /// Installs a fresh encoding for `key` (computed from `core_path`) and
-  /// reindexes the route. When `footprint` is non-null it is copied in
-  /// instead of being rebuilt from the topology (it must equal
-  /// build_footprint(src, core_path, route)). When `log` is non-null the
-  /// cross-shard side effects (link-posting appends, live-count delta) go
-  /// to the log instead of the shared structures — required whenever
-  /// another thread may be mutating a different destination concurrently.
-  void set_encoding(RouteKey key, std::vector<topo::NodeId> core_path,
+  /// Installs a fresh encoding for group `id` (computed from `core_path`)
+  /// and reindexes it. When `log` is non-null the cross-shard side effects
+  /// (link-posting appends, live-count delta) go to the log instead of the
+  /// shared structures — required whenever another thread may be mutating
+  /// a different destination concurrently.
+  void set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
                     routing::EncodedRoute route, std::uint64_t version,
-                    const IndexFootprint* footprint = nullptr,
                     ShardLog* log = nullptr);
 
-  /// Marks `key` dead (no usable path) and shrinks its index footprint to
-  /// the revive trigger (the source edge's distance). `log` as above.
-  void set_dead(RouteKey key, std::uint64_t version, ShardLog* log = nullptr);
+  /// Marks group `id` dead (no usable path) and shrinks its index
+  /// footprint to the revive trigger (the source edge's distance).
+  void set_dead(GroupId id, std::uint64_t version, ShardLog* log = nullptr);
 
   /// Serially replays a shard's buffered cross-shard side effects. Must not
   /// run concurrently with any other store access.
   void apply_shard_log(const ShardLog& log);
 
-  /// Tombstones `key`: hides it from clients without disturbing its slot
-  /// (see StoredRoute::withdrawn). Idempotent apart from the version stamp;
-  /// callers reject double-withdrawal before reaching the store.
+  /// Sets `key`'s own version stamp (see StoredRoute): the engine stamps
+  /// an admission with its epoch, a snapshot restore replays the recorded
+  /// stamp.
+  void set_stamp(RouteKey key, std::uint64_t stamp, bool admitted_dead);
+
+  /// Tombstones `key`: hides it from clients without touching its group.
+  /// Callers reject double-withdrawal before reaching the store.
   void set_withdrawn(RouteKey key, std::uint64_t version);
 
-  /// Eager sweep of every posting list: drops entries whose route no longer
+  /// Eager sweep of every posting list: drops entries whose group no longer
   /// carries the indexed link/node in its current footprint (the same
   /// predicate the lazy per-lookup compaction applies), then sorts and
   /// dedups each rewritten list. Intended for idle windows between epochs
   /// (the daemon's background compaction); returns entries dropped.
   std::size_t compact_postings();
 
-  /// Appends the representative of every group whose current encoding
-  /// references `link`. May append a key more than once; callers dedup.
-  void collect_link_dependents(topo::LinkId link, std::vector<RouteKey>& out) const;
+  /// Appends every group whose current encoding references `link`. May
+  /// append a group more than once; callers dedup.
+  void collect_link_dependents(topo::LinkId link, std::vector<GroupId>& out) const;
 
-  /// Appends the representative of every group to `dst` whose dependency
-  /// set contains `node`; the overload without `dst` spans every
-  /// destination.
+  /// Appends every group to `dst` whose dependency set contains `node`;
+  /// the overload without `dst` spans every destination.
   void collect_node_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<RouteKey>& out) const;
-  void collect_node_dependents(topo::NodeId node, std::vector<RouteKey>& out) const;
+                               std::vector<GroupId>& out) const;
+  void collect_node_dependents(topo::NodeId node, std::vector<GroupId>& out) const;
 
-  /// Appends the representative of every group (to `dst`, or to any
-  /// destination) whose path membership set ({src} ∪ core path) contains
-  /// `node`. Only these routes choose a next hop at `node`, so only they
-  /// can be flipped by an equal-cost candidate appearing on one of
-  /// `node`'s links without any distance moving (the link-up tie case) or
-  /// by `node`'s own distance increasing (the link-failure case — a
-  /// worsened candidate only matters where it was the one chosen).
+  /// Appends every group (to `dst`, or to any destination) whose path
+  /// membership set ({src} ∪ core path) contains `node`. Only these groups
+  /// choose a next hop at `node`, so only they can be flipped by an
+  /// equal-cost candidate appearing on one of `node`'s links without any
+  /// distance moving (the link-up tie case) or by `node`'s own distance
+  /// increasing (the link-failure case — a worsened candidate only
+  /// matters where it was the one chosen).
   void collect_path_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<RouteKey>& out) const;
-  void collect_path_dependents(topo::NodeId node, std::vector<RouteKey>& out) const;
+                               std::vector<GroupId>& out) const;
+  void collect_path_dependents(topo::NodeId node, std::vector<GroupId>& out) const;
 
  private:
-  void reindex(StoredRoute& entry, const IndexFootprint* footprint,
-               ShardLog* log);
-  [[nodiscard]] bool route_uses_link(const StoredRoute& entry, topo::LinkId link) const;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  /// Every node/path posting for routes to one destination, as a slab the
-  /// destination owns (vectors indexed by NodeId). Slabs are created only
+  void reindex(RouteGroup& group, GroupId id, ShardLog* log);
+  void add_live(std::ptrdiff_t delta, ShardLog* log);
+
+  /// Every node/path posting for groups to one destination, as a slab the
+  /// destination owns (vectors indexed by NodeId). Slabs are filled only
   /// in add() — always serial — so concurrent shards may look up and
   /// rewrite *different* destinations' slabs without synchronisation.
   struct DstPostings {
-    std::vector<std::vector<RouteKey>> node;
-    std::vector<std::vector<RouteKey>> path;
+    std::vector<std::vector<GroupId>> node;
+    std::vector<std::vector<GroupId>> path;
   };
-
-  [[nodiscard]] DstPostings& postings_for(topo::NodeId dst) const {
-    return dst_postings_.find(dst)->second;
-  }
 
   const topo::Topology* topo_;
   std::vector<StoredRoute> routes_;
+  std::vector<RouteGroup> groups_;
   std::vector<topo::NodeId> destinations_;
-  std::vector<bool> dst_seen_;
-  /// (src, dst) -> representative key; groups_[rep] lists the members.
-  std::map<std::pair<topo::NodeId, topo::NodeId>, RouteKey> rep_of_;
-  std::vector<std::vector<RouteKey>> groups_;
-  // Postings by LinkId (shared across shards) and per-destination slabs;
-  // lazily compacted (see file comment).
-  mutable std::vector<std::vector<RouteKey>> link_index_;
-  mutable std::map<topo::NodeId, DstPostings> dst_postings_;
+  /// Edge ordinal by NodeId (kNone for switches), and the dense
+  /// (src ordinal, dst ordinal) -> group table.
+  std::vector<std::uint32_t> edge_ordinal_;
+  std::size_t edge_count_ = 0;
+  std::vector<GroupId> group_of_pair_;
+  // Postings by LinkId (shared across shards) and per-destination slabs
+  // indexed by NodeId; lazily compacted (see file comment).
+  mutable std::vector<std::vector<GroupId>> link_index_;
+  mutable std::vector<DstPostings> dst_postings_;
   std::size_t live_ = 0;
   std::size_t withdrawn_ = 0;
 };

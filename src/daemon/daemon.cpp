@@ -49,9 +49,10 @@ std::string names_array(const topo::Topology& topology,
 
 /// The `query` response body — also the restart-identity witness: every
 /// field is either immutable or persisted by the snapshot, so a query
-/// before a snapshot/restart answers byte-identically after it.
+/// before a snapshot/restart answers byte-identically after it. The
+/// encoding and path are read through the route's group.
 std::string route_response(const topo::Topology& topology,
-                           const ctrlplane::StoredRoute& entry) {
+                           const ctrlplane::RouteView& entry) {
   runner::JsonObject o;
   o.field("ok", true)
       .field("key", static_cast<std::uint64_t>(entry.key))
@@ -300,6 +301,12 @@ std::string Kard::handle_stats() {
     std::lock_guard<std::mutex> qlock(queue_mutex_);
     depth = pending_.size();
   }
+  runner::JsonObject phases;
+  phases.field("spt", totals.spt_s)
+      .field("merge", totals.merge_s)
+      .field("reconverge", totals.reconverge_s)
+      .field("replay", totals.replay_s)
+      .field("admission", totals.admission_s);
   runner::JsonObject o;
   o.field("ok", true)
       .field("topology", config_.topology)
@@ -317,6 +324,7 @@ std::string Kard::handle_stats() {
       .field("installed", static_cast<std::uint64_t>(totals.installed))
       .field("tombstoned", static_cast<std::uint64_t>(totals.tombstoned))
       .field("engine_wall_s", totals.wall_s)
+      .raw("engine_phases_s", phases.str())
       .field("restored_routes", static_cast<std::uint64_t>(restored_.routes));
   return o.str();
 }
@@ -534,7 +542,8 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
         request_errors_total_.inc();
         op.promise.set_value(error_response(
             "unknown-key", "no route with key " + std::to_string(op.key)));
-      } else if (store_.get(op.key).withdrawn || withdraw_seen.count(op.key)) {
+      } else if (store_.route(op.key).withdrawn ||
+                 withdraw_seen.count(op.key)) {
         op.answered = true;
         request_errors_total_.inc();
         op.promise.set_value(error_response(
@@ -607,7 +616,7 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
       switch (op.verb) {
         case Verb::kInstall: {
           const ctrlplane::RouteKey key = installed_keys[install_index++];
-          const ctrlplane::StoredRoute& entry = store_.get(key);
+          const ctrlplane::RouteView entry = store_.get(key);
           runner::JsonObject o;
           o.field("ok", true)
               .field("key", static_cast<std::uint64_t>(key))

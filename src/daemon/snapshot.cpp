@@ -1,8 +1,10 @@
 #include "daemon/snapshot.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "routing/encoded_route.hpp"
 
@@ -12,7 +14,13 @@ namespace {
 
 // "KARDSNP1" little-endian.
 constexpr std::uint64_t kMagic = 0x31504e5344524b41ull;
-constexpr std::uint32_t kFormatVersion = 1;
+// v2 stores each endpoint group's state once plus a fixed record per
+// route; v1 (a full copy per route) is rejected.
+constexpr std::uint32_t kFormatVersion = 2;
+
+// Route record flag bits.
+constexpr std::uint8_t kWithdrawn = 1;
+constexpr std::uint8_t kAdmittedDead = 2;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
@@ -148,18 +156,18 @@ std::string serialize_store(const topo::Topology& topology,
     w.u64(bits);
   }
 
-  w.u64(store.size());
-  for (ctrlplane::RouteKey key = 0; key < store.size(); ++key) {
-    const ctrlplane::StoredRoute& entry = store.get(key);
-    w.u32(entry.src);
-    w.u32(entry.dst);
-    w.u8(static_cast<std::uint8_t>((entry.live ? 1 : 0) |
-                                   (entry.withdrawn ? 2 : 0)));
-    w.u64(entry.version);
-    if (!entry.live) continue;
-    w.u32(static_cast<std::uint32_t>(entry.core_path.size()));
-    for (const topo::NodeId node : entry.core_path) w.u32(node);
-    const routing::EncodedRoute& route = entry.route;
+  // Each group's shared state once, then one fixed-size record per route.
+  w.u32(static_cast<std::uint32_t>(store.group_count()));
+  for (ctrlplane::GroupId id = 0; id < store.group_count(); ++id) {
+    const ctrlplane::RouteGroup& group = store.group(id);
+    w.u32(group.src);
+    w.u32(group.dst);
+    w.u8(group.live ? 1 : 0);
+    w.u64(group.version);
+    if (!group.live) continue;
+    w.u32(static_cast<std::uint32_t>(group.core_path.size()));
+    for (const topo::NodeId node : group.core_path) w.u32(node);
+    const routing::EncodedRoute& route = group.route;
     w.u32(static_cast<std::uint32_t>(route.route_id.limbs().size()));
     for (const std::uint32_t limb : route.route_id.limbs()) w.u32(limb);
     w.u32(static_cast<std::uint32_t>(route.assignments.size()));
@@ -172,6 +180,14 @@ std::string serialize_store(const topo::Topology& topology,
     w.u32(route.src_edge);
     w.u32(route.dst_edge);
     w.u32(static_cast<std::uint32_t>(route.bit_length));
+  }
+  w.u64(store.size());
+  for (ctrlplane::RouteKey key = 0; key < store.size(); ++key) {
+    const ctrlplane::StoredRoute& entry = store.route(key);
+    w.u32(entry.group);
+    w.u8(static_cast<std::uint8_t>((entry.withdrawn ? kWithdrawn : 0) |
+                                   (entry.admitted_dead ? kAdmittedDead : 0)));
+    w.u64(entry.stamp);
   }
 
   const std::uint64_t checksum =
@@ -186,7 +202,7 @@ SnapshotInfo restore_store(std::string_view bytes, topo::Topology& topology,
     throw std::invalid_argument(
         "kard snapshot: restore target store is not empty");
   }
-  if (bytes.size() < 8 + 4 + 8 + 8 + 4 + 8 + 8) {
+  if (bytes.size() < 8 + 4 + 8 + 8 + 4 + 4 + 8 + 8) {
     throw SnapshotError("kard snapshot: file too short (" +
                         std::to_string(bytes.size()) +
                         " bytes) to hold a header");
@@ -242,48 +258,99 @@ SnapshotInfo restore_store(std::string_view bytes, topo::Topology& topology,
     }
   }
 
+  /// A group record, held until its routes have recreated the group.
+  struct GroupRecord {
+    topo::NodeId src = topo::kInvalidNode;
+    topo::NodeId dst = topo::kInvalidNode;
+    bool live = false;
+    std::uint64_t version = 0;
+    std::vector<topo::NodeId> core;
+    routing::EncodedRoute route;
+  };
+  // Records are appended as they parse, so a bogus count runs out of
+  // bytes instead of allocating up front.
+  std::vector<GroupRecord> groups;
+  const std::size_t group_count = checked_count(r.u32(), "group");
+  for (std::size_t g = 0; g < group_count; ++g) {
+    GroupRecord& group = groups.emplace_back();
+    group.src = r.u32();
+    group.dst = r.u32();
+    if (group.src >= topology.node_count() ||
+        group.dst >= topology.node_count() ||
+        topology.kind(group.src) != topo::NodeKind::kEdgeNode ||
+        topology.kind(group.dst) != topo::NodeKind::kEdgeNode) {
+      throw SnapshotError("kard snapshot: group " + std::to_string(g) +
+                          " does not join two edge nodes of the topology");
+    }
+    group.live = (r.u8() & 1) != 0;
+    group.version = r.u64();
+    if (!group.live) continue;
+    group.core.resize(checked_count(r.u32(), "core-path"));
+    for (topo::NodeId& node : group.core) node = r.u32();
+    if (group.core.empty() ||
+        std::any_of(group.core.begin(), group.core.end(),
+                    [&](topo::NodeId n) { return n >= topology.node_count(); })) {
+      throw SnapshotError("kard snapshot: group " + std::to_string(g) +
+                          " has a core path outside the topology");
+    }
+    routing::EncodedRoute& route = group.route;
+    const std::size_t limbs = checked_count(r.u32(), "limb");
+    for (std::size_t l = 0; l < limbs; ++l) {
+      // Rebuild little-endian: limb l contributes value << (32*l).
+      route.route_id += rns::BigUint(r.u32()) << (32 * l);
+    }
+    route.assignments.resize(checked_count(r.u32(), "assignment"));
+    for (routing::PortAssignment& a : route.assignments) {
+      a.node = r.u32();
+      a.switch_id = r.u64();
+      a.port = r.u32();
+    }
+    route.primary_count = r.u32();
+    route.src_edge = r.u32();
+    route.dst_edge = r.u32();
+    route.bit_length = r.u32();
+  }
+
+  // Routes in key order recreate the groups in first-appearance order,
+  // which is the order the groups were recorded in.
   info.routes = checked_count(r.u64(), "route");
   for (std::size_t i = 0; i < info.routes; ++i) {
-    const topo::NodeId src = r.u32();
-    const topo::NodeId dst = r.u32();
-    if (src >= topology.node_count() || dst >= topology.node_count()) {
+    const std::uint32_t id = r.u32();
+    if (id >= groups.size()) {
       throw SnapshotError("kard snapshot: route " + std::to_string(i) +
-                          " references a node outside the topology");
+                          " references group " + std::to_string(id) +
+                          " of " + std::to_string(groups.size()));
+    }
+    const ctrlplane::RouteKey key = store.add(groups[id].src, groups[id].dst);
+    if (store.route(key).group != id) {
+      throw SnapshotError("kard snapshot: route " + std::to_string(i) +
+                          " names group " + std::to_string(id) +
+                          ", which is out of first-appearance order");
     }
     const std::uint8_t flags = r.u8();
-    const std::uint64_t version = r.u64();
-    const ctrlplane::RouteKey key = store.add(src, dst);
-    if ((flags & 1) != 0) {
-      std::vector<topo::NodeId> core(checked_count(r.u32(), "core-path"));
-      for (topo::NodeId& node : core) node = r.u32();
-      routing::EncodedRoute route;
-      std::vector<std::uint32_t> limbs(checked_count(r.u32(), "limb"));
-      rns::BigUint route_id;
-      for (std::size_t l = 0; l < limbs.size(); ++l) {
-        // Rebuild little-endian: limb l contributes value << (32*l).
-        route_id += rns::BigUint(r.u32()) << (32 * l);
-      }
-      route.route_id = std::move(route_id);
-      route.assignments.resize(checked_count(r.u32(), "assignment"));
-      for (routing::PortAssignment& a : route.assignments) {
-        a.node = r.u32();
-        a.switch_id = r.u64();
-        a.port = r.u32();
-      }
-      route.primary_count = r.u32();
-      route.src_edge = r.u32();
-      route.dst_edge = r.u32();
-      route.bit_length = r.u32();
-      store.set_encoding(key, std::move(core), std::move(route), version);
-      ++info.live;
-    } else if (version != 0) {
-      store.set_dead(key, version);
-    }
-    if ((flags & 2) != 0) {
-      store.set_withdrawn(key, version);
+    const std::uint64_t stamp = r.u64();
+    if ((flags & kWithdrawn) != 0) {
+      store.set_withdrawn(key, stamp);
       ++info.withdrawn;
+    } else {
+      store.set_stamp(key, stamp, (flags & kAdmittedDead) != 0);
     }
   }
+  if (store.group_count() != groups.size()) {
+    throw SnapshotError("kard snapshot: group " +
+                        std::to_string(store.group_count()) + " has no routes");
+  }
+  for (ctrlplane::GroupId id = 0; id < groups.size(); ++id) {
+    GroupRecord& group = groups[id];
+    if (group.live) {
+      store.set_encoding(id, std::move(group.core), std::move(group.route),
+                         group.version);
+    } else if (group.version != 0) {
+      store.set_dead(id, group.version);
+    }
+  }
+  info.groups = groups.size();
+  info.live = store.live_count();
   if (r.remaining() != 0) {
     throw SnapshotError("kard snapshot: " + std::to_string(r.remaining()) +
                         " trailing bytes after the last route record");

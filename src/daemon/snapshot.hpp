@@ -1,10 +1,11 @@
 // RouteStore snapshot/restore (docs/daemon.md §snapshot format).
 //
 // A snapshot captures everything a kard restart needs to resume serving
-// without a full re-encode: every stored route's endpoints, liveness,
-// tombstone flag, version, core path and complete encoding (route-ID
-// limbs, port assignments, bit length), plus the topology's link up/down
-// states and the engine's epoch version. The topology *structure* is not
+// without a full re-encode: every endpoint group's endpoints, liveness,
+// change version, core path and complete encoding (route-ID limbs, port
+// assignments, bit length), once per group; then every route's group,
+// tombstone and version stamp as a fixed 13-byte record; plus the
+// topology's link up/down states and the engine's epoch version. The topology *structure* is not
 // serialized — the daemon rebuilds it from its --topology flag and a
 // fingerprint in the header rejects a snapshot taken on a different
 // structure.
@@ -43,6 +44,7 @@ class SnapshotError : public std::runtime_error {
 struct SnapshotInfo {
   std::uint64_t engine_version = 0;
   std::size_t routes = 0;
+  std::size_t groups = 0;
   std::size_t live = 0;
   std::size_t withdrawn = 0;
 };

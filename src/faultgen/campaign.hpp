@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "ctrlplane/engine_mode.hpp"
 #include "dataplane/edge.hpp"
 #include "dataplane/switch.hpp"
 #include "faultgen/invariants.hpp"
@@ -41,11 +40,6 @@ struct CampaignConfig {
   /// are bit-identical either way (tests/test_fastpath_differential.cpp);
   /// the knob exists for that differential suite and for benchmarking.
   dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
-  /// Reconvergence engine a reaction-delay scenario hands to
-  /// sim::ReactiveController. Campaign runs follow the paper's
-  /// static-controller policy and attach no ReactiveController, so no run
-  /// reads it today; it keeps `fault_campaign --engine` accepted.
-  ctrlplane::EngineMode route_engine = ctrlplane::EngineMode::kIncremental;
   /// Core-switch batch size, forwarded into sim::NetworkConfig::batch_size
   /// (0 = per-packet). Aggregates are byte-identical at any value — the
   /// campaign smokes pin that by re-running once with --batch=32.

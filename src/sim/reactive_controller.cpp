@@ -1,5 +1,6 @@
 #include "sim/reactive_controller.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace kar::sim {
@@ -28,7 +29,7 @@ void ReactiveController::watch_flow(topo::NodeId src_edge, topo::NodeId dst_edge
     // the engine's current version; handlers only fire on reactions, as in
     // the legacy path.
     const ctrlplane::RouteKey key = engine_->add_route(src_edge, dst_edge);
-    const ctrlplane::StoredRoute& entry = store_->get(key);
+    const ctrlplane::RouteView entry = store_->get(key);
     if (entry.live) {
       const std::vector<Network::RouteInstall> batch{
           Network::RouteInstall{key, &entry.route}};
@@ -63,19 +64,27 @@ void ReactiveController::react_incremental() {
   std::vector<ctrlplane::LinkChange> events = std::move(pending_events_);
   pending_events_.clear();
   const ctrlplane::EpochResult epoch = engine_->apply(events);
-  recomputes_ += epoch.updated.size();
+  // The engine reports changed endpoint groups; every member route (flow)
+  // changed with its group. Keys ascend, as flows expect.
+  std::vector<ctrlplane::RouteKey> updated;
+  for (const ctrlplane::GroupId id : epoch.changed) {
+    const auto& members = store_->group(id).members;
+    updated.insert(updated.end(), members.begin(), members.end());
+  }
+  std::sort(updated.begin(), updated.end());
+  recomputes_ += updated.size();
   std::vector<Network::RouteInstall> batch;
-  batch.reserve(epoch.updated.size());
-  for (const ctrlplane::RouteKey key : epoch.updated) {
-    const ctrlplane::StoredRoute& entry = store_->get(key);
+  batch.reserve(updated.size());
+  for (const ctrlplane::RouteKey key : updated) {
+    const ctrlplane::RouteView entry = store_->get(key);
     batch.push_back(
         Network::RouteInstall{key, entry.live ? &entry.route : nullptr});
   }
   net_->install_routes(epoch.version, batch);
   // Only flows whose route actually changed (and still exists) hear about
   // it — the affected-set contract.
-  for (const ctrlplane::RouteKey key : epoch.updated) {
-    const ctrlplane::StoredRoute& entry = store_->get(key);
+  for (const ctrlplane::RouteKey key : updated) {
+    const ctrlplane::RouteView entry = store_->get(key);
     if (!entry.live) continue;
     const WatchedFlow& flow = flows_[key];
     if (flow.on_update) flow.on_update(entry.route);

@@ -104,33 +104,35 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   EXPECT_EQ(initial.core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW11")}));
 
+  const ctrlplane::GroupId group = initial.group;
+  const std::vector<ctrlplane::GroupId> just_group{group};
   const auto link_dependents = [&](const char* a, const char* b) {
-    std::vector<RouteKey> out;
+    std::vector<ctrlplane::GroupId> out;
     store.collect_link_dependents(*t.link_between(t.at(a), t.at(b)), out);
     return out;
   };
   const auto node_dependents = [&](const char* name) {
-    std::vector<RouteKey> out;
+    std::vector<ctrlplane::GroupId> out;
     store.collect_node_dependents(t.at(name), out);
     return out;
   };
 
-  EXPECT_EQ(link_dependents("SW7", "SW11"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(link_dependents("S", "SW4"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(node_dependents("SW4"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(node_dependents("S"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(link_dependents("SW7", "SW11"), just_group);
+  EXPECT_EQ(link_dependents("S", "SW4"), just_group);
+  EXPECT_EQ(node_dependents("SW4"), just_group);
+  EXPECT_EQ(node_dependents("S"), just_group);
 
   // Re-encode around a failed primary link: the stale link posting filters.
   const topo::LinkId primary = *t.link_between(t.at("SW7"), t.at("SW11"));
   t.set_link_up(primary, false);
   const auto epoch1 = engine.apply({{primary, false}});
-  EXPECT_EQ(epoch1.updated, (std::vector<RouteKey>{key}));
+  EXPECT_EQ(epoch1.changed, just_group);
   ASSERT_TRUE(store.get(key).live);
   EXPECT_EQ(store.get(key).core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW5"),
                                        t.at("SW11")}));
   EXPECT_TRUE(link_dependents("SW7", "SW11").empty());
-  EXPECT_EQ(link_dependents("SW5", "SW11"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(link_dependents("SW5", "SW11"), just_group);
 
   // Withdraw: D's only uplink dies; the dead route keeps only its revive
   // trigger (the source edge's distance).
@@ -140,7 +142,7 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   EXPECT_EQ(epoch2.stats.withdrawn, 1u);
   EXPECT_FALSE(store.get(key).live);
   EXPECT_TRUE(node_dependents("SW4").empty());
-  EXPECT_EQ(node_dependents("S"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(node_dependents("S"), just_group);
   EXPECT_TRUE(link_dependents("S", "SW4").empty());
 
   // Revive on repair.
@@ -305,8 +307,8 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
     const auto ri = inc.apply(events);
     const auto rf = full.apply(events);
     EXPECT_EQ(ri.version, rf.version);
-    // Both modes report exactly the actually-changed keys.
-    EXPECT_EQ(ri.updated, rf.updated);
+    // Both modes report exactly the actually-changed groups.
+    EXPECT_EQ(ri.changed, rf.changed);
     expect_same_tables(t, inc_store, full_store);
   };
   run_epoch({flip(t, "SW7", "SW13", false)});
@@ -361,6 +363,56 @@ TEST(ReconvergenceEngineTest, MetricsFamiliesAndFallbackCounter) {
   EXPECT_EQ(counter("kar_ctrlplane_reconvergence_seconds"), 1u);  // 1 epoch
   EXPECT_EQ(snap.families.at("kar_ctrlplane_routes").series.begin()->second.value,
             1.0);
+}
+
+// Every epoch's phase split (SPT advance, merge, reconverge, replay,
+// admission) is non-negative and adds up to no more than the epoch wall,
+// in both modes, serial and sharded, with and without admissions.
+TEST(ReconvergenceEngineTest, PhaseTimingsFitInsideTheEpochWall) {
+  Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  (void)topo::attach_host_edges(t);
+  const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> installs;
+  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+    installs.emplace_back(edges[i], edges[i + 1]);
+  }
+  const auto expect_split = [](const ctrlplane::EpochStats& st,
+                               const std::string& where) {
+    const double phases[] = {st.spt_s, st.merge_s, st.reconverge_s,
+                             st.replay_s, st.admission_s};
+    double sum = 0.0;
+    for (const double p : phases) {
+      EXPECT_GE(p, 0.0) << where;
+      sum += p;
+    }
+    EXPECT_GT(st.wall_s, 0.0) << where;
+    EXPECT_LE(sum, st.wall_s) << where;
+  };
+  for (const EngineMode mode :
+       {EngineMode::kIncremental, EngineMode::kFullRecompute}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      RouteStore store(t);
+      EngineConfig config;
+      config.mode = mode;
+      config.shards = shards;
+      ReconvergenceEngine engine(t, store, config);
+      const std::string tag = std::string(ctrlplane::to_string(mode)) +
+                              " shards " + std::to_string(shards);
+      expect_split(engine.apply({}, installs, {}).stats, tag + " admissions");
+      topo::LinkId link = 0;  // the first core-to-core link
+      while (t.kind(t.link(link).a.node) != topo::NodeKind::kCoreSwitch ||
+             t.kind(t.link(link).b.node) != topo::NodeKind::kCoreSwitch) {
+        ++link;
+      }
+      t.set_link_up(link, false);
+      expect_split(engine.apply({{link, false}}, installs, {0}).stats,
+                   tag + " failure");
+      t.set_link_up(link, true);
+      expect_split(engine.apply({{link, true}}).stats, tag + " repair");
+      expect_split(engine.totals(), tag + " totals");
+    }
+  }
 }
 
 TEST(ForwardingTrace, WalksFig1Residues) {

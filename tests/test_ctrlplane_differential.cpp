@@ -7,7 +7,7 @@
 // full-recompute engine over the SAME topology object through the same
 // epochs (schedule events grouped by timestamp) and asserts, after every
 // epoch: identical liveness, route IDs, port assignments, primary core
-// paths, updated-key lists and pure-modulo forwarding traces.
+// paths, changed-group lists and pure-modulo forwarding traces.
 //
 // Schedule families rotate through fail/repair churn (kRandomUpDown),
 // correlated cuts (kSrlgGroups), flapping and permanent k-failure sweeps;
@@ -17,9 +17,14 @@
 // A second suite pins the sharded reconvergence path: the same sequences
 // run through incremental engines at shard widths 1, 4 and
 // hardware_concurrency, and every epoch must be *bit-identical* across
-// widths — version stamps and updated-key lists included, not just final
+// widths — version stamps and changed-group lists included, not just final
 // tables — because sharding is specified as a pure throughput knob
 // (docs/ctrlplane.md).
+//
+// A third suite mixes admissions and withdrawals into the churn epochs
+// (apply(events, installs, withdraws)) and holds the full-recompute engine
+// and incremental engines at widths 1, 4 and hardware width to identical
+// per-key liveness, tombstones, version stamps, route IDs and core paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,7 +170,7 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
     const auto rf = full.apply(events);
     const std::string where = tag + " epoch " + std::to_string(epoch_index);
     ASSERT_EQ(ri.version, rf.version) << where;
-    ASSERT_EQ(ri.updated, rf.updated) << where;
+    ASSERT_EQ(ri.changed, rf.changed) << where;
     expect_identical_tables(t, inc_store, full_store, where);
     i = j;
     ++epoch_index;
@@ -229,7 +234,7 @@ void run_sharded_sequence(const std::string& topology, std::uint64_t sequence,
       const std::string where = tag + " epoch " + std::to_string(epoch_index) +
                                 " shards " + std::to_string(widths[e]);
       ASSERT_EQ(serial.version, sharded.version) << where;
-      ASSERT_EQ(serial.updated, sharded.updated) << where;
+      ASSERT_EQ(serial.changed, sharded.changed) << where;
       ASSERT_EQ(serial.stats.candidates, sharded.stats.candidates) << where;
       ASSERT_EQ(serial.stats.reencoded, sharded.stats.reencoded) << where;
       ASSERT_EQ(serial.stats.withdrawn, sharded.stats.withdrawn) << where;
@@ -237,6 +242,137 @@ void run_sharded_sequence(const std::string& topology, std::uint64_t sequence,
       for (RouteKey key = 0; key < stores[0]->size(); ++key) {
         ASSERT_EQ(stores[0]->get(key).version, stores[e]->get(key).version)
             << where << ", route " << key << " version stamp";
+      }
+    }
+    i = j;
+    ++epoch_index;
+  }
+}
+
+// Mixed epochs: link events, route admissions and withdrawals in one
+// apply(). A full-recompute engine and incremental engines at shard widths
+// 1, 4 and hardware width run the same epochs and must agree on every key:
+// liveness, tombstone, version stamp, route ID and core path. Admissions
+// draw from a small endpoint pool so most join an existing group (live or
+// dead); some epochs withdraw a key admitted in that same epoch, and
+// withdrawn keys stay in the table through later reconvergence.
+void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
+                        common::Rng& rng) {
+  Scenario s = make_scenario(topology);
+  topo::Topology& t = s.topology;
+  (void)topo::attach_host_edges(t);
+  const auto all_edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
+  const std::vector<topo::NodeId> edges(
+      all_edges.begin(),
+      all_edges.begin() +
+          static_cast<std::ptrdiff_t>(std::min<std::size_t>(6, all_edges.size())));
+
+  std::vector<EngineConfig> configs;
+  EngineConfig full_config;
+  full_config.mode = EngineMode::kFullRecompute;
+  configs.push_back(full_config);
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{4},
+        std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
+    EngineConfig config;
+    config.shards = shards;
+    configs.push_back(config);
+  }
+  std::vector<std::unique_ptr<RouteStore>> stores;
+  std::vector<std::unique_ptr<ReconvergenceEngine>> engines;
+  for (EngineConfig& config : configs) {
+    config.plan_protection = (sequence % 2 == 0);
+    stores.push_back(std::make_unique<RouteStore>(t));
+    engines.push_back(
+        std::make_unique<ReconvergenceEngine>(t, *stores.back(), config));
+  }
+
+  const auto random_pair = [&] {
+    const std::size_t si = rng.below(edges.size());
+    std::size_t di = rng.below(edges.size() - 1);
+    if (di >= si) ++di;
+    return std::make_pair(edges[si], edges[di]);
+  };
+  for (std::size_t i = 0; i < 12; ++i) {
+    const auto [src, dst] = random_pair();
+    for (auto& engine : engines) (void)engine->add_route(src, dst);
+  }
+  std::vector<bool> withdrawn(stores[0]->size(), false);
+
+  const std::string tag = topology + " mixed seq " + std::to_string(sequence);
+  common::Rng schedule_rng(common::derive_seed(0x313ed5ULL, sequence));
+  const FailureSchedule schedule =
+      faultgen::generate_schedule(t, schedule_for(sequence), schedule_rng);
+
+  std::size_t i = 0;
+  std::size_t epoch_index = 0;
+  while (i < schedule.events.size()) {
+    std::size_t j = i;
+    std::vector<LinkChange> events;
+    // Every fourth epoch carries admissions and withdrawals only.
+    if (epoch_index % 4 != 3) {
+      while (j < schedule.events.size() &&
+             schedule.events[j].time == schedule.events[i].time) {
+        const faultgen::LinkEvent& e = schedule.events[j];
+        t.set_link_up(e.link, !e.fail);
+        events.push_back(LinkChange{e.link, !e.fail});
+        ++j;
+      }
+    }
+    // Admissions: half reuse the endpoints of an existing key (its group,
+    // live or dead), half draw a fresh random pair.
+    std::vector<std::pair<topo::NodeId, topo::NodeId>> installs;
+    const std::size_t install_count = rng.below(4);
+    for (std::size_t n = 0; n < install_count; ++n) {
+      if (rng.below(2) == 0) {
+        const auto existing = stores[0]->get(rng.below(stores[0]->size()));
+        installs.emplace_back(existing.src, existing.dst);
+      } else {
+        installs.push_back(random_pair());
+      }
+    }
+    const std::size_t first_new = stores[0]->size();
+    withdrawn.resize(first_new + installs.size(), false);
+    std::vector<RouteKey> withdraws;
+    for (std::size_t n = rng.below(3); n > 0; --n) {
+      const RouteKey key = rng.below(first_new);
+      if (!withdrawn[key]) {
+        withdrawn[key] = true;
+        withdraws.push_back(key);
+      }
+    }
+    if (!installs.empty() && rng.below(2) == 0) {
+      const RouteKey key = first_new + rng.below(installs.size());
+      withdrawn[key] = true;
+      withdraws.push_back(key);
+    }
+
+    const std::string where = tag + " epoch " + std::to_string(epoch_index);
+    std::vector<RouteKey> reference_keys;
+    const auto reference =
+        engines[0]->apply(events, installs, withdraws, &reference_keys);
+    for (std::size_t e = 1; e < engines.size(); ++e) {
+      std::vector<RouteKey> keys;
+      const auto result = engines[e]->apply(events, installs, withdraws, &keys);
+      const std::string at = where + " engine " + std::to_string(e);
+      ASSERT_EQ(reference.version, result.version) << at;
+      ASSERT_EQ(reference_keys, keys) << at;
+      ASSERT_EQ(stores[0]->size(), stores[e]->size()) << at;
+      ASSERT_EQ(stores[0]->live_count(), stores[e]->live_count()) << at;
+      ASSERT_EQ(stores[0]->withdrawn_count(), stores[e]->withdrawn_count())
+          << at;
+      for (RouteKey key = 0; key < stores[0]->size(); ++key) {
+        const auto& a = stores[0]->get(key);
+        const auto& b = stores[e]->get(key);
+        ASSERT_EQ(a.live, b.live) << at << ", route " << key;
+        ASSERT_EQ(a.withdrawn, b.withdrawn) << at << ", route " << key;
+        ASSERT_EQ(a.withdrawn, static_cast<bool>(withdrawn[key]))
+            << at << ", route " << key;
+        ASSERT_EQ(a.version, b.version) << at << ", route " << key;
+        if (!a.live) continue;
+        ASSERT_EQ(a.core_path, b.core_path) << at << ", route " << key;
+        ASSERT_EQ(a.route.route_id, b.route.route_id)
+            << at << ", route " << key;
       }
     }
     i = j;
@@ -294,6 +430,26 @@ TEST_P(CtrlplaneShardedDifferential, ShardWidthsBitIdentical) {
 // rotate through on every topology.
 INSTANTIATE_TEST_SUITE_P(
     Topologies, CtrlplaneShardedDifferential,
+    ::testing::Values(TopologyRuns{"fig1", 16},
+                      TopologyRuns{"fig2", 16},
+                      TopologyRuns{"rnp28", 12}));
+
+class CtrlplaneMixedDifferential
+    : public ::testing::TestWithParam<TopologyRuns> {};
+
+TEST_P(CtrlplaneMixedDifferential, MixedEpochsAgreeAcrossEnginesAndWidths) {
+  const auto [topology, sequences] = GetParam();
+  common::Rng rng = testsupport::make_rng(
+      0x313edULL ^ std::hash<std::string>{}(topology),
+      "CtrlplaneMixedDifferential");
+  for (int sequence = 0; sequence < sequences; ++sequence) {
+    run_mixed_sequence(topology, static_cast<std::uint64_t>(sequence), rng);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, CtrlplaneMixedDifferential,
     ::testing::Values(TopologyRuns{"fig1", 16},
                       TopologyRuns{"fig2", 16},
                       TopologyRuns{"rnp28", 12}));

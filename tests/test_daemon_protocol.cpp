@@ -197,6 +197,40 @@ long json_int_field(const std::string& json, const std::string& field) {
   return std::stol(json.substr(at + key.size()));
 }
 
+/// Floating-point field from a flat JSON response (-1 if absent).
+double json_double_field(const std::string& json, const std::string& field) {
+  const std::string key = "\"" + field + "\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(json.substr(at + key.size()));
+}
+
+TEST(DaemonStats, ReportsEnginePhaseSplit) {
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_interval_s = 0.001;
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  ASSERT_NE(kard.execute_line("install S D").find("\"ok\":true"),
+            std::string::npos);
+  ASSERT_NE(kard.execute_line("link-down SW4 SW7").find("\"ok\":true"),
+            std::string::npos);
+  const std::string stats = kard.execute_line("stats");
+  kard.stop();
+  const std::size_t at = stats.find("\"engine_phases_s\":{");
+  ASSERT_NE(at, std::string::npos) << stats;
+  const std::string phases = stats.substr(at, stats.find('}', at) - at);
+  double sum = 0.0;
+  for (const char* phase :
+       {"spt", "merge", "reconverge", "replay", "admission"}) {
+    const double seconds = json_double_field(phases, phase);
+    EXPECT_GE(seconds, 0.0) << phase << " in " << stats;
+    sum += seconds;
+  }
+  EXPECT_LE(sum, json_double_field(stats, "engine_wall_s")) << stats;
+}
+
 TEST(DaemonBatch, DuplicateWithdrawBurstIsLinearAndExact) {
   daemon::KardConfig config;
   config.topology = "fig1";

@@ -7,7 +7,9 @@
 //     further churn;
 //   * every malformation is rejected with a SnapshotError: truncation at
 //     any prefix length, checksum corruption at any byte, bad magic, bad
-//     format version, a topology-fingerprint mismatch, and trailing bytes.
+//     format version, a topology-fingerprint mismatch, and trailing bytes;
+//   * a committed format-1 fixture is refused by version and leaves the
+//     store empty.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,7 +100,7 @@ void expect_stores_equal(const RouteStore& a, const RouteStore& b) {
     const auto& rb = b.get(key);
     EXPECT_EQ(ra.src, rb.src);
     EXPECT_EQ(ra.dst, rb.dst);
-    EXPECT_EQ(ra.rep, rb.rep) << "group structure differs at key " << key;
+    EXPECT_EQ(ra.group, rb.group) << "group structure differs at key " << key;
     EXPECT_EQ(ra.live, rb.live);
     EXPECT_EQ(ra.withdrawn, rb.withdrawn);
     EXPECT_EQ(ra.version, rb.version);
@@ -172,7 +174,7 @@ TEST(Snapshot, RestoredEngineConvergesIdentically) {
   const auto r1 = fx.engine.apply(repair);
   const auto r2 = engine.apply(repair);
   EXPECT_EQ(r1.version, r2.version);
-  EXPECT_EQ(r1.updated, r2.updated);
+  EXPECT_EQ(r1.changed, r2.changed);
   expect_stores_equal(fx.store, restored);
 }
 
@@ -242,6 +244,30 @@ TEST(Snapshot, RejectsNonEmptyTargetStore) {
   (void)occupied.add(edges[0], edges[1]);
   EXPECT_THROW((void)restore_store(bytes, fresh.topology, occupied),
                std::invalid_argument);
+}
+
+// A format-1 snapshot (a full copy of the encoding per route), written by
+// kard before route state moved into endpoint groups: it must be refused
+// by version, before the store or the link states are touched.
+TEST(Snapshot, RejectsFormatV1Fixture) {
+  const std::string bytes = daemon::read_snapshot_file(
+      KAR_TESTS_SOURCE_DIR "/fixtures/kard_fig1_v1.snap");
+  topo::Scenario fresh = scenario_for("fig1");
+  RouteStore restored(fresh.topology);
+  try {
+    (void)restore_store(bytes, fresh.topology, restored);
+    FAIL() << "format-1 snapshot was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(restored.size(), 0u);
+  EXPECT_EQ(restored.group_count(), 0u);
+  for (topo::LinkId link = 0;
+       link < static_cast<topo::LinkId>(fresh.topology.link_count()); ++link) {
+    EXPECT_TRUE(fresh.topology.link_up(link));
+  }
 }
 
 TEST(Snapshot, FingerprintIgnoresLinkStates) {
