@@ -231,8 +231,14 @@ int main(int argc, char** argv) {
             << "completed " << result.completed << "/" << result.flows
             << ", peak concurrent " << result.peak_concurrent
             << ", RED early drops " << result.counters.drop_aqm_early
-            << ", mean goodput "
-            << kar::common::fmt_double(result.mean_goodput_mbps, 3)
+            << ", retransmit share "
+            << kar::common::fmt_double(result.retransmit_share, 3)
+            << "\nper-flow FCT p50/p99 "
+            << kar::common::fmt_double(result.fct_p50_s * 1e3, 1) << "/"
+            << kar::common::fmt_double(result.fct_p99_s * 1e3, 1)
+            << " ms, goodput p50/p99 "
+            << kar::common::fmt_double(result.goodput_p50_mbps, 3) << "/"
+            << kar::common::fmt_double(result.goodput_p99_mbps, 3)
             << " Mb/s, sim end "
             << kar::common::fmt_double(result.sim_end_s, 1) << " s, wall "
             << kar::common::fmt_double(workload_ms, 0) << " ms\n";
@@ -290,7 +296,11 @@ int main(int argc, char** argv) {
         .field("retransmits", result.retransmits)
         .field("aqm_early_drops", result.counters.drop_aqm_early)
         .field("queue_overflow_drops", result.counters.drop_queue_overflow)
-        .field("mean_goodput_mbps", result.mean_goodput_mbps)
+        .field("retransmit_share", result.retransmit_share)
+        .field("fct_p50_s", result.fct_p50_s)
+        .field("fct_p99_s", result.fct_p99_s)
+        .field("goodput_p50_mbps", result.goodput_p50_mbps)
+        .field("goodput_p99_mbps", result.goodput_p99_mbps)
         .field("sim_end_s", result.sim_end_s)
         .field("wall_ms", workload_ms);
 

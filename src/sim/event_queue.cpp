@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -33,74 +34,210 @@ void EventQueue::schedule_at(double time, EventKind kind, Handler fn) {
     free_handlers_.pop_back();
     handlers_[slot] = std::move(fn);
   }
-  push(Entry{time, next_seq_++, slot, kind, /*packet=*/false});
+  push_heap(Entry{time, next_seq_++, slot, kind, Target::kHandler});
 }
 
-void EventQueue::schedule_packet_at(double time, EventKind kind,
-                                    std::uint32_t slot) {
+EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,
+                                           std::uint32_t slot) {
   if (sink_ == nullptr) {
     throw std::logic_error("EventQueue: packet event with no sink attached");
   }
   if (time < now_) time = now_;
-  push(Entry{time, next_seq_++, slot, kind, /*packet=*/true});
+  return Entry{time, next_seq_++, slot, kind, Target::kPacket};
 }
 
-void EventQueue::push(const Entry& entry) {
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
+void EventQueue::schedule_packet_at(double time, EventKind kind,
+                                    std::uint32_t slot) {
+  push_heap(packet_entry(time, kind, slot));
+}
+
+void EventQueue::schedule_packet_fifo(double time, EventKind kind,
+                                      std::uint32_t slot) {
+  const Entry entry = packet_entry(time, kind, slot);
+  // The lane stays sorted by (time, seq) as long as times never decrease:
+  // seq only grows.
+  if (lane_size_ != 0 &&
+      entry.time <
+          lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)].time) {
+    push_heap(entry);
+  } else {
+    push_lane(entry);
+  }
+}
+
+EventQueue::TimerId EventQueue::add_timer(EventKind kind, Handler fn) {
+  if (!fn) throw std::invalid_argument("EventQueue: null timer handler");
+  TimerId id;
+  if (free_timers_.empty()) {
+    id = static_cast<TimerId>(timers_.size());
+    timers_.emplace_back();
+  } else {
+    id = free_timers_.back();
+    free_timers_.pop_back();
+  }
+  Timer& timer = timers_[id];
+  timer.fn = std::move(fn);
+  timer.kind = kind;
+  timer.pos = kDisarmed;
+  return id;
+}
+
+void EventQueue::arm_timer_at(TimerId id, double time) {
+  if (time < now_) time = now_;
+  if (time > latest_arm_) latest_arm_ = time;
+  Timer& timer = timers_[id];
+  const Entry entry{time, next_seq_++, id, timer.kind, Target::kTimer};
+  if (timer.pos == kDisarmed) {
+    timer_heap_.push_back(entry);
+    place_timer(timer_heap_.size() - 1, entry);
+  } else {
+    place_timer(timer.pos, entry);
+  }
+}
+
+void EventQueue::disarm_timer(TimerId id) {
+  Timer& timer = timers_[id];
+  if (timer.pos == kDisarmed) return;
+  const std::size_t i = timer.pos;
+  timer.pos = kDisarmed;
+  const Entry last = timer_heap_.back();
+  timer_heap_.pop_back();
+  if (i < timer_heap_.size()) place_timer(i, last);
+}
+
+void EventQueue::remove_timer(TimerId id) {
+  disarm_timer(id);
+  timers_[id].fn = nullptr;
+  free_timers_.push_back(id);
+}
+
+template <class Place>
+void EventQueue::sift_up(std::vector<Entry>& heap, std::size_t i, Entry entry,
+                         Place place) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!earlier(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!earlier(entry, heap[parent])) break;
+    place(i, heap[parent]);
     i = parent;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
-EventQueue::Entry EventQueue::pop() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Sift the former last entry down from the root through the earliest of
-  // each node's (up to) four children.
-  std::size_t i = 0;
+template <class Place>
+void EventQueue::sift_down(std::vector<Entry>& heap, std::size_t i,
+                           Entry entry, Place place) {
+  // Move the hole down through the earliest of each node's (up to) four
+  // children until `entry` fits.
+  const std::size_t n = heap.size();
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
     const std::size_t end = std::min(first + 4, n);
     std::size_t best = first;
     for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+      if (earlier(heap[c], heap[best])) best = c;
     }
-    if (!earlier(heap_[best], last)) break;
-    heap_[i] = heap_[best];
+    if (!earlier(heap[best], entry)) break;
+    place(i, heap[best]);
     i = best;
   }
-  heap_[i] = last;
-  return top;
+  place(i, entry);
+}
+
+void EventQueue::push_heap(const Entry& entry) {
+  heap_.push_back(entry);
+  sift_up(heap_, heap_.size() - 1, entry,
+          [this](std::size_t i, const Entry& e) { heap_[i] = e; });
+}
+
+void EventQueue::pop_heap() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  sift_down(heap_, 0, last,
+            [this](std::size_t i, const Entry& e) { heap_[i] = e; });
+}
+
+void EventQueue::push_lane(const Entry& entry) {
+  if (lane_size_ == lane_.size()) {
+    // Full: unroll into a ring twice the size (16 to start).
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * lane_.size()));
+    for (std::size_t k = 0; k < lane_size_; ++k) {
+      grown[k] = lane_[(lane_head_ + k) & (lane_.size() - 1)];
+    }
+    lane_ = std::move(grown);
+    lane_head_ = 0;
+  }
+  lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = entry;
+  ++lane_size_;
+}
+
+void EventQueue::place_timer(std::size_t i, const Entry& entry) {
+  const auto place = [this](std::size_t at, const Entry& e) {
+    timer_heap_[at] = e;
+    timers_[e.slot].pos = static_cast<std::uint32_t>(at);
+  };
+  if (i > 0 && earlier(entry, timer_heap_[(i - 1) / 4])) {
+    sift_up(timer_heap_, i, entry, place);
+  } else {
+    sift_down(timer_heap_, i, entry, place);
+  }
+}
+
+void EventQueue::pop_timer() {
+  timers_[timer_heap_.front().slot].pos = kDisarmed;
+  const Entry last = timer_heap_.back();
+  timer_heap_.pop_back();
+  if (!timer_heap_.empty()) place_timer(0, last);
+}
+
+bool EventQueue::pop_until(double limit, Entry& out) {
+  const Entry* best = nullptr;
+  if (!heap_.empty()) best = &heap_.front();
+  if (lane_size_ != 0 && (best == nullptr || earlier(lane_[lane_head_], *best))) {
+    best = &lane_[lane_head_];
+  }
+  if (!timer_heap_.empty() &&
+      (best == nullptr || earlier(timer_heap_.front(), *best))) {
+    best = &timer_heap_.front();
+  }
+  if (best == nullptr || best->time > limit) return false;
+  out = *best;
+  if (best == heap_.data()) {
+    pop_heap();
+  } else if (out.target == Target::kTimer) {
+    pop_timer();
+  } else {
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+  }
+  return true;
 }
 
 void EventQueue::dispatch(const Entry& entry) {
-  if (entry.packet) {
-    sink_->on_packet_event(entry.kind, entry.slot);
-    return;
+  switch (entry.target) {
+    case Target::kPacket:
+      sink_->on_packet_event(entry.kind, entry.slot);
+      return;
+    case Target::kTimer:
+      timers_[entry.slot].fn();
+      return;
+    case Target::kHandler: {
+      // Move the handler out and recycle its slot first: the handler may
+      // schedule events, which can reuse the slot or grow the slab.
+      Handler fn = std::move(handlers_[entry.slot]);
+      free_handlers_.push_back(entry.slot);
+      fn();
+      return;
+    }
   }
-  // Move the handler out and recycle its slot first: the handler may
-  // schedule events, which can reuse the slot or grow the slab.
-  Handler fn = std::move(handlers_[entry.slot]);
-  free_handlers_.push_back(entry.slot);
-  fn();
 }
 
-bool EventQueue::step() {
-  if (heap_.empty()) return false;
-  const Entry entry = pop();
+void EventQueue::fire(const Entry& entry) {
   now_ = entry.time;
   if (profile_ == nullptr) {
     dispatch(entry);
-    return true;
+    return;
   }
   const auto start = std::chrono::steady_clock::now();
   dispatch(entry);
@@ -110,13 +247,23 @@ bool EventQueue::step() {
   stats.wall_s +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+}
+
+bool EventQueue::step() {
+  Entry entry;
+  if (!pop_until(std::numeric_limits<double>::infinity(), entry)) {
+    if (now_ < latest_arm_) now_ = latest_arm_;
+    return false;
+  }
+  fire(entry);
   return true;
 }
 
 std::size_t EventQueue::run_until(double t) {
   std::size_t processed = 0;
-  while (!heap_.empty() && heap_.front().time <= t) {
-    step();
+  Entry entry;
+  while (pop_until(t, entry)) {
+    fire(entry);
     ++processed;
   }
   if (now_ < t) now_ = t;

@@ -1,14 +1,24 @@
 // Discrete-event scheduler. Events fire in timestamp order; ties fire in
 // scheduling order (FIFO), which keeps simulations deterministic.
 //
-// Layout: a 4-ary min-heap of 24-byte trivially copyable entries
-// {time, seq, slot, kind}, ordered by (time, seq) — seq is the scheduling
-// counter, so the firing order is a strict total order fixed at schedule
-// time, whatever the heap's shape. A generic event's slot indexes a slab of
-// std::function handlers recycled through a free list; a packet event's
-// slot is a packet-pool index handed back to the attached PacketEventSink
-// (sim::Network's per-hop link-arrival / switch / edge events), so the
-// per-hop path carries no closure at all.
+// Every entry is a 24-byte trivially copyable {time, seq, slot, kind,
+// target}, ordered by (time, seq) — seq is the scheduling counter, so the
+// firing order is a strict total order fixed at schedule time, whatever
+// structure holds the entry. The queue holds only live events, in three
+// places, and step() fires the earliest of their three heads:
+//   * a 4-ary min-heap for events at arbitrary times;
+//   * a FIFO lane for callers whose successive times never decrease (the
+//     simulator's fixed-latency switch/edge hops): a ring buffer already
+//     in (time, seq) order, so a push and a pop cost O(1); a push that
+//     would break that order goes to the heap instead;
+//   * a position-indexed 4-ary heap of re-armable timers (TCP RTO, the
+//     reactive controller's debounce): one entry per armed timer, moved in
+//     place when re-armed and removed when disarmed, so a superseded
+//     deadline never sits in the queue.
+// A generic event's slot indexes a slab of std::function handlers recycled
+// through a free list; a packet event's slot is a packet-pool index handed
+// back to the attached PacketEventSink (sim::Network's per-hop events), so
+// the per-hop path carries no closure at all; a timer's slot is its id.
 //
 // Observability: every event carries a coarse EventKind tag; attaching an
 // EventLoopProfile makes step() account each fired event's count and wall
@@ -18,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string_view>
 #include <type_traits>
@@ -83,12 +94,19 @@ class PacketEventSink {
 class EventQueue {
  public:
   using Handler = std::function<void()>;
+  using TimerId = std::uint32_t;
 
   /// Current simulation time in seconds (starts at 0).
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  /// True when no event is queued and no timer is armed.
+  [[nodiscard]] bool empty() const noexcept {
+    return heap_.empty() && lane_size_ == 0 && timer_heap_.empty();
+  }
+  /// Queued events plus armed timers.
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() + lane_size_ + timer_heap_.size();
+  }
 
   /// Schedules `fn` at absolute time `time` (>= now, else clamped to now).
   void schedule_at(double time, Handler fn) {
@@ -107,6 +125,29 @@ class EventQueue {
   /// ordering as handler events. Throws std::logic_error with no sink.
   void schedule_packet_at(double time, EventKind kind, std::uint32_t slot);
 
+  /// schedule_packet_at for callers whose successive times never decrease,
+  /// such as a fixed delay after now(): the event joins the FIFO lane. One
+  /// that would fire before the lane's tail goes to the heap instead, so
+  /// the firing order is the same either way.
+  void schedule_packet_fifo(double time, EventKind kind, std::uint32_t slot);
+
+  /// Registers a re-armable timer that runs `fn` (accounted as `kind`)
+  /// each time it fires. It starts disarmed. Ids of removed timers are
+  /// reused. Throws std::invalid_argument on a null handler.
+  TimerId add_timer(EventKind kind, Handler fn);
+
+  /// Arms timer `id` to fire at `time` (clamped like schedule_at),
+  /// replacing any earlier deadline. The arm draws the next seq, so the
+  /// timer fires exactly where an event scheduled by this call would.
+  void arm_timer_at(TimerId id, double time);
+
+  /// Disarms timer `id` (no-op when it is not armed).
+  void disarm_timer(TimerId id);
+
+  /// Disarms timer `id` and releases its handler and id. Call it before
+  /// whatever the handler refers to dies, never from the handler itself.
+  void remove_timer(TimerId id);
+
   /// Attaches the sink that receives packet events (nullptr detaches).
   void set_packet_sink(PacketEventSink* sink) noexcept { sink_ = sink; }
 
@@ -115,7 +156,10 @@ class EventQueue {
   /// event, so attach only when profiling is wanted.
   void set_profile(EventLoopProfile* profile) noexcept { profile_ = profile; }
 
-  /// Runs the next event. Returns false when the queue is empty.
+  /// Runs the next event. Returns false when nothing is queued or armed;
+  /// then now() moves up to the latest deadline any timer was ever armed
+  /// for, which is where a queue that left superseded deadlines in place
+  /// (and fired them as no-ops) would stop after draining.
   bool step();
 
   /// Runs every event with timestamp <= `t`, then advances now to `t`
@@ -127,30 +171,67 @@ class EventQueue {
   std::size_t run_all(std::size_t max_events = static_cast<std::size_t>(-1));
 
  private:
+  /// What a fired entry's slot refers to.
+  enum class Target : std::uint8_t { kHandler, kPacket, kTimer };
+
   struct Entry {
     double time;
     std::uint64_t seq;   ///< Tiebreak: FIFO among same-time events.
-    std::uint32_t slot;  ///< Handler-slab index, or packet slot if `packet`.
+    std::uint32_t slot;  ///< Handler-slab index, packet slot or timer id.
     EventKind kind;
-    bool packet;
+    Target target;
   };
   static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
+
+  static constexpr std::uint32_t kDisarmed = ~std::uint32_t{0};
+  struct Timer {
+    Handler fn;
+    EventKind kind = EventKind::kGeneric;
+    std::uint32_t pos = kDisarmed;  ///< Index in timer_heap_.
+  };
 
   [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  void push(const Entry& entry);
-  /// Removes and returns the earliest entry. Precondition: !empty().
-  Entry pop();
-  /// Runs one popped entry's handler or hands it to the sink.
+  /// 4-ary sift of `entry` from hole `i` of `heap`; `place(i, e)` stores e
+  /// at i (the timer heap also records the position).
+  template <class Place>
+  static void sift_up(std::vector<Entry>& heap, std::size_t i, Entry entry,
+                      Place place);
+  template <class Place>
+  static void sift_down(std::vector<Entry>& heap, std::size_t i, Entry entry,
+                        Place place);
+
+  /// A packet entry at `time` (clamped to now), drawing the next seq.
+  /// Throws std::logic_error with no sink attached.
+  Entry packet_entry(double time, EventKind kind, std::uint32_t slot);
+  void push_heap(const Entry& entry);
+  void pop_heap();
+  void push_lane(const Entry& entry);
+  /// Stores `entry` at `i` of the timer heap and restores heap order.
+  void place_timer(std::size_t i, const Entry& entry);
+  void pop_timer();
+  /// Removes the earliest entry into `out` when its time is <= `limit`.
+  bool pop_until(double limit, Entry& out);
+  /// Advances the clock to `entry`, runs it and accounts it.
+  void fire(const Entry& entry);
+  /// Runs a popped entry's handler or timer, or hands it to the sink.
   void dispatch(const Entry& entry);
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  double latest_arm_ = 0.0;  ///< Latest deadline any timer was armed for.
   EventLoopProfile* profile_ = nullptr;
   PacketEventSink* sink_ = nullptr;
   std::vector<Entry> heap_;  ///< 4-ary min-heap by earlier().
+  std::vector<Entry> lane_;  ///< Ring buffer; capacity a power of two.
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  std::vector<Entry> timer_heap_;  ///< 4-ary min-heap of armed timers.
+  /// A deque so a firing handler stays put while it adds timers.
+  std::deque<Timer> timers_;
+  std::vector<TimerId> free_timers_;
   std::vector<Handler> handlers_;
   std::vector<std::uint32_t> free_handlers_;
 };

@@ -312,8 +312,8 @@ void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
         // Back out of the uplink after the edge's processing latency.
         pool_[slot].hop.node = node;
         pool_[slot].hop.port = 0;
-        events_.schedule_packet_at(now() + config_.switch_latency_s,
-                                   EventKind::kEdgeProcess, slot);
+        events_.schedule_packet_fifo(now() + config_.switch_latency_s,
+                                     EventKind::kEdgeProcess, slot);
         return;
       }
       case dataplane::EdgeNode::Verdict::kDrop:
@@ -378,8 +378,8 @@ void Network::apply_decision(topo::NodeId node, topo::PortIndex in_port,
                    DropReason::kNoViablePort, in_port, &packet});
   pool_[slot].hop.node = node;
   pool_[slot].hop.port = decision.out_port;
-  events_.schedule_packet_at(now() + config_.switch_latency_s,
-                             EventKind::kSwitchProcess, slot);
+  events_.schedule_packet_fifo(now() + config_.switch_latency_s,
+                               EventKind::kSwitchProcess, slot);
 }
 
 void Network::stage_arrival(topo::NodeId node, topo::PortIndex in_port,

@@ -17,8 +17,15 @@ ReactiveController::ReactiveController(Network& network, double reaction_delay_s
     config.plan_protection = false;
     engine_.emplace(net_->topology(), *store_, config);
   }
+  reaction_timer_ =
+      net_->events().add_timer(EventKind::kLinkState, [this] { react(); });
   net_->set_link_state_hook(
       [this](topo::LinkId link, bool up) { on_link_event(link, up); });
+}
+
+ReactiveController::~ReactiveController() {
+  net_->set_link_state_hook(nullptr);
+  net_->events().remove_timer(reaction_timer_);
 }
 
 void ReactiveController::watch_flow(topo::NodeId src_edge, topo::NodeId dst_edge,
@@ -45,10 +52,7 @@ void ReactiveController::on_link_event(topo::LinkId link, bool up) {
   }
   // A burst of simultaneous link events produces one reaction after the
   // delay (the controller batches what it learned).
-  const std::uint64_t epoch = ++pending_epoch_;
-  net_->events().schedule_in(delay_, EventKind::kLinkState, [this, epoch] {
-    if (epoch == pending_epoch_) react();
-  });
+  net_->events().arm_timer_at(reaction_timer_, net_->now() + delay_);
 }
 
 void ReactiveController::react() {

@@ -40,6 +40,8 @@ class ReactiveController {
       Network& network, double reaction_delay_s,
       ctrlplane::EngineMode mode = ctrlplane::EngineMode::kIncremental);
 
+  ~ReactiveController();
+
   ReactiveController(const ReactiveController&) = delete;
   ReactiveController& operator=(const ReactiveController&) = delete;
 
@@ -87,7 +89,9 @@ class ReactiveController {
   std::vector<ctrlplane::LinkChange> pending_events_;
   std::uint64_t reactions_ = 0;
   std::uint64_t recomputes_ = 0;
-  std::uint64_t pending_epoch_ = 0;  ///< Coalesces bursts of link events.
+  /// Fires react() one delay after the latest link event: re-armed by each
+  /// event, so a burst of them coalesces into one reaction.
+  EventQueue::TimerId reaction_timer_ = 0;
 };
 
 }  // namespace kar::sim

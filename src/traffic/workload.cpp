@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "routing/controller.hpp"
+#include "stats/summary.hpp"
 #include "topology/autoroute.hpp"
 #include "topology/builders.hpp"
 #include "transport/flows.hpp"
@@ -243,16 +244,32 @@ WorkloadResult Workload::run(sim::NetworkConfig config) const {
   (void)net.events().run_all();
 
   result.sim_end_s = net.events().now();
-  double goodput_sum = 0.0;
+  std::uint64_t segments_sent = 0;
+  std::vector<double> fct_s;
+  std::vector<double> goodput_mbps;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& flow = *flows[i];
-    if (flow.sender().complete()) ++result.completed;
     result.segments_delivered += flow.receiver().stats().delivered_segments;
     result.retransmits += flow.sender().stats().retransmits;
-    goodput_sum += flow.goodput_mbps(plan_[i].start_s, result.sim_end_s);
+    segments_sent += flow.sender().stats().segments_sent;
+    if (!flow.sender().complete()) continue;
+    ++result.completed;
+    const double fct = flow.sender().completion_time_s() - plan_[i].start_s;
+    fct_s.push_back(fct);
+    goodput_mbps.push_back(
+        static_cast<double>(flow.receiver().stats().delivered_bytes) * 8.0 /
+        fct / 1e6);
   }
-  result.mean_goodput_mbps =
-      goodput_sum / static_cast<double>(std::max<std::size_t>(flows.size(), 1));
+  if (segments_sent > 0) {
+    result.retransmit_share = static_cast<double>(result.retransmits) /
+                              static_cast<double>(segments_sent);
+  }
+  if (!fct_s.empty()) {
+    result.fct_p50_s = stats::percentile(fct_s, 50.0);
+    result.fct_p99_s = stats::percentile(fct_s, 99.0);
+    result.goodput_p50_mbps = stats::percentile(goodput_mbps, 50.0);
+    result.goodput_p99_mbps = stats::percentile(goodput_mbps, 99.0);
+  }
   result.counters = net.counters();
   return result;
 }

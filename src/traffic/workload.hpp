@@ -90,7 +90,16 @@ struct WorkloadResult {
   std::size_t peak_concurrent = 0;  ///< Max simultaneously active flows.
   std::uint64_t segments_delivered = 0;
   std::uint64_t retransmits = 0;
-  double mean_goodput_mbps = 0.0;  ///< Per-flow mean over each flow's life.
+  /// Retransmissions per data segment put on the wire.
+  double retransmit_share = 0.0;
+  /// Flow completion time (start to the final cumulative ACK) over the
+  /// completed flows; 0 when none completed.
+  double fct_p50_s = 0.0;
+  double fct_p99_s = 0.0;
+  /// Per-flow goodput over the flow's own lifetime (payload delivered in
+  /// order / FCT), over the completed flows; 0 when none completed.
+  double goodput_p50_mbps = 0.0;
+  double goodput_p99_mbps = 0.0;
   double sim_end_s = 0.0;
   sim::NetworkCounters counters;  ///< Includes drop_aqm_early under RED.
 };

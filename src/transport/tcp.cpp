@@ -26,7 +26,12 @@ TcpSender::TcpSender(sim::Network& network, const routing::EncodedRoute& data_ro
       ssthresh_(static_cast<double>(params.receiver_window_segments)),
       dupthresh_(params.dupack_threshold),
       rto_(params.initial_rto_s),
-      jitter_rng_(common::derive_seed(flow_id, /*salt=*/0x52544f)) {}
+      jitter_rng_(common::derive_seed(flow_id, /*salt=*/0x52544f)) {
+  rto_timer_ = net_->events().add_timer(sim::EventKind::kTransportTimer,
+                                        [this] { on_rto(); });
+}
+
+TcpSender::~TcpSender() { net_->events().remove_timer(rto_timer_); }
 
 void TcpSender::set_observability(const TcpObservability& sinks) {
   trace_ = sinks.trace;
@@ -137,22 +142,17 @@ void TcpSender::maybe_send() {
 }
 
 void TcpSender::restart_rto() {
-  ++rto_epoch_;
   rto_armed_ = true;
-  const std::uint64_t epoch = rto_epoch_;
   double delay = rto_;
   if (params_.rto_jitter > 0.0) {
     delay *= 1.0 + params_.rto_jitter * (jitter_rng_.uniform() - 0.5);
   }
-  net_->events().schedule_in(delay, sim::EventKind::kTransportTimer,
-                             [this, epoch] {
-                               if (rto_armed_ && epoch == rto_epoch_) on_rto();
-                             });
+  net_->events().arm_timer_at(rto_timer_, net_->now() + delay);
 }
 
 void TcpSender::cancel_rto() {
   rto_armed_ = false;
-  ++rto_epoch_;
+  net_->events().disarm_timer(rto_timer_);
 }
 
 void TcpSender::on_rto() {
@@ -350,6 +350,7 @@ void TcpSender::on_new_ack(std::uint64_t ack, std::uint64_t prev_highest_sacked)
     }
   }
   snd_una_ = ack;
+  if (completed_at_s_ < 0.0 && complete()) completed_at_s_ = net_->now();
   if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
   if (snd_una_ == snd_nxt_ && snd_una_ == highest_sent_) {
     cancel_rto();

@@ -100,6 +100,11 @@ class TcpSender {
   /// The network and route must outlive the sender.
   TcpSender(sim::Network& network, const routing::EncodedRoute& data_route,
             std::uint64_t flow_id, TcpParams params = {});
+  ~TcpSender();
+
+  /// The RTO timer's handler refers to this object.
+  TcpSender(const TcpSender&) = delete;
+  TcpSender& operator=(const TcpSender&) = delete;
 
   /// Begins (unbounded) bulk transmission at the current simulation time.
   void start();
@@ -122,6 +127,10 @@ class TcpSender {
   /// segment has been cumulatively ACKed.
   [[nodiscard]] bool complete() const noexcept {
     return params_.limit_segments != 0 && snd_una_ >= params_.limit_segments;
+  }
+  /// Simulation time at which complete() became true; negative before.
+  [[nodiscard]] double completion_time_s() const noexcept {
+    return completed_at_s_;
   }
   /// Effective duplicate-ACK threshold after reordering adaptation.
   [[nodiscard]] std::uint32_t dupack_threshold() const noexcept {
@@ -167,6 +176,7 @@ class TcpSender {
   std::uint32_t dupthresh_ = 3;  ///< Adapted duplicate-ACK threshold.
   bool in_recovery_ = false;
   std::uint64_t recover_ = 0;   ///< NewReno recovery point.
+  double completed_at_s_ = -1.0;
 
   /// SACK scoreboard: segments above snd_una_ known to have arrived.
   std::set<std::uint64_t> scoreboard_;
@@ -179,8 +189,10 @@ class TcpSender {
   double rttvar_ = 0.0;
   double rto_ = 1.0;
   bool have_rtt_ = false;
-  std::uint64_t rto_epoch_ = 0;  ///< Invalidates superseded timer events.
+  /// Set by restart_rto(), cleared by cancel_rto() only: a firing RTO
+  /// stays "armed" through on_rto(), which re-arms it at its end.
   bool rto_armed_ = false;
+  sim::EventQueue::TimerId rto_timer_ = 0;
   common::Rng jitter_rng_;  ///< Per-flow RTO jitter stream (rto_jitter > 0).
 
   /// Send timestamps of unretransmitted segments (Karn's rule), oldest

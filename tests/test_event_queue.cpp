@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -109,28 +110,42 @@ TEST(EventQueue, PacketEventsNeedASink) {
 
 // -- differential ordering test against the former priority_queue ----------
 
-/// The scheduler the 4-ary heap replaced: std::priority_queue over
-/// (time, seq) with std::function entries. Test-only ordering oracle.
+using FireFn = std::function<void(std::uint32_t)>;
+
+/// The scheduler the production queue replaced: std::priority_queue over
+/// (time, seq) with std::function entries, timers as eagerly scheduled
+/// events behind an epoch guard (a superseded or disarmed deadline stays
+/// queued and fires as a no-op) and no FIFO lane. Test-only ordering oracle.
 class ReferenceQueue {
  public:
+  static constexpr std::size_t kTimers = 8;
   [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  void schedule(double time, std::uint32_t id,
-                const std::function<void(std::uint32_t)>& fire) {
-    if (time < now_) time = now_;
-    heap_.push(Entry{time, next_seq_++, [fire, id] { fire(id); }});
+  void schedule(double time, std::uint32_t id, const FireFn& fire) {
+    push(time, [fire, id] { fire(id); });
   }
-  std::size_t run_until(double t) {
-    std::size_t processed = 0;
-    while (!heap_.empty() && heap_.top().time <= t) {
-      Entry entry = heap_.top();
-      heap_.pop();
-      now_ = entry.time;
-      entry.fn();
-      ++processed;
-    }
+  void schedule_fifo(double time, std::uint32_t id, const FireFn& fire) {
+    schedule(time, id, fire);
+  }
+  void arm(std::size_t timer, double time, std::uint32_t id,
+           const FireFn& fire) {
+    const std::uint64_t epoch = ++epoch_[timer];
+    armed_[timer] = true;
+    push(time, [this, timer, epoch, fire, id] {
+      if (!armed_[timer] || epoch != epoch_[timer]) return;
+      armed_[timer] = false;
+      fire(id);
+    });
+  }
+  void disarm(std::size_t timer) {
+    armed_[timer] = false;
+    ++epoch_[timer];
+  }
+  void run_until(double t) {
+    while (!heap_.empty() && heap_.top().time <= t) pop_and_run();
     if (now_ < t) now_ = t;
-    return processed;
+  }
+  void run_all() {
+    while (!heap_.empty()) pop_and_run();
   }
 
  private:
@@ -145,21 +160,39 @@ class ReferenceQueue {
       return a.seq > b.seq;
     }
   };
+  void push(double time, std::function<void()> fn) {
+    if (time < now_) time = now_;
+    heap_.push(Entry{time, next_seq_++, std::move(fn)});
+  }
+  void pop_and_run() {
+    Entry entry = heap_.top();
+    heap_.pop();
+    now_ = entry.time;
+    entry.fn();
+  }
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::array<std::uint64_t, kTimers> epoch_{};
+  std::array<bool, kTimers> armed_{};
 };
 
 /// The production queue behind the same interface. Odd ids go in as
 /// packet events (through the sink), even ids as handler events, so both
-/// entry types share one ordering.
+/// entry types share one ordering; FIFO pushes are packet events in the
+/// lane, and timers are re-armable queue timers.
 class HeapQueue : private PacketEventSink {
  public:
-  HeapQueue() { q_.set_packet_sink(this); }
+  static constexpr std::size_t kTimers = ReferenceQueue::kTimers;
+  HeapQueue() {
+    q_.set_packet_sink(this);
+    for (std::size_t k = 0; k < kTimers; ++k) {
+      timers_[k] = q_.add_timer(EventKind::kTransportTimer,
+                                [this, k] { (*fire_)(timer_ids_[k]); });
+    }
+  }
   [[nodiscard]] double now() const { return q_.now(); }
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  void schedule(double time, std::uint32_t id,
-                const std::function<void(std::uint32_t)>& fire) {
+  void schedule(double time, std::uint32_t id, const FireFn& fire) {
     fire_ = &fire;  // outlives the run; never reassigned while it executes
     if (id % 2 == 1) {
       q_.schedule_packet_at(time, EventKind::kLinkArrival, id);
@@ -167,29 +200,47 @@ class HeapQueue : private PacketEventSink {
       q_.schedule_at(time, [this, id] { (*fire_)(id); });
     }
   }
-  std::size_t run_until(double t) { return q_.run_until(t); }
+  void schedule_fifo(double time, std::uint32_t id, const FireFn& fire) {
+    fire_ = &fire;
+    q_.schedule_packet_fifo(time, EventKind::kSwitchProcess, id);
+  }
+  void arm(std::size_t timer, double time, std::uint32_t id,
+           const FireFn& fire) {
+    fire_ = &fire;
+    timer_ids_[timer] = id;
+    q_.arm_timer_at(timers_[timer], time);
+  }
+  void disarm(std::size_t timer) { q_.disarm_timer(timers_[timer]); }
+  void run_until(double t) { q_.run_until(t); }
+  void run_all() { q_.run_all(); }
 
  private:
   void on_packet_event(EventKind, std::uint32_t slot) override {
     (*fire_)(slot);
   }
   EventQueue q_;
-  const std::function<void(std::uint32_t)>* fire_ = nullptr;
+  const FireFn* fire_ = nullptr;
+  std::array<EventQueue::TimerId, kTimers> timers_{};
+  std::array<std::uint32_t, kTimers> timer_ids_{};
 };
 
 /// Runs one seeded schedule: a burst of initial events on a coarse time
 /// grid (many exact ties), each firing event spawning 0-2 children whose
-/// number and times depend only on the firing event's id — at the same
-/// instant, later grid points, or in the past (clamped to now) — driven
-/// by run_until steps whose boundaries land on grid points (including
-/// repeats). Returns (id, time) per firing plus (-1, now) per boundary.
+/// kind and time depend only on the firing event's id — plain events at
+/// the same instant, later grid points, or in the past (clamped to now);
+/// FIFO-lane pushes a fixed 0, 0.25 or 0.5 after now (so some fall back to
+/// the heap); arms of one of a few timers, which re-arm later or earlier
+/// (an RTO shrink) than their current deadline; and disarms. Driven by
+/// run_until steps whose boundaries land on grid points (including
+/// repeats), then a drain after every timer's deadline shrank. Returns (id, time) per firing plus (-1, now)
+/// per boundary and (-2, now) after the drain.
 template <class Queue>
 std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
   constexpr std::uint32_t kMaxEvents = 20000;
   Queue q;
   std::vector<std::pair<std::int64_t, double>> log;
   std::uint32_t next_id = 0;
-  std::function<void(std::uint32_t)> fire;
+  FireFn fire;
   const auto child_time = [&q](common::Rng& rng) {
     switch (rng.below(4)) {
       case 0: return q.now();                                      // tie
@@ -202,19 +253,42 @@ std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
     common::Rng rng(common::derive_seed(seed, id));
     const std::uint64_t children = rng.below(3);
     for (std::uint64_t c = 0; c < children && next_id < kMaxEvents; ++c) {
-      q.schedule(child_time(rng), next_id++, fire);
+      const std::size_t timer = rng.below(Queue::kTimers);
+      switch (rng.below(5)) {
+        case 0:
+          q.schedule_fifo(q.now() + 0.25 * static_cast<double>(rng.below(3)),
+                          next_id++, fire);
+          break;
+        case 1:
+          q.arm(timer, child_time(rng), next_id++, fire);
+          break;
+        case 2:
+          q.disarm(timer);
+          break;
+        default:
+          q.schedule(child_time(rng), next_id++, fire);
+      }
     }
   };
   common::Rng rng(seed);
   for (int i = 0; i < 500; ++i) {
     q.schedule(0.25 * static_cast<double>(rng.below(40)), next_id++, fire);
   }
-  double boundary = 0.0;
-  while (!q.empty()) {
+  for (double boundary = 0.0; boundary < 60.0;) {
     boundary += 0.25 * static_cast<double>(rng.below(4));
     q.run_until(boundary);
     log.emplace_back(-1, q.now());
   }
+  // Stop spawning and shrink every timer's deadline before the drain: the
+  // eager queue still fires each superseded deadline as a no-op, so the
+  // clock must end on the latest deadline ever armed.
+  next_id = kMaxEvents;
+  for (std::uint32_t k = 0; k < Queue::kTimers; ++k) {
+    q.arm(k, q.now() + 2.0, kMaxEvents + 2 * k, fire);
+    q.arm(k, q.now() + 0.5, kMaxEvents + 2 * k + 1, fire);
+  }
+  q.run_all();
+  log.emplace_back(-2, q.now());
   return log;
 }
 
@@ -227,6 +301,65 @@ TEST(EventQueue, FourAryHeapFiresExactlyLikeThePriorityQueueReference) {
     ASSERT_GT(expected.size(), 500u);
     ASSERT_EQ(actual, expected) << "seed " << seed;
   }
+}
+
+TEST(EventQueue, ReArmedTimerKeepsOneEntryAndFiresAtItsLastDeadline) {
+  EventQueue q;
+  std::vector<double> fired;
+  const EventQueue::TimerId rto =
+      q.add_timer(EventKind::kTransportTimer, [&] { fired.push_back(q.now()); });
+  q.arm_timer_at(rto, 1.0);
+  for (int i = 1; i <= 100; ++i) q.arm_timer_at(rto, 1.0 + 0.01 * i);  // later
+  EXPECT_EQ(q.pending(), 1u);
+  q.arm_timer_at(rto, 0.2);  // shrink
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run_until(0.5), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{0.2}));
+  EXPECT_TRUE(q.empty());
+  // A drain leaves the clock where an eager queue firing the superseded
+  // deadlines as no-ops would: at the latest deadline ever armed (2.0).
+  EXPECT_EQ(q.run_all(), 0u);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueue, DisarmedAndRemovedTimersNeverFire) {
+  EventQueue q;
+  int a_fired = 0;
+  int b_fired = 0;
+  const EventQueue::TimerId a =
+      q.add_timer(EventKind::kLinkState, [&] { ++a_fired; });
+  const EventQueue::TimerId b =
+      q.add_timer(EventKind::kLinkState, [&] { ++b_fired; });
+  q.arm_timer_at(a, 1.0);
+  q.arm_timer_at(b, 2.0);
+  q.disarm_timer(a);
+  q.disarm_timer(a);  // idempotent
+  q.remove_timer(b);
+  EXPECT_TRUE(q.empty());
+  q.run_all();
+  EXPECT_EQ(a_fired + b_fired, 0);
+  // A removed timer's id is reused by the next add_timer.
+  int c_fired = 0;
+  EXPECT_EQ(q.add_timer(EventKind::kLinkState, [&] { ++c_fired; }), b);
+  q.arm_timer_at(b, 3.0);
+  q.run_all();
+  EXPECT_EQ(c_fired, 1);
+  EXPECT_THROW((void)q.add_timer(EventKind::kLinkState, nullptr),
+               std::invalid_argument);
+}
+
+TEST(EventQueue, ProfileAccountsTimersUnderTheirKind) {
+  EventQueue q;
+  EventLoopProfile profile;
+  q.set_profile(&profile);
+  const EventQueue::TimerId t = q.add_timer(EventKind::kTransportTimer, [] {});
+  q.arm_timer_at(t, 1.0);
+  q.arm_timer_at(t, 2.0);
+  q.run_all();
+  const auto& timer_stats =
+      profile.kinds[static_cast<std::size_t>(EventKind::kTransportTimer)];
+  EXPECT_EQ(timer_stats.count, 1u);
+  EXPECT_EQ(profile.total_events(), 1u);
 }
 
 }  // namespace

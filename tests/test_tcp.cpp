@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "topology/builders.hpp"
 #include "transport/flows.hpp"
 #include "transport/udp.hpp"
@@ -275,6 +278,50 @@ TEST_F(TcpFixture, KarnSkipsFastRetransmittedSegmentsButSamplesTheRest) {
   ack.ack = 5;  // 1..3 were sent once at t = 0; 4 was retransmitted
   sender.on_ack(ack);
   EXPECT_DOUBLE_EQ(sender.srtt_s(), 0.2);
+}
+
+// The RTO is one re-armable queue timer: restarting it on every ACK moves
+// its one entry instead of leaving the superseded deadline queued, so the
+// queue holds one event per packet on the wire plus a few flow-level ones.
+TEST_F(TcpFixture, QueueHoldsOnlyLiveEventsOverALongBulkTransfer) {
+  sim::Network net(scenario.topology, controller, {});
+  FlowDispatcher dispatcher(net);
+  TcpParams params;
+  params.receiver_window_segments = 128;
+  BulkTransferFlow flow(net, dispatcher, forward_route(), reverse_route(),
+                        /*flow_id=*/1, params);
+  flow.start_at(0.0);
+  flow.stop_at(10.0);
+  // Flow-level entries: the stop event and the RTO timer.
+  constexpr std::size_t kFlowEntries = 2;
+  std::size_t max_pending = 0;
+  for (double t = 0.005; t < 10.0; t += 0.005) {
+    net.events().run_until(t);
+    max_pending = std::max(max_pending, net.events().pending());
+    ASSERT_LE(net.events().pending(), net.packets_in_flight() + kFlowEntries)
+        << "at t = " << t;
+  }
+  EXPECT_GT(flow.receiver().stats().delivered_segments, 50000u);
+  EXPECT_GT(max_pending, 100u);  // the pipe was genuinely full
+}
+
+// A sender destroyed while its RTO is armed must never be called back
+// (the sanitizer presets turn a stale callback into a use-after-free).
+TEST_F(TcpFixture, DestroyedSenderIsNeverCalledByItsQueuedTimer) {
+  sim::Network net(scenario.topology, controller, {});
+  const routing::EncodedRoute route = forward_route();
+  auto sender = std::make_unique<TcpSender>(net, route, /*flow_id=*/1);
+  sender->start();  // segments 0..9 out at t = 0, RTO armed for t = 1
+  net.events().run_until(0.5);
+  ASSERT_EQ(sender->stats().timeouts, 0u);
+  sender.reset();
+  EXPECT_TRUE(net.events().empty());  // the segments arrived; no timer left
+  net.events().run_all();
+  // The released timer id serves the next sender, whose RTO does fire.
+  TcpSender next(net, route, /*flow_id=*/2);
+  next.start();
+  net.events().run_until(net.now() + 1.5);
+  EXPECT_EQ(next.stats().timeouts, 1u);
 }
 
 }  // namespace

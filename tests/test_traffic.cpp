@@ -95,7 +95,13 @@ TEST(TrafficRun, ConcurrentFlowsShareTheBottleneckUnderRed) {
   EXPECT_EQ(result.completed, 48u);
   EXPECT_EQ(result.segments_delivered, 48u * 150u);
   EXPECT_GT(result.peak_concurrent, 8u);  // genuinely concurrent, not serial
-  EXPECT_GT(result.mean_goodput_mbps, 0.0);
+  EXPECT_GT(result.fct_p50_s, 0.0);
+  EXPECT_GE(result.fct_p99_s, result.fct_p50_s);
+  EXPECT_LT(result.fct_p99_s, spec.horizon_s);
+  EXPECT_GT(result.goodput_p50_mbps, 0.0);
+  EXPECT_LE(result.goodput_p99_mbps, 100.0);  // no flow beats the bottleneck
+  EXPECT_GT(result.retransmit_share, 0.0);
+  EXPECT_LT(result.retransmit_share, 1.0);
   // RED on a congested 100 Mb/s queue must fire early drops.
   EXPECT_GT(result.counters.drop_aqm_early, 0u);
 
@@ -105,7 +111,36 @@ TEST(TrafficRun, ConcurrentFlowsShareTheBottleneckUnderRed) {
   EXPECT_EQ(rerun.retransmits, result.retransmits);
   EXPECT_EQ(rerun.counters.drop_aqm_early, result.counters.drop_aqm_early);
   EXPECT_EQ(rerun.peak_concurrent, result.peak_concurrent);
-  EXPECT_DOUBLE_EQ(rerun.mean_goodput_mbps, result.mean_goodput_mbps);
+  EXPECT_DOUBLE_EQ(rerun.fct_p99_s, result.fct_p99_s);
+  EXPECT_DOUBLE_EQ(rerun.goodput_p50_mbps, result.goodput_p50_mbps);
+}
+
+// Per-flow numbers are measured over each flow's own lifetime, so a
+// horizon far past the last completion changes none of them.
+TEST(TrafficRun, FlowMetricsDoNotDependOnTheHorizon) {
+  WorkloadSpec spec;
+  spec.flows = 48;
+  spec.arrivals = ArrivalProcess::kUniform;
+  spec.arrival_rate_per_s = 48.0;
+  spec.sizes = SizeDistribution::kFixed;
+  spec.fixed_segments = 150;
+  spec.seed = 5;
+  spec.host_fan = 4;
+  spec.horizon_s = 60.0;
+  const WorkloadResult short_run =
+      Workload(topogen::make_internet2({.red = true}), spec).run();
+  spec.horizon_s = 3600.0;
+  const WorkloadResult long_run =
+      Workload(topogen::make_internet2({.red = true}), spec).run();
+  ASSERT_EQ(short_run.completed, 48u);
+  ASSERT_EQ(long_run.completed, 48u);
+  EXPECT_EQ(long_run.segments_delivered, short_run.segments_delivered);
+  EXPECT_DOUBLE_EQ(long_run.retransmit_share, short_run.retransmit_share);
+  EXPECT_DOUBLE_EQ(long_run.fct_p50_s, short_run.fct_p50_s);
+  EXPECT_DOUBLE_EQ(long_run.fct_p99_s, short_run.fct_p99_s);
+  EXPECT_DOUBLE_EQ(long_run.goodput_p50_mbps, short_run.goodput_p50_mbps);
+  EXPECT_DOUBLE_EQ(long_run.goodput_p99_mbps, short_run.goodput_p99_mbps);
+  EXPECT_GT(short_run.goodput_p50_mbps, 0.1);
 }
 
 TEST(TrafficRun, RejectsDegenerateSpecs) {
