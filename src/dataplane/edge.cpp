@@ -6,7 +6,11 @@ namespace kar::dataplane {
 
 EdgeNode::EdgeNode(const topo::Topology& topology, topo::NodeId node,
                    const routing::Controller& controller, WrongEdgePolicy policy)
-    : topo_(&topology), node_(node), controller_(&controller), policy_(policy) {
+    : topo_(&topology),
+      node_(node),
+      controller_(&controller),
+      policy_(policy),
+      memoize_(controller.path_options().ignore_failures) {
   if (topology.kind(node) != topo::NodeKind::kEdgeNode) {
     throw std::invalid_argument("EdgeNode: " + topology.name(node) +
                                 " is not an edge node");
@@ -37,24 +41,45 @@ EdgeNode::Verdict EdgeNode::receive(Packet& packet) const {
     case WrongEdgePolicy::kBounceBack:
       // Unchanged re-entry; an HP packet keeps its random-walk marking.
       return Verdict::kReinject;
-    case WrongEdgePolicy::kReencode: {
+    case WrongEdgePolicy::kReencode:
       // The controller computes a fresh route ID from this edge to the
-      // destination, reusing compatible protection assignments.
-      routing::EncodedRoute original;
-      original.route_id = packet.kar.route_id;
-      original.dst_edge = packet.dst_edge;
-      // Only the destination and route ID matter for reencode_from's
-      // protection-reuse; reconstructing assignments from the ID alone is
-      // not possible, so re-encode without them (a fresh unprotected path).
-      const auto fresh = controller_->reencode_from(node_, original);
-      if (!fresh) return Verdict::kDrop;
-      packet.kar.route_id = fresh->route_id;
+      // destination.
+      if (!reencode_to(packet.dst_edge, packet.kar.route_id)) {
+        return Verdict::kDrop;
+      }
       packet.kar.deflected = false;  // fresh route: HP marking cleared
       packet.reencode_count += 1;
       return Verdict::kReinject;
-    }
   }
   throw std::logic_error("EdgeNode::receive: bad policy");
+}
+
+bool EdgeNode::reencode_to(topo::NodeId dst_edge,
+                           rns::BigUint& route_id) const {
+  const auto fresh = [this, dst_edge] {
+    // Only the destination matters: the protection assignments
+    // reencode_from would reuse cannot be recovered from a route ID, so
+    // the fresh path is unprotected.
+    routing::EncodedRoute original;
+    original.dst_edge = dst_edge;
+    return controller_->reencode_from(node_, original);
+  };
+  if (!memoize_ || dst_edge >= topo_->node_count()) {
+    const auto route = fresh();
+    if (!route) return false;
+    route_id = route->route_id;
+    return true;
+  }
+  if (reencoded_.empty()) reencoded_.resize(topo_->node_count());
+  Reencoded& memo = reencoded_[dst_edge];
+  if (memo.state == Reencoded::State::kUnknown) {
+    const auto route = fresh();
+    memo.state = route ? Reencoded::State::kRoute : Reencoded::State::kNoRoute;
+    if (route) memo.route_id = route->route_id;
+  }
+  if (memo.state == Reencoded::State::kNoRoute) return false;
+  route_id = memo.route_id;
+  return true;
 }
 
 }  // namespace kar::dataplane

@@ -5,10 +5,17 @@
 // remark): bounce the packet back unchanged, or ask the controller to
 // re-encode the route ID from here to the destination (the policy used in
 // all of the paper's tests).
+//
+// Under the paper's evaluation policy the controller ignores failure
+// notifications, so a re-encode reads only the fixed topology structure
+// and link params: its answer depends on the destination alone. The edge
+// then memoizes it per destination edge. Like KarSwitch's ResidueCache,
+// the memo holds only results of a pure function; an edge whose
+// controller honours failures recomputes every time.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "dataplane/packet.hpp"
 #include "routing/controller.hpp"
@@ -32,7 +39,8 @@ inline constexpr std::size_t kBaseHeaderBytes = 54;
 class EdgeNode {
  public:
   /// `controller` is consulted only for wrong-edge re-encoding; the
-  /// referenced objects must outlive the edge node.
+  /// referenced objects must outlive the edge node, and the topology's
+  /// structure and link params must not change while it lives.
   EdgeNode(const topo::Topology& topology, topo::NodeId node,
            const routing::Controller& controller,
            WrongEdgePolicy policy = WrongEdgePolicy::kReencode);
@@ -60,10 +68,25 @@ class EdgeNode {
   [[nodiscard]] Verdict receive(Packet& packet) const;
 
  private:
+  /// The kReencode answer toward one destination edge.
+  struct Reencoded {
+    enum class State : std::uint8_t { kUnknown, kRoute, kNoRoute };
+    State state = State::kUnknown;
+    rns::BigUint route_id;
+  };
+
+  /// Writes a fresh route ID from this edge to `dst_edge` into `route_id`;
+  /// false when there is no route.
+  bool reencode_to(topo::NodeId dst_edge, rns::BigUint& route_id) const;
+
   const topo::Topology* topo_;
   topo::NodeId node_;
   const routing::Controller* controller_;
   WrongEdgePolicy policy_;
+  /// The controller ignores failures, so re-encodes are memoized.
+  bool memoize_;
+  /// Indexed by destination node; sized on the first memoized re-encode.
+  mutable std::vector<Reencoded> reencoded_;
 };
 
 }  // namespace kar::dataplane

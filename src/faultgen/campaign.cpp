@@ -33,6 +33,59 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
   }
 }
 
+namespace {
+
+/// The run's traffic source: packet i leaves the route's source edge at
+/// i * interval with a payload drawn from `rng`. It keeps one pending
+/// injection and schedules the next when the current one fires. The run's
+/// block of seqs is reserved at construction, so each injection keeps the
+/// (time, seq) key it would have had if all were queued at setup, and
+/// payloads are drawn in the same order. The pending event refers to the
+/// injector, which must outlive the run's event loop.
+class Injector {
+ public:
+  Injector(sim::Network& net, const routing::EncodedRoute& route,
+           common::Rng rng, double interval, std::size_t count)
+      : net_(net),
+        route_(route),
+        rng_(rng),
+        interval_(interval),
+        count_(count),
+        first_seq_(net.events().reserve_seqs(count)) {
+    schedule_next();
+  }
+  Injector(const Injector&) = delete;
+  Injector& operator=(const Injector&) = delete;
+
+ private:
+  void schedule_next() {
+    if (next_ == count_) return;
+    payload_ = 64 + rng_.below(1137);  // 64..1200 B
+    net_.events().schedule_at_seq(static_cast<double>(next_) * interval_,
+                                  first_seq_ + next_, sim::EventKind::kGeneric,
+                                  [this] { fire(); });
+  }
+  void fire() {
+    Packet p;
+    p.transport = dataplane::Datagram{static_cast<std::uint64_t>(next_)};
+    net_.edge_at(route_.src_edge).stamp(p, route_, payload_);
+    ++next_;
+    schedule_next();
+    net_.inject(route_.src_edge, std::move(p));
+  }
+
+  sim::Network& net_;
+  const routing::EncodedRoute& route_;
+  common::Rng rng_;
+  double interval_;
+  std::size_t count_;
+  std::uint64_t first_seq_;
+  std::size_t next_ = 0;     ///< Index of the pending injection.
+  std::size_t payload_ = 0;  ///< Its payload bytes.
+};
+
+}  // namespace
+
 std::uint64_t CampaignEngine::run_seed_at(std::size_t index) const noexcept {
   return common::derive_seed(config_.seed, index);
 }
@@ -127,17 +180,8 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
           ? config_.inject_interval_s
           : 0.6 * config_.schedule.horizon_s /
                 static_cast<double>(std::max<std::size_t>(config_.packets_per_run, 1));
-  common::Rng traffic_rng(run_seed ^ 0x7aff1c0de5eed000ULL);
-  for (std::size_t i = 0; i < config_.packets_per_run; ++i) {
-    const double at = static_cast<double>(i) * interval;
-    const std::size_t payload = 64 + traffic_rng.below(1137);  // 64..1200 B
-    net.events().schedule_at(at, [&net, &route, i, payload] {
-      Packet p;
-      p.transport = dataplane::Datagram{static_cast<std::uint64_t>(i)};
-      net.edge_at(route.src_edge).stamp(p, route, payload);
-      net.inject(route.src_edge, std::move(p));
-    });
-  }
+  Injector injector(net, route, common::Rng(run_seed ^ 0x7aff1c0de5eed000ULL),
+                    interval, config_.packets_per_run);
 
   setup_timer.stop();
 

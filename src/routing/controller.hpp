@@ -32,6 +32,9 @@ class Controller {
       : topo_(&topology), path_options_(path_options) {}
 
   [[nodiscard]] const topo::Topology& topology() const noexcept { return *topo_; }
+  [[nodiscard]] const PathOptions& path_options() const noexcept {
+    return path_options_;
+  }
 
   /// Encodes an explicit core path (switch node handles, ingress→egress)
   /// terminating at `dst_edge`, plus driven-deflection protection

@@ -22,7 +22,8 @@ std::string_view to_string(EventKind kind) {
   return "generic";
 }
 
-void EventQueue::schedule_at(double time, EventKind kind, Handler fn) {
+EventQueue::Entry EventQueue::handler_entry(double time, std::uint64_t seq,
+                                            EventKind kind, Handler fn) {
   if (!fn) throw std::invalid_argument("EventQueue: null handler");
   if (time < now_) time = now_;  // no scheduling into the past
   std::uint32_t slot;
@@ -34,7 +35,20 @@ void EventQueue::schedule_at(double time, EventKind kind, Handler fn) {
     free_handlers_.pop_back();
     handlers_[slot] = std::move(fn);
   }
-  push_heap(Entry{time, next_seq_++, slot, kind, Target::kHandler});
+  return Entry{time, seq, slot, kind, Target::kHandler};
+}
+
+void EventQueue::schedule_at(double time, EventKind kind, Handler fn) {
+  push_heap(handler_entry(time, next_seq_, kind, std::move(fn)));
+  ++next_seq_;
+}
+
+void EventQueue::schedule_at_seq(double time, std::uint64_t seq,
+                                 EventKind kind, Handler fn) {
+  if (seq >= next_seq_) {
+    throw std::invalid_argument("EventQueue: seq was never reserved");
+  }
+  push_heap(handler_entry(time, seq, kind, std::move(fn)));
 }
 
 EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,

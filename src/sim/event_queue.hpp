@@ -2,10 +2,11 @@
 // scheduling order (FIFO), which keeps simulations deterministic.
 //
 // Every entry is a 24-byte trivially copyable {time, seq, slot, kind,
-// target}, ordered by (time, seq) — seq is the scheduling counter, so the
-// firing order is a strict total order fixed at schedule time, whatever
-// structure holds the entry. The queue holds only live events, in three
-// places, and step() fires the earliest of their three heads:
+// target}, ordered by (time, seq) — seq is the scheduling counter (or one
+// reserved from it earlier, see reserve_seqs), so the firing order is a
+// strict total order fixed at schedule time, whatever structure holds the
+// entry. The queue holds only live events, in three places, and step()
+// fires the earliest of their three heads:
 //   * a 4-ary min-heap for events at arbitrary times;
 //   * a FIFO lane for callers whose successive times never decrease (the
 //     simulator's fixed-latency switch/edge hops): a ring buffer already
@@ -120,6 +121,22 @@ class EventQueue {
     schedule_at(now_ + delay, kind, std::move(fn));
   }
 
+  /// Reserves `count` consecutive seqs and returns the first. A source that
+  /// keeps one pending event, scheduling the next when the current one
+  /// fires, gives each the seq of its block with schedule_at_seq.
+  [[nodiscard]] std::uint64_t reserve_seqs(std::uint64_t count) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  /// schedule_at with a seq from reserve_seqs, each used once: the event
+  /// fires exactly where one scheduled at reserve time would have, provided
+  /// it is scheduled before that time passes. Throws std::invalid_argument
+  /// for a seq that was never reserved.
+  void schedule_at_seq(double time, std::uint64_t seq, EventKind kind,
+                       Handler fn);
+
   /// Schedules a packet event at `time` (clamped like schedule_at): when it
   /// fires, the attached sink receives (kind, slot). Same (time, seq)
   /// ordering as handler events. Throws std::logic_error with no sink.
@@ -203,6 +220,9 @@ class EventQueue {
   static void sift_down(std::vector<Entry>& heap, std::size_t i, Entry entry,
                         Place place);
 
+  /// A handler entry for `fn` at `time` (clamped to now) with `seq`.
+  Entry handler_entry(double time, std::uint64_t seq, EventKind kind,
+                      Handler fn);
   /// A packet entry at `time` (clamped to now), drawing the next seq.
   /// Throws std::logic_error with no sink attached.
   Entry packet_entry(double time, EventKind kind, std::uint32_t slot);

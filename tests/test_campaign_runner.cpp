@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -205,6 +207,56 @@ TEST(CampaignRunner, ParallelRunStillDetectsPlantedViolations) {
   EXPECT_EQ(parallel.reports.front().run_seed, serial.reports.front().run_seed);
   EXPECT_NE(sink.str().find("\"verdict\":\"violation\""), std::string::npos);
   EXPECT_NE(sink.str().find("\"first_violation\":"), std::string::npos);
+}
+
+// The rnp28 grid of the campaign_rnp28 benchmark (hot-potato, any-valid-
+// port and not-input-port deflection x the four schedule families, 200
+// packets per run; fewer runs per cell), pinned to a golden capture made
+// without the wrong-edge re-encode memo and with every injection queued at
+// setup. Both mechanisms claim to be exact; any drift in a counter or a
+// hexfloat summary fails here. Regenerate (only for an intended change)
+// with KAR_UPDATE_GOLDEN=1 ./build/tests/test_campaign_runner.
+TEST(CampaignRunner, Rnp28GridAggregatesMatchTheGoldenCapture) {
+  const std::string golden =
+      KAR_TESTS_SOURCE_DIR "/golden/campaign_rnp28_grid.txt";
+  std::string actual;
+  for (const auto technique : {dataplane::DeflectionTechnique::kHotPotato,
+                               dataplane::DeflectionTechnique::kAnyValidPort,
+                               dataplane::DeflectionTechnique::kNotInputPort}) {
+    std::uint64_t reencodes = 0;
+    for (const auto schedule : {faultgen::ScheduleKind::kRandomUpDown,
+                                faultgen::ScheduleKind::kSrlgGroups,
+                                faultgen::ScheduleKind::kFlapping,
+                                faultgen::ScheduleKind::kKFailureSweep}) {
+      faultgen::CampaignConfig config;
+      config.topology = "rnp28";
+      config.technique = technique;
+      config.schedule.kind = schedule;
+      config.runs = 20;
+      config.packets_per_run = 200;
+      config.seed = 5;
+      const faultgen::CampaignEngine engine(config);
+      actual += "# " + std::string(dataplane::to_string(technique)) + " " +
+                std::string(faultgen::to_string(schedule)) + "\n";
+      const faultgen::CampaignResult result = run_campaign(engine, {});
+      reencodes += result.totals.reencodes;
+      actual += canonical_aggregates(result);
+    }
+    // Each technique's row must exercise the re-encode path it pins.
+    ASSERT_GT(reencodes, 0u) << dataplane::to_string(technique);
+  }
+
+  if (std::getenv("KAR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << golden;
+    out << actual;
+    GTEST_SKIP() << "golden file regenerated; review the diff";
+  }
+  std::ifstream in(golden, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << golden;
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "routing/paths.hpp"
 #include "topology/builders.hpp"
 
 namespace kar::dataplane {
@@ -103,6 +107,98 @@ TEST(EdgeNodeIsolated, ReencodeWithNoRouteDrops) {
   Packet packet;
   packet.dst_edge = dst;
   EXPECT_EQ(edge.receive(packet), EdgeNode::Verdict::kDrop);
+}
+
+// -- wrong-edge re-encode memo ----------------------------------------------
+
+/// What Controller::reencode_from answers for a packet to `dst` that
+/// surfaces at `at`: the route ID, or nullopt for no route.
+std::optional<rns::BigUint> direct_reencode(
+    const routing::Controller& controller, topo::NodeId at, topo::NodeId dst) {
+  routing::EncodedRoute original;
+  original.dst_edge = dst;
+  const auto fresh = controller.reencode_from(at, original);
+  if (!fresh) return std::nullopt;
+  return fresh->route_id;
+}
+
+/// A wrong-edge packet toward `dst` carrying a stale, HP-marked route ID.
+Packet stray_packet(topo::NodeId dst) {
+  Packet packet;
+  packet.kar.route_id = rns::BigUint(0x5eed);
+  packet.kar.deflected = true;
+  packet.dst_edge = dst;
+  return packet;
+}
+
+TEST(EdgeReencodeMemo, AgreesWithTheControllerForEveryEdgePair) {
+  for (Scenario scenario : {topo::make_experimental15(), topo::make_rnp28()}) {
+    // An edge node with no link makes some pairs answer "no route".
+    scenario.topology.add_edge_node("ISLAND");
+    const topo::Topology& t = scenario.topology;
+    const routing::Controller controller(t);
+    ASSERT_TRUE(controller.path_options().ignore_failures);
+    const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
+    std::size_t drops = 0;
+    for (const topo::NodeId at : edges) {
+      const EdgeNode edge(t, at, controller, WrongEdgePolicy::kReencode);
+      // The second pass is answered from the memo.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const topo::NodeId dst : edges) {
+          if (dst == at) continue;
+          const auto expected = direct_reencode(controller, at, dst);
+          Packet packet = stray_packet(dst);
+          const EdgeNode::Verdict verdict = edge.receive(packet);
+          const std::string where = t.name(at) + " -> " + t.name(dst) +
+                                    " pass " + std::to_string(pass);
+          if (!expected) {
+            ++drops;
+            EXPECT_EQ(verdict, EdgeNode::Verdict::kDrop) << where;
+            EXPECT_EQ(packet.kar.route_id, rns::BigUint(0x5eed)) << where;
+            EXPECT_EQ(packet.reencode_count, 0u) << where;
+            continue;
+          }
+          EXPECT_EQ(verdict, EdgeNode::Verdict::kReinject) << where;
+          EXPECT_EQ(packet.kar.route_id, *expected) << where;
+          EXPECT_FALSE(packet.kar.deflected) << where;
+          EXPECT_EQ(packet.reencode_count, 1u) << where;
+        }
+      }
+    }
+    // Both passes, from and to the island, for every other edge.
+    EXPECT_EQ(drops, 2 * 2 * (edges.size() - 1));
+  }
+}
+
+TEST(EdgeReencodeMemo, FailureAwareControllerFollowsTheLinkState) {
+  Scenario scenario = topo::make_experimental15();
+  topo::Topology& t = scenario.topology;
+  routing::PathOptions options;
+  options.ignore_failures = false;
+  const routing::Controller controller(t, options);
+  const topo::NodeId at = t.at("AS2");
+  const topo::NodeId dst = t.at("AS3");
+  const EdgeNode edge(t, at, controller, WrongEdgePolicy::kReencode);
+
+  Packet before = stray_packet(dst);
+  ASSERT_EQ(edge.receive(before), EdgeNode::Verdict::kReinject);
+  ASSERT_EQ(before.kar.route_id, *direct_reencode(controller, at, dst));
+
+  // Fail the first core link of the current path: the next re-encode must
+  // route around it.
+  const auto path = routing::shortest_path(t, at, dst, options);
+  ASSERT_TRUE(path.has_value());
+  ASSERT_GE(path->nodes.size(), 4u);
+  const auto link = t.link_between(path->nodes[1], path->nodes[2]);
+  ASSERT_TRUE(link.has_value());
+  t.set_link_up(*link, false);
+  const auto rerouted = direct_reencode(controller, at, dst);
+  ASSERT_TRUE(rerouted.has_value());
+  ASSERT_NE(*rerouted, before.kar.route_id);
+
+  Packet after = stray_packet(dst);
+  ASSERT_EQ(edge.receive(after), EdgeNode::Verdict::kReinject);
+  EXPECT_EQ(after.kar.route_id, *rerouted);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -108,6 +109,21 @@ TEST(EventQueue, PacketEventsNeedASink) {
                std::logic_error);
 }
 
+TEST(EventQueue, ReservedSeqsFireWhereEagerSchedulingWould) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t first = q.reserve_seqs(2);
+  q.schedule_at(1.0, [&] { order.push_back(3); });
+  q.schedule_at_seq(1.0, first + 1, EventKind::kTraffic,
+                    [&] { order.push_back(2); });
+  q.schedule_at_seq(1.0, first, EventKind::kTraffic,
+                    [&] { order.push_back(1); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_THROW(q.schedule_at_seq(2.0, first + 3, EventKind::kTraffic, [] {}),
+               std::invalid_argument);
+}
+
 // -- differential ordering test against the former priority_queue ----------
 
 using FireFn = std::function<void(std::uint32_t)>;
@@ -139,6 +155,14 @@ class ReferenceQueue {
   void disarm(std::size_t timer) {
     armed_[timer] = false;
     ++epoch_[timer];
+  }
+  /// A traffic source firing ids first_id, first_id + 1, ... at the
+  /// non-decreasing `times`, all queued now.
+  void start_source(const std::vector<double>& times, std::uint32_t first_id,
+                    const FireFn& fire) {
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      schedule(times[j], first_id + static_cast<std::uint32_t>(j), fire);
+    }
   }
   void run_until(double t) {
     while (!heap_.empty() && heap_.top().time <= t) pop_and_run();
@@ -180,7 +204,8 @@ class ReferenceQueue {
 /// The production queue behind the same interface. Odd ids go in as
 /// packet events (through the sink), even ids as handler events, so both
 /// entry types share one ordering; FIFO pushes are packet events in the
-/// lane, and timers are re-armable queue timers.
+/// lane, timers are re-armable queue timers, and a traffic source keeps one
+/// pending event on seqs it reserved at start.
 class HeapQueue : private PacketEventSink {
  public:
   static constexpr std::size_t kTimers = ReferenceQueue::kTimers;
@@ -211,10 +236,27 @@ class HeapQueue : private PacketEventSink {
     q_.arm_timer_at(timers_[timer], time);
   }
   void disarm(std::size_t timer) { q_.disarm_timer(timers_[timer]); }
+  void start_source(const std::vector<double>& times, std::uint32_t first_id,
+                    const FireFn& fire) {
+    fire_ = &fire;
+    source_times_ = times;
+    source_first_id_ = first_id;
+    source_first_seq_ = q_.reserve_seqs(times.size());
+    schedule_source(0);
+  }
   void run_until(double t) { q_.run_until(t); }
   void run_all() { q_.run_all(); }
 
  private:
+  void schedule_source(std::size_t j) {
+    if (j == source_times_.size()) return;
+    q_.schedule_at_seq(source_times_[j], source_first_seq_ + j,
+                       EventKind::kTraffic, [this, j] {
+                         schedule_source(j + 1);
+                         (*fire_)(source_first_id_ +
+                                  static_cast<std::uint32_t>(j));
+                       });
+  }
   void on_packet_event(EventKind, std::uint32_t slot) override {
     (*fire_)(slot);
   }
@@ -222,6 +264,9 @@ class HeapQueue : private PacketEventSink {
   const FireFn* fire_ = nullptr;
   std::array<EventQueue::TimerId, kTimers> timers_{};
   std::array<std::uint32_t, kTimers> timer_ids_{};
+  std::vector<double> source_times_;
+  std::uint32_t source_first_id_ = 0;
+  std::uint64_t source_first_seq_ = 0;
 };
 
 /// Runs one seeded schedule: a burst of initial events on a coarse time
@@ -230,10 +275,13 @@ class HeapQueue : private PacketEventSink {
 /// the same instant, later grid points, or in the past (clamped to now);
 /// FIFO-lane pushes a fixed 0, 0.25 or 0.5 after now (so some fall back to
 /// the heap); arms of one of a few timers, which re-arm later or earlier
-/// (an RTO shrink) than their current deadline; and disarms. Driven by
-/// run_until steps whose boundaries land on grid points (including
-/// repeats), then a drain after every timer's deadline shrank. Returns (id, time) per firing plus (-1, now)
-/// per boundary and (-2, now) after the drain.
+/// (an RTO shrink) than their current deadline; and disarms. Midway through
+/// the initial burst a traffic source starts 300 events at sorted grid
+/// times (ties with each other and with every other kind of entry). Driven
+/// by run_until steps whose boundaries land on grid points (including
+/// repeats), then a drain after every timer's deadline shrank. Returns
+/// (id, time) per firing plus (-1, now) per boundary and (-2, now) after
+/// the drain.
 template <class Queue>
 std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
   constexpr std::uint32_t kMaxEvents = 20000;
@@ -272,6 +320,15 @@ std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
   };
   common::Rng rng(seed);
   for (int i = 0; i < 500; ++i) {
+    if (i == 250) {
+      common::Rng source_rng(common::derive_seed(seed, kMaxEvents));
+      std::vector<double> times(300);
+      for (double& t : times) {
+        t = 0.25 * static_cast<double>(source_rng.below(200));
+      }
+      std::sort(times.begin(), times.end());
+      q.start_source(times, kMaxEvents + 100, fire);
+    }
     q.schedule(0.25 * static_cast<double>(rng.below(40)), next_id++, fire);
   }
   for (double boundary = 0.0; boundary < 60.0;) {

@@ -8,8 +8,10 @@
 // with counting versions (routed through malloc/free) and assert the count
 // stays at zero: across thousands of batch sweeps, for every deflection
 // technique, with narrow routes, pre-memoized wide routes and dead ports
-// forcing deflection draws in the mix; and across >= 100k events of a
-// window-limited TCP flow through sim::Network.
+// forcing deflection draws in the mix; across >= 100k events of a
+// window-limited TCP flow through sim::Network; and across hot-potato
+// walkers that keep surfacing at a wrong edge, once each edge has
+// re-encoded toward the destination.
 //
 // Registered under the `bench` and `sim` ctest labels: an allocation
 // sneaking into the hot loop is a performance regression before it is
@@ -174,6 +176,47 @@ TEST(ZeroAlloc, WarmedSimulatorTcpFlowDoesNotTouchTheHeap) {
       << g_allocations << " allocations over " << events << " events";
   EXPECT_EQ(flow.sender().stats().retransmits, 0u);
   EXPECT_EQ(flow.receiver().stats().out_of_order_segments, 0u);
+}
+
+TEST(ZeroAlloc, WarmedWrongEdgeReencodesDoNotTouchTheHeap) {
+  // Hot-potato walkers around a failed core link keep surfacing at AS2 and
+  // back at AS1; under kReencode each edge re-encodes toward AS3. Only the
+  // first re-encode per (edge, destination) may allocate.
+  topo::Scenario s = topo::make_experimental15();
+  const routing::Controller controller(s.topology);
+  sim::NetworkConfig config;
+  config.technique = DeflectionTechnique::kHotPotato;
+  config.wrong_edge_policy = WrongEdgePolicy::kReencode;
+  config.seed = 77;
+  sim::Network net(s.topology, controller, config);
+  const auto route =
+      controller.encode_scenario(s.route, topo::ProtectionLevel::kUnprotected);
+  net.fail_link_now(*s.topology.link_between(s.topology.at("SW7"),
+                                             s.topology.at("SW13")));
+  // One packet at a time, so the queue and the pool stay at their warmed
+  // size.
+  const auto send = [&net, &route](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      Packet p;
+      p.transport = Datagram{static_cast<std::uint64_t>(i)};
+      net.edge_at(route.src_edge).stamp(p, route, 100);
+      net.inject(route.src_edge, std::move(p));
+      net.events().run_all();
+    }
+  };
+
+  send(200);
+  const std::uint64_t warm_reencodes = net.counters().reencodes;
+  ASSERT_GT(warm_reencodes, 0u);
+  g_allocations = 0;
+  g_counting = true;
+  send(200);
+  g_counting = false;
+  EXPECT_GT(net.counters().reencodes, warm_reencodes);
+  EXPECT_EQ(g_allocations, 0u)
+      << g_allocations << " allocations over "
+      << net.counters().reencodes - warm_reencodes << " re-encodes";
+  EXPECT_EQ(net.counters().delivered, 400u);
 }
 
 }  // namespace
