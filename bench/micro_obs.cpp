@@ -22,9 +22,13 @@
 // 5%) per decision over the bare batched loop — collecting, not just being
 // compiled in, is near-free once amortized over a batch.
 //
-// Each variant runs `--reps` repetitions of `--iters` decisions; the
-// per-variant time is the minimum over repetitions (the standard
-// noise-floor estimator for micro-timings). Acceptance: the disabled
+// Each variant runs `--reps` x `--iters` decisions, timed in slices of
+// kSliceDecisions; its time per decision is that of its fastest slice
+// (the min-of-N noise-floor estimator for micro-timings). The variants
+// compared by a gate run interleaved slice by slice — each round runs
+// every variant once, rotating which goes first — so a preemption or a
+// slow stretch of the host spoils single slices of every variant alike
+// instead of a whole repetition of one. Acceptance: the disabled
 // variant is < 2% over baseline, and batched enabled is within the batch
 // threshold. The committed record lives in BENCH_obs.json (regenerate
 // with: micro_obs --batch=32 --out=BENCH_obs.json).
@@ -33,6 +37,7 @@
 //                  [--batch=32] [--batch-threshold-pct=5] [--out=PATH]
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <vector>
@@ -157,11 +162,24 @@ double timed_batch_obs(LoopContext& context, BatchLoop& loop,
       .count();
 }
 
-/// Minimum over `reps` repetitions (noise-floor estimate).
-template <typename Rep>
-double best_of(std::size_t reps, Rep rep) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < reps; ++r) best = std::min(best, rep());
+/// Decisions per timed slice: short enough (some 10-20 us) that many
+/// slices run undisturbed on a busy host, long enough that the two clock
+/// reads around a slice stay far below the gated differences.
+constexpr std::size_t kSliceDecisions = 1024;
+
+/// Per-variant fastest slice over `rounds` interleaved rounds. Round r
+/// runs the variants starting at index r mod N, so each one goes first
+/// equally often.
+std::vector<double> fastest_slice(
+    std::size_t rounds, const std::vector<std::function<double()>>& variants) {
+  std::vector<double> best(variants.size(),
+                           std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      const std::size_t v = (r + i) % variants.size();
+      best[v] = std::min(best[v], variants[v]());
+    }
+  }
   return best;
 }
 
@@ -196,28 +214,39 @@ int main(int argc, char** argv) {
   // Warm-up (untimed) so the first timed variant is not paying cold caches.
   (void)timed_rep_baseline(context, iters / 10 + 1);
 
-  const double baseline_s = best_of(
-      reps, [&] { return timed_rep_baseline(context, iters); });
-  const double disabled_s = best_of(reps, [&] {
-    return timed_rep(context, iters, disabled_hops, disabled_deflections);
-  });
-  const double enabled_s = best_of(reps, [&] {
-    return timed_rep(context, iters, enabled_hops, enabled_deflections);
-  });
+  // Same decision count as reps x iters, cut into slices.
+  const std::size_t slice =
+      std::max<std::size_t>(1, std::min(iters, kSliceDecisions));
+  const std::size_t rounds = reps * (iters / slice);
+  const std::vector<double> loop_s = fastest_slice(
+      rounds,
+      {[&] { return timed_rep_baseline(context, slice); },
+       [&] {
+         return timed_rep(context, slice, disabled_hops, disabled_deflections);
+       },
+       [&] {
+         return timed_rep(context, slice, enabled_hops, enabled_deflections);
+       }});
+  const double baseline_s = loop_s[0];
+  const double disabled_s = loop_s[1];
+  const double enabled_s = loop_s[2];
 
-  // Batched variants: same decision count, swept `batch_size` at a time.
+  // Batched variants: same slices, swept `batch_size` at a time.
   BatchLoop batch_loop(context, batch_size);
-  const std::size_t sweeps = iters / batch_size + 1;
-  (void)timed_batch_baseline(context, batch_loop, sweeps / 10 + 1);
-  const double batch_baseline_s = best_of(
-      reps, [&] { return timed_batch_baseline(context, batch_loop, sweeps); });
-  const double batch_enabled_s = best_of(reps, [&] {
-    return timed_batch_obs(context, batch_loop, sweeps, enabled_hops,
-                           enabled_deflections);
-  });
+  const std::size_t sweeps = slice / batch_size + 1;
+  (void)timed_batch_baseline(context, batch_loop, iters / batch_size / 10 + 1);
+  const std::vector<double> batch_s = fastest_slice(
+      rounds,
+      {[&] { return timed_batch_baseline(context, batch_loop, sweeps); },
+       [&] {
+         return timed_batch_obs(context, batch_loop, sweeps, enabled_hops,
+                                enabled_deflections);
+       }});
+  const double batch_baseline_s = batch_s[0];
+  const double batch_enabled_s = batch_s[1];
 
-  const auto ns_per_op = [iters](double seconds) {
-    return seconds * 1e9 / static_cast<double>(iters);
+  const auto ns_per_op = [slice](double seconds) {
+    return seconds * 1e9 / static_cast<double>(slice);
   };
   const auto batch_ns_per_op = [sweeps, batch_size](double seconds) {
     return seconds * 1e9 / static_cast<double>(sweeps * batch_size);

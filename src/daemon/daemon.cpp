@@ -1,5 +1,7 @@
 #include "daemon/daemon.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <unordered_set>
@@ -145,6 +147,14 @@ void Kard::register_metrics() {
       "Request latency from admission to response (batched verbs include "
       "their wait for the epoch flush).",
       {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
+  queue_wait_seconds_ = registry_.histogram(
+      "kar_daemon_queue_wait_seconds",
+      "Batched request wait from admission to the start of its epoch.",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
+  response_seconds_ = registry_.histogram(
+      "kar_daemon_response_seconds",
+      "Batched request time from the end of its epoch to its answer.",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
   epoch_seconds_ = registry_.histogram(
       "kar_daemon_epoch_seconds", "Engine wall time per batched epoch.",
       {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0});
@@ -176,6 +186,9 @@ void Kard::stop() {
 }
 
 std::future<std::string> Kard::submit_line(std::string_view line) {
+  const Clock::time_point admitted = Clock::now();
+  last_request_.store(admitted.time_since_epoch().count(),
+                      std::memory_order_relaxed);
   std::promise<std::string> promise;
   std::future<std::string> future = promise.get_future();
   ParsedRequest parsed = parse_request(line);
@@ -190,12 +203,11 @@ std::future<std::string> Kard::submit_line(std::string_view line) {
     case Verb::kWithdraw:
     case Verb::kLinkUp:
     case Verb::kLinkDown:
-      enqueue_mutation(parsed, std::move(promise));
+      enqueue_mutation(parsed, std::move(promise), admitted);
       return future;
     default:
       break;
   }
-  const Clock::time_point t0 = Clock::now();
   std::string response;
   try {
     response = handle_immediate(parsed.request);
@@ -204,7 +216,7 @@ std::future<std::string> Kard::submit_line(std::string_view line) {
     response = error_response("internal", e.what());
   }
   request_seconds_.observe(
-      std::chrono::duration<double>(Clock::now() - t0).count());
+      std::chrono::duration<double>(Clock::now() - admitted).count());
   promise.set_value(std::move(response));
   return future;
 }
@@ -307,6 +319,10 @@ std::string Kard::handle_stats() {
       .field("reconverge", totals.reconverge_s)
       .field("replay", totals.replay_s)
       .field("admission", totals.admission_s);
+  runner::JsonObject batched;
+  batched.field("queue_wait", phases_.queue_wait_s)
+      .field("epoch", phases_.epoch_s)
+      .field("response", phases_.response_s);
   runner::JsonObject o;
   o.field("ok", true)
       .field("topology", config_.topology)
@@ -325,6 +341,8 @@ std::string Kard::handle_stats() {
       .field("tombstoned", static_cast<std::uint64_t>(totals.tombstoned))
       .field("engine_wall_s", totals.wall_s)
       .raw("engine_phases_s", phases.str())
+      .field("batched_requests", phases_.requests)
+      .raw("batched_phases_s", batched.str())
       .field("restored_routes", static_cast<std::uint64_t>(restored_.routes));
   return o.str();
 }
@@ -379,11 +397,12 @@ std::string Kard::prometheus_text() const {
 }
 
 void Kard::enqueue_mutation(const ParsedRequest& parsed,
-                            std::promise<std::string> promise) {
+                            std::promise<std::string> promise,
+                            Clock::time_point admitted) {
   const Request& request = parsed.request;
   PendingOp op;
   op.verb = request.verb;
-  op.enqueued = Clock::now();
+  op.enqueued = admitted;
   const auto& topology = scenario_.topology;
   // Topology *structure* is immutable, so name resolution needs no lock;
   // only link states move, and those belong to the flusher.
@@ -438,17 +457,28 @@ void Kard::enqueue_mutation(const ParsedRequest& parsed,
       return;
   }
   op.promise = std::move(promise);
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     pending_.push_back(std::move(op));
     queue_depth_gauge_.set(static_cast<double>(pending_.size()));
+    // Wake the flusher only when it has something new to decide: a first
+    // op (it idles until one arrives) or a full batch (which closes now).
+    // Otherwise it sleeps to its own next deadline and re-checks there.
+    wake = pending_.size() == 1 || pending_.size() == config_.flush_max_ops;
   }
-  // Always wake the flusher: it may be idle-waiting for a first op, and a
-  // full batch must flush immediately rather than waiting out the timer.
-  queue_cv_.notify_all();
+  if (wake) queue_cv_.notify_one();
 }
 
 void Kard::flusher_loop() {
+  const auto interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(config_.flush_interval_s));
+  // The quiet gap: a stream silent this long has stopped to wait for its
+  // answers, so holding the batch longer only adds latency. An epoch holds
+  // requests off the state lock, so the gap also restarts when one ends:
+  // a client blocked behind the epoch is not quiet.
+  const Clock::duration quiet_gap = interval / 20;
+  Clock::time_point last_epoch_end{};
   std::unique_lock<std::mutex> lock(queue_mutex_);
   while (true) {
     // held_links_ / window_deadline_ are flusher-private; reading them
@@ -481,23 +511,30 @@ void Kard::flusher_loop() {
                      [this] { return !pending_.empty() || stop_flusher_; });
       continue;
     }
-    // Bounded-latency flush: wait for a full batch, but never keep the
-    // oldest op waiting past the flush interval — nor an open coalescing
-    // window past its own deadline.
-    auto deadline =
-        pending_.front().enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(config_.flush_interval_s));
+    // Group commit: close the batch once it is full, its oldest op has
+    // waited the flush interval, an open coalescing window is due, or the
+    // request stream has gone quiet; until then sleep to the nearest of
+    // those deadlines (a first or a full batch also wakes us).
+    Clock::time_point deadline = pending_.front().enqueued + interval;
     if (window_open && window_deadline_ < deadline) deadline = window_deadline_;
-    queue_cv_.wait_until(lock, deadline, [this] {
-      return pending_.size() >= config_.flush_max_ops || stop_flusher_;
-    });
+    const Clock::time_point quiet_at =
+        std::max(Clock::time_point(Clock::duration(
+                     last_request_.load(std::memory_order_relaxed))),
+                 last_epoch_end) +
+        quiet_gap;
+    const Clock::time_point wake = std::min(deadline, quiet_at);
+    if (pending_.size() < config_.flush_max_ops && !stop_flusher_ &&
+        Clock::now() < wake) {
+      queue_cv_.wait_until(lock, wake);
+      continue;
+    }
     std::vector<PendingOp> batch;
     batch.swap(pending_);
     queue_depth_gauge_.set(0.0);
     lock.unlock();
     flush_batch(std::move(batch),
                 window_open && Clock::now() >= window_deadline_);
+    last_epoch_end = Clock::now();
     lock.lock();
   }
   // Shutdown: a still-open window must drain — held promises would
@@ -528,6 +565,7 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
   ctrlplane::EpochResult result;
   {
     std::unique_lock<std::shared_mutex> lock(state_mutex_);
+    const Clock::time_point epoch_start = Clock::now();
     // Withdraw validation needs the store, so it happens here: in range,
     // not yet withdrawn, not duplicated within the batch. The seen-set
     // makes duplicate detection O(1) per op — a batch of N withdrawals of
@@ -607,9 +645,29 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
     routes_gauge_.set(static_cast<double>(store_.size()));
     live_routes_gauge_.set(static_cast<double>(store_.live_count()));
 
-    // Compose responses under the lock (store reads), resolve after.
+    // Compose responses under the lock (store reads) and resolve each one
+    // as soon as it is composed. Each answer records its three phases —
+    // queue wait, epoch, response — which add up to its request latency.
+    const Clock::time_point epoch_end = Clock::now();
+    const double epoch_s =
+        std::chrono::duration<double>(epoch_end - epoch_start).count();
+    const auto answer = [&](PendingOp& op, std::string response) {
+      const Clock::time_point done = Clock::now();
+      const double queue_wait_s =
+          std::chrono::duration<double>(epoch_start - op.enqueued).count();
+      const double response_s =
+          std::chrono::duration<double>(done - epoch_end).count();
+      queue_wait_seconds_.observe(queue_wait_s);
+      response_seconds_.observe(response_s);
+      request_seconds_.observe(
+          std::chrono::duration<double>(done - op.enqueued).count());
+      ++phases_.requests;
+      phases_.queue_wait_s += queue_wait_s;
+      phases_.epoch_s += epoch_s;
+      phases_.response_s += response_s;
+      op.promise.set_value(std::move(response));
+    };
     std::size_t install_index = 0;
-    const Clock::time_point now = Clock::now();
     for (PendingOp& op : batch) {
       if (op.answered) continue;  // rejected above, or riding the window
       std::string response;
@@ -639,9 +697,7 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
           response = error_response("internal", "unexpected batched verb");
           break;
       }
-      request_seconds_.observe(
-          std::chrono::duration<double>(now - op.enqueued).count());
-      op.promise.set_value(std::move(response));
+      answer(op, std::move(response));
     }
     // Held link requests answer when their window drains; the latency
     // histogram then shows the full hold (bounded by the window).
@@ -651,9 +707,7 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
           .field("up", scenario_.topology.link_up(op.link))
           .field("version", result.version)
           .field("changed", changed_links.count(op.link) > 0);
-      request_seconds_.observe(
-          std::chrono::duration<double>(now - op.enqueued).count());
-      op.promise.set_value(o.str());
+      answer(op, o.str());
     }
   }
 }

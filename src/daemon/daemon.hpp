@@ -9,21 +9,28 @@
 //     take the state lock alone; mutating verbs (install/withdraw/
 //     link-up/link-down) are *batched*: they join the pending epoch and
 //     their futures resolve when it flushes.
-//   * Epoch batching — a dedicated flusher thread drains the pending ops
-//     when the batch reaches flush_max_ops or the oldest op has waited
-//     flush_interval (the bounded-latency flush timer), whichever comes
-//     first. The whole batch becomes ONE atomically-versioned engine
-//     epoch: link events are coalesced per link to their final state
-//     (a flap inside one batch costs zero reconvergence), installs and
-//     withdrawals ride the same version. So a burst of N requests costs
-//     one SPT advance, not N.
+//   * Group commit — a dedicated flusher thread drains the pending ops
+//     as ONE atomically-versioned engine epoch, closing the batch on the
+//     first of: the batch reaches flush_max_ops; its oldest op has waited
+//     flush_interval (the latency bound); an open coalescing window
+//     reaches its deadline; or the request stream has gone quiet — no
+//     request of any verb for flush_interval / 20, counted from the end of
+//     the last epoch at the earliest (an epoch holds requests off the
+//     state lock, so a client blocked behind it is not quiet). A client
+//     that stops to wait for its answers (a full pipelining window, a
+//     synchronous caller) thus gets them after the quiet gap instead of
+//     the full timer, while a steady stream keeps batching up to the
+//     timer. Within an epoch, link events are coalesced per link to their
+//     final state (a flap inside one batch costs zero reconvergence),
+//     installs and withdrawals ride the same version. So a burst of N
+//     requests costs one SPT advance, not N.
 //   * Cross-epoch link coalescing — with coalesce_window_s > 0, link
 //     transitions are additionally *held* in a ctrlplane::LinkCoalescer
 //     for a bounded-staleness window opened by the first held transition:
 //     a flap storm spanning many batches nets to at most one event per
 //     link per window and costs one reconvergence when the window drains.
 //     Held requests answer at the drain (latency bounded by the window);
-//     installs and withdrawals keep flushing on the fast timer. The
+//     installs and withdrawals keep flushing by group commit. The
 //     default window of 0 drains every batch — exactly the per-batch
 //     behavior above.
 //   * Zero-downtime reconvergence — queries take a shared lock, epochs an
@@ -38,7 +45,8 @@
 //     flusher eagerly compacts the store's posting lists every
 //     compact_every_epochs epochs.
 //   * Telemetry — kar_daemon_* metric families (requests, errors, epochs,
-//     batch sizes, request/epoch latency, queue depth, routes, snapshots,
+//     batch sizes, request/epoch latency, the queue-wait and response
+//     phases of batched requests, queue depth, routes, snapshots,
 //     compactions) plus the engine's kar_ctrlplane_* families on one
 //     registry, scrape-able via the `metrics` verb or the HTTP endpoint
 //     in daemon/server.hpp.
@@ -77,7 +85,8 @@ struct KardConfig {
   /// Epoch admission cap: flush as soon as this many ops are pending.
   std::size_t flush_max_ops = 4096;
   /// Bounded-latency flush timer: flush once the oldest pending op has
-  /// waited this long, even if the batch is small.
+  /// waited this long, even if the batch is small. A twentieth of it is
+  /// the quiet gap that closes a batch early (see the file comment).
   double flush_interval_s = 0.002;
   /// Cross-epoch link-coalescing window (seconds): link transitions are
   /// held and netted per link until the window (opened by the first held
@@ -182,10 +191,11 @@ class Kard {
   std::string handle_stats();
   std::string handle_snapshot(const Request& request);
   std::string handle_compact();
-  /// Validates and enqueues a mutating verb; fulfills the promise with an
-  /// error immediately when resolution fails.
+  /// Validates and enqueues a mutating verb admitted at `admitted`;
+  /// fulfills the promise with an error immediately when resolution fails.
   void enqueue_mutation(const ParsedRequest& parsed,
-                        std::promise<std::string> promise);
+                        std::promise<std::string> promise,
+                        Clock::time_point admitted);
   void flusher_loop();
   /// Applies one batch as an epoch. `drain_window` forces the coalescing
   /// window closed (deadline reached or shutdown); a zero-window config
@@ -211,6 +221,20 @@ class Kard {
   std::thread flusher_;
   bool started_ = false;
   bool stopped_ = false;
+
+  /// Admission time of the latest request of any verb, as
+  /// Clock::duration ticks: the flusher's quiet-stream signal.
+  std::atomic<Clock::rep> last_request_{0};
+
+  /// Per-phase sums over the batched requests answered by an epoch (the
+  /// three add up to their request latency). Guarded by state_mutex_.
+  struct RequestPhases {
+    std::uint64_t requests = 0;
+    double queue_wait_s = 0.0;
+    double epoch_s = 0.0;
+    double response_s = 0.0;
+  };
+  RequestPhases phases_;
 
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> epoch_active_{false};
@@ -238,6 +262,8 @@ class Kard {
   obs::Gauge held_links_gauge_;
   obs::Gauge snapshot_bytes_gauge_;
   obs::Histogram request_seconds_;
+  obs::Histogram queue_wait_seconds_;
+  obs::Histogram response_seconds_;
   obs::Histogram epoch_seconds_;
   obs::Histogram epoch_ops_;
 };

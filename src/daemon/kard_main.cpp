@@ -19,7 +19,10 @@
 //   --snapshot=PATH       snapshot file (written on shutdown; `snapshot` verb)
 //   --restore             restore from --snapshot before serving
 //   --no-final-snapshot   skip the shutdown snapshot
-//   --flush-interval=S    bounded-latency epoch flush timer (default 0.002)
+//   --flush-interval=S    group-commit latency bound (default 0.002): a
+//                         batch closes when N mutations pend (--flush-max),
+//                         when its oldest op has waited S, or when no
+//                         request of any verb arrived for S/20
 //   --flush-max=N         flush as soon as N mutations pend (default 4096)
 //   --coalesce-window=S   hold + net link flaps for S seconds before
 //                         reconverging (default 0 = per-batch only)

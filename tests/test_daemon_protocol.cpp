@@ -3,6 +3,9 @@
 //     tolerance, structured error codes;
 //   * frame codec — encode/decode round trip under arbitrary chunking,
 //     zero/oversized length prefixes are fatal, buffer compaction;
+//   * group commit against a live Kard — a quiet request stream closes a
+//     batch before the flush timer, queries keep the stream busy, a full
+//     batch closes at once, and the per-request phases add up;
 //   * batched-verb semantics against a live Kard — duplicate-withdraw
 //     bursts stay linear and exact, per-verb/coalesced/held counters are
 //     exact, and the cross-epoch coalescing window holds a flap storm to
@@ -229,6 +232,116 @@ TEST(DaemonStats, ReportsEnginePhaseSplit) {
     sum += seconds;
   }
   EXPECT_LE(sum, json_double_field(stats, "engine_wall_s")) << stats;
+}
+
+TEST(DaemonStats, BatchedRequestPhasesAddUpToRequestLatency) {
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_interval_s = 0.001;
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  ASSERT_NE(kard.execute_line("install S D").find("\"ok\":true"),
+            std::string::npos);
+  ASSERT_NE(kard.execute_line("link-down SW4 SW7").find("\"ok\":true"),
+            std::string::npos);
+  // Read before `stats`, which observes its own request latency.
+  const double request_sum =
+      scrape_value(kard, "kar_daemon_request_seconds_sum");
+  const std::string stats = kard.execute_line("stats");
+  kard.stop();
+  EXPECT_EQ(json_int_field(stats, "batched_requests"), 2) << stats;
+  const std::size_t at = stats.find("\"batched_phases_s\":{");
+  ASSERT_NE(at, std::string::npos) << stats;
+  const std::string phases = stats.substr(at, stats.find('}', at) - at);
+  double sum = 0.0;
+  for (const char* phase : {"queue_wait", "epoch", "response"}) {
+    const double seconds = json_double_field(phases, phase);
+    EXPECT_GE(seconds, 0.0) << phase << " in " << stats;
+    sum += seconds;
+  }
+  EXPECT_NEAR(sum, request_sum, 1e-9) << stats;
+  EXPECT_EQ(scrape_value(kard, "kar_daemon_queue_wait_seconds_count"), 2.0);
+  EXPECT_EQ(scrape_value(kard, "kar_daemon_response_seconds_count"), 2.0);
+}
+
+TEST(DaemonBatch, QuietStreamClosesBatchBeforeTheTimer) {
+  // A synchronous client sends nothing while it waits, so each batch
+  // closes after the quiet gap (a twentieth of the interval), not after
+  // the 0.2 s timer: 50 installs would take at least 10 s on the timer.
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_interval_s = 0.2;
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  const std::size_t installs = 50;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < installs; ++i) {
+    const std::string response = kard.execute_line("install S D");
+    ASSERT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(wall_s, static_cast<double>(installs) * 0.2 / 4) << wall_s;
+  EXPECT_EQ(kard.epochs_applied(), installs);
+  kard.stop();
+}
+
+TEST(DaemonBatch, QueriesKeepTheStreamBusyUntilTheTimer) {
+  // Every verb counts as activity: a client that keeps querying while a
+  // mutation is pending is not quiet, so the batch closes on the flush
+  // timer, which still bounds the oldest op's wait.
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_interval_s = 1.0;  // quiet gap 50 ms, pings every 1 ms
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  const auto start = std::chrono::steady_clock::now();
+  auto install = kard.submit_line("install S D");
+  while (install.wait_for(std::chrono::milliseconds(1)) !=
+         std::future_status::ready) {
+    ASSERT_NE(kard.execute_line("ping").find("\"ok\":true"),
+              std::string::npos);
+  }
+  const double wait_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_NE(install.get().find("\"ok\":true"), std::string::npos);
+  EXPECT_GE(wait_s, 1.0);
+  EXPECT_LT(wait_s, 3.0);
+  EXPECT_EQ(kard.epochs_applied(), 1u);
+  kard.stop();
+}
+
+TEST(DaemonBatch, BackToBackBurstIsOneEpoch) {
+  // A burst of exactly flush_max_ops ops closes the batch the moment it
+  // is full: one epoch, long before the quiet gap (3 s) or timer (60 s).
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_max_ops = 64;
+  config.flush_interval_s = 60.0;
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<std::string>> burst;
+  for (std::size_t i = 0; i < config.flush_max_ops; ++i) {
+    burst.push_back(kard.submit_line("install S D"));
+  }
+  for (auto& f : burst) {
+    const std::string response = f.get();
+    ASSERT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    EXPECT_EQ(json_int_field(response, "version"), 1) << response;
+  }
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(kard.epochs_applied(), 1u);
+  EXPECT_LT(wall_s, 2.0);
+  kard.stop();
 }
 
 TEST(DaemonBatch, DuplicateWithdrawBurstIsLinearAndExact) {

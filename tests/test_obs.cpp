@@ -809,6 +809,8 @@ const std::map<std::string, std::string>& daemon_family_types() {
       {"kar_daemon_held_links", "gauge"},
       {"kar_daemon_snapshot_bytes", "gauge"},
       {"kar_daemon_request_seconds", "histogram"},
+      {"kar_daemon_queue_wait_seconds", "histogram"},
+      {"kar_daemon_response_seconds", "histogram"},
       {"kar_daemon_epoch_seconds", "histogram"},
       {"kar_daemon_epoch_ops", "histogram"},
   };
@@ -954,6 +956,17 @@ TEST(Exporters, DaemonPrometheusTextMatchesGolden) {
   request_seconds.observe(3e-4);
   request_seconds.observe(0.5);
   request_seconds.observe(2.0);  // +Inf
+  Histogram queue_wait_seconds = registry.histogram(
+      "kar_daemon_queue_wait_seconds",
+      "Batched request wait from admission to the start of its epoch.",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
+  queue_wait_seconds.observe(1e-4);
+  queue_wait_seconds.observe(2e-3);
+  Histogram response_seconds = registry.histogram(
+      "kar_daemon_response_seconds",
+      "Batched request time from the end of its epoch to its answer.",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
+  response_seconds.observe(3e-6);
   Histogram epoch_seconds = registry.histogram(
       "kar_daemon_epoch_seconds", "Engine wall time per batched epoch.",
       {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0});
