@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -35,27 +36,58 @@ topo::Scenario build_scenario(const KardConfig& config) {
   return s;
 }
 
-/// `["A","B",...]` from node handles.
-std::string names_array(const topo::Topology& topology,
-                        const std::vector<topo::NodeId>& nodes) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"';
-    out += runner::json_escape(topology.name(nodes[i]));
-    out += '"';
+/// Room to reserve for an answer carrying `route` and the names of
+/// `nodes`, so it is written in one allocation: at most ~200 bytes of keys
+/// and numbers, under ten route-ID digits per 32-bit limb, and each name
+/// with its quotes and comma.
+std::size_t answer_bytes(const topo::Topology& topology,
+                         const routing::EncodedRoute& route,
+                         std::span<const topo::NodeId> nodes) {
+  std::size_t bytes = 200 + 10 * route.route_id.limbs().size();
+  for (const topo::NodeId node : nodes) bytes += topology.name(node).size() + 3;
+  return bytes;
+}
+
+/// Answer room for the verbs that carry no route or name.
+constexpr std::size_t kScalarAnswerBytes = 96;
+
+/// The one writer of route fields, shared by `query`, `encode` and
+/// `install` so their formats cannot drift apart: `route_id` always; with
+/// a `path`, also `bits`, `assignments`, `primary` and the path's names.
+void append_route_fields(runner::JsonObject& o,
+                         const topo::Topology& topology,
+                         const routing::EncodedRoute& route,
+                         const std::vector<topo::NodeId>* path) {
+  std::string& id = o.value("route_id");
+  id += '"';
+  route.route_id.append_decimal(id);
+  id += '"';
+  if (path == nullptr) return;
+  o.field("bits", static_cast<std::uint64_t>(route.bit_length))
+      .field("assignments",
+             static_cast<std::uint64_t>(route.assignments.size()))
+      .field("primary", static_cast<std::uint64_t>(route.primary_count));
+  std::string& names = o.value("path");
+  names += '[';
+  for (std::size_t i = 0; i < path->size(); ++i) {
+    if (i > 0) names += ',';
+    names += '"';
+    runner::append_json_escaped(names, topology.name((*path)[i]));
+    names += '"';
   }
-  out += ']';
-  return out;
+  names += ']';
 }
 
 /// The `query` response body — also the restart-identity witness: every
 /// field is either immutable or persisted by the snapshot, so a query
 /// before a snapshot/restart answers byte-identically after it. The
-/// encoding and path are read through the route's group.
+/// encoding and path are read through the route's group, and the answer
+/// is written in one pass into one buffer reserved up front.
 std::string route_response(const topo::Topology& topology,
                            const ctrlplane::RouteView& entry) {
-  runner::JsonObject o;
+  runner::JsonObject o(answer_bytes(topology, entry.route, entry.core_path) +
+                       topology.name(entry.src).size() +
+                       topology.name(entry.dst).size());
   o.field("ok", true)
       .field("key", static_cast<std::uint64_t>(entry.key))
       .field("src", topology.name(entry.src))
@@ -64,15 +96,9 @@ std::string route_response(const topo::Topology& topology,
       .field("withdrawn", entry.withdrawn)
       .field("version", entry.version);
   if (entry.live) {
-    o.field("route_id", entry.route.route_id.to_string())
-        .field("bits", static_cast<std::uint64_t>(entry.route.bit_length))
-        .field("assignments",
-               static_cast<std::uint64_t>(entry.route.assignments.size()))
-        .field("primary",
-               static_cast<std::uint64_t>(entry.route.primary_count))
-        .raw("path", names_array(topology, entry.core_path));
+    append_route_fields(o, topology, entry.route, &entry.core_path);
   }
-  return o.str();
+  return std::move(o).str();
 }
 
 }  // namespace
@@ -293,16 +319,11 @@ std::string Kard::handle_encode(const Request& request) {
     request_errors_total_.inc();
     return error_response("not-edge", e.what());
   }
-  runner::JsonObject o;
-  o.field("ok", true)
-      .field("src", request.a)
-      .field("dst", request.b)
-      .field("route_id", route.route_id.to_string())
-      .field("bits", static_cast<std::uint64_t>(route.bit_length))
-      .field("assignments", static_cast<std::uint64_t>(route.assignments.size()))
-      .field("primary", static_cast<std::uint64_t>(route.primary_count))
-      .raw("path", names_array(topology, core));
-  return o.str();
+  runner::JsonObject o(answer_bytes(topology, route, core) + request.a.size() +
+                       request.b.size());
+  o.field("ok", true).field("src", request.a).field("dst", request.b);
+  append_route_fields(o, topology, route, &core);
+  return std::move(o).str();
 }
 
 std::string Kard::handle_stats() {
@@ -675,22 +696,25 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
         case Verb::kInstall: {
           const ctrlplane::RouteKey key = installed_keys[install_index++];
           const ctrlplane::RouteView entry = store_.get(key);
-          runner::JsonObject o;
+          runner::JsonObject o(
+              answer_bytes(scenario_.topology, entry.route, {}));
           o.field("ok", true)
               .field("key", static_cast<std::uint64_t>(key))
               .field("version", result.version)
               .field("live", entry.live);
-          if (entry.live) o.field("route_id", entry.route.route_id.to_string());
-          response = o.str();
+          if (entry.live) {
+            append_route_fields(o, scenario_.topology, entry.route, nullptr);
+          }
+          response = std::move(o).str();
           break;
         }
         case Verb::kWithdraw: {
-          runner::JsonObject o;
+          runner::JsonObject o(kScalarAnswerBytes);
           o.field("ok", true)
               .field("key", op.key)
               .field("version", result.version)
               .field("withdrawn", true);
-          response = o.str();
+          response = std::move(o).str();
           break;
         }
         default:
@@ -702,12 +726,12 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
     // Held link requests answer when their window drains; the latency
     // histogram then shows the full hold (bounded by the window).
     for (PendingOp& op : answered_links) {
-      runner::JsonObject o;
+      runner::JsonObject o(kScalarAnswerBytes);
       o.field("ok", true)
           .field("up", scenario_.topology.link_up(op.link))
           .field("version", result.version)
           .field("changed", changed_links.count(op.link) > 0);
-      answer(op, o.str());
+      answer(op, std::move(o).str());
     }
   }
 }

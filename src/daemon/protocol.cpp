@@ -2,7 +2,6 @@
 
 #include <array>
 #include <stdexcept>
-#include <vector>
 
 #include "common/parse.hpp"
 #include "runner/jsonl.hpp"
@@ -11,10 +10,17 @@ namespace kar::daemon {
 
 namespace {
 
+/// A request line's first tokens and its token count. No verb takes more
+/// than two arguments, so later tokens matter only to the arity check.
+struct Tokens {
+  std::array<std::string_view, 3> first;
+  std::size_t count = 0;
+};
+
 /// Whitespace-token split (space and tab; CR tolerated at line end so the
 /// protocol works over CRLF transports too).
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
+Tokens tokenize(std::string_view line) {
+  Tokens tokens;
   std::size_t i = 0;
   const auto is_space = [](char c) {
     return c == ' ' || c == '\t' || c == '\r';
@@ -23,7 +29,11 @@ std::vector<std::string_view> tokenize(std::string_view line) {
     while (i < line.size() && is_space(line[i])) ++i;
     const std::size_t start = i;
     while (i < line.size() && !is_space(line[i])) ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+    if (i == start) continue;
+    if (tokens.count < tokens.first.size()) {
+      tokens.first[tokens.count] = line.substr(start, i - start);
+    }
+    ++tokens.count;
   }
   return tokens;
 }
@@ -68,8 +78,9 @@ std::string_view to_string(Verb verb) {
 }
 
 ParsedRequest parse_request(std::string_view line) {
-  const auto tokens = tokenize(line);
-  if (tokens.empty()) return fail("empty", "empty request line");
+  const Tokens tokenized = tokenize(line);
+  if (tokenized.count == 0) return fail("empty", "empty request line");
+  const auto& tokens = tokenized.first;
   const VerbSpec* spec = nullptr;
   for (const VerbSpec& candidate : kVerbs) {
     if (candidate.name == tokens.front()) {
@@ -80,7 +91,7 @@ ParsedRequest parse_request(std::string_view line) {
   if (spec == nullptr) {
     return fail("unknown-verb", "unknown verb: " + std::string(tokens.front()));
   }
-  const std::size_t args = tokens.size() - 1;
+  const std::size_t args = tokenized.count - 1;
   if (args < spec->min_args || args > spec->max_args) {
     return fail("arity", std::string(spec->name) + " takes " +
                              std::to_string(spec->min_args) +
@@ -103,7 +114,7 @@ ParsedRequest parse_request(std::string_view line) {
       break;
     case Verb::kWithdraw:
     case Verb::kQuery: {
-      const auto key = common::parse_u64(std::string(tokens[1]));
+      const auto key = common::parse_u64(tokens[1]);
       if (!key) {
         return fail("bad-key",
                     "not a route key: " + std::string(tokens[1]));

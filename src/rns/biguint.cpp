@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 
@@ -418,23 +419,51 @@ std::uint64_t BigUint::mod_u64(std::uint64_t divisor) const {
   return rem;
 }
 
-std::string BigUint::to_string() const {
-  if (is_zero()) return "0";
-  std::string digits;
-  BigUint value = *this;
-  const BigUint billion(1000000000ULL);
-  while (!value.is_zero()) {
-    auto [quo, rem] = value.divmod(billion);
-    std::uint64_t chunk = rem.is_zero() ? 0 : rem.to_u64();
-    for (int i = 0; i < 9; ++i) {
-      digits.push_back(static_cast<char>('0' + chunk % 10));
+void BigUint::append_decimal(std::string& out) const {
+  if (is_zero()) {
+    out.push_back('0');
+    return;
+  }
+  // Short division by 10^9 over a copy of the limbs: each pass peels off
+  // the lowest nine digits, written right to left into room made at the
+  // end of `out` (a 32-bit limb carries under ten decimal digits).
+  constexpr std::size_t kStackLimbs = 16;
+  constexpr std::uint32_t kChunk = 1000000000;
+  std::uint32_t stack[kStackLimbs]{};
+  std::unique_ptr<std::uint32_t[]> spill;
+  std::uint32_t* work = stack;
+  if (size_ > kStackLimbs) {
+    spill = std::make_unique<std::uint32_t[]>(size_);
+    work = spill.get();
+  }
+  std::copy_n(data(), size_, work);
+  std::size_t n = size_;
+  const std::size_t base = out.size();
+  out.resize(base + 10 * n);
+  char* const first = out.data() + base;
+  char* p = out.data() + out.size();
+  while (n > 0) {
+    std::uint64_t rem = 0;
+    for (std::size_t i = n; i-- > 0;) {
+      const std::uint64_t cur = rem << 32 | work[i];
+      work[i] = static_cast<std::uint32_t>(cur / kChunk);
+      rem = cur % kChunk;
+    }
+    while (n > 0 && work[n - 1] == 0) --n;
+    // Inner chunks keep their leading zeros; the most significant does not.
+    auto chunk = static_cast<std::uint32_t>(rem);
+    for (int d = 0; d < 9 && (n > 0 || chunk != 0); ++d) {
+      *--p = static_cast<char>('0' + chunk % 10);
       chunk /= 10;
     }
-    value = std::move(quo);
   }
-  while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  std::reverse(digits.begin(), digits.end());
-  return digits;
+  out.erase(base, static_cast<std::size_t>(p - first));
+}
+
+std::string BigUint::to_string() const {
+  std::string out;
+  append_decimal(out);
+  return out;
 }
 
 std::string BigUint::to_hex() const {

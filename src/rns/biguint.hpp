@@ -55,6 +55,10 @@ class BigUint {
   /// Converts to uint64_t; throws std::overflow_error if it does not fit.
   [[nodiscard]] std::uint64_t to_u64() const;
 
+  /// Appends the decimal representation to `out`, allocating nothing
+  /// beyond the digits' room in `out` for values of up to 16 limbs.
+  void append_decimal(std::string& out) const;
+
   /// Decimal representation.
   [[nodiscard]] std::string to_string() const;
 

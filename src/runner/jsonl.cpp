@@ -2,15 +2,30 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace kar::runner {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+namespace {
+
+template <typename Int>
+void append_integer(std::string& out, Int number) {
+  char buf[24];  // a 64-bit integer takes at most 20 digits and a sign
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), number);
+  out.append(buf, end);
+}
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 included
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -19,16 +34,19 @@ std::string json_escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 continuation bytes included
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_json_escaped(out, text);
   return out;
 }
 
@@ -46,14 +64,14 @@ std::string json_double(double value) {
 void JsonObject::begin_field(std::string_view key) {
   if (body_.size() > 1) body_ += ',';
   body_ += '"';
-  body_ += json_escape(key);
+  append_json_escaped(body_, key);
   body_ += "\":";
 }
 
 JsonObject& JsonObject::field(std::string_view key, std::string_view value) {
   begin_field(key);
   body_ += '"';
-  body_ += json_escape(value);
+  append_json_escaped(body_, value);
   body_ += '"';
   return *this;
 }
@@ -66,13 +84,13 @@ JsonObject& JsonObject::field(std::string_view key, double number) {
 
 JsonObject& JsonObject::field(std::string_view key, std::uint64_t number) {
   begin_field(key);
-  body_ += std::to_string(number);
+  append_integer(body_, number);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view key, std::int64_t number) {
   begin_field(key);
-  body_ += std::to_string(number);
+  append_integer(body_, number);
   return *this;
 }
 
@@ -86,6 +104,16 @@ JsonObject& JsonObject::raw(std::string_view key, std::string_view json) {
   begin_field(key);
   body_ += json;
   return *this;
+}
+
+std::string& JsonObject::value(std::string_view key) {
+  begin_field(key);
+  return body_;
+}
+
+std::string JsonObject::str() && {
+  body_ += '}';
+  return std::move(body_);
 }
 
 JsonlWriter::JsonlWriter(std::ostream& out) : out_(&out) {}

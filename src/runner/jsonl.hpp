@@ -22,8 +22,12 @@
 
 namespace kar::runner {
 
-/// Escapes `text` for inclusion inside a JSON string literal (quotes,
-/// backslashes, and control characters; UTF-8 passes through untouched).
+/// Appends `text` to `out`, escaped for inclusion inside a JSON string
+/// literal (quotes, backslashes, and control characters; UTF-8 passes
+/// through untouched). Runs that need no escape are copied whole.
+void append_json_escaped(std::string& out, std::string_view text);
+
+/// `text` escaped as by append_json_escaped().
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Shortest representation of `value` that parses back to the same double
@@ -34,6 +38,11 @@ namespace kar::runner {
 /// Keys are escaped; callers pick the typed appender for the value.
 class JsonObject {
  public:
+  JsonObject() = default;
+  /// Reserves `capacity` bytes up front, so an object of known size is
+  /// written into a single allocation.
+  explicit JsonObject(std::size_t capacity) { body_.reserve(capacity); }
+
   JsonObject& field(std::string_view key, std::string_view string_value);
   JsonObject& field(std::string_view key, const char* string_value) {
     return field(key, std::string_view(string_value));
@@ -47,9 +56,14 @@ class JsonObject {
   JsonObject& field(std::string_view key, bool boolean);
   /// Splices `json` in verbatim (for nested objects/arrays).
   JsonObject& raw(std::string_view key, std::string_view json);
+  /// Starts field `key` and returns the body, for the caller to append
+  /// the field's JSON value in place rather than compose it apart.
+  std::string& value(std::string_view key);
 
   /// The finished `{...}` text.
-  [[nodiscard]] std::string str() const { return body_ + "}"; }
+  [[nodiscard]] std::string str() const& { return body_ + "}"; }
+  /// The finished text, moved out of the object without a copy.
+  [[nodiscard]] std::string str() &&;
 
  private:
   void begin_field(std::string_view key);

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/testsupport.hpp"
+
 namespace kar::rns {
 namespace {
 
@@ -134,6 +136,83 @@ TEST(BigUint, DecimalStringRoundTrip) {
   const BigUint x = BigUint::from_string(text);
   EXPECT_EQ(x.to_string(), text);
   EXPECT_EQ((x + BigUint(1)).bit_length(), 129u);
+}
+
+/// Reference decimal formatter: repeated divmod by 10^9, each chunk below
+/// the most significant zero-padded to nine digits.
+std::string reference_decimal(BigUint value) {
+  if (value.is_zero()) return "0";
+  const BigUint billion(1000000000ULL);
+  std::vector<std::uint64_t> chunks;
+  while (!value.is_zero()) {
+    auto [quotient, remainder] = value.divmod(billion);
+    chunks.push_back(remainder.is_zero() ? 0 : remainder.to_u64());
+    value = std::move(quotient);
+  }
+  std::string out = std::to_string(chunks.back());
+  for (std::size_t i = chunks.size() - 1; i-- > 0;) {
+    const std::string chunk = std::to_string(chunks[i]);
+    out.append(9 - chunk.size(), '0');
+    out += chunk;
+  }
+  return out;
+}
+
+/// A value of exactly `limbs` limbs, drawn from `rng`.
+BigUint random_limbs(common::Rng& rng, std::size_t limbs) {
+  BigUint value;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    value <<= 32;
+    const std::uint64_t limb = rng.below(std::uint64_t{1} << 32);
+    value += BigUint(i == 0 && limb == 0 ? 1 : limb);
+  }
+  return value;
+}
+
+TEST(BigUint, AppendDecimalMatchesTheDivmodReference) {
+  // 0..40 limbs: inline values, the stack copy, and past 16 limbs the
+  // heap copy of the limbs.
+  auto rng = testsupport::make_rng(0xDEC1A1ULL, "AppendDecimal");
+  for (std::size_t limbs = 0; limbs <= 40; ++limbs) {
+    for (int draw = 0; draw < 25; ++draw) {
+      const BigUint value = random_limbs(rng, limbs);
+      ASSERT_EQ(value.limbs().size(), limbs);
+      const std::string expected = reference_decimal(value);
+      ASSERT_EQ(value.to_string(), expected) << limbs << " limbs";
+      std::string appended = "id=";
+      value.append_decimal(appended);
+      ASSERT_EQ(appended, "id=" + expected) << limbs << " limbs";
+    }
+  }
+}
+
+TEST(BigUint, AppendDecimalEdgeShapes) {
+  // Exact powers of 10^9: every chunk below the leading one is zero.
+  const BigUint billion(1000000000ULL);
+  BigUint power(1);
+  for (std::size_t k = 0; k <= 40; ++k) {
+    std::string expected(9 * k + 1, '0');
+    expected.front() = '1';
+    EXPECT_EQ(power.to_string(), expected) << "10^" << 9 * k;
+    power *= billion;
+  }
+  EXPECT_EQ(BigUint(1000000000000000007ULL).to_string(), "1000000000000000007");
+  EXPECT_EQ((billion * billion * billion).to_string(),
+            "1000000000000000000000000000");
+  // 2^k - 1 and 2^k at limb boundaries, up to past the 16-limb stack copy.
+  for (const std::size_t k : {32u, 64u, 96u, 128u, 160u, 512u, 544u, 1280u}) {
+    const BigUint two_k = BigUint(1) << k;
+    const BigUint below = two_k - BigUint(1);
+    EXPECT_EQ(below.to_string(), reference_decimal(below)) << "2^" << k << "-1";
+    EXPECT_EQ(two_k.to_string(), reference_decimal(two_k)) << "2^" << k;
+  }
+  EXPECT_EQ((BigUint(1) << 128).to_string(),
+            "340282366920938463463374607431768211456");
+  // Appending keeps what the string already holds.
+  std::string out = "route=";
+  BigUint(0).append_decimal(out);
+  BigUint(123).append_decimal(out);
+  EXPECT_EQ(out, "route=0123");
 }
 
 TEST(BigUint, HexStringParses) {

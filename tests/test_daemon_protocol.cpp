@@ -90,6 +90,13 @@ TEST(Protocol, StructuredErrors) {
   EXPECT_EQ(parse_request("install A B C").error_code, "arity");
   EXPECT_EQ(parse_request("ping extra").error_code, "arity");
   EXPECT_EQ(parse_request("withdraw").error_code, "arity");
+  // Tokens past the third still count toward the arity message.
+  EXPECT_EQ(parse_request("install A B C").error,
+            "install takes 2 argument(s), got 3");
+  EXPECT_EQ(parse_request("query 1 2 3 4 5").error,
+            "query takes 1 argument(s), got 5");
+  EXPECT_EQ(parse_request(" snapshot a\tb c d e ").error,
+            "snapshot takes 0..1 argument(s), got 5");
   EXPECT_EQ(parse_request("withdraw banana").error_code, "bad-key");
   EXPECT_EQ(parse_request("query -3").error_code, "bad-key");
   EXPECT_EQ(parse_request("query 99999999999999999999999").error_code,

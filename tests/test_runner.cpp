@@ -11,11 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -311,6 +313,52 @@ TEST(Jsonl, EscapesStrings) {
   EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 untouched
 }
 
+/// Reference escape, one byte at a time.
+std::string reference_escape(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (byte < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(Jsonl, EscapeAgreesWithAppendForEveryByte) {
+  std::string appended = "prefix";
+  append_json_escaped(appended, "");
+  EXPECT_EQ(appended, "prefix");
+  EXPECT_EQ(json_escape(""), "");
+  for (int b = 0; b <= 0xFF; ++b) {
+    const char c = static_cast<char>(b);
+    // The byte alone, then between and beside runs of safe bytes.
+    for (const std::string& text :
+         {std::string(1, c), "ab" + std::string(1, c) + "cd" + c + c + "e",
+          std::string(1, c) + "xyz"}) {
+      const std::string expected = reference_escape(text);
+      EXPECT_EQ(json_escape(text), expected) << "byte " << b;
+      std::string out = "{";
+      append_json_escaped(out, text);
+      EXPECT_EQ(out, "{" + expected) << "byte " << b;
+    }
+  }
+}
+
 TEST(Jsonl, FormatsDoublesDeterministically) {
   EXPECT_EQ(json_double(1.0), "1");
   EXPECT_EQ(json_double(0.5), "0.5");
@@ -327,6 +375,19 @@ TEST(Jsonl, BuildsObjectsInInsertionOrder) {
   EXPECT_EQ(object.str(),
             "{\"name\":\"kar\",\"runs\":3,\"rate\":0.25,\"ok\":true,"
             "\"nested\":{\"a\":1}}");
+}
+
+TEST(Jsonl, MovedOutTextEqualsCopiedText) {
+  JsonObject object(64);
+  object.field("key", std::uint64_t{18446744073709551615ULL})
+      .field("delta", std::int64_t{-42})
+      .field("name", "a\"b");
+  object.value("path") += "[\"x\"]";
+  const std::string copied = object.str();
+  EXPECT_EQ(copied,
+            "{\"key\":18446744073709551615,\"delta\":-42,\"name\":\"a\\\"b\","
+            "\"path\":[\"x\"]}");
+  EXPECT_EQ(std::move(object).str(), copied);
 }
 
 TEST(Jsonl, WriterAppendsCompleteLines) {

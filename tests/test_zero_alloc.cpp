@@ -11,7 +11,9 @@
 // forcing deflection draws in the mix; across >= 100k events of a
 // window-limited TCP flow through sim::Network; and across hot-potato
 // walkers that keep surfacing at a wrong edge, once each edge has
-// re-encoded toward the destination.
+// re-encoded toward the destination. The `kard` query path gets a budget
+// rather than a zero: its answer is one string, and a std::promise costs
+// two more.
 //
 // Registered under the `bench` and `sim` ctest labels: an allocation
 // sneaking into the hot loop is a performance regression before it is
@@ -20,10 +22,13 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "daemon/daemon.hpp"
 #include "dataplane/arena.hpp"
 #include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
@@ -217,6 +222,60 @@ TEST(ZeroAlloc, WarmedWrongEdgeReencodesDoNotTouchTheHeap) {
       << g_allocations << " allocations over "
       << net.counters().reencodes - warm_reencodes << " re-encodes";
   EXPECT_EQ(net.counters().delivered, 400u);
+}
+
+TEST(ZeroAlloc, WarmedKardQueryStaysWithinItsAllocationBudget) {
+  // One answer string plus the promise's shared state and result: every
+  // other part of a query — parse, store read, route-ID digits, escaping —
+  // must stay off the heap. rnp28 with host edges gives 152-bit route IDs,
+  // wider than BigUint's inline limbs.
+  daemon::KardConfig config;
+  config.topology = "rnp28";
+  config.host_edges = true;
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+  const topo::Topology& t = kard.topology();
+  const std::vector<topo::NodeId> all_edges =
+      t.nodes_of_kind(topo::NodeKind::kEdgeNode);
+  const std::vector<topo::NodeId> edges(all_edges.begin(),
+                                        all_edges.begin() + 12);
+  std::vector<std::future<std::string>> installs;
+  for (const topo::NodeId src : edges) {
+    for (const topo::NodeId dst : edges) {
+      if (src == dst) continue;
+      installs.push_back(
+          kard.submit_line("install " + t.name(src) + ' ' + t.name(dst)));
+    }
+  }
+  for (auto& f : installs) {
+    ASSERT_EQ(f.get().rfind("{\"ok\":true", 0), 0u);
+  }
+  std::vector<std::string> lines;
+  for (std::size_t key = 0; key < installs.size(); ++key) {
+    lines.push_back("query " + std::to_string(key));
+  }
+  constexpr std::size_t kRequests = 4000;
+  const auto run = [&] {
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const std::string answer =
+          kard.submit_line(lines[i % lines.size()]).get();
+      live += answer.find("\"route_id\"") != std::string::npos;
+    }
+    return live;
+  };
+  (void)run();
+  g_allocations = 0;
+  g_counting = true;
+  const std::size_t live = run();
+  g_counting = false;
+  kard.stop();
+  EXPECT_EQ(live, kRequests);
+  const double per_request =
+      static_cast<double>(g_allocations) / static_cast<double>(kRequests);
+  EXPECT_LE(per_request, 3.0) << g_allocations << " allocations over "
+                              << kRequests << " queries";
 }
 
 }  // namespace
