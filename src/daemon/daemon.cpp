@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/json.hpp"
 #include "runner/jsonl.hpp"
 #include "topogen/topogen.hpp"
 #include "topology/builders.hpp"
@@ -72,7 +73,7 @@ void append_route_fields(runner::JsonObject& o,
   for (std::size_t i = 0; i < path->size(); ++i) {
     if (i > 0) names += ',';
     names += '"';
-    runner::append_json_escaped(names, topology.name((*path)[i]));
+    common::append_json_escaped(names, topology.name((*path)[i]));
     names += '"';
   }
   names += ']';

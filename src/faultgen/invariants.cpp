@@ -33,9 +33,8 @@ void InvariantChecker::record(Violation::Kind kind, double time,
   violations_.push_back(Violation{kind, time, packet_id, std::move(detail)});
 }
 
-void InvariantChecker::check_hop(const TraceEvent& event) {
+void InvariantChecker::check_hop(const TraceEvent& event, PacketState& state) {
   const topo::Topology& topo = net_->topology();
-  PacketState& state = live_[event.packet_id];
   if (++state.hops > hop_budget_) {
     record(Violation::Kind::kHopBudgetExceeded, event.time, event.packet_id,
            "hop " + std::to_string(state.hops) + " at " +
@@ -80,22 +79,23 @@ void InvariantChecker::observe(const TraceEvent& event) {
 
   switch (event.kind) {
     case TraceEvent::Kind::kInject:
-      if (live_.contains(event.packet_id)) {
+      if (!live_.try_emplace(event.packet_id).second) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "packet injected twice");
         return;
       }
       ++injected_;
-      live_.emplace(event.packet_id, PacketState{});
       break;
-    case TraceEvent::Kind::kHop:
-      if (!live_.contains(event.packet_id)) {
+    case TraceEvent::Kind::kHop: {
+      const auto it = live_.find(event.packet_id);
+      if (it == live_.end()) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "hop for a packet that is not in flight");
         return;
       }
-      check_hop(event);
+      check_hop(event, it->second);
       break;
+    }
     case TraceEvent::Kind::kReencode:
     case TraceEvent::Kind::kBounce:
       if (!live_.contains(event.packet_id)) {

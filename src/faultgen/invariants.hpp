@@ -95,11 +95,12 @@ class InvariantChecker {
  private:
   void record(Violation::Kind kind, double time, std::uint64_t packet_id,
               std::string detail);
-  void check_hop(const sim::TraceEvent& event);
-
   struct PacketState {
     std::uint32_t hops = 0;
   };
+
+  /// Checks one hop of the in-flight packet whose live_ entry is `state`.
+  void check_hop(const sim::TraceEvent& event, PacketState& state);
 
   const sim::Network* net_;
   InvariantConfig config_;

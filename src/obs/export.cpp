@@ -1,53 +1,19 @@
 #include "obs/export.hpp"
 
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace kar::obs {
 
 namespace {
 
-// Minimal JSON helpers, duplicated from runner/jsonl on purpose: obs sits
-// below the runner in the dependency graph (runner -> faultgen -> obs), so
-// it cannot link kar_runner. Same contracts: escaped strings, shortest
-// round-trip doubles.
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
+using common::json_double;
+using common::json_escape;
 
 /// `{"k":"v",...}` from the record's args; values that parse as plain
 /// numbers are emitted unquoted so Perfetto shows them as numbers.

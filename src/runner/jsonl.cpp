@@ -1,9 +1,10 @@
 #include "runner/jsonl.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
+
+#include "common/json.hpp"
 
 namespace kar::runner {
 
@@ -18,67 +19,24 @@ void append_integer(std::string& out, Int number) {
 
 }  // namespace
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;  // start of the pending run of bytes that need no escape
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const auto c = static_cast<unsigned char>(text[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 included
-    out.append(text.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
-        out.append(u, sizeof(u));
-      }
-    }
-  }
-  out.append(text.data() + run, text.size() - run);
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_json_escaped(out, text);
-  return out;
-}
-
-std::string json_double(double value) {
-  if (!std::isfinite(value)) return "null";
-  // std::to_chars emits the shortest string that round-trips: value-equal
-  // doubles always get byte-equal text, independent of locale and platform
-  // printf quirks.
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
 void JsonObject::begin_field(std::string_view key) {
   if (body_.size() > 1) body_ += ',';
   body_ += '"';
-  append_json_escaped(body_, key);
+  common::append_json_escaped(body_, key);
   body_ += "\":";
 }
 
 JsonObject& JsonObject::field(std::string_view key, std::string_view value) {
   begin_field(key);
   body_ += '"';
-  append_json_escaped(body_, value);
+  common::append_json_escaped(body_, value);
   body_ += '"';
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view key, double number) {
   begin_field(key);
-  body_ += json_double(number);
+  body_ += common::json_double(number);
   return *this;
 }
 

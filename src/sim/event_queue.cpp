@@ -39,7 +39,7 @@ EventQueue::Entry EventQueue::handler_entry(double time, std::uint64_t seq,
 }
 
 void EventQueue::schedule_at(double time, EventKind kind, Handler fn) {
-  push_heap(handler_entry(time, next_seq_, kind, std::move(fn)));
+  push_heap(heap_, handler_entry(time, next_seq_, kind, std::move(fn)));
   ++next_seq_;
 }
 
@@ -48,7 +48,7 @@ void EventQueue::schedule_at_seq(double time, std::uint64_t seq,
   if (seq >= next_seq_) {
     throw std::invalid_argument("EventQueue: seq was never reserved");
   }
-  push_heap(handler_entry(time, seq, kind, std::move(fn)));
+  push_heap(heap_, handler_entry(time, seq, kind, std::move(fn)));
 }
 
 EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,
@@ -62,7 +62,7 @@ EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,
 
 void EventQueue::schedule_packet_at(double time, EventKind kind,
                                     std::uint32_t slot) {
-  push_heap(packet_entry(time, kind, slot));
+  push_heap(heap_, packet_entry(time, kind, slot));
 }
 
 void EventQueue::schedule_packet_fifo(double time, EventKind kind,
@@ -73,10 +73,48 @@ void EventQueue::schedule_packet_fifo(double time, EventKind kind,
   if (lane_size_ != 0 &&
       entry.time <
           lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)].time) {
-    push_heap(entry);
+    push_heap(heap_, entry);
   } else {
     push_lane(entry);
   }
+}
+
+void EventQueue::set_channel_count(std::size_t count) {
+  if (chained_ != 0) {
+    throw std::logic_error("EventQueue: channels resized while in use");
+  }
+  channel_tail_.assign(count, kNoNode);
+}
+
+void EventQueue::schedule_packet_on(std::uint32_t channel, double time,
+                                    EventKind kind, std::uint32_t slot) {
+  if (channel >= channel_tail_.size()) {
+    throw std::out_of_range("EventQueue: no such channel");
+  }
+  const Entry entry = packet_entry(time, kind, slot);
+  // Like the lane: a channel stays sorted while its times never decrease.
+  std::uint32_t& tail = channel_tail_[channel];
+  if (tail != kNoNode && entry.time < nodes_[tail].entry.time) {
+    push_heap(heap_, entry);
+    return;
+  }
+  std::uint32_t node = free_node_;
+  if (node == kNoNode) {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    free_node_ = nodes_[node].next;
+  }
+  nodes_[node] = Node{entry, kNoNode, channel};
+  ++chained_;
+  if (tail == kNoNode) {
+    Entry head = entry;
+    head.slot = node;
+    push_heap(channel_heap_, head);
+  } else {
+    nodes_[tail].next = node;
+  }
+  tail = node;
 }
 
 EventQueue::TimerId EventQueue::add_timer(EventKind kind, Handler fn) {
@@ -158,18 +196,38 @@ void EventQueue::sift_down(std::vector<Entry>& heap, std::size_t i,
   place(i, entry);
 }
 
-void EventQueue::push_heap(const Entry& entry) {
-  heap_.push_back(entry);
-  sift_up(heap_, heap_.size() - 1, entry,
-          [this](std::size_t i, const Entry& e) { heap_[i] = e; });
+void EventQueue::push_heap(std::vector<Entry>& heap, const Entry& entry) {
+  heap.push_back(entry);
+  sift_up(heap, heap.size() - 1, entry,
+          [&heap](std::size_t i, const Entry& e) { heap[i] = e; });
 }
 
-void EventQueue::pop_heap() {
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
-  sift_down(heap_, 0, last,
-            [this](std::size_t i, const Entry& e) { heap_[i] = e; });
+void EventQueue::pop_heap(std::vector<Entry>& heap) {
+  const Entry last = heap.back();
+  heap.pop_back();
+  if (heap.empty()) return;
+  sift_down(heap, 0, last,
+            [&heap](std::size_t i, const Entry& e) { heap[i] = e; });
+}
+
+void EventQueue::pop_channel(Entry& out) {
+  const std::uint32_t node = channel_heap_.front().slot;
+  Node& popped = nodes_[node];
+  out = popped.entry;
+  const std::uint32_t next = popped.next;
+  if (next == kNoNode) {
+    channel_tail_[popped.channel] = kNoNode;
+    pop_heap(channel_heap_);
+  } else {
+    Entry head = nodes_[next].entry;
+    head.slot = next;
+    sift_down(channel_heap_, 0, head, [this](std::size_t i, const Entry& e) {
+      channel_heap_[i] = e;
+    });
+  }
+  popped.next = free_node_;
+  free_node_ = node;
+  --chained_;
 }
 
 void EventQueue::push_lane(const Entry& entry) {
@@ -206,24 +264,37 @@ void EventQueue::pop_timer() {
 }
 
 bool EventQueue::pop_until(double limit, Entry& out) {
+  enum class From : std::uint8_t { kHeap, kLane, kChannel, kTimer };
   const Entry* best = nullptr;
-  if (!heap_.empty()) best = &heap_.front();
-  if (lane_size_ != 0 && (best == nullptr || earlier(lane_[lane_head_], *best))) {
-    best = &lane_[lane_head_];
-  }
-  if (!timer_heap_.empty() &&
-      (best == nullptr || earlier(timer_heap_.front(), *best))) {
-    best = &timer_heap_.front();
-  }
+  From from = From::kHeap;
+  const auto consider = [&](const Entry& head, From where) {
+    if (best == nullptr || earlier(head, *best)) {
+      best = &head;
+      from = where;
+    }
+  };
+  if (!heap_.empty()) consider(heap_.front(), From::kHeap);
+  if (lane_size_ != 0) consider(lane_[lane_head_], From::kLane);
+  if (!channel_heap_.empty()) consider(channel_heap_.front(), From::kChannel);
+  if (!timer_heap_.empty()) consider(timer_heap_.front(), From::kTimer);
   if (best == nullptr || best->time > limit) return false;
-  out = *best;
-  if (best == heap_.data()) {
-    pop_heap();
-  } else if (out.target == Target::kTimer) {
-    pop_timer();
-  } else {
-    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-    --lane_size_;
+  switch (from) {
+    case From::kHeap:
+      out = *best;
+      pop_heap(heap_);
+      break;
+    case From::kLane:
+      out = *best;
+      lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+      --lane_size_;
+      break;
+    case From::kChannel:
+      pop_channel(out);
+      break;
+    case From::kTimer:
+      out = *best;
+      pop_timer();
+      break;
   }
   return true;
 }

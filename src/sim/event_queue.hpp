@@ -5,13 +5,20 @@
 // target}, ordered by (time, seq) — seq is the scheduling counter (or one
 // reserved from it earlier, see reserve_seqs), so the firing order is a
 // strict total order fixed at schedule time, whatever structure holds the
-// entry. The queue holds only live events, in three places, and step()
-// fires the earliest of their three heads:
+// entry. The queue holds only live events, in four places, and step()
+// fires the earliest of their four heads:
 //   * a 4-ary min-heap for events at arbitrary times;
 //   * a FIFO lane for callers whose successive times never decrease (the
 //     simulator's fixed-latency switch/edge hops): a ring buffer already
 //     in (time, seq) order, so a push and a pop cost O(1); a push that
 //     would break that order goes to the heap instead;
+//   * channels: numbered FIFOs with the lane's rule, one per source that
+//     delivers in the order it sends (the simulator's link directions).
+//     Each channel is a linked list through one node slab whose nodes are
+//     recycled through a free list, and only the head of each non-empty
+//     channel sits in a small 4-ary heap; popping a head replaces it in
+//     place with its channel's next entry. A push earlier than its
+//     channel's tail goes to the general heap;
 //   * a position-indexed 4-ary heap of re-armable timers (TCP RTO, the
 //     reactive controller's debounce): one entry per armed timer, moved in
 //     place when re-armed and removed when disarmed, so a superseded
@@ -100,13 +107,11 @@ class EventQueue {
   /// Current simulation time in seconds (starts at 0).
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  /// True when no event is queued and no timer is armed.
-  [[nodiscard]] bool empty() const noexcept {
-    return heap_.empty() && lane_size_ == 0 && timer_heap_.empty();
-  }
-  /// Queued events plus armed timers.
+  /// True when no event is queued (channels included) and no timer is armed.
+  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
+  /// Queued events (every entry of every channel included) plus armed timers.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + lane_size_ + timer_heap_.size();
+    return heap_.size() + lane_size_ + chained_ + timer_heap_.size();
   }
 
   /// Schedules `fn` at absolute time `time` (>= now, else clamped to now).
@@ -147,6 +152,16 @@ class EventQueue {
   /// that would fire before the lane's tail goes to the heap instead, so
   /// the firing order is the same either way.
   void schedule_packet_fifo(double time, EventKind kind, std::uint32_t slot);
+
+  /// Sizes the channels to `count` (channel ids 0 .. count - 1). Throws
+  /// std::logic_error while any channel holds an entry.
+  void set_channel_count(std::size_t count);
+
+  /// schedule_packet_fifo on channel `channel`: the event joins that
+  /// channel's FIFO, or the heap when it would fire before the channel's
+  /// tail. Throws std::out_of_range for a channel >= the channel count.
+  void schedule_packet_on(std::uint32_t channel, double time, EventKind kind,
+                          std::uint32_t slot);
 
   /// Registers a re-armable timer that runs `fn` (accounted as `kind`)
   /// each time it fires. It starts disarmed. Ids of removed timers are
@@ -201,6 +216,14 @@ class EventQueue {
   static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
 
   static constexpr std::uint32_t kDisarmed = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+  /// One channel entry: a link of its channel's list, or of the free list.
+  struct Node {
+    Entry entry;
+    std::uint32_t next;     ///< Next node of the list, or kNoNode.
+    std::uint32_t channel;  ///< Owning channel while linked into one.
+  };
+  static_assert(std::is_trivially_copyable_v<Node> && sizeof(Node) == 32);
   struct Timer {
     Handler fn;
     EventKind kind = EventKind::kGeneric;
@@ -226,9 +249,12 @@ class EventQueue {
   /// A packet entry at `time` (clamped to now), drawing the next seq.
   /// Throws std::logic_error with no sink attached.
   Entry packet_entry(double time, EventKind kind, std::uint32_t slot);
-  void push_heap(const Entry& entry);
-  void pop_heap();
+  static void push_heap(std::vector<Entry>& heap, const Entry& entry);
+  static void pop_heap(std::vector<Entry>& heap);
   void push_lane(const Entry& entry);
+  /// Pops the head of the earliest channel into `out`; its next entry, if
+  /// any, takes the head's place in channel_heap_.
+  void pop_channel(Entry& out);
   /// Stores `entry` at `i` of the timer heap and restores heap order.
   void place_timer(std::size_t i, const Entry& entry);
   void pop_timer();
@@ -248,6 +274,13 @@ class EventQueue {
   std::vector<Entry> lane_;  ///< Ring buffer; capacity a power of two.
   std::size_t lane_head_ = 0;
   std::size_t lane_size_ = 0;
+  /// Per channel, its last node (kNoNode when empty).
+  std::vector<std::uint32_t> channel_tail_;
+  std::vector<Node> nodes_;  ///< Slab of channel nodes.
+  std::uint32_t free_node_ = kNoNode;  ///< Head of the slab's free list.
+  std::size_t chained_ = 0;            ///< Entries linked into channels.
+  /// 4-ary min-heap of channel heads; an entry's slot is its node index.
+  std::vector<Entry> channel_heap_;
   std::vector<Entry> timer_heap_;  ///< 4-ary min-heap of armed timers.
   /// A deque so a firing handler stays put while it adds timers.
   std::deque<Timer> timers_;

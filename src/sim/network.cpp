@@ -32,6 +32,7 @@ Network::Network(topo::Topology& topology, const routing::Controller& controller
       config_(config),
       rng_(config.seed) {
   events_.set_packet_sink(this);
+  events_.set_channel_count(2 * topology.link_count());
   const std::size_t n = topology.node_count();
   switches_.resize(n);
   edges_.resize(n);
@@ -248,7 +249,8 @@ void Network::schedule_link_delivery(topo::LinkId link_id, int dir,
                                      std::uint32_t slot) {
   pool_[slot].hop = PacketPool::Hop{far.node, far.port, link_id,
                                     static_cast<std::uint8_t>(dir), epoch};
-  events_.schedule_packet_at(arrival, EventKind::kLinkArrival, slot);
+  events_.schedule_packet_on(2 * link_id + static_cast<std::uint32_t>(dir),
+                             arrival, EventKind::kLinkArrival, slot);
 }
 
 void Network::on_packet_event(EventKind kind, std::uint32_t slot) {

@@ -17,7 +17,12 @@
 // drop reason). Its per-hop events (link arrival, switch and edge
 // processing) are handler-free EventQueue packet events that carry only the
 // slot; the hop fields they need ride in the slot beside the packet. A hop
-// therefore neither moves the packet nor allocates.
+// therefore neither moves the packet nor allocates. A link direction
+// delivers in the order it transmits: its busy_until only grows and its
+// delay is fixed. So its arrivals go on that direction's own EventQueue
+// channel, 2 * link + dir, and only the earliest of them waits in a heap.
+// A fail or repair resets busy_until to now, so the next arrival can come
+// before the dead ones still in flight; the channel sends it to the heap.
 #pragma once
 
 #include <array>

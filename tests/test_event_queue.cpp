@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -131,15 +132,21 @@ using FireFn = std::function<void(std::uint32_t)>;
 /// The scheduler the production queue replaced: std::priority_queue over
 /// (time, seq) with std::function entries, timers as eagerly scheduled
 /// events behind an epoch guard (a superseded or disarmed deadline stays
-/// queued and fires as a no-op) and no FIFO lane. Test-only ordering oracle.
+/// queued and fires as a no-op) and no FIFO lane or channels. Test-only
+/// ordering oracle.
 class ReferenceQueue {
  public:
   static constexpr std::size_t kTimers = 8;
+  static constexpr std::uint32_t kChannels = 3;
   [[nodiscard]] double now() const { return now_; }
   void schedule(double time, std::uint32_t id, const FireFn& fire) {
     push(time, [fire, id] { fire(id); });
   }
   void schedule_fifo(double time, std::uint32_t id, const FireFn& fire) {
+    schedule(time, id, fire);
+  }
+  void schedule_on(std::uint32_t /*channel*/, double time, std::uint32_t id,
+                   const FireFn& fire) {
     schedule(time, id, fire);
   }
   void arm(std::size_t timer, double time, std::uint32_t id,
@@ -204,13 +211,16 @@ class ReferenceQueue {
 /// The production queue behind the same interface. Odd ids go in as
 /// packet events (through the sink), even ids as handler events, so both
 /// entry types share one ordering; FIFO pushes are packet events in the
-/// lane, timers are re-armable queue timers, and a traffic source keeps one
-/// pending event on seqs it reserved at start.
+/// lane, channel pushes packet events on a channel, timers are re-armable
+/// queue timers, and a traffic source keeps one pending event on seqs it
+/// reserved at start.
 class HeapQueue : private PacketEventSink {
  public:
   static constexpr std::size_t kTimers = ReferenceQueue::kTimers;
+  static constexpr std::uint32_t kChannels = ReferenceQueue::kChannels;
   HeapQueue() {
     q_.set_packet_sink(this);
+    q_.set_channel_count(kChannels);
     for (std::size_t k = 0; k < kTimers; ++k) {
       timers_[k] = q_.add_timer(EventKind::kTransportTimer,
                                 [this, k] { (*fire_)(timer_ids_[k]); });
@@ -228,6 +238,11 @@ class HeapQueue : private PacketEventSink {
   void schedule_fifo(double time, std::uint32_t id, const FireFn& fire) {
     fire_ = &fire;
     q_.schedule_packet_fifo(time, EventKind::kSwitchProcess, id);
+  }
+  void schedule_on(std::uint32_t channel, double time, std::uint32_t id,
+                   const FireFn& fire) {
+    fire_ = &fire;
+    q_.schedule_packet_on(channel, time, EventKind::kLinkArrival, id);
   }
   void arm(std::size_t timer, double time, std::uint32_t id,
            const FireFn& fire) {
@@ -274,10 +289,13 @@ class HeapQueue : private PacketEventSink {
 /// kind and time depend only on the firing event's id — plain events at
 /// the same instant, later grid points, or in the past (clamped to now);
 /// FIFO-lane pushes a fixed 0, 0.25 or 0.5 after now (so some fall back to
-/// the heap); arms of one of a few timers, which re-arm later or earlier
-/// (an RTO shrink) than their current deadline; and disarms. Midway through
-/// the initial burst a traffic source starts 300 events at sorted grid
-/// times (ties with each other and with every other kind of entry). Driven
+/// the heap); pushes on one of a few channels at the plain events' times
+/// (so some go back in time on their channel and fall back to the heap);
+/// arms of one of a few timers, which re-arm later or earlier (an RTO
+/// shrink) than their current deadline; and disarms. Every fourth event of
+/// the initial burst goes on a channel too. Midway through the initial
+/// burst a traffic source starts 300 events at sorted grid times (ties with
+/// each other and with every other kind of entry). Driven
 /// by run_until steps whose boundaries land on grid points (including
 /// repeats), then a drain after every timer's deadline shrank. Returns
 /// (id, time) per firing plus (-1, now) per boundary and (-2, now) after
@@ -302,7 +320,7 @@ std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
     const std::uint64_t children = rng.below(3);
     for (std::uint64_t c = 0; c < children && next_id < kMaxEvents; ++c) {
       const std::size_t timer = rng.below(Queue::kTimers);
-      switch (rng.below(5)) {
+      switch (rng.below(6)) {
         case 0:
           q.schedule_fifo(q.now() + 0.25 * static_cast<double>(rng.below(3)),
                           next_id++, fire);
@@ -313,6 +331,12 @@ std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
         case 2:
           q.disarm(timer);
           break;
+        case 3: {
+          const auto channel =
+              static_cast<std::uint32_t>(rng.below(Queue::kChannels));
+          q.schedule_on(channel, child_time(rng), next_id++, fire);
+          break;
+        }
         default:
           q.schedule(child_time(rng), next_id++, fire);
       }
@@ -329,7 +353,13 @@ std::vector<std::pair<std::int64_t, double>> run_schedule(std::uint64_t seed) {
       std::sort(times.begin(), times.end());
       q.start_source(times, kMaxEvents + 100, fire);
     }
-    q.schedule(0.25 * static_cast<double>(rng.below(40)), next_id++, fire);
+    const double time = 0.25 * static_cast<double>(rng.below(40));
+    if (i % 4 == 3) {
+      q.schedule_on(static_cast<std::uint32_t>(i % Queue::kChannels), time,
+                    next_id++, fire);
+    } else {
+      q.schedule(time, next_id++, fire);
+    }
   }
   for (double boundary = 0.0; boundary < 60.0;) {
     boundary += 0.25 * static_cast<double>(rng.below(4));
@@ -358,6 +388,43 @@ TEST(EventQueue, FourAryHeapFiresExactlyLikeThePriorityQueueReference) {
     ASSERT_GT(expected.size(), 500u);
     ASSERT_EQ(actual, expected) << "seed " << seed;
   }
+}
+
+/// Records each packet event's slot.
+class SlotLog : public PacketEventSink {
+ public:
+  void on_packet_event(EventKind, std::uint32_t slot) override {
+    slots.push_back(slot);
+  }
+  std::vector<std::uint32_t> slots;
+};
+
+TEST(EventQueue, PendingAndEmptyCountChainedChannelEntries) {
+  EventQueue q;
+  SlotLog log;
+  q.set_packet_sink(&log);
+  q.set_channel_count(2);
+  q.schedule_packet_on(0, 1.0, EventKind::kLinkArrival, 10);
+  q.schedule_packet_on(0, 2.0, EventKind::kLinkArrival, 11);
+  q.schedule_packet_on(0, 2.0, EventKind::kLinkArrival, 12);
+  q.schedule_packet_on(1, 1.5, EventKind::kLinkArrival, 20);
+  q.schedule_packet_on(0, 0.5, EventKind::kLinkArrival, 13);  // to the heap
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 5u);
+  EXPECT_THROW(q.set_channel_count(4), std::logic_error);
+  EXPECT_THROW(q.schedule_packet_on(2, 1.0, EventKind::kLinkArrival, 0),
+               std::out_of_range);
+  EXPECT_EQ(q.pending(), 5u);
+  for (std::size_t left = 4; q.step(); --left) EXPECT_EQ(q.pending(), left);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(log.slots, (std::vector<std::uint32_t>{13, 10, 20, 11, 12}));
+  // Drained channels take entries again, recycling their nodes.
+  q.set_channel_count(1);
+  q.schedule_packet_on(0, 3.0, EventKind::kLinkArrival, 30);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_all();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(log.slots.back(), 30u);
 }
 
 TEST(EventQueue, ReArmedTimerKeepsOneEntryAndFiresAtItsLastDeadline) {

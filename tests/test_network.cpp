@@ -127,6 +127,82 @@ TEST_F(NetFixture, RepairRestoresDelivery) {
   EXPECT_EQ(delivered, 1u);
 }
 
+TEST_F(NetFixture, ArrivalOvertakingADeadBacklogKeepsTimeOrder) {
+  // A fail/repair resets the S->SW4 direction's busy_until below the
+  // arrivals still in flight on it, so the next packet sent there arrives
+  // before most of that dead backlog. Every event must still fire in time
+  // order: each backlog packet dies at its own arrival instant.
+  Scenario s = topo::make_fig1_network(
+      topo::LinkParams{.rate_bps = 1e6, .delay_s = 1e-3, .queue_packets = 100});
+  routing::Controller ctrl(s.topology);
+  Network net(s.topology, ctrl, {});
+  const topo::Topology& t = s.topology;
+  const auto r = ctrl.encode_scenario(s.route, ProtectionLevel::kUnprotected);
+  struct Seen {
+    TraceEvent::Kind kind;
+    std::uint64_t packet_id;
+    topo::NodeId node;
+    dataplane::DropReason reason;
+    double time;
+  };
+  std::vector<Seen> seen;
+  net.set_trace_hook([&](const TraceEvent& e) {
+    seen.push_back(Seen{e.kind, e.packet_id, e.node,
+                        e.kind == TraceEvent::Kind::kDrop
+                            ? e.drop_reason
+                            : dataplane::DropReason::kNoViablePort,
+                        e.time});
+  });
+  const auto send = [&] {
+    Packet p;
+    p.transport = dataplane::Datagram{0};
+    net.edge_at(r.src_edge).stamp(p, r, 1000);
+    const double tx = static_cast<double>(p.size_bytes) * 8.0 / 1e6;
+    net.inject(r.src_edge, std::move(p));
+    return tx;
+  };
+  double tx = 0.0;
+  for (int i = 0; i < 4; ++i) tx = send();  // backlog: arrivals k * tx + d
+  net.fail_link_at(0.002, "S", "SW4");
+  net.repair_link_at(0.003, "S", "SW4");
+  net.events().run_until(0.003);
+  send();  // arrives at 0.003 + tx + d: after the first dead arrival only
+  net.events().run_all();
+
+  using K = TraceEvent::Kind;
+  const auto dead = dataplane::DropReason::kLinkFailed;
+  const auto none = dataplane::DropReason::kNoViablePort;
+  const double d = 1e-3;
+  const double hop = 20e-6 + tx + d;  // switch latency, then the next link
+  const double first = 0.003 + tx + d;
+  const std::vector<Seen> expected = {
+      {K::kInject, 1, t.at("S"), none, 0.0},
+      {K::kInject, 2, t.at("S"), none, 0.0},
+      {K::kInject, 3, t.at("S"), none, 0.0},
+      {K::kInject, 4, t.at("S"), none, 0.0},
+      {K::kInject, 5, t.at("S"), none, 0.003},
+      {K::kDrop, 1, t.at("SW4"), dead, tx + d},
+      {K::kHop, 5, t.at("SW4"), none, first},
+      {K::kDrop, 2, t.at("SW4"), dead, 2 * tx + d},
+      {K::kHop, 5, t.at("SW7"), none, first + hop},
+      {K::kDrop, 3, t.at("SW4"), dead, 3 * tx + d},
+      {K::kHop, 5, t.at("SW11"), none, first + 2 * hop},
+      {K::kDrop, 4, t.at("SW4"), dead, 4 * tx + d},
+      {K::kDeliver, 5, t.at("D"), none, first + 3 * hop},
+  };
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(seen[i].kind, expected[i].kind);
+    EXPECT_EQ(seen[i].packet_id, expected[i].packet_id);
+    EXPECT_EQ(seen[i].node, expected[i].node);
+    EXPECT_EQ(seen[i].reason, expected[i].reason);
+    EXPECT_NEAR(seen[i].time, expected[i].time, 1e-12);
+  }
+  EXPECT_EQ(net.counters().drop_link_failed, 4u);
+  EXPECT_EQ(net.counters().delivered, 1u);
+}
+
 TEST_F(NetFixture, QueueOverflowDropsExcessPackets) {
   // Shrink the queue on the S-SW4 uplink and flood it instantaneously.
   Scenario small = topo::make_fig1_network(

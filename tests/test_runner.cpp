@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "runner/fork_join.hpp"
 #include "runner/jsonl.hpp"
@@ -303,6 +304,10 @@ TEST(RunIndexed, HandlesZeroRuns) {
 // ---------------------------------------------------------------------------
 // JSONL.
 // ---------------------------------------------------------------------------
+
+using common::append_json_escaped;
+using common::json_double;
+using common::json_escape;
 
 TEST(Jsonl, EscapesStrings) {
   EXPECT_EQ(json_escape("plain"), "plain");
