@@ -49,56 +49,64 @@ std::size_t answer_bytes(const topo::Topology& topology,
   return bytes;
 }
 
-/// Answer room for the verbs that carry no route or name.
-constexpr std::size_t kScalarAnswerBytes = 96;
+/// Answer room for the fields of an answer other than its names and route
+/// fields: keys, booleans and up to two 20-digit numbers.
+constexpr std::size_t kScalarAnswerBytes = 128;
 
-/// The one writer of route fields, shared by `query`, `encode` and
-/// `install` so their formats cannot drift apart: `route_id` always; with
-/// a `path`, also `bits`, `assignments`, `primary` and the path's names.
+/// The one writer of route fields, so the answers carrying them cannot
+/// drift apart: `encode` calls it directly; `query` splices a group's text
+/// rendered by it and `install` that text's `route_id` field.
 void append_route_fields(runner::JsonObject& o,
                          const topo::Topology& topology,
                          const routing::EncodedRoute& route,
-                         const std::vector<topo::NodeId>* path) {
+                         const std::vector<topo::NodeId>& path) {
   std::string& id = o.value("route_id");
   id += '"';
   route.route_id.append_decimal(id);
   id += '"';
-  if (path == nullptr) return;
   o.field("bits", static_cast<std::uint64_t>(route.bit_length))
       .field("assignments",
              static_cast<std::uint64_t>(route.assignments.size()))
       .field("primary", static_cast<std::uint64_t>(route.primary_count));
   std::string& names = o.value("path");
   names += '[';
-  for (std::size_t i = 0; i < path->size(); ++i) {
+  for (std::size_t i = 0; i < path.size(); ++i) {
     if (i > 0) names += ',';
     names += '"';
-    common::append_json_escaped(names, topology.name((*path)[i]));
+    common::append_json_escaped(names, topology.name(path[i]));
     names += '"';
   }
   names += ']';
 }
 
+/// The `route_id` field that opens a group's route-field text: the ID is
+/// quoted decimal digits, so the text's first comma ends it.
+std::string_view route_id_field(std::string_view route_fields) {
+  return route_fields.substr(0, route_fields.find(','));
+}
+
 /// The `query` response body — also the restart-identity witness: every
 /// field is either immutable or persisted by the snapshot, so a query
-/// before a snapshot/restart answers byte-identically after it. The
-/// encoding and path are read through the route's group, and the answer
-/// is written in one pass into one buffer reserved up front.
+/// before a snapshot/restart answers byte-identically after it. That holds
+/// for the group's cached `route_fields` too: they are a function of the
+/// group's encoding and path alone, both persisted, and a restored daemon
+/// renders them again at construction. The answer is written in one pass
+/// into one buffer reserved up front.
 std::string route_response(const topo::Topology& topology,
-                           const ctrlplane::RouteView& entry) {
-  runner::JsonObject o(answer_bytes(topology, entry.route, entry.core_path) +
-                       topology.name(entry.src).size() +
-                       topology.name(entry.dst).size());
+                           const ctrlplane::RouteView& entry,
+                           std::string_view route_fields) {
+  const std::string& src = topology.name(entry.src);
+  const std::string& dst = topology.name(entry.dst);
+  runner::JsonObject o(kScalarAnswerBytes + src.size() + dst.size() +
+                       route_fields.size());
   o.field("ok", true)
       .field("key", static_cast<std::uint64_t>(entry.key))
-      .field("src", topology.name(entry.src))
-      .field("dst", topology.name(entry.dst))
+      .field("src", src)
+      .field("dst", dst)
       .field("live", entry.live)
       .field("withdrawn", entry.withdrawn)
       .field("version", entry.version);
-  if (entry.live) {
-    append_route_fields(o, topology, entry.route, &entry.core_path);
-  }
+  if (entry.live) o.fields(route_fields);
   return std::move(o).str();
 }
 
@@ -120,6 +128,10 @@ Kard::Kard(KardConfig config)
       scenario_.topology, store_, config_.engine);
   engine_->restore_version(restored_.engine_version);
   if (restored_.routes > 0) engine_->warm_spts();
+  route_fields_.resize(store_.group_count());
+  for (ctrlplane::GroupId id = 0; id < store_.group_count(); ++id) {
+    render_route_fields(id);
+  }
   register_metrics();
   engine_->attach_metrics(registry_);
   routes_gauge_.set(static_cast<double>(store_.size()));
@@ -132,6 +144,19 @@ Kard::~Kard() {
   } catch (const std::exception&) {
     // Destructor path: a failed shutdown snapshot must not terminate.
   }
+}
+
+void Kard::render_route_fields(ctrlplane::GroupId id) {
+  const ctrlplane::RouteGroup& group = store_.group(id);
+  std::string text;
+  if (group.live) {
+    const topo::Topology& topology = scenario_.topology;
+    runner::JsonObject o(answer_bytes(topology, group.route, group.core_path));
+    append_route_fields(o, topology, group.route, group.core_path);
+    const std::string object = std::move(o).str();
+    text = object.substr(1, object.size() - 2);  // drop the braces
+  }
+  route_fields_[id] = std::move(text);
 }
 
 void Kard::register_metrics() {
@@ -294,7 +319,8 @@ std::string Kard::handle_query(const Request& request) {
     return error_response("unknown-key",
                           "no route with key " + std::to_string(request.key));
   }
-  return route_response(scenario_.topology, store_.get(request.key));
+  const ctrlplane::RouteView entry = store_.get(request.key);
+  return route_response(scenario_.topology, entry, route_fields_[entry.group]);
 }
 
 std::string Kard::handle_encode(const Request& request) {
@@ -323,7 +349,7 @@ std::string Kard::handle_encode(const Request& request) {
   runner::JsonObject o(answer_bytes(topology, route, core) + request.a.size() +
                        request.b.size());
   o.field("ok", true).field("src", request.a).field("dst", request.b);
-  append_route_fields(o, topology, route, &core);
+  append_route_fields(o, topology, route, core);
   return std::move(o).str();
 }
 
@@ -653,6 +679,11 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
     if (!events.empty() || !installs.empty() || !withdraws.empty()) {
       epoch_active_.store(true, std::memory_order_relaxed);
       result = engine_->apply(events, installs, withdraws, &installed_keys);
+      // New groups start dead (empty text) unless listed as changed.
+      route_fields_.resize(store_.group_count());
+      for (const ctrlplane::GroupId id : result.changed) {
+        render_route_fields(id);
+      }
       epoch_active_.store(false, std::memory_order_relaxed);
       epochs_applied_.fetch_add(1, std::memory_order_relaxed);
       ++epochs_since_compact_;
@@ -697,15 +728,14 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
         case Verb::kInstall: {
           const ctrlplane::RouteKey key = installed_keys[install_index++];
           const ctrlplane::RouteView entry = store_.get(key);
-          runner::JsonObject o(
-              answer_bytes(scenario_.topology, entry.route, {}));
+          const std::string_view route_id =
+              route_id_field(route_fields_[entry.group]);
+          runner::JsonObject o(kScalarAnswerBytes + route_id.size());
           o.field("ok", true)
               .field("key", static_cast<std::uint64_t>(key))
               .field("version", result.version)
               .field("live", entry.live);
-          if (entry.live) {
-            append_route_fields(o, scenario_.topology, entry.route, nullptr);
-          }
+          if (entry.live) o.fields(route_id);
           response = std::move(o).str();
           break;
         }

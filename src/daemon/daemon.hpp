@@ -203,6 +203,9 @@ class Kard {
   /// the window alone.
   void flush_batch(std::vector<PendingOp> batch, bool drain_window);
   void maybe_compact_idle();
+  /// Renders group `id`'s entry of route_fields_ from the store with
+  /// append_route_fields (empty while the group is dead).
+  void render_route_fields(ctrlplane::GroupId id);
 
   KardConfig config_;
   topo::Scenario scenario_;
@@ -210,9 +213,17 @@ class Kard {
   std::unique_ptr<ctrlplane::ReconvergenceEngine> engine_;
   SnapshotInfo restored_;
 
-  /// Guards topology link states, store and engine. Readers (query/stats/
-  /// snapshot serialization) shared; epochs/encode/compact exclusive.
+  /// Guards topology link states, store, engine and route_fields_.
+  /// Readers (query/stats/snapshot serialization) shared; epochs/encode/
+  /// compact exclusive.
   mutable std::shared_mutex state_mutex_;
+
+  /// Per endpoint group, the route fields its `query` answers end with
+  /// (`"route_id":…,"path":[…]`; empty while the group is dead). Every
+  /// route of a group carries the same encoding, so the text is rendered
+  /// once per change — at construction (covering a restore) and for each
+  /// group an epoch lists as changed — not once per answer.
+  std::vector<std::string> route_fields_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

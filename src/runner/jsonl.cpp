@@ -64,6 +64,12 @@ JsonObject& JsonObject::raw(std::string_view key, std::string_view json) {
   return *this;
 }
 
+JsonObject& JsonObject::fields(std::string_view json) {
+  if (body_.size() > 1) body_ += ',';
+  body_ += json;
+  return *this;
+}
+
 std::string& JsonObject::value(std::string_view key) {
   begin_field(key);
   return body_;

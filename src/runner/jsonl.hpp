@@ -44,6 +44,8 @@ class JsonObject {
   JsonObject& field(std::string_view key, bool boolean);
   /// Splices `json` in verbatim (for nested objects/arrays).
   JsonObject& raw(std::string_view key, std::string_view json);
+  /// Splices pre-rendered fields (`"k":v,...`, no braces) in verbatim.
+  JsonObject& fields(std::string_view json);
   /// Starts field `key` and returns the body, for the caller to append
   /// the field's JSON value in place rather than compose it apart.
   std::string& value(std::string_view key);

@@ -109,6 +109,13 @@ Workload::Workload(topo::Scenario scenario, WorkloadSpec spec)
   } else {
     compile_mesh();
   }
+  // run()'s concurrency probe walks the plan in start order.
+  if (!std::is_sorted(plan_.begin(), plan_.end(),
+                      [](const FlowPlan& a, const FlowPlan& b) {
+                        return a.start_s < b.start_s;
+                      })) {
+    throw std::logic_error("Workload: flow plan is not in start order");
+  }
 }
 
 void Workload::compile_bottleneck() {
@@ -220,15 +227,22 @@ WorkloadResult Workload::run(sim::NetworkConfig config) const {
   // arrival (the arrival instants are where concurrency peaks during a fast
   // ramp; bin-aligned probes alone can miss the all-alive moment). Counts
   // flows that have started and are not yet fully ACKed. Probes consume no
-  // randomness and do not perturb packet events.
+  // randomness and do not perturb packet events. They fire in time order
+  // and complete() never reverts, so `active` holds exactly those flows:
+  // each probe appends the flows started since the last one (the plan is
+  // in start order) and drops the ones that completed.
   WorkloadResult result;
   result.flows = plan_.size();
-  const auto probe = [this, &flows, &result](double t) {
-    std::size_t active = 0;
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      if (plan_[i].start_s <= t && !flows[i]->sender().complete()) ++active;
+  std::vector<std::size_t> active;
+  std::size_t next_start = 0;
+  const auto probe = [this, &flows, &result, &active, &next_start](double t) {
+    while (next_start < plan_.size() && plan_[next_start].start_s <= t) {
+      active.push_back(next_start++);
     }
-    result.peak_concurrent = std::max(result.peak_concurrent, active);
+    std::erase_if(active, [&flows](std::size_t i) {
+      return flows[i]->sender().complete();
+    });
+    result.peak_concurrent = std::max(result.peak_concurrent, active.size());
   };
   const double probe_step = std::max(spec_.goodput_bin_s, 1e-3);
   for (double t = probe_step; t < spec_.horizon_s; t += probe_step) {

@@ -382,6 +382,15 @@ TEST(Jsonl, BuildsObjectsInInsertionOrder) {
             "\"nested\":{\"a\":1}}");
 }
 
+TEST(Jsonl, SplicesPrerenderedFields) {
+  JsonObject first;
+  first.fields("\"a\":1,\"b\":[2]").field("c", true);
+  EXPECT_EQ(first.str(), "{\"a\":1,\"b\":[2],\"c\":true}");
+  JsonObject later;
+  later.field("c", true).fields("\"a\":1");
+  EXPECT_EQ(later.str(), "{\"c\":true,\"a\":1}");
+}
+
 TEST(Jsonl, MovedOutTextEqualsCopiedText) {
   JsonObject object(64);
   object.field("key", std::uint64_t{18446744073709551615ULL})

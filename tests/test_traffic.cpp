@@ -143,6 +143,38 @@ TEST(TrafficRun, FlowMetricsDoNotDependOnTheHorizon) {
   EXPECT_GT(short_run.goodput_p50_mbps, 0.1);
 }
 
+// The concurrency probe's count for two seeded workloads, pinned to the
+// values the original all-flows scan produced: a Poisson mesh with
+// heavy-tailed sizes and a uniform bottleneck ramp, in both of which early
+// flows finish while later ones still arrive.
+TEST(TrafficRun, PeakConcurrencyIsPinnedForSeededWorkloads) {
+  WorkloadSpec mesh;
+  mesh.flows = 120;
+  mesh.arrival_rate_per_s = 400.0;
+  mesh.sizes = SizeDistribution::kBoundedPareto;
+  mesh.min_segments = 4;
+  mesh.max_segments = 400;
+  mesh.horizon_s = 5.0;
+  mesh.goodput_bin_s = 0.05;
+  mesh.seed = 17;
+  const WorkloadResult mesh_result =
+      Workload(topogen::make_waxman({.switches = 40, .seed = 4}), mesh).run();
+  EXPECT_EQ(mesh_result.peak_concurrent, 11u);
+
+  WorkloadSpec bottleneck;
+  bottleneck.flows = 48;
+  bottleneck.arrivals = ArrivalProcess::kUniform;
+  bottleneck.arrival_rate_per_s = 48.0;
+  bottleneck.sizes = SizeDistribution::kFixed;
+  bottleneck.fixed_segments = 150;
+  bottleneck.horizon_s = 20.0;
+  bottleneck.seed = 5;
+  bottleneck.host_fan = 4;
+  const WorkloadResult bottleneck_result =
+      Workload(topogen::make_internet2({.red = true}), bottleneck).run();
+  EXPECT_EQ(bottleneck_result.peak_concurrent, 40u);
+}
+
 TEST(TrafficRun, RejectsDegenerateSpecs) {
   WorkloadSpec spec;
   spec.flows = 0;
