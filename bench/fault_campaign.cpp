@@ -8,7 +8,6 @@
 //                  [--schedule=updown|srlg|flap|sweep] [--runs=100]
 //                  [--packets=20] [--horizon=0.5] [--max-hops=256]
 //                  [--detection-delay=0] [--seed=1] [--no-shrink]
-//                  [--batch=0]
 //                  [--mutate-hop-budget=N] [--quiet]
 //                  [--jobs=N] [--timeout=S] [--progress] [--jsonl=PATH]
 //                  [--bench-json[=PATH]]
@@ -297,8 +296,6 @@ int main(int argc, char** argv) {
   options.base.schedule.k_failures =
       static_cast<std::size_t>(flags.get_int("k-failures", 2));
   options.base.shrink = flags.get_bool("shrink", true);
-  options.base.batch_size =
-      static_cast<std::size_t>(flags.get_int("batch", 0));
   options.quiet = flags.get_bool("quiet", false);
   options.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
   options.timeout_s = flags.get_double("timeout", 0.0);

@@ -15,27 +15,18 @@
 //   reduce     — PreparedMod::reduce vs BigUint::mod_u64 for a single
 //                uncached reduction (the cache-miss path).
 //
-// Plus the batched data plane (ISSUE 6): for each scenario x technique,
-// narrow and 512-bit wide, the KarSwitch::forward_batch sweep is timed at
-// batch sizes {1, 8, 32, 256} against the per-packet fast path, reporting
-// sustained Mpps per configuration.
-//
 // Each variant runs `--reps` repetitions of `--iters` operations; the
 // per-variant time is the minimum over repetitions (the standard
 // noise-floor estimator for micro-timings). Acceptance: every fast/naive
 // forwarding pair and the divmod pair show speedup > `--min-speedup`
 // (set 0 for smoke runs, where tiny loops are noise-dominated) — since
 // the width gate landed, narrow routes are held to the same bar as wide
-// ones: no committed scenario may regress below 1x — and the best batched
-// configuration at batch >= 32 beats per-packet by
-// > `--min-batch-speedup`. The committed record lives in
-// BENCH_dataplane.json (regenerate with:
-// micro_dataplane --min-batch-speedup=3 --out=BENCH_dataplane.json).
+// ones: no committed scenario may regress below 1x. The committed record
+// lives in BENCH_dataplane.json (regenerate with:
+// micro_dataplane --out=BENCH_dataplane.json).
 //
 // Usage: micro_dataplane [--iters=2000000] [--divmod-iters=200000]
-//                        [--batch-iters=1000000] [--reps=7]
-//                        [--min-speedup=1] [--min-batch-speedup=0]
-//                        [--out=PATH]
+//                        [--reps=7] [--min-speedup=1] [--out=PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -49,8 +40,6 @@
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "dataplane/arena.hpp"
-#include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
 #include "rns/biguint.hpp"
 #include "rns/prepared_mod.hpp"
@@ -91,21 +80,6 @@ struct ForwardingCase {
   double fast_ns = 0.0;
 
   [[nodiscard]] double speedup() const { return naive_ns / fast_ns; }
-};
-
-/// One batched-forwarding measurement: forward_batch at one batch size vs
-/// the per-packet fast path on the same packets.
-struct BatchCase {
-  std::string scenario;
-  std::string technique;
-  std::string switch_name;
-  std::size_t route_bits = 0;
-  std::size_t batch = 0;
-  double per_packet_ns = 0.0;  ///< kFast forward(), one packet at a time.
-  double batch_ns = 0.0;       ///< forward_batch cost per packet.
-
-  [[nodiscard]] double speedup() const { return per_packet_ns / batch_ns; }
-  [[nodiscard]] double mpps() const { return 1e3 / batch_ns; }
 };
 
 double timed_forward_rep(KarSwitch& sw, Packet& packet,
@@ -156,97 +130,6 @@ ForwardingCase run_forwarding_case(const kar::topo::Scenario& scenario,
   return result;
 }
 
-/// Per-packet baseline over a stream of distinct Packet objects — the same
-/// memory-access shape the batched path pays, so the comparison isolates
-/// the batching itself rather than single-packet cache residency.
-double timed_forward_stream(const KarSwitch& sw, std::vector<Packet>& packets,
-                            kar::common::Rng& rng, std::size_t iters) {
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t i = 0;
-  for (std::size_t k = 0; k < iters; ++k) {
-    const auto decision = sw.forward(packets[i], 0, rng);
-    keep(decision);
-    if (++i == packets.size()) i = 0;
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// One fill -> sweep cycle repeated `sweeps` times; returns seconds.
-double timed_batch_rep(const KarSwitch& sw,
-                       kar::dataplane::PacketBatch& batch,
-                       std::vector<Packet>& packets, kar::common::Rng& rng,
-                       std::size_t sweeps) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < sweeps; ++s) {
-    batch.clear();
-    for (auto& p : packets) batch.push(&p, 0);
-    sw.forward_batch(batch, rng);
-    keep(batch.decisions()[0]);
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Measures one scenario x technique x route-width group across every
-/// batch size (the per-packet baseline is measured once and shared).
-void run_batch_cases(const kar::topo::Scenario& scenario,
-                     const BigUint& route_id, const std::string& scenario_tag,
-                     const std::string& switch_name,
-                     DeflectionTechnique technique,
-                     const std::vector<std::size_t>& batch_sizes,
-                     std::size_t batch_iters, std::size_t reps,
-                     std::vector<BatchCase>& out) {
-  const auto node = scenario.topology.at(switch_name);
-  const KarSwitch sw(scenario.topology, node, technique, ResiduePath::kFast);
-
-  Packet proto;
-  proto.kar.route_id = route_id;
-  proto.dst_edge = scenario.topology.at(scenario.route.dst_edge);
-
-  // Per-packet baseline on the same switch and route, streaming over as
-  // many distinct Packet objects as the largest batch the sweep will time.
-  const std::size_t stream_len =
-      *std::max_element(batch_sizes.begin(), batch_sizes.end());
-  double per_packet_ns = 0.0;
-  {
-    kar::common::Rng rng{1};
-    std::vector<Packet> stream(stream_len, proto);
-    KarSwitch warm(scenario.topology, node, technique, ResiduePath::kFast);
-    (void)timed_forward_stream(warm, stream, rng, batch_iters / 10 + 1);
-    per_packet_ns =
-        best_of(reps, [&] {
-          return timed_forward_stream(warm, stream, rng, batch_iters);
-        }) *
-        1e9 / static_cast<double>(batch_iters);
-  }
-
-  for (const std::size_t batch_size : batch_sizes) {
-    std::vector<Packet> packets(batch_size, proto);
-    kar::dataplane::BumpArena arena(
-        kar::dataplane::PacketBatch::arena_bytes(batch_size));
-    kar::dataplane::PacketBatch batch(arena, batch_size);
-    kar::common::Rng rng{1};
-    const std::size_t sweeps = batch_iters / batch_size + 1;
-    (void)timed_batch_rep(sw, batch, packets, rng, sweeps / 10 + 1);
-    const double seconds = best_of(
-        reps, [&] { return timed_batch_rep(sw, batch, packets, rng, sweeps); });
-
-    BatchCase c;
-    c.scenario = scenario_tag;
-    c.technique = std::string(kar::dataplane::to_string(technique));
-    c.switch_name = switch_name;
-    c.route_bits = route_id.bit_length();
-    c.batch = batch_size;
-    c.per_packet_ns = per_packet_ns;
-    c.batch_ns =
-        seconds * 1e9 / static_cast<double>(sweeps * batch_size);
-    out.push_back(c);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,10 +138,7 @@ int main(int argc, char** argv) {
   const auto divmod_iters =
       static_cast<std::size_t>(flags.get_int("divmod-iters", 200000));
   const auto reps = static_cast<std::size_t>(flags.get_int("reps", 7));
-  const auto batch_iters =
-      static_cast<std::size_t>(flags.get_int("batch-iters", 1000000));
   const double min_speedup = flags.get_double("min-speedup", 1.0);
-  const double min_batch_speedup = flags.get_double("min-batch-speedup", 0.0);
   const std::string out_path = flags.get_string("out", "");
 
   const std::vector<DeflectionTechnique> techniques = {
@@ -311,21 +191,6 @@ int main(int argc, char** argv) {
                             technique, iters, reps);
     c.scenario += "-wide";
     cases.push_back(c);
-  }
-
-  // Batched data plane: forward_batch at {1, 8, 32, 256} vs the per-packet
-  // fast path, narrow and 512-bit wide.
-  const std::vector<std::size_t> batch_sizes = {1, 8, 32, 256};
-  std::vector<BatchCase> batch_cases;
-  for (const auto technique : techniques) {
-    run_batch_cases(fig2, fig2_route, "fig2", "SW7", technique, batch_sizes,
-                    batch_iters, reps, batch_cases);
-    run_batch_cases(fig2, widen(fig2_route, sw7_id), "fig2-wide", "SW7",
-                    technique, batch_sizes, batch_iters, reps, batch_cases);
-    run_batch_cases(rnp28, rnp28_route, "rnp28", "SW13", technique,
-                    batch_sizes, batch_iters, reps, batch_cases);
-    run_batch_cases(rnp28, widen(rnp28_route, sw13_id), "rnp28-wide", "SW13",
-                    technique, batch_sizes, batch_iters, reps, batch_cases);
   }
 
   // divmod: a route-ID-sized dividend over a multi-limb divisor (the
@@ -420,29 +285,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render();
 
-  double best_batch_speedup = 0.0;
-  std::cout << "\n=== batched forwarding: forward_batch vs per-packet fast "
-               "path ("
-            << batch_iters << " packets x " << reps << " reps, best-of) ===\n";
-  kar::common::TextTable batch_table({"scenario", "technique", "route bits",
-                                      "batch", "per-pkt ns", "batch ns/pkt",
-                                      "Mpps", "speedup"});
-  for (const auto& c : batch_cases) {
-    if (c.batch >= 32 && c.speedup() > best_batch_speedup) {
-      best_batch_speedup = c.speedup();
-    }
-    batch_table.add_row({c.scenario, c.technique, std::to_string(c.route_bits),
-                         std::to_string(c.batch),
-                         kar::common::fmt_double(c.per_packet_ns, 2),
-                         kar::common::fmt_double(c.batch_ns, 2),
-                         kar::common::fmt_double(c.mpps(), 2),
-                         kar::common::fmt_double(c.speedup(), 2) + "x"});
-  }
-  std::cout << batch_table.render();
-  if (min_batch_speedup > 0.0) {
-    pass = pass && best_batch_speedup > min_batch_speedup;
-  }
-
   std::cout << "\n=== rns primitives (" << divmod_iters << " ops x " << reps
             << " reps, best-of) ===\n";
   kar::common::TextTable rns_table({"op", "before ns/op", "after ns/op",
@@ -460,10 +302,7 @@ int main(int argc, char** argv) {
                      kar::common::fmt_double(reduce_speedup, 2) + "x"});
   std::cout << rns_table.render()
             << "\nacceptance: every forwarding and rns speedup > "
-            << kar::common::fmt_double(min_speedup, 2)
-            << ", best batch speedup (batch >= 32) "
-            << kar::common::fmt_double(best_batch_speedup, 2) << "x > "
-            << kar::common::fmt_double(min_batch_speedup, 2) << " -> "
+            << kar::common::fmt_double(min_speedup, 2) << " -> "
             << (pass ? "PASS" : "FAIL") << '\n';
 
   if (!out_path.empty()) {
@@ -483,35 +322,13 @@ int main(int argc, char** argv) {
     }
     forwarding_json += "]";
 
-    std::string batch_json = "[";
-    for (std::size_t i = 0; i < batch_cases.size(); ++i) {
-      const auto& c = batch_cases[i];
-      kar::runner::JsonObject entry;
-      entry.field("scenario", c.scenario)
-          .field("technique", c.technique)
-          .field("switch", c.switch_name)
-          .field("route_bits", static_cast<std::uint64_t>(c.route_bits))
-          .field("batch", static_cast<std::uint64_t>(c.batch))
-          .field("per_packet_ns_per_op", c.per_packet_ns)
-          .field("batch_ns_per_op", c.batch_ns)
-          .field("mpps", c.mpps())
-          .field("speedup", c.speedup());
-      if (i > 0) batch_json += ",";
-      batch_json += entry.str();
-    }
-    batch_json += "]";
-
     kar::runner::JsonObject record;
     record.field("bench", "micro_dataplane")
         .raw("provenance", kar::bench::provenance_json())
         .field("iters", static_cast<std::uint64_t>(iters))
         .field("divmod_iters", static_cast<std::uint64_t>(divmod_iters))
-        .field("batch_iters", static_cast<std::uint64_t>(batch_iters))
         .field("reps", static_cast<std::uint64_t>(reps))
         .raw("forwarding", forwarding_json)
-        .raw("batch", batch_json)
-        .field("best_batch_speedup", best_batch_speedup)
-        .field("min_batch_speedup", min_batch_speedup)
         .field("divmod_binary_ns_per_op", binary_ns)
         .field("divmod_knuth_ns_per_op", knuth_ns)
         .field("divmod_speedup", divmod_speedup)

@@ -14,14 +14,6 @@
 //   enabled   — the same against an enabled registry (the real cost of
 //               collecting, reported for reference, no threshold).
 //
-// Plus the batched data plane (ISSUE 6): the same loop through
-// KarSwitch::forward_batch at `--batch` packets per sweep, where the
-// instrumented path folds per-packet counter material into one registry
-// touch per batch (hops.inc(batch.size()) + deflections.inc(stats fold)).
-// Acceptance there: *enabled* obs adds < `--batch-threshold-pct` (default
-// 5%) per decision over the bare batched loop — collecting, not just being
-// compiled in, is near-free once amortized over a batch.
-//
 // Each variant runs `--reps` x `--iters` decisions, timed in slices of
 // kSliceDecisions; its time per decision is that of its fastest slice
 // (the min-of-N noise-floor estimator for micro-timings). The variants
@@ -29,12 +21,11 @@
 // every variant once, rotating which goes first — so a preemption or a
 // slow stretch of the host spoils single slices of every variant alike
 // instead of a whole repetition of one. Acceptance: the disabled
-// variant is < 2% over baseline, and batched enabled is within the batch
-// threshold. The committed record lives in BENCH_obs.json (regenerate
-// with: micro_obs --batch=32 --out=BENCH_obs.json).
+// variant is < 2% over baseline. The committed record lives in
+// BENCH_obs.json (regenerate with: micro_obs --out=BENCH_obs.json).
 //
 // Usage: micro_obs [--iters=20000000] [--reps=7] [--threshold-pct=2]
-//                  [--batch=32] [--batch-threshold-pct=5] [--out=PATH]
+//                  [--out=PATH]
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -46,8 +37,6 @@
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "dataplane/arena.hpp"
-#include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
 #include "obs/metrics.hpp"
 #include "routing/controller.hpp"
@@ -111,57 +100,6 @@ double timed_rep_baseline(LoopContext& context, std::size_t iters) {
       .count();
 }
 
-/// Batched context: the same switch and route, `batch` distinct Packet
-/// objects swept through forward_batch per fill cycle.
-struct BatchLoop {
-  std::vector<Packet> packets;
-  kar::dataplane::BumpArena arena;
-  kar::dataplane::PacketBatch batch;
-
-  BatchLoop(const LoopContext& context, std::size_t batch_size)
-      : packets(batch_size, context.packet),
-        arena(kar::dataplane::PacketBatch::arena_bytes(batch_size)),
-        batch(arena, batch_size) {}
-};
-
-/// Bare batched sweep: fill -> forward_batch, no obs updates.
-double timed_batch_baseline(LoopContext& context, BatchLoop& loop,
-                            std::size_t sweeps) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < sweeps; ++s) {
-    loop.batch.clear();
-    for (auto& p : loop.packets) loop.batch.push(&p, 0);
-    context.sw.forward_batch(loop.batch, context.rng);
-    keep(loop.batch.decisions()[0]);
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Instrumented batched sweep: the per-batch fold the batched dataplane
-/// path performs — one registry touch per counter per batch instead of one
-/// per decision.
-double timed_batch_obs(LoopContext& context, BatchLoop& loop,
-                       std::size_t sweeps, kar::obs::Counter hops,
-                       kar::obs::Counter deflections) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < sweeps; ++s) {
-    loop.batch.clear();
-    for (auto& p : loop.packets) loop.batch.push(&p, 0);
-    context.sw.forward_batch(loop.batch, context.rng);
-    hops.inc(loop.batch.size());
-    // A zero increment is a no-op; skipping it keeps the steady-state
-    // (failure-free) fold at one registry touch per batch.
-    const std::uint64_t defl = loop.batch.stats().deflected;
-    if (defl != 0) deflections.inc(defl);
-    keep(loop.batch.decisions()[0]);
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Decisions per timed slice: short enough (some 10-20 us) that many
 /// slices run undisturbed on a busy host, long enough that the two clock
 /// reads around a slice stay far below the gated differences.
@@ -191,9 +129,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("iters", 20000000));
   const auto reps = static_cast<std::size_t>(flags.get_int("reps", 7));
   const double threshold_pct = flags.get_double("threshold-pct", 2.0);
-  const auto batch_size = static_cast<std::size_t>(flags.get_int("batch", 32));
-  const double batch_threshold_pct =
-      flags.get_double("batch-threshold-pct", 5.0);
   const std::string out_path = flags.get_string("out", "");
 
   LoopContext context;
@@ -231,33 +166,13 @@ int main(int argc, char** argv) {
   const double disabled_s = loop_s[1];
   const double enabled_s = loop_s[2];
 
-  // Batched variants: same slices, swept `batch_size` at a time.
-  BatchLoop batch_loop(context, batch_size);
-  const std::size_t sweeps = slice / batch_size + 1;
-  (void)timed_batch_baseline(context, batch_loop, iters / batch_size / 10 + 1);
-  const std::vector<double> batch_s = fastest_slice(
-      rounds,
-      {[&] { return timed_batch_baseline(context, batch_loop, sweeps); },
-       [&] {
-         return timed_batch_obs(context, batch_loop, sweeps, enabled_hops,
-                                enabled_deflections);
-       }});
-  const double batch_baseline_s = batch_s[0];
-  const double batch_enabled_s = batch_s[1];
-
   const auto ns_per_op = [slice](double seconds) {
     return seconds * 1e9 / static_cast<double>(slice);
-  };
-  const auto batch_ns_per_op = [sweeps, batch_size](double seconds) {
-    return seconds * 1e9 / static_cast<double>(sweeps * batch_size);
   };
   const auto overhead_pct = [baseline_s](double seconds) {
     return (seconds / baseline_s - 1.0) * 100.0;
   };
-  const double batch_overhead_pct =
-      (batch_enabled_s / batch_baseline_s - 1.0) * 100.0;
-  const bool pass = overhead_pct(disabled_s) < threshold_pct &&
-                    batch_overhead_pct < batch_threshold_pct;
+  const bool pass = overhead_pct(disabled_s) < threshold_pct;
 
   std::cout << "=== obs overhead on the forwarding hot loop ("
             << iters << " decisions x " << reps << " reps, best-of) ===\n";
@@ -271,23 +186,8 @@ int main(int argc, char** argv) {
   table.add_row({"obs enabled",
                  kar::common::fmt_double(ns_per_op(enabled_s), 2),
                  kar::common::fmt_double(overhead_pct(enabled_s), 2) + " %"});
-  std::cout << table.render();
-
-  std::cout << "\n=== obs overhead on the batched loop (batch="
-            << batch_size << ", one registry touch per batch) ===\n";
-  kar::common::TextTable batch_table(
-      {"variant", "ns/decision", "overhead vs batched baseline"});
-  batch_table.add_row(
-      {"batched baseline",
-       kar::common::fmt_double(batch_ns_per_op(batch_baseline_s), 2), "-"});
-  batch_table.add_row(
-      {"batched enabled",
-       kar::common::fmt_double(batch_ns_per_op(batch_enabled_s), 2),
-       kar::common::fmt_double(batch_overhead_pct, 2) + " %"});
-  std::cout << batch_table.render() << "\nacceptance: disabled < "
-            << kar::common::fmt_double(threshold_pct, 1)
-            << "%, batched enabled < "
-            << kar::common::fmt_double(batch_threshold_pct, 1) << "% -> "
+  std::cout << table.render() << "\nacceptance: disabled < "
+            << kar::common::fmt_double(threshold_pct, 1) << "% -> "
             << (pass ? "PASS" : "FAIL") << '\n';
 
   if (!out_path.empty()) {
@@ -303,11 +203,6 @@ int main(int argc, char** argv) {
         .field("disabled_overhead_pct", overhead_pct(disabled_s))
         .field("enabled_overhead_pct", overhead_pct(enabled_s))
         .field("threshold_pct", threshold_pct)
-        .field("batch", static_cast<std::uint64_t>(batch_size))
-        .field("batch_baseline_ns_per_op", batch_ns_per_op(batch_baseline_s))
-        .field("batch_enabled_ns_per_op", batch_ns_per_op(batch_enabled_s))
-        .field("batch_enabled_overhead_pct", batch_overhead_pct)
-        .field("batch_threshold_pct", batch_threshold_pct)
         .field("pass", pass);
     std::ofstream out(out_path, std::ios::trunc);
     if (!out) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "dataplane/packet.hpp"
@@ -26,8 +25,6 @@
 #include "topology/graph.hpp"
 
 namespace kar::dataplane {
-
-class PacketBatch;  // dataplane/batch.hpp
 
 /// Deflection technique selector (paper §2.1). kNone is the paper's
 /// "no deflection" baseline: packets facing an unusable port are dropped.
@@ -106,22 +103,6 @@ class KarSwitch {
                                         std::optional<topo::PortIndex> in_port,
                                         common::Rng& rng) const;
 
-  /// One forwarding decision per packet of `batch`, filling the batch's
-  /// residue/decision columns and folding counter material into its stats.
-  ///
-  /// Contract: the decision sequence — including every RNG draw — is
-  /// identical to calling forward() on each packet in push order
-  /// (tests/test_batch.cpp). The batch amortizations (port-availability
-  /// snapshot hoisted per batch, residues computed once per distinct route)
-  /// are sound only while nothing observable changes mid-batch; callers
-  /// must not fail/repair links or install routes between push() and this
-  /// call (sim::Network flushes open batches before such events).
-  ///
-  /// Steady-state zero-alloc: after the first call (which sizes the port
-  /// scratch) this performs no heap allocation as long as every route ID
-  /// is <= 64 bits or already memoized (tests/test_zero_alloc.cpp).
-  void forward_batch(PacketBatch& batch, common::Rng& rng) const;
-
  private:
   [[nodiscard]] ForwardDecision random_among_available(
       std::optional<topo::PortIndex> excluded_port, bool marked, common::Rng& rng) const;
@@ -135,11 +116,6 @@ class KarSwitch {
   /// Pure-function memo; mutating it never changes a decision, so the
   /// switch keeps value semantics for callers holding it const.
   mutable ResidueCache cache_;
-  /// Per-batch snapshot of the available ports (forward_batch hoists one
-  /// topology scan per batch instead of one per deflection). Scratch only —
-  /// refilled every batch; capacity is retained so steady state is
-  /// alloc-free.
-  mutable std::vector<topo::PortIndex> avail_scratch_;
 };
 
 }  // namespace kar::dataplane

@@ -40,10 +40,6 @@ struct CampaignConfig {
   /// are bit-identical either way (tests/test_fastpath_differential.cpp);
   /// the knob exists for that differential suite and for benchmarking.
   dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
-  /// Core-switch batch size, forwarded into sim::NetworkConfig::batch_size
-  /// (0 = per-packet). Aggregates are byte-identical at any value — the
-  /// campaign smokes pin that by re-running once with --batch=32.
-  std::size_t batch_size = 0;
   topo::ProtectionLevel protection = topo::ProtectionLevel::kPartial;
   dataplane::WrongEdgePolicy wrong_edge_policy =
       dataplane::WrongEdgePolicy::kReencode;

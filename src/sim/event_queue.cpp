@@ -17,7 +17,6 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kLinkState: return "link-state";
     case EventKind::kTraffic: return "traffic";
     case EventKind::kTransportTimer: return "transport-timer";
-    case EventKind::kBatchFlush: return "batch-flush";
   }
   return "generic";
 }

@@ -54,9 +54,8 @@ enum class EventKind : std::uint8_t {
   kLinkState,       ///< Link failure / repair / detection firing.
   kTraffic,         ///< Traffic-source injections and flow start/stop.
   kTransportTimer,  ///< Transport-layer timers (TCP RTO).
-  kBatchFlush,      ///< Same-instant sweep of staged batched arrivals.
 };
-inline constexpr std::size_t kEventKindCount = 8;
+inline constexpr std::size_t kEventKindCount = 7;
 
 [[nodiscard]] std::string_view to_string(EventKind kind);
 

@@ -46,15 +46,6 @@ Network::Network(topo::Topology& topology, const routing::Controller& controller
   }
   link_state_.resize(topology.link_count());
   physically_up_.assign(topology.link_count(), true);
-  if (config_.batch_size > 0 && config_.mode == DataPlaneMode::kKar) {
-    // Batch-pool setup: the one moment the batched path may allocate.
-    // The arena holds exactly one batch's SoA columns; staging capacity is
-    // bounded by the batch size (stage_arrival sweeps when full).
-    arena_ = std::make_unique<dataplane::BumpArena>(
-        dataplane::PacketBatch::arena_bytes(config_.batch_size));
-    batch_.emplace(*arena_, config_.batch_size);
-    pending_.reserve(config_.batch_size);
-  }
 }
 
 const dataplane::EdgeNode& Network::edge_at(topo::NodeId node) const {
@@ -107,78 +98,20 @@ void Network::inject(topo::NodeId edge, Packet packet) {
   if (topo_->port_count(edge) == 0) {
     throw std::logic_error("Network::inject: edge node has no uplink");
   }
-  maybe_flush();  // the inject trace must not overtake staged decisions
   const std::uint32_t slot = admit(edge, std::move(packet));
   // Edge nodes use their (single) uplink, port 0.
   transmit(edge, 0, slot);
-}
-
-void Network::inject_burst(topo::NodeId edge, std::vector<Packet> packets) {
-  if (edge >= edges_.size() || !edges_[edge]) {
-    throw std::invalid_argument("Network::inject_burst: not an edge node");
-  }
-  if (topo_->port_count(edge) == 0) {
-    throw std::logic_error("Network::inject_burst: edge node has no uplink");
-  }
-  maybe_flush();
-  if (packets.empty()) return;
-  std::vector<std::uint32_t> slots;
-  slots.reserve(packets.size());
-  for (Packet& packet : packets) slots.push_back(admit(edge, std::move(packet)));
-  const topo::LinkId link_id = topo_->link_at(edge, 0);
-  if (link_id == topo::kInvalidLink) {
-    for (const std::uint32_t slot : slots) {
-      drop(slot, edge, DropReason::kNoViablePort);
-    }
-    return;
-  }
-  const topo::Link& link = topo_->link(link_id);
-  if (!link.up) {
-    for (const std::uint32_t slot : slots) {
-      drop(slot, edge, DropReason::kLinkFailed);
-    }
-    return;
-  }
-  const int dir = (link.a.node == edge) ? 0 : 1;
-  DirectionState& state = link_state_[link_id][static_cast<std::size_t>(dir)];
-  // Per-packet admission against the drop-tail queue, then the admitted
-  // train serializes back to back; every admitted packet arrives at the
-  // train's last-byte instant (one batch at the ingress switch).
-  const double start = std::max(now(), state.busy_until);
-  double total_tx = 0.0;
-  std::size_t admitted = 0;
-  for (const std::uint32_t slot : slots) {
-    if (state.queued + admitted >= link.params.queue_packets) break;
-    total_tx += static_cast<double>(pool_[slot].packet.size_bytes) * 8.0 /
-                link.params.rate_bps;
-    ++admitted;
-  }
-  for (std::size_t i = admitted; i < slots.size(); ++i) {
-    drop(slots[i], edge, DropReason::kQueueOverflow);
-  }
-  if (admitted == 0) return;
-  state.busy_until = start + total_tx;
-  const double arrival = state.busy_until + link.params.delay_s;
-  state.queued += admitted;
-
-  const topo::LinkEnd& far = (dir == 0) ? link.b : link.a;
-  const std::uint64_t epoch = state.epoch;
-  for (std::size_t i = 0; i < admitted; ++i) {
-    schedule_link_delivery(link_id, dir, arrival, epoch, far, slots[i]);
-  }
 }
 
 void Network::transmit(topo::NodeId from, topo::PortIndex out_port,
                        std::uint32_t slot) {
   const topo::LinkId link_id = topo_->link_at(from, out_port);
   if (link_id == topo::kInvalidLink) {
-    maybe_flush();
     drop(slot, from, DropReason::kNoViablePort);
     return;
   }
   const topo::Link& link = topo_->link(link_id);
   if (!link.up) {
-    maybe_flush();
     drop(slot, from, DropReason::kLinkFailed);
     return;
   }
@@ -187,12 +120,10 @@ void Network::transmit(topo::NodeId from, topo::PortIndex out_port,
   const double tx_time = static_cast<double>(pool_[slot].packet.size_bytes) *
                         8.0 / link.params.rate_bps;
   if (link.params.red && !red_admit(*link.params.red, state, tx_time)) {
-    maybe_flush();
     drop(slot, from, DropReason::kAqmEarly);
     return;
   }
   if (state.queued >= link.params.queue_packets) {
-    maybe_flush();
     drop(slot, from, DropReason::kQueueOverflow);
     return;
   }
@@ -202,7 +133,10 @@ void Network::transmit(topo::NodeId from, topo::PortIndex out_port,
   ++state.queued;
 
   const topo::LinkEnd& far = (dir == 0) ? link.b : link.a;
-  schedule_link_delivery(link_id, dir, arrival, state.epoch, far, slot);
+  pool_[slot].hop = PacketPool::Hop{far.node, far.port, link_id,
+                                    static_cast<std::uint8_t>(dir), state.epoch};
+  events_.schedule_packet_on(2 * link_id + static_cast<std::uint32_t>(dir),
+                             arrival, EventKind::kLinkArrival, slot);
 }
 
 bool Network::red_admit(const topo::RedParams& red, DirectionState& state,
@@ -243,16 +177,6 @@ bool Network::red_admit(const topo::RedParams& red, DirectionState& state,
   return true;
 }
 
-void Network::schedule_link_delivery(topo::LinkId link_id, int dir,
-                                     double arrival, std::uint64_t epoch,
-                                     const topo::LinkEnd& far,
-                                     std::uint32_t slot) {
-  pool_[slot].hop = PacketPool::Hop{far.node, far.port, link_id,
-                                    static_cast<std::uint8_t>(dir), epoch};
-  events_.schedule_packet_on(2 * link_id + static_cast<std::uint32_t>(dir),
-                             arrival, EventKind::kLinkArrival, slot);
-}
-
 void Network::on_packet_event(EventKind kind, std::uint32_t slot) {
   if (kind == EventKind::kLinkArrival) {
     link_arrival(slot);
@@ -271,7 +195,6 @@ void Network::link_arrival(std::uint32_t slot) {
   // dead all along and the sender had not detected it yet.
   if (st.epoch != hop.epoch || !physically_up_[hop.link] ||
       !topo_->link(hop.link).up) {
-    maybe_flush();  // this drop's trace must stay in arrival order
     drop(slot, hop.node, DropReason::kLinkFailed);
     return;
   }
@@ -281,9 +204,6 @@ void Network::link_arrival(std::uint32_t slot) {
 void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
                         std::uint32_t slot) {
   if (edges_[node]) {
-    // Edge processing traces (deliver/reencode/bounce) must land after the
-    // decisions of every switch arrival that preceded this event.
-    maybe_flush();
     Packet& pkt = pool_[slot].packet;
     const auto verdict = edges_[node]->receive(pkt);
     switch (verdict) {
@@ -347,10 +267,6 @@ void Network::forward_from_switch(topo::NodeId node, topo::PortIndex in_port,
     apply_decision(node, in_port, slot, decision);
     return;
   }
-  if (batching()) {
-    stage_arrival(node, in_port, slot);
-    return;
-  }
   const ForwardDecision decision =
       switches_[node]->forward(pool_[slot].packet, in_port, rng_);
   apply_decision(node, in_port, slot, decision);
@@ -384,61 +300,7 @@ void Network::apply_decision(topo::NodeId node, topo::PortIndex in_port,
                                EventKind::kSwitchProcess, slot);
 }
 
-void Network::stage_arrival(topo::NodeId node, topo::PortIndex in_port,
-                            std::uint32_t slot) {
-  pending_.push_back(PendingArrival{node, in_port, slot});
-  ++batch_stats_.staged;
-  if (pending_.size() >= config_.batch_size) {
-    // Full: sweep now. Any flush event still in the queue finds nothing.
-    flush_batches();
-    return;
-  }
-  if (!flush_scheduled_) {
-    // Same-instant flush: scheduled now, so its sequence number is larger
-    // than every already-queued arrival at this timestamp — all of them
-    // stage before the sweep runs. Whenever pending_ is non-empty exactly
-    // one such event is in flight, so no staged decision can outlive the
-    // current instant.
-    flush_scheduled_ = true;
-    events_.schedule_at(now(), EventKind::kBatchFlush, [this] {
-      flush_scheduled_ = false;
-      flush_batches();
-    });
-  }
-}
-
-void Network::flush_batches() {
-  const std::size_t total = pending_.size();
-  if (total == 0) return;
-  // Sweep in arrival order, grouping consecutive same-switch runs — the
-  // order (and thus every trace, counter and RNG draw) is exactly the
-  // per-packet path's.
-  std::size_t i = 0;
-  while (i < total) {
-    const topo::NodeId node = pending_[i].node;
-    batch_->clear();
-    std::size_t j = i;
-    while (j < total && pending_[j].node == node && !batch_->full()) {
-      batch_->push(&pool_[pending_[j].slot].packet, pending_[j].in_port);
-      ++j;
-    }
-    switches_[node]->forward_batch(*batch_, rng_);
-    ++batch_stats_.batches;
-    if (batch_->size() > batch_stats_.max_occupancy) {
-      batch_stats_.max_occupancy = batch_->size();
-    }
-    const dataplane::ForwardDecision* decisions = batch_->decisions();
-    for (std::size_t k = i; k < j; ++k) {
-      apply_decision(node, pending_[k].in_port, pending_[k].slot,
-                     decisions[k - i]);
-    }
-    i = j;
-  }
-  pending_.clear();
-}
-
 void Network::fail_link_now(topo::LinkId link) {
-  maybe_flush();  // staged decisions must not observe the new link state
   // Physical failure: everything queued or in flight dies immediately.
   physically_up_[link] = false;
   for (auto& dir : link_state_[link]) {
@@ -455,7 +317,6 @@ void Network::fail_link_now(topo::LinkId link) {
     events_.schedule_in(config_.failure_detection_delay_s, EventKind::kLinkState,
                         [this, link, epoch] {
       if (link_state_[link][0].epoch != epoch) return;  // repaired meanwhile
-      maybe_flush();  // detection flips what staged decisions would observe
       topo_->set_link_up(link, false);
       if (link_state_hook_) link_state_hook_(link, /*up=*/false);
     });
@@ -466,7 +327,6 @@ void Network::fail_link_now(topo::LinkId link) {
 }
 
 void Network::repair_link_now(topo::LinkId link) {
-  maybe_flush();  // staged decisions must not observe the new link state
   physically_up_[link] = true;
   topo_->set_link_up(link, true);
   for (auto& dir : link_state_[link]) {
@@ -478,7 +338,6 @@ void Network::repair_link_now(topo::LinkId link) {
 
 void Network::install_routes(std::uint64_t version,
                              const std::vector<RouteInstall>& batch) {
-  maybe_flush();  // table swaps sit between decision generations
   if (version < route_table_version_) {
     throw std::invalid_argument(
         "Network::install_routes: stale epoch " + std::to_string(version) +

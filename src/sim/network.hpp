@@ -12,9 +12,9 @@
 //     unavailable from that instant (local failure detection);
 //   * edge nodes stamp/strip route IDs and run the wrong-edge policy.
 //
-// Packet lifecycle: a packet enters the network's PacketPool at inject /
-// inject_burst and keeps that slot until it is delivered or dropped (any
-// drop reason). Its per-hop events (link arrival, switch and edge
+// Packet lifecycle: a packet enters the network's PacketPool at inject and
+// keeps that slot until it is delivered or dropped (any drop reason).
+// Its per-hop events (link arrival, switch and edge
 // processing) are handler-free EventQueue packet events that carry only the
 // slot; the hop fields they need ride in the slot beside the packet. A hop
 // therefore neither moves the packet nor allocates. A link direction
@@ -35,8 +35,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dataplane/arena.hpp"
-#include "dataplane/batch.hpp"
 #include "dataplane/edge.hpp"
 #include "obs/metrics.hpp"
 #include "routing/failover_fib.hpp"
@@ -80,16 +78,6 @@ struct NetworkConfig {
   /// hop of the run. kNaive: recompute BigUint::mod_u64 per packet per hop
   /// — the differential oracle (tests/test_fastpath_differential.cpp).
   dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
-  /// Core-switch batch size. 0 (default) is the per-packet path — the
-  /// differential oracle. N > 0 stages same-instant switch arrivals into
-  /// PacketBatches of up to N and sweeps each through
-  /// KarSwitch::forward_batch; any event that could change what a staged
-  /// decision observes (link state, route installs, edge traffic) flushes
-  /// open batches first, which keeps traces and counters byte-identical to
-  /// the per-packet path at every batch size
-  /// (tests/test_fastpath_differential.cpp, docs/dataplane_batching.md).
-  /// Ignored in kFailoverFib mode.
-  std::size_t batch_size = 0;
 };
 
 /// Aggregate data-plane counters.
@@ -175,17 +163,6 @@ class Network : private PacketEventSink {
   /// packet must already be stamped (see EdgeNode::stamp).
   void inject(topo::NodeId edge, dataplane::Packet packet);
 
-  /// Batch admission: injects a burst of stamped packets from `edge` as
-  /// one back-to-back train. The train serializes on the uplink for its
-  /// total wire time and every packet is handed to the far switch at the
-  /// train's arrival instant — which is what lets the batched data plane
-  /// sweep the whole burst as one PacketBatch. Admission (ids, inject
-  /// traces, queue-overflow drops) is per packet in order, and the event
-  /// schedule is identical whether the network then forwards per packet or
-  /// per batch, so this is the workload the differential suite drives both
-  /// modes with.
-  void inject_burst(topo::NodeId edge, std::vector<dataplane::Packet> packets);
-
   /// Schedules a bidirectional link failure / repair.
   void fail_link_at(double time, const std::string& node_a, const std::string& node_b);
   void repair_link_at(double time, const std::string& node_a, const std::string& node_b);
@@ -229,18 +206,6 @@ class Network : private PacketEventSink {
   /// Sum of the per-switch residue-cache stats (tests, benches).
   [[nodiscard]] dataplane::ResidueCache::Stats residue_cache_stats() const;
 
-  /// Counters of the batched forwarding path (all zero in per-packet mode).
-  struct BatchPathStats {
-    std::uint64_t staged = 0;         ///< Packets routed through staging.
-    std::uint64_t batches = 0;        ///< forward_batch sweeps performed.
-    std::uint64_t state_flushes = 0;  ///< Flushes forced by non-arrival events
-                                      ///< (link state, injects, edge traffic).
-    std::size_t max_occupancy = 0;    ///< Largest batch swept.
-  };
-  [[nodiscard]] const BatchPathStats& batch_stats() const noexcept {
-    return batch_stats_;
-  }
-
  private:
   /// Packets in flight, addressed by slot index (the Click `Packet*` handle,
   /// as an index). Storage grows in fixed chunks that never move, so a slot's
@@ -270,7 +235,7 @@ class Network : private PacketEventSink {
     [[nodiscard]] Slot& operator[](std::uint32_t slot) noexcept {
       return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
     }
-    /// Slots currently held (packets in flight or staged).
+    /// Slots currently held (packets in flight).
     [[nodiscard]] std::size_t in_use() const noexcept {
       return created_ - free_.size();
     }
@@ -310,38 +275,14 @@ class Network : private PacketEventSink {
   void forward_from_switch(topo::NodeId node, topo::PortIndex in_port,
                            std::uint32_t slot);
   /// Everything after a forwarding decision: counters, TTL, trace, and the
-  /// switch-latency transmit — shared by the per-packet and batched paths.
+  /// switch-latency transmit — shared by the KAR and fast-failover paths.
   void apply_decision(topo::NodeId node, topo::PortIndex in_port,
                       std::uint32_t slot,
                       const dataplane::ForwardDecision& decision);
   void transmit(topo::NodeId from, topo::PortIndex out_port, std::uint32_t slot);
-  /// Schedules one packet's delivery at the far end of a link (the shared
-  /// tail of transmit() and inject_burst()).
-  void schedule_link_delivery(topo::LinkId link_id, int dir, double arrival,
-                              std::uint64_t epoch, const topo::LinkEnd& far,
-                              std::uint32_t slot);
   /// Counts and traces the drop, then frees the packet's slot.
   void drop(std::uint32_t slot, topo::NodeId at, dataplane::DropReason reason);
   void trace(TraceEvent event);
-
-  // -- batched forwarding (config_.batch_size > 0, kKar mode only) -----------
-  [[nodiscard]] bool batching() const noexcept { return batch_.has_value(); }
-  /// Stages a switch arrival into the open batch; schedules the flush event
-  /// and sweeps early when the batch fills.
-  void stage_arrival(topo::NodeId node, topo::PortIndex in_port,
-                     std::uint32_t slot);
-  /// Sweeps every staged arrival now, in arrival order, grouping
-  /// consecutive same-switch runs into PacketBatches.
-  void flush_batches();
-  /// Cooperative flush: called before any operation whose observable order
-  /// relative to staged decisions matters (link state changes, route
-  /// installs, injects, edge processing, drops). No-op when idle.
-  void maybe_flush() {
-    if (batching() && !pending_.empty()) {
-      ++batch_stats_.state_flushes;
-      flush_batches();
-    }
-  }
 
   topo::Topology* topo_;
   const routing::Controller* controller_;
@@ -364,20 +305,6 @@ class Network : private PacketEventSink {
   /// Control-plane route table (install_routes); keyed by RouteKey.
   std::unordered_map<std::uint64_t, routing::EncodedRoute> installed_;
   std::uint64_t route_table_version_ = 0;
-
-  /// Batched-path state (engaged iff config_.batch_size > 0 in kKar mode).
-  /// All capacity is reserved at construction; the steady-state staging /
-  /// sweep cycle allocates nothing.
-  struct PendingArrival {
-    topo::NodeId node;
-    topo::PortIndex in_port;
-    std::uint32_t slot;
-  };
-  std::vector<PendingArrival> pending_;
-  bool flush_scheduled_ = false;
-  std::unique_ptr<dataplane::BumpArena> arena_;
-  std::optional<dataplane::PacketBatch> batch_;
-  BatchPathStats batch_stats_;
 };
 
 }  // namespace kar::sim

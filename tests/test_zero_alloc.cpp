@@ -1,14 +1,14 @@
 // Zero-allocation regression tests for the forwarding hot paths.
 //
-// The whole point of PacketBatch + BumpArena is that the warmed
-// steady-state forward loop — clear, push, forward_batch, read decisions —
-// touches the heap exactly zero times. Likewise a warmed simulator hop
-// (pooled packet, handler-free event, inline route ID, fixed SACK array)
-// must not allocate. These tests replace the global operator new/delete
-// with counting versions (routed through malloc/free) and assert the count
-// stays at zero: across thousands of batch sweeps, for every deflection
-// technique, with narrow routes, pre-memoized wide routes and dead ports
-// forcing deflection draws in the mix; across >= 100k events of a
+// A warmed forwarding decision — KarSwitch::forward on a narrow route, a
+// memoized wide route, or a deflection draw — touches the heap exactly
+// zero times. Likewise a warmed simulator hop (pooled packet, handler-free
+// event, inline route ID, fixed SACK array) must not allocate. These tests
+// replace the global operator new/delete with counting versions (routed
+// through malloc/free) and assert the count stays at zero: across tens of
+// thousands of decisions, for every deflection technique, with narrow
+// routes, pre-memoized wide routes and a dead port forcing deflection
+// draws in the mix; across >= 100k events of a
 // window-limited TCP flow through sim::Network; and across hot-potato
 // walkers that keep surfacing at a wrong edge, once each edge has
 // re-encoded toward the destination. The `kard` query path gets a budget
@@ -24,13 +24,12 @@
 #include <cstdlib>
 #include <future>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "daemon/daemon.hpp"
-#include "dataplane/arena.hpp"
-#include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
 #include "routing/controller.hpp"
 #include "sim/network.hpp"
@@ -82,7 +81,7 @@ TEST(ZeroAlloc, CountingHookActuallyCounts) {
   EXPECT_GE(g_allocations, 1u);
 }
 
-TEST(ZeroAlloc, WarmedBatchedForwardLoopDoesNotTouchTheHeap) {
+TEST(ZeroAlloc, WarmedForwardLoopDoesNotTouchTheHeap) {
   topo::Scenario s = topo::make_fig1_network();
   const topo::NodeId sw7 = s.topology.at("SW7");
   // A dead port makes residues miss so deflection draws run in the loop.
@@ -93,10 +92,10 @@ TEST(ZeroAlloc, WarmedBatchedForwardLoopDoesNotTouchTheHeap) {
   // Workload: mostly narrow route IDs (width-gated direct reduction) plus
   // wide ones that go through the ResidueCache memo, one HP random-walk
   // packet, one no-input-port packet.
-  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kPackets = 32;
   auto rng = testsupport::make_rng(20260809, "ZeroAlloc");
-  std::vector<Packet> packets(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
+  std::vector<Packet> packets(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) {
     packets[i].kar.route_id = rns::BigUint(rng.below(5000));
     if (i % 8 == 3) {
       packets[i].kar.route_id += rns::BigUint(7) << (128 + 64 * (i % 4));
@@ -109,25 +108,21 @@ TEST(ZeroAlloc, WarmedBatchedForwardLoopDoesNotTouchTheHeap) {
         DeflectionTechnique::kAnyValidPort,
         DeflectionTechnique::kNotInputPort}) {
     const KarSwitch sw(s.topology, sw7, technique, ResiduePath::kFast);
-    BumpArena arena(1 << 16);
-    PacketBatch batch(arena, kBatch);
 
     auto sweep = [&](common::Rng& draw) {
-      batch.clear();
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        batch.push(&packets[i],
-                   i % 16 == 9 ? kNoInPort
-                               : static_cast<topo::PortIndex>(i % 3));
-      }
-      sw.forward_batch(batch, draw);
       std::uint64_t folded = 0;
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        folded += static_cast<std::uint64_t>(batch.decisions()[i].out_port);
+      for (std::size_t i = 0; i < kPackets; ++i) {
+        const std::optional<topo::PortIndex> in_port =
+            i % 16 == 9 ? std::nullopt
+                        : std::optional(static_cast<topo::PortIndex>(i % 3));
+        const ForwardDecision decision = sw.forward(packets[i], in_port, draw);
+        folded += static_cast<std::uint64_t>(decision.out_port) +
+                  (decision.action == ForwardDecision::Action::kForward);
       }
-      return folded + batch.stats().forwarded;
+      return folded;
     };
 
-    // Warm-up: sizes the port scratch, memoizes every wide route.
+    // Warm-up: memoizes every wide route.
     common::Rng warm_rng(1);
     volatile std::uint64_t sink = sweep(warm_rng);
 
