@@ -1,14 +1,16 @@
 // Minimal command-line flag parsing for bench/example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
-// `--no-name`. Unrecognised flags raise; positional arguments are collected.
-// This keeps experiment harnesses self-describing without an external
-// dependency.
+// `--no-name`; positional arguments are collected. Flags are not declared
+// up front: a binary that rejects unrecognised flags reads every flag it
+// knows, then reports unread(). This keeps experiment harnesses
+// self-describing without an external dependency.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,18 +48,18 @@ class Flags {
   }
 
   [[nodiscard]] bool has(const std::string& name) const {
-    return values_.contains(name);
+    return find(name) != values_.end();
   }
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        std::string fallback) const {
-    const auto it = values_.find(name);
+    const auto it = find(name);
     return it == values_.end() ? std::move(fallback) : it->second;
   }
 
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const {
-    const auto it = values_.find(name);
+    const auto it = find(name);
     if (it == values_.end()) return fallback;
     const auto value = parse_i64(it->second);
     if (!value) {
@@ -68,7 +70,7 @@ class Flags {
   }
 
   [[nodiscard]] double get_double(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
+    const auto it = find(name);
     if (it == values_.end()) return fallback;
     const auto value = parse_double(it->second);
     if (!value) {
@@ -79,7 +81,7 @@ class Flags {
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const {
-    const auto it = values_.find(name);
+    const auto it = find(name);
     if (it == values_.end()) return fallback;
     const std::string& v = it->second;
     if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
@@ -91,9 +93,27 @@ class Flags {
     return positional_;
   }
 
+  /// Flags given on the command line that no has() or get_*() call asked
+  /// for, ascending (a `--no-name` flag is listed as `name`).
+  [[nodiscard]] std::vector<std::string> unread() const {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : values_) {
+      if (!read_.contains(name)) names.push_back(name);
+    }
+    return names;
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& name) const {
+    read_.insert(name);
+    return values_.find(name);
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  /// Names asked for so far (see unread()).
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace kar::common

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 
 #include "obs/profile.hpp"
-#include "runner/fork_join.hpp"
 
 namespace kar::ctrlplane {
 
@@ -21,11 +19,6 @@ std::size_t ReconvergenceEngine::threshold() const {
   return std::max<std::size_t>(topo_->node_count() / 4, 8);
 }
 
-std::size_t ReconvergenceEngine::shard_count() const {
-  if (config_.shards == 0) return runner::ThreadPool::default_threads();
-  return std::max<std::size_t>(config_.shards, 1);
-}
-
 ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
     topo::NodeId dst) {
   auto it = dsts_.find(dst);
@@ -38,14 +31,6 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
         std::make_unique<DynamicSpt>(*topo_, dst, config_.metric, threshold());
   }
   return state;
-}
-
-runner::ThreadPool& ReconvergenceEngine::pool(std::size_t shards) {
-  // Shard 0 runs on the applying thread, so the pool backs shards - 1.
-  if (!pool_ || pool_->size() < shards - 1) {
-    pool_ = std::make_unique<runner::ThreadPool>(shards - 1);
-  }
-  return *pool_;
 }
 
 void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
@@ -80,7 +65,6 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
   phase_spt_ = phase("spt");
   phase_merge_ = phase("merge");
   phase_reconverge_ = phase("reconverge");
-  phase_replay_ = phase("replay");
   phase_admission_ = phase("admission");
   affected_routes_ = registry.histogram(
       "kar_ctrlplane_affected_routes",
@@ -133,13 +117,13 @@ const routing::EncodedRoute& ReconvergenceEngine::lookup_encoding(
 
 void ReconvergenceEngine::reconverge_group(GroupId id,
                                            std::vector<GroupId>& changed,
-                                           EpochStats& stats, ShardLog* log) {
+                                           EpochStats& stats) {
   const RouteGroup& group = store_->group(id);
   DstState& state = dst_state(group.dst);
   std::vector<topo::NodeId> core;
   if (!extract_core(state, group.src, core)) {
     if (group.live) {
-      store_->set_dead(id, version_, log);
+      store_->set_dead(id, version_);
       changed.push_back(id);
       ++stats.withdrawn;
     }
@@ -147,11 +131,8 @@ void ReconvergenceEngine::reconverge_group(GroupId id,
   }
   if (group.live && core == group.core_path) return;  // canonical path held
   routing::EncodedRoute encoded =
-      config_.mode == EngineMode::kIncremental
-          ? lookup_encoding(state, group.src, group.dst, core)
-          : controller_.encode_path(group.src, core, group.dst,
-                                    protection_for(state, group.dst, core));
-  store_->set_encoding(id, std::move(core), std::move(encoded), version_, log);
+      lookup_encoding(state, group.src, group.dst, core);
+  store_->set_encoding(id, std::move(core), std::move(encoded), version_);
   changed.push_back(id);
   ++stats.reencoded;
 }
@@ -162,7 +143,7 @@ RouteKey ReconvergenceEngine::admit(topo::NodeId src, topo::NodeId dst,
   const RouteKey key = store_->add(src, dst);
   const GroupId id = store_->route(key).group;
   if (store_->group(id).members.size() == 1) {
-    reconverge_group(id, changed, stats, nullptr);
+    reconverge_group(id, changed, stats);
   }
   store_->set_stamp(key, version_, !store_->group(id).live);
   return key;
@@ -181,38 +162,16 @@ bool ReconvergenceEngine::preview(topo::NodeId src, topo::NodeId dst,
   }
   DstState& state = dst_state(dst);
   if (!extract_core(state, src, core_out)) return false;
-  route_out = config_.mode == EngineMode::kIncremental
-                  ? lookup_encoding(state, src, dst, core_out)
-                  : controller_.encode_path(src, core_out, dst,
-                                            protection_for(state, dst, core_out));
+  route_out = lookup_encoding(state, src, dst, core_out);
   return true;
 }
 
 void ReconvergenceEngine::warm_spts() {
-  // Register every destination's state serially, then build the missing
-  // SPTs — each an independent Dijkstra over the shared const topology —
-  // across the shard pool. After a 1M-route snapshot restore this is the
-  // dominant startup cost, and it parallelises embarrassingly.
-  std::vector<std::pair<topo::NodeId, DstState*>> missing;
-  for (const topo::NodeId dst : store_->destinations()) {
-    std::unique_ptr<DstState>& slot = dsts_[dst];
-    if (!slot) slot = std::make_unique<DstState>();
-    if (!slot->spt) missing.emplace_back(dst, slot.get());
-  }
-  if (missing.empty()) return;
-  const std::size_t shards = std::min(shard_count(), missing.size());
-  const auto build = [&](std::size_t shard) {
-    for (std::size_t i = shard; i < missing.size(); i += shards) {
-      const auto& [dst, state] = missing[i];
-      state->spt = std::make_unique<DynamicSpt>(*topo_, dst, config_.metric,
-                                                threshold());
-    }
-  };
-  if (shards <= 1) {
-    build(0);
-  } else {
-    runner::fork_join(pool(shards), shards, build);
-  }
+  // One Dijkstra per destination, serially. Restoring a 1M-route rnp28
+  // snapshot (30 destinations; 4-core box, RelWithDebInfo) spends ~0.35 ms
+  // here against ~0.1 s in daemon::restore_store; spreading the builds
+  // over a 4-thread pool took ~0.6 ms.
+  for (const topo::NodeId dst : store_->destinations()) (void)dst_state(dst);
 }
 
 RouteKey ReconvergenceEngine::add_route(topo::NodeId src, topo::NodeId dst) {
@@ -247,151 +206,67 @@ EpochResult ReconvergenceEngine::apply(
       mark = now;
     };
 
-    if (config_.mode == EngineMode::kFullRecompute) {
-      for (const topo::NodeId dst : store_->destinations()) {
-        dst_state(dst).spt->rebuild();
-      }
-      lap(stats.spt_s);
-      stats.candidates = store_->group_count();
-      for (GroupId id = 0; id < store_->group_count(); ++id) {
-        reconverge_group(id, result.changed, stats, nullptr);
-      }
-      lap(stats.reconverge_s);
-    } else {
-      std::vector<GroupId> merged;
-      const auto& dsts = store_->destinations();
-      const std::size_t shards =
-          std::max<std::size_t>(1, std::min(shard_count(), dsts.size()));
-      // Serial preamble: every destination gets its state (SPT + memos)
-      // before any fork — forked phases look states up but never create
-      // them, so the map is frozen while workers read it.
-      for (const topo::NodeId dst : dsts) (void)dst_state(dst);
-
-      /// Per-shard working set; shard s owns destinations s, s+shards, ...
-      /// in first-appearance order.
-      struct ShardScratch {
-        std::vector<topo::NodeId> changed_nodes;
-        std::vector<GroupId> swept;       // phase A candidates
-        std::vector<GroupId> candidates;  // phase C input
-        std::vector<GroupId> changed;
-        EpochStats stats;
-        ShardLog log;
-      };
-      std::vector<ShardScratch> shard_scratch(shards);
-      const auto forked = [&](const std::function<void(std::size_t)>& body) {
-        if (shards == 1) {
-          body(0);
-        } else {
-          runner::fork_join(pool(shards), shards, body);
-        }
-      };
-
-      // Phase A (forked): advance each owned destination's SPT through the
-      // epoch event by event, collecting groups (to that destination) that
-      // depend on a moved distance. The event direction bounds the sweep:
-      // a repair only *decreases* distances, and a decrease at node n can
-      // steal the argmin at any neighbor of n — so it takes the full
-      // neighborhood dependency index. A failure only *increases*
-      // distances, and a worsened candidate can only matter where it was
-      // the one chosen — so only groups whose path contains the node need
-      // the path index. (Masks are indexed against each group's
-      // epoch-start path; the first event that changes a group's path sees
-      // those masks still valid, which is enough for the superset argument
-      // — see docs/ctrlplane.md.) Every structure touched — the SPT, the
-      // destination's posting slabs, the indexed groups' masks — belongs
-      // to the shard's own destinations.
-      if (!events.empty()) {
-        forked([&](std::size_t shard) {
-          ShardScratch& sc = shard_scratch[shard];
-          for (std::size_t i = shard; i < dsts.size(); i += shards) {
-            const topo::NodeId dst = dsts[i];
-            DynamicSpt& spt = *dsts_.find(dst)->second->spt;
-            for (const LinkChange& event : events) {
-              sc.changed_nodes.clear();
-              const SptUpdateStats s =
-                  spt.apply_link_event(event.link, event.up, sc.changed_nodes);
-              sc.stats.spt_dirty += s.dirty;
-              if (s.fallback) ++sc.stats.spt_fallbacks;
-              std::sort(sc.changed_nodes.begin(), sc.changed_nodes.end());
-              sc.changed_nodes.erase(
-                  std::unique(sc.changed_nodes.begin(), sc.changed_nodes.end()),
-                  sc.changed_nodes.end());
-              for (const topo::NodeId node : sc.changed_nodes) {
-                if (event.up) {
-                  store_->collect_node_dependents(node, dst, sc.swept);
-                } else {
-                  store_->collect_path_dependents(node, dst, sc.swept);
-                }
-              }
-            }
-          }
-        });
-      }
-      lap(stats.spt_s);
-      // Phase B (serial): groups whose encoding references an event link;
-      // for link-up events additionally every group choosing a next hop at
-      // an endpoint — a repaired link can appear as a new equal-cost
-      // candidate there and flip the tie-break without moving any
-      // distance. (A link-down needs no endpoint sweep: removing a
-      // candidate only changes an argmin if it *was* the argmin, i.e. the
-      // link was on the chosen path and is in the link index.) Then merge
-      // every shard's phase-A candidates and canonicalise: sort + unique
-      // makes the group list identical at every shard width.
+    // Advance each destination's SPT through the epoch event by event,
+    // collecting groups (to that destination) that depend on a moved
+    // distance. The event direction bounds the sweep: a repair only
+    // *decreases* distances, and a decrease at node n can steal the argmin
+    // at any neighbor of n — so it takes the full neighborhood dependency
+    // index. A failure only *increases* distances, and a worsened
+    // candidate can only matter where it was the one chosen — so only
+    // groups whose path contains the node need the path index. (Masks are
+    // indexed against each group's epoch-start path; the first event that
+    // changes a group's path sees those masks still valid, which is enough
+    // for the superset argument — see docs/ctrlplane.md.)
+    std::vector<GroupId> candidates;
+    std::vector<topo::NodeId> changed_nodes;
+    for (const topo::NodeId dst : store_->destinations()) {
+      DynamicSpt& spt = *dst_state(dst).spt;
       for (const LinkChange& event : events) {
-        store_->collect_link_dependents(event.link, merged);
-        if (event.up) {
-          const topo::Link& link = topo_->link(event.link);
-          store_->collect_path_dependents(link.a.node, merged);
-          store_->collect_path_dependents(link.b.node, merged);
+        changed_nodes.clear();
+        const SptUpdateStats s =
+            spt.apply_link_event(event.link, event.up, changed_nodes);
+        stats.spt_dirty += s.dirty;
+        if (s.fallback) ++stats.spt_fallbacks;
+        std::sort(changed_nodes.begin(), changed_nodes.end());
+        changed_nodes.erase(
+            std::unique(changed_nodes.begin(), changed_nodes.end()),
+            changed_nodes.end());
+        for (const topo::NodeId node : changed_nodes) {
+          if (event.up) {
+            store_->collect_node_dependents(node, dst, candidates);
+          } else {
+            store_->collect_path_dependents(node, dst, candidates);
+          }
         }
       }
-      for (const ShardScratch& sc : shard_scratch) {
-        merged.insert(merged.end(), sc.swept.begin(),
-                              sc.swept.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(
-          std::unique(merged.begin(), merged.end()),
-          merged.end());
-      stats.candidates = merged.size();
-      // Route each candidate group to the shard owning its destination.
-      if (shards == 1) {
-        shard_scratch[0].candidates.swap(merged);
-      } else {
-        std::vector<std::uint32_t> owner(topo_->node_count(), 0);
-        for (std::size_t i = 0; i < dsts.size(); ++i) {
-          owner[dsts[i]] = static_cast<std::uint32_t>(i % shards);
-        }
-        for (const GroupId id : merged) {
-          shard_scratch[owner[store_->group(id).dst]].candidates.push_back(id);
-        }
-      }
-      lap(stats.merge_s);
-      // Phase C (forked): reconverge once per endpoint group — the
-      // decision (extract core, memo-encode, install or withdraw) reads
-      // only the group's own SPT, memos and state, all owned by this
-      // shard; side effects on cross-shard structures are buffered in the
-      // shard's log.
-      forked([&](std::size_t shard) {
-        ShardScratch& sc = shard_scratch[shard];
-        for (const GroupId id : sc.candidates) {
-          reconverge_group(id, sc.changed, sc.stats, &sc.log);
-        }
-      });
-      lap(stats.reconverge_s);
-      // Serial epilogue: replay the shard logs and merge results in shard
-      // order (the changed list is canonicalised by the sort below).
-      for (ShardScratch& sc : shard_scratch) {
-        store_->apply_shard_log(sc.log);
-        result.changed.insert(result.changed.end(), sc.changed.begin(),
-                              sc.changed.end());
-        stats.reencoded += sc.stats.reencoded;
-        stats.withdrawn += sc.stats.withdrawn;
-        stats.spt_dirty += sc.stats.spt_dirty;
-        stats.spt_fallbacks += sc.stats.spt_fallbacks;
-      }
-      lap(stats.replay_s);
     }
+    lap(stats.spt_s);
+    // Groups whose encoding references an event link; for link-up events
+    // additionally every group choosing a next hop at an endpoint — a
+    // repaired link can appear as a new equal-cost candidate there and
+    // flip the tie-break without moving any distance. (A link-down needs
+    // no endpoint sweep: removing a candidate only changes an argmin if it
+    // *was* the argmin, i.e. the link was on the chosen path and is in the
+    // link index.) Then sort + unique into one ascending group list.
+    for (const LinkChange& event : events) {
+      store_->collect_link_dependents(event.link, candidates);
+      if (event.up) {
+        const topo::Link& link = topo_->link(event.link);
+        store_->collect_path_dependents(link.a.node, candidates);
+        store_->collect_path_dependents(link.b.node, candidates);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    stats.candidates = candidates.size();
+    lap(stats.merge_s);
+    // Reconverge once per endpoint group: extract its core, memo-encode,
+    // install or withdraw.
+    for (const GroupId id : candidates) {
+      reconverge_group(id, result.changed, stats);
+    }
+    lap(stats.reconverge_s);
 
     // Admissions converge against the post-event SPTs, under this epoch's
     // version; withdrawals last, so a key installed above can be
@@ -421,7 +296,6 @@ EpochResult ReconvergenceEngine::apply(
   totals_.spt_s += stats.spt_s;
   totals_.merge_s += stats.merge_s;
   totals_.reconverge_s += stats.reconverge_s;
-  totals_.replay_s += stats.replay_s;
   totals_.admission_s += stats.admission_s;
 
   events_total_.inc(stats.events);
@@ -434,7 +308,6 @@ EpochResult ReconvergenceEngine::apply(
   phase_spt_.set(totals_.spt_s);
   phase_merge_.set(totals_.merge_s);
   phase_reconverge_.set(totals_.reconverge_s);
-  phase_replay_.set(totals_.replay_s);
   phase_admission_.set(totals_.admission_s);
   affected_routes_.observe(static_cast<double>(stats.candidates));
   updated_routes_.observe(static_cast<double>(result.changed.size()));

@@ -2,7 +2,7 @@
 // and sim::Network that keeps a RouteStore consistent with a changing
 // topology.
 //
-// Incremental mode (the point of the subsystem): on an event epoch it
+// On an event epoch it
 //   1. advances every per-destination DynamicSpt through the epoch's link
 //      changes, collecting the nodes whose distance moved;
 //   2. assembles the affected candidate set from the store's indexes —
@@ -20,35 +20,14 @@
 //      version; every member reads it through its group.
 // Every route outside the candidate set provably keeps its canonical path
 // (docs/ctrlplane.md walks the superset argument), so skipping it is safe.
-//
-// Full-recompute mode is the differential oracle: rebuild every SPT, walk
-// every group, encode without the memo. Identical outputs are enforced by
+// The full-recompute reference in tests/support/full_recompute.hpp — fresh
+// SPTs, every group, no memo — holds the engine to identical outputs in
 // tests/test_ctrlplane_differential.cpp.
 //
 // Protection is planned on the *intended* topology (the planner ignores
 // failures, mirroring the paper's controller), so a route's protection set
 // is a pure function of (destination, primary core path) — the engine
 // memoises it and never invalidates the cache.
-//
-// Sharded incremental mode (EngineConfig::shards > 1): every per-destination
-// structure — the DynamicSpt, the protection and encoding memos, the store's
-// posting slabs — is owned by exactly one shard (destination index mod shard
-// count), so the expensive phases fork across the runner's ThreadPool with
-// no locks:
-//   A. each shard advances its own destinations' SPTs through the epoch and
-//      collects distance-driven candidates into a shard-local vector;
-//   B. (serial) the link-index sweep runs, then all candidate vectors merge
-//      — sort + unique — into one deterministic group list;
-//   C. each shard reconverges the candidate groups whose destination it
-//      owns, buffering cross-shard store side effects (link-posting
-//      appends, the live counter) in a ShardLog; the logs replay serially
-//      after the join, in shard order.
-// Every decision is a pure function of the quiescent post-advance SPT
-// distances and epoch-start store state, groups are disjoint across shards,
-// and the only order-sensitive merge points (candidate list, changed list)
-// are sorted — so the epoch result is bit-identical for every shard count,
-// which tests/test_ctrlplane_differential.cpp enforces at 1, 4, and
-// hardware width.
 #pragma once
 
 #include <cstdint>
@@ -59,14 +38,12 @@
 #include <utility>
 #include <vector>
 
-#include "ctrlplane/engine_mode.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/controller.hpp"
 #include "routing/protection.hpp"
-#include "runner/thread_pool.hpp"
 #include "topology/graph.hpp"
 
 namespace kar::ctrlplane {
@@ -79,7 +56,6 @@ struct LinkChange {
 
 /// Engine knobs.
 struct EngineConfig {
-  EngineMode mode = EngineMode::kIncremental;
   routing::PathMetric metric = routing::PathMetric::kHopCount;
   /// Plan driven-deflection protection for every primary path (memoised);
   /// false encodes bare primary paths.
@@ -88,18 +64,12 @@ struct EngineConfig {
   /// Affected-subtree size beyond which a DynamicSpt delete falls back to
   /// a full Dijkstra rebuild. 0 = auto (node_count / 4, at least 8).
   std::size_t spt_fallback_threshold = 0;
-  /// Reconvergence shards incremental epochs fork across (destinations are
-  /// distributed round-robin). 1 = serial, no pool spawned; 0 = one shard
-  /// per hardware thread. Results are bit-identical at every width (see
-  /// file comment), so this is purely a throughput knob.
-  std::size_t shards = 1;
 };
 
 /// Per-epoch accounting.
 struct EpochStats {
   std::size_t events = 0;        ///< Link changes in the epoch.
-  /// Affected-superset size examined this epoch, in endpoint groups (every
-  /// group in full-recompute mode).
+  /// Affected-superset size examined this epoch, in endpoint groups.
   std::size_t candidates = 0;
   std::size_t reencoded = 0;     ///< Groups freshly encoded.
   std::size_t withdrawn = 0;     ///< Groups that went dead.
@@ -108,13 +78,12 @@ struct EpochStats {
   std::size_t spt_fallbacks = 0; ///< Dynamic-SPT full-rebuild escapes.
   std::size_t spt_dirty = 0;     ///< Sum of per-SPT dirty node counts.
   double wall_s = 0.0;
-  /// Wall time per phase, together <= wall_s: SPT advance (full mode:
-  /// rebuild) with the distance sweep, link sweep and candidate merge,
-  /// group reconvergence, shard-log replay, admissions and withdrawals.
+  /// Wall time per phase, together <= wall_s: SPT advance with the
+  /// distance sweep, link sweep and candidate merge, group reconvergence,
+  /// admissions and withdrawals.
   double spt_s = 0.0;
   double merge_s = 0.0;
   double reconverge_s = 0.0;
-  double replay_s = 0.0;
   double admission_s = 0.0;
 };
 
@@ -136,7 +105,6 @@ class ReconvergenceEngine {
   ReconvergenceEngine(const topo::Topology& topology, RouteStore& store,
                       EngineConfig config = {});
 
-  [[nodiscard]] EngineMode mode() const noexcept { return config_.mode; }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
   [[nodiscard]] const RouteStore& store() const noexcept { return *store_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
@@ -203,11 +171,9 @@ class ReconvergenceEngine {
   [[nodiscard]] const EpochStats& totals() const noexcept { return totals_; }
 
  private:
-  /// Everything the engine keeps per destination, bundled so one shard
-  /// owns it outright during a forked epoch: the dynamic SPT plus the
-  /// protection and encoding memos (both keyed with the destination
-  /// implicit). States are created only on the serial path (add_route,
-  /// warm_spts, epoch preamble), never inside a forked phase.
+  /// Everything the engine keeps per destination: the dynamic SPT plus
+  /// the protection and encoding memos (both keyed with the destination
+  /// implicit).
   struct DstState {
     std::unique_ptr<DynamicSpt> spt;
     /// Protection memo: core path -> planned assignments (pure function
@@ -215,39 +181,33 @@ class ReconvergenceEngine {
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
-    /// Encoding memo (incremental mode only): (src, core path) ->
-    /// encoding. On the static topology structure the encoding is a pure
-    /// function of (src, dst, core path), so — like the protection memo —
-    /// it is never invalidated: churn that flips a pair between a handful
-    /// of alternate paths pays the CRT solve once per path.
+    /// Encoding memo: (src, core path) -> encoding. On the static topology
+    /// structure the encoding is a pure function of (src, dst, core path),
+    /// so — like the protection memo — it is never invalidated: churn that
+    /// flips a pair between a handful of alternate paths pays the CRT
+    /// solve once per path.
     std::map<std::pair<topo::NodeId, std::vector<topo::NodeId>>,
              routing::EncodedRoute>
         encodings;
   };
 
   [[nodiscard]] std::size_t threshold() const;
-  /// Resolved shard width for this epoch: config_.shards with 0 mapped to
-  /// the hardware thread count, clamped to at least 1.
-  [[nodiscard]] std::size_t shard_count() const;
-  /// Finds or creates the destination's state (serial path only).
+  /// Finds or creates the destination's state.
   DstState& dst_state(topo::NodeId dst);
   /// Canonical core path for (src, dst) from the destination's SPT; false
   /// when no usable path exists (a route needs src + >= 1 switch + dst).
   bool extract_core(DstState& state, topo::NodeId src,
                     std::vector<topo::NodeId>& core);
-  /// Finds or builds the memoised encoding of (src, dst, core) —
-  /// incremental mode's encode path.
+  /// Finds or builds the memoised encoding of (src, dst, core).
   const routing::EncodedRoute& lookup_encoding(
       DstState& state, topo::NodeId src, topo::NodeId dst,
       const std::vector<topo::NodeId>& core);
   /// Decides and installs once for endpoint group `id`: extract its
-  /// canonical path, and on a change re-encode or withdraw it. `log`
-  /// non-null routes cross-shard store side effects through a ShardLog
-  /// (forked phase C); null writes the store directly (serial).
+  /// canonical path, and on a change re-encode or withdraw it.
   void reconverge_group(GroupId id, std::vector<GroupId>& changed,
-                        EpochStats& stats, ShardLog* log);
+                        EpochStats& stats);
   /// Registers one route and stamps it with the current version; a route
-  /// opening a new group converges that group first (serial only).
+  /// opening a new group converges that group first.
   RouteKey admit(topo::NodeId src, topo::NodeId dst,
                  std::vector<GroupId>& changed, EpochStats& stats);
   /// Planned protection for `core_path` (memoised; empty when
@@ -255,16 +215,12 @@ class ReconvergenceEngine {
   [[nodiscard]] const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
   protection_for(DstState& state, topo::NodeId dst,
                  const std::vector<topo::NodeId>& core_path);
-  /// Lazily builds the pool backing fork_join (shard_count() - 1 workers;
-  /// shard 0 runs on the applying thread).
-  runner::ThreadPool& pool(std::size_t shards);
 
   const topo::Topology* topo_;
   RouteStore* store_;
   EngineConfig config_;
   routing::Controller controller_;
   std::unordered_map<topo::NodeId, std::unique_ptr<DstState>> dsts_;
-  std::unique_ptr<runner::ThreadPool> pool_;
   std::uint64_t version_ = 0;
   EpochStats totals_;
   obs::TraceRecorder* trace_ = nullptr;
@@ -282,7 +238,6 @@ class ReconvergenceEngine {
   obs::Gauge phase_spt_;
   obs::Gauge phase_merge_;
   obs::Gauge phase_reconverge_;
-  obs::Gauge phase_replay_;
   obs::Gauge phase_admission_;
 };
 

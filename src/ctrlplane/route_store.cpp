@@ -38,13 +38,11 @@ RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
     group.path_nodes = NodeMask(topo_->node_count());
     DstPostings& slab = dst_postings_[dst];
     if (slab.node.empty()) {
-      // The destination's posting slab is born here, while the store is
-      // quiescent: shards later index into existing slabs only.
       destinations_.push_back(dst);
       slab.node.resize(topo_->node_count());
       slab.path.resize(topo_->node_count());
     }
-    reindex(group, id, nullptr);
+    reindex(group, id);
   }
   RouteGroup& group = groups_[id];
   group.members.push_back(key);
@@ -53,38 +51,26 @@ RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
   return key;
 }
 
-void RouteStore::add_live(std::ptrdiff_t delta, ShardLog* log) {
-  if (log != nullptr) {
-    log->live_delta += delta;
-  } else {
-    live_ = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(live_) + delta);
-  }
-}
-
 void RouteStore::set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
                               routing::EncodedRoute route,
-                              std::uint64_t version, ShardLog* log) {
+                              std::uint64_t version) {
   RouteGroup& group = groups_[id];
-  if (!group.live) {
-    add_live(static_cast<std::ptrdiff_t>(group.members.size()), log);
-  }
+  if (!group.live) live_ += group.members.size();
   group.live = true;
   group.route = std::move(route);
   group.core_path = std::move(core_path);
   group.version = version;
-  reindex(group, id, log);
+  reindex(group, id);
 }
 
-void RouteStore::set_dead(GroupId id, std::uint64_t version, ShardLog* log) {
+void RouteStore::set_dead(GroupId id, std::uint64_t version) {
   RouteGroup& group = groups_[id];
-  if (group.live) {
-    add_live(-static_cast<std::ptrdiff_t>(group.members.size()), log);
-  }
+  if (group.live) live_ -= group.members.size();
   group.live = false;
   group.route = routing::EncodedRoute{};
   group.core_path.clear();
   group.version = version;
-  reindex(group, id, log);
+  reindex(group, id);
 }
 
 void RouteStore::set_stamp(RouteKey key, std::uint64_t stamp,
@@ -99,14 +85,6 @@ void RouteStore::set_withdrawn(RouteKey key, std::uint64_t version) {
   entry.withdrawn = true;
   entry.admitted_dead = false;
   entry.stamp = version;
-}
-
-void RouteStore::apply_shard_log(const ShardLog& log) {
-  add_live(log.live_delta, nullptr);
-  for (const auto& [link, id] : log.link_appends) {
-    std::vector<GroupId>& posting = link_index_[link];
-    if (posting.empty() || posting.back() != id) posting.push_back(id);
-  }
 }
 
 namespace {
@@ -147,7 +125,7 @@ std::size_t RouteStore::compact_postings() {
   return dropped;
 }
 
-void RouteStore::reindex(RouteGroup& group, GroupId id, ShardLog* log) {
+void RouteStore::reindex(RouteGroup& group, GroupId id) {
   // The footprint (file comment); a dead group keeps only its source edge.
   // Path selection at a node reads the distances of *all* its neighbors
   // and its incident links, so the dependency set closes over the
@@ -196,13 +174,7 @@ void RouteStore::reindex(RouteGroup& group, GroupId id, ShardLog* log) {
   path_nodes.for_each_not_in(group.path_nodes,
                              [&](std::size_t node) { post(slab.path[node]); });
   for (const topo::LinkId link : links) {
-    if (!uses_link(group, link)) {
-      if (log != nullptr) {
-        log->link_appends.emplace_back(link, id);
-      } else {
-        post(link_index_[link]);
-      }
-    }
+    if (!uses_link(group, link)) post(link_index_[link]);
   }
   group.deps = std::move(deps);
   group.path_nodes = std::move(path_nodes);

@@ -27,15 +27,9 @@
 //     distance-change sweep runs per destination SPT, and a flat posting
 //     would make every sweep scan (then discard) the other destinations'
 //     groups — a |destinations|-fold overscan at scale. The buckets are
-//     *slabs owned by the destination* (one posting vector per node), so a
-//     reconvergence shard that owns a set of destinations touches only its
-//     own slabs and groups — the sharded engine mutates disjoint memory
-//     without locks;
-//   * the link index and the live-route counter are the only structures
-//     shared across destinations: sharded mutators buffer those side
-//     effects in a ShardLog and the engine replays the logs serially after
-//     the join (append order within a link posting is not observable —
-//     every consumer sorts or dedups);
+//     slabs owned by the destination (one posting vector per node);
+//   * append order within a posting is not observable — every consumer
+//     sorts or dedups;
 //   * postings are append-only with lazy compaction: a lookup filters stale
 //     entries against the group's current link set / dependency mask and
 //     rewrites the posting list when more than half of it was stale.
@@ -146,17 +140,6 @@ struct RouteView {
   const std::vector<topo::NodeId>& core_path;
 };
 
-/// Side effects of a sharded mutation that land in structures shared
-/// *across* destination shards (the link index and the live counter).
-/// A reconvergence worker passes one to set_encoding()/set_dead() instead
-/// of letting them write shared state; the engine replays every shard's
-/// log serially with apply_shard_log() after the join. Replay order only
-/// permutes link-posting append order, which no consumer observes.
-struct ShardLog {
-  std::vector<std::pair<topo::LinkId, GroupId>> link_appends;
-  std::ptrdiff_t live_delta = 0;
-};
-
 /// Owns the routes, their groups and the inverted indexes. Mutation goes
 /// through the engine: add() registers a route (creating its group dead on
 /// first sight of the endpoints), set_encoding()/set_dead() swap in a
@@ -201,21 +184,13 @@ class RouteStore {
   }
 
   /// Installs a fresh encoding for group `id` (computed from `core_path`)
-  /// and reindexes it. When `log` is non-null the cross-shard side effects
-  /// (link-posting appends, live-count delta) go to the log instead of the
-  /// shared structures — required whenever another thread may be mutating
-  /// a different destination concurrently.
+  /// and reindexes it.
   void set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
-                    routing::EncodedRoute route, std::uint64_t version,
-                    ShardLog* log = nullptr);
+                    routing::EncodedRoute route, std::uint64_t version);
 
   /// Marks group `id` dead (no usable path) and shrinks its index
   /// footprint to the revive trigger (the source edge's distance).
-  void set_dead(GroupId id, std::uint64_t version, ShardLog* log = nullptr);
-
-  /// Serially replays a shard's buffered cross-shard side effects. Must not
-  /// run concurrently with any other store access.
-  void apply_shard_log(const ShardLog& log);
+  void set_dead(GroupId id, std::uint64_t version);
 
   /// Sets `key`'s own version stamp (see StoredRoute): the engine stamps
   /// an admission with its epoch, a snapshot restore replays the recorded
@@ -257,13 +232,10 @@ class RouteStore {
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  void reindex(RouteGroup& group, GroupId id, ShardLog* log);
-  void add_live(std::ptrdiff_t delta, ShardLog* log);
+  void reindex(RouteGroup& group, GroupId id);
 
   /// Every node/path posting for groups to one destination, as a slab the
-  /// destination owns (vectors indexed by NodeId). Slabs are filled only
-  /// in add() — always serial — so concurrent shards may look up and
-  /// rewrite *different* destinations' slabs without synchronisation.
+  /// destination owns (vectors indexed by NodeId), born in add().
   struct DstPostings {
     std::vector<std::vector<GroupId>> node;
     std::vector<std::vector<GroupId>> path;
@@ -278,8 +250,8 @@ class RouteStore {
   std::vector<std::uint32_t> edge_ordinal_;
   std::size_t edge_count_ = 0;
   std::vector<GroupId> group_of_pair_;
-  // Postings by LinkId (shared across shards) and per-destination slabs
-  // indexed by NodeId; lazily compacted (see file comment).
+  // Postings by LinkId and per-destination slabs indexed by NodeId; lazily
+  // compacted (see file comment).
   mutable std::vector<std::vector<GroupId>> link_index_;
   mutable std::vector<DstPostings> dst_postings_;
   std::size_t live_ = 0;

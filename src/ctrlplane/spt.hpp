@@ -16,9 +16,9 @@
 // usable neighbor minimising cost(u,n) + d(n), ties broken toward the
 // smaller NodeId. That makes the extracted path a pure function of the
 // distance field and the link states — distances are unique whether they
-// were maintained incrementally or rebuilt from scratch, so the incremental
-// and full engines provably extract identical paths (the property
-// tests/test_ctrlplane_differential.cpp checks end to end).
+// were maintained incrementally or rebuilt from scratch, so the engine and
+// the full-recompute reference provably extract identical paths (the
+// property tests/test_ctrlplane_differential.cpp checks end to end).
 #pragma once
 
 #include <cstdint>

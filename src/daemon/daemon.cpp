@@ -365,7 +365,6 @@ std::string Kard::handle_stats() {
   phases.field("spt", totals.spt_s)
       .field("merge", totals.merge_s)
       .field("reconverge", totals.reconverge_s)
-      .field("replay", totals.replay_s)
       .field("admission", totals.admission_s);
   runner::JsonObject batched;
   batched.field("queue_wait", phases_.queue_wait_s)

@@ -27,21 +27,21 @@
 //   --coalesce-window=S   hold + net link flaps for S seconds before
 //                         reconverging (default 0 = per-batch only)
 //   --compact-every=N     idle posting compaction every N epochs (default 64)
-//   --engine=MODE         incremental | full (default incremental)
-//   --shards=N            reconvergence shards (1 = serial, 0 = hw threads)
 //   --no-host-edges       do not attach per-switch host edge nodes
 //   --no-metrics          disable the metrics registry
 //
+// An unknown flag or a port outside 0-65535 exits 2 before anything starts.
 // stdout carries only protocol responses; diagnostics go to stderr.
 #include <unistd.h>
 
+#include <cstdint>
 #include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/flags.hpp"
-#include "ctrlplane/engine_mode.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/server.hpp"
 
@@ -56,26 +56,34 @@ int main(int argc, char** argv) {
     config.flush_max_ops =
         static_cast<std::size_t>(flags.get_int("flush-max", 4096));
     config.coalesce_window_s = flags.get_double("coalesce-window", 0.0);
-    config.engine.shards =
-        static_cast<std::size_t>(flags.get_int("shards", 1));
     config.compact_every_epochs =
         static_cast<std::size_t>(flags.get_int("compact-every", 64));
     config.snapshot_path = flags.get_string("snapshot", "");
     config.restore = flags.get_bool("restore", false);
     config.snapshot_on_shutdown = flags.get_bool("final-snapshot", true);
     config.metrics = flags.get_bool("metrics", true);
-    const std::string engine_mode = flags.get_string("engine", "incremental");
-    if (engine_mode == "incremental") {
-      config.engine.mode = ctrlplane::EngineMode::kIncremental;
-    } else if (engine_mode == "full") {
-      config.engine.mode = ctrlplane::EngineMode::kFullRecompute;
-    } else {
-      std::cerr << "kard: unknown --engine mode " << engine_mode << '\n';
-      return 2;
-    }
-
     const bool use_stdin = flags.get_bool("stdin", false);
     const bool use_socket = flags.has("listen");
+    const bool use_metrics_port = flags.has("metrics-port");
+    const std::int64_t listen_port = flags.get_int("listen", 0);
+    const std::int64_t metrics_port = flags.get_int("metrics-port", 0);
+    const auto workers = static_cast<std::size_t>(flags.get_int("workers", 2));
+
+    for (const auto& [name, port] :
+         {std::pair{"listen", listen_port},
+          std::pair{"metrics-port", metrics_port}}) {
+      if (port < 0 || port > 65535) {
+        std::cerr << "kard: --" << name << "=" << port
+                  << " is not a port (0-65535)\n";
+        return 2;
+      }
+    }
+    if (const auto unknown = flags.unread(); !unknown.empty()) {
+      for (const std::string& name : unknown) {
+        std::cerr << "kard: unknown flag --" << name << '\n';
+      }
+      return 2;
+    }
     if (!use_stdin && !use_socket) {
       std::cerr << "kard: nothing to serve; pass --stdin and/or --listen=PORT\n";
       return 2;
@@ -93,25 +101,20 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<daemon::SocketServer> socket_server;
     if (use_socket) {
-      const auto port = static_cast<std::uint16_t>(flags.get_int("listen", 0));
-      const auto workers =
-          static_cast<std::size_t>(flags.get_int("workers", 2));
-      socket_server =
-          std::make_unique<daemon::SocketServer>(kard, port, workers);
+      socket_server = std::make_unique<daemon::SocketServer>(
+          kard, static_cast<std::uint16_t>(listen_port), workers);
       std::cerr << "kard: listening on 127.0.0.1:" << socket_server->port()
                 << '\n';
     }
     std::unique_ptr<daemon::MetricsHttpServer> metrics_server;
-    if (flags.has("metrics-port")) {
-      const auto port =
-          static_cast<std::uint16_t>(flags.get_int("metrics-port", 0));
-      metrics_server = std::make_unique<daemon::MetricsHttpServer>(kard, port);
+    if (use_metrics_port) {
+      metrics_server = std::make_unique<daemon::MetricsHttpServer>(
+          kard, static_cast<std::uint16_t>(metrics_port));
       std::cerr << "kard: metrics on http://127.0.0.1:"
                 << metrics_server->port() << "/metrics\n";
     }
 
-    std::cerr << "kard: serving " << kard.config().topology << " ("
-              << engine_mode << " engine)\n";
+    std::cerr << "kard: serving " << kard.config().topology << '\n';
     if (use_stdin) {
       daemon::run_stdin_loop(kard, STDIN_FILENO, std::cout);
     } else {

@@ -5,18 +5,23 @@
 
 namespace kar::sim {
 
-ReactiveController::ReactiveController(Network& network, double reaction_delay_s,
-                                       ctrlplane::EngineMode mode)
-    : net_(&network), delay_(reaction_delay_s), mode_(mode) {
-  if (mode_ == ctrlplane::EngineMode::kIncremental) {
-    store_.emplace(net_->topology());
-    ctrlplane::EngineConfig config;
-    config.mode = ctrlplane::EngineMode::kIncremental;
-    // Match the legacy reaction path: bare shortest-path encodings, hop
-    // metric (route_between with no protection assignments).
-    config.plan_protection = false;
-    engine_.emplace(net_->topology(), *store_, config);
-  }
+namespace {
+
+// Bare shortest-path encodings, hop metric: route_between with no
+// protection assignments.
+ctrlplane::EngineConfig reaction_engine_config() {
+  ctrlplane::EngineConfig config;
+  config.plan_protection = false;
+  return config;
+}
+
+}  // namespace
+
+ReactiveController::ReactiveController(Network& network, double reaction_delay_s)
+    : net_(&network),
+      delay_(reaction_delay_s),
+      store_(network.topology()),
+      engine_(network.topology(), store_, reaction_engine_config()) {
   reaction_timer_ =
       net_->events().add_timer(EventKind::kLinkState, [this] { react(); });
   net_->set_link_state_hook(
@@ -30,26 +35,21 @@ ReactiveController::~ReactiveController() {
 
 void ReactiveController::watch_flow(topo::NodeId src_edge, topo::NodeId dst_edge,
                                     RouteUpdateHandler on_update) {
-  if (engine_.has_value()) {
-    // Flow index == route key (both dense registration orders). The initial
-    // encoding converges against the current topology and is installed at
-    // the engine's current version; handlers only fire on reactions, as in
-    // the legacy path.
-    const ctrlplane::RouteKey key = engine_->add_route(src_edge, dst_edge);
-    const ctrlplane::RouteView entry = store_->get(key);
-    if (entry.live) {
-      const std::vector<Network::RouteInstall> batch{
-          Network::RouteInstall{key, &entry.route}};
-      net_->install_routes(engine_->version(), batch);
-    }
+  // Flow index == route key (both dense registration orders). The initial
+  // encoding converges against the current topology and is installed at
+  // the engine's current version; handlers only fire on reactions.
+  const ctrlplane::RouteKey key = engine_.add_route(src_edge, dst_edge);
+  const ctrlplane::RouteView entry = store_.get(key);
+  if (entry.live) {
+    const std::vector<Network::RouteInstall> batch{
+        Network::RouteInstall{key, &entry.route}};
+    net_->install_routes(engine_.version(), batch);
   }
   flows_.push_back(WatchedFlow{src_edge, dst_edge, std::move(on_update)});
 }
 
 void ReactiveController::on_link_event(topo::LinkId link, bool up) {
-  if (engine_.has_value()) {
-    pending_events_.push_back(ctrlplane::LinkChange{link, up});
-  }
+  pending_events_.push_back(ctrlplane::LinkChange{link, up});
   // A burst of simultaneous link events produces one reaction after the
   // delay (the controller batches what it learned).
   net_->events().arm_timer_at(reaction_timer_, net_->now() + delay_);
@@ -57,22 +57,14 @@ void ReactiveController::on_link_event(topo::LinkId link, bool up) {
 
 void ReactiveController::react() {
   ++reactions_;
-  if (engine_.has_value()) {
-    react_incremental();
-  } else {
-    react_full_recompute();
-  }
-}
-
-void ReactiveController::react_incremental() {
   std::vector<ctrlplane::LinkChange> events = std::move(pending_events_);
   pending_events_.clear();
-  const ctrlplane::EpochResult epoch = engine_->apply(events);
+  const ctrlplane::EpochResult epoch = engine_.apply(events);
   // The engine reports changed endpoint groups; every member route (flow)
   // changed with its group. Keys ascend, as flows expect.
   std::vector<ctrlplane::RouteKey> updated;
   for (const ctrlplane::GroupId id : epoch.changed) {
-    const auto& members = store_->group(id).members;
+    const auto& members = store_.group(id).members;
     updated.insert(updated.end(), members.begin(), members.end());
   }
   std::sort(updated.begin(), updated.end());
@@ -80,7 +72,7 @@ void ReactiveController::react_incremental() {
   std::vector<Network::RouteInstall> batch;
   batch.reserve(updated.size());
   for (const ctrlplane::RouteKey key : updated) {
-    const ctrlplane::RouteView entry = store_->get(key);
+    const ctrlplane::RouteView entry = store_.get(key);
     batch.push_back(
         Network::RouteInstall{key, entry.live ? &entry.route : nullptr});
   }
@@ -88,24 +80,10 @@ void ReactiveController::react_incremental() {
   // Only flows whose route actually changed (and still exists) hear about
   // it — the affected-set contract.
   for (const ctrlplane::RouteKey key : updated) {
-    const ctrlplane::RouteView entry = store_->get(key);
+    const ctrlplane::RouteView entry = store_.get(key);
     if (!entry.live) continue;
     const WatchedFlow& flow = flows_[key];
     if (flow.on_update) flow.on_update(entry.route);
-  }
-}
-
-void ReactiveController::react_full_recompute() {
-  // The original reaction path, preserved verbatim as the reference mode:
-  // full Dijkstra per watched flow on the topology as it is *now*, every
-  // routed flow's handler invoked whether or not anything changed.
-  routing::PathOptions options;
-  options.ignore_failures = false;
-  const routing::Controller aware(net_->topology(), options);
-  recomputes_ += flows_.size();
-  for (const WatchedFlow& flow : flows_) {
-    const auto route = aware.route_between(flow.src, flow.dst);
-    if (route && flow.on_update) flow.on_update(*route);
   }
 }
 

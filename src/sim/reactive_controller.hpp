@@ -5,18 +5,14 @@
 // path unnecessary for liveness; implementing it turns the paper's
 // motivation into a measurable baseline (bench/controller_reaction).
 //
-// Since the incremental control plane landed, the default reaction path
-// runs on ctrlplane::ReconvergenceEngine: link events reconverge only the
-// affected route set, the result is installed into the network as one
-// versioned epoch, and only flows whose route actually changed see their
-// update callback. Constructing it with EngineMode::kFullRecompute restores
-// the original behavior — full Dijkstra per watched flow per reaction,
-// every callback invoked — as the differential baseline.
+// The reaction path runs on ctrlplane::ReconvergenceEngine: link events
+// reconverge only the affected route set, the result is installed into the
+// network as one versioned epoch, and only flows whose route actually
+// changed see their update callback.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "ctrlplane/engine.hpp"
@@ -33,12 +29,8 @@ class ReactiveController {
  public:
   /// `reaction_delay_s` models notification transport + controller
   /// processing + rule installation (the window in which in-flight traffic
-  /// is lost when no data-plane protection exists). `mode` picks the
-  /// reconvergence engine: affected-set incremental (default) or the
-  /// full-recompute oracle.
-  ReactiveController(
-      Network& network, double reaction_delay_s,
-      ctrlplane::EngineMode mode = ctrlplane::EngineMode::kIncremental);
+  /// is lost when no data-plane protection exists).
+  ReactiveController(Network& network, double reaction_delay_s);
 
   ~ReactiveController();
 
@@ -49,19 +41,15 @@ class ReactiveController {
 
   /// Registers a flow to keep routed: on every link event, a new shortest
   /// path from `src_edge` to `dst_edge` avoiding failed links is encoded
-  /// and passed to `on_update` (not called when no route exists; under the
-  /// incremental engine, also not called when the flow's route is
-  /// untouched by the event).
+  /// and passed to `on_update` (not called when no route exists, nor when
+  /// the flow's route is untouched by the event).
   void watch_flow(topo::NodeId src_edge, topo::NodeId dst_edge,
                   RouteUpdateHandler on_update);
 
   [[nodiscard]] std::uint64_t reactions() const noexcept { return reactions_; }
   [[nodiscard]] double reaction_delay_s() const noexcept { return delay_; }
-  [[nodiscard]] ctrlplane::EngineMode engine_mode() const noexcept { return mode_; }
-  /// Shortest-path recomputations across all reactions: the incremental
-  /// engine counts affected routes only, the legacy full recompute counts
-  /// every watched flow on every reaction — the satellite metric
-  /// bench/churn_convergence exists to compare.
+  /// Routes the engine changed across all reactions (affected routes
+  /// only, not every watched flow).
   [[nodiscard]] std::uint64_t route_recomputes() const noexcept {
     return recomputes_;
   }
@@ -69,8 +57,6 @@ class ReactiveController {
  private:
   void on_link_event(topo::LinkId link, bool up);
   void react();
-  void react_incremental();
-  void react_full_recompute();
 
   struct WatchedFlow {
     topo::NodeId src;
@@ -80,12 +66,11 @@ class ReactiveController {
 
   Network* net_;
   double delay_;
-  ctrlplane::EngineMode mode_;
   std::vector<WatchedFlow> flows_;
-  /// Incremental mode: the engine over the network's topology. Flow i is
-  /// route key i (both are dense registration orders).
-  std::optional<ctrlplane::RouteStore> store_;
-  std::optional<ctrlplane::ReconvergenceEngine> engine_;
+  /// The engine over the network's topology. Flow i is route key i (both
+  /// are dense registration orders).
+  ctrlplane::RouteStore store_;
+  ctrlplane::ReconvergenceEngine engine_;
   std::vector<ctrlplane::LinkChange> pending_events_;
   std::uint64_t reactions_ = 0;
   std::uint64_t recomputes_ = 0;

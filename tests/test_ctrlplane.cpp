@@ -1,7 +1,7 @@
 // Unit tests for the incremental control plane (src/ctrlplane/): the route
 // store's inverted indexes, the dynamic SPT against its full-Dijkstra
-// oracle, the reconvergence engine (incremental vs full-recompute), the
-// versioned route-table install on sim::Network, and the rewired
+// oracle, the reconvergence engine (against the full-recompute reference),
+// the versioned route-table install on sim::Network, and the
 // ReactiveController. The heavyweight cross-topology equivalence proof
 // lives in tests/test_ctrlplane_differential.cpp.
 #include <gtest/gtest.h>
@@ -14,13 +14,13 @@
 #include <vector>
 
 #include "ctrlplane/engine.hpp"
-#include "ctrlplane/engine_mode.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
 #include "routing/paths.hpp"
 #include "sim/network.hpp"
 #include "sim/reactive_controller.hpp"
+#include "support/full_recompute.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
 
@@ -29,29 +29,12 @@ namespace {
 
 using ctrlplane::DynamicSpt;
 using ctrlplane::EngineConfig;
-using ctrlplane::EngineMode;
 using ctrlplane::LinkChange;
 using ctrlplane::NodeMask;
 using ctrlplane::ReconvergenceEngine;
 using ctrlplane::RouteKey;
 using ctrlplane::RouteStore;
 using topo::Scenario;
-
-// -- EngineMode ---------------------------------------------------------------
-
-TEST(EngineMode, ParsesAndPrints) {
-  EXPECT_EQ(ctrlplane::engine_mode_from_string("incremental"),
-            EngineMode::kIncremental);
-  EXPECT_EQ(ctrlplane::engine_mode_from_string("INC"), EngineMode::kIncremental);
-  EXPECT_EQ(ctrlplane::engine_mode_from_string("full"),
-            EngineMode::kFullRecompute);
-  EXPECT_EQ(ctrlplane::engine_mode_from_string("Full-Recompute"),
-            EngineMode::kFullRecompute);
-  EXPECT_THROW((void)ctrlplane::engine_mode_from_string("bogus"),
-               std::invalid_argument);
-  EXPECT_EQ(std::string(to_string(EngineMode::kIncremental)), "incremental");
-  EXPECT_EQ(std::string(to_string(EngineMode::kFullRecompute)), "full");
-}
 
 // -- NodeMask -----------------------------------------------------------------
 
@@ -286,11 +269,8 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
   topo::Topology& t = s.topology;
   RouteStore inc_store(t);
   RouteStore full_store(t);
-  EngineConfig inc_config;
-  EngineConfig full_config;
-  full_config.mode = EngineMode::kFullRecompute;
-  ReconvergenceEngine inc(t, inc_store, inc_config);
-  ReconvergenceEngine full(t, full_store, full_config);
+  ReconvergenceEngine inc(t, inc_store);
+  testsupport::FullRecomputeReference full(t, full_store);
   const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
   ASSERT_GE(edges.size(), 3u);
   for (const topo::NodeId src : edges) {
@@ -303,13 +283,15 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
 
   // Each epoch's flips happen right before the applies, so the topology
   // reflects exactly the events handed to the engines.
+  std::size_t full_candidates = 0;
   const auto run_epoch = [&](const std::vector<LinkChange>& events) {
     const auto ri = inc.apply(events);
     const auto rf = full.apply(events);
     EXPECT_EQ(ri.version, rf.version);
-    // Both modes report exactly the actually-changed groups.
+    // Both report exactly the actually-changed groups.
     EXPECT_EQ(ri.changed, rf.changed);
     expect_same_tables(t, inc_store, full_store);
+    full_candidates += rf.stats.candidates;
   };
   run_epoch({flip(t, "SW7", "SW13", false)});
   run_epoch({flip(t, "SW13", "SW29", false)});
@@ -317,10 +299,10 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
   // Two changes in one epoch.
   run_epoch({flip(t, "SW10", "SW7", false), flip(t, "SW10", "SW11", false)});
   run_epoch({flip(t, "SW10", "SW7", true), flip(t, "SW13", "SW29", true)});
-  // The candidate superset never exceeds the full engine's whole-table
+  // The candidate superset never exceeds the reference's whole-table
   // scan. (On a 15-node net where every route crosses the core the two can
   // be equal; the scaling win is bench/churn_convergence's claim.)
-  EXPECT_LE(inc.totals().candidates, full.totals().candidates);
+  EXPECT_LE(inc.totals().candidates, full_candidates);
 }
 
 TEST(ReconvergenceEngineTest, MetricsFamiliesAndFallbackCounter) {
@@ -365,9 +347,9 @@ TEST(ReconvergenceEngineTest, MetricsFamiliesAndFallbackCounter) {
             1.0);
 }
 
-// Every epoch's phase split (SPT advance, merge, reconverge, replay,
-// admission) is non-negative and adds up to no more than the epoch wall,
-// in both modes, serial and sharded, with and without admissions.
+// Every epoch's phase split (SPT advance, merge, reconverge, admission) is
+// non-negative and adds up to no more than the epoch wall, with and without
+// admissions.
 TEST(ReconvergenceEngineTest, PhaseTimingsFitInsideTheEpochWall) {
   Scenario s = topo::make_rnp28();
   topo::Topology& t = s.topology;
@@ -380,7 +362,7 @@ TEST(ReconvergenceEngineTest, PhaseTimingsFitInsideTheEpochWall) {
   const auto expect_split = [](const ctrlplane::EpochStats& st,
                                const std::string& where) {
     const double phases[] = {st.spt_s, st.merge_s, st.reconverge_s,
-                             st.replay_s, st.admission_s};
+                             st.admission_s};
     double sum = 0.0;
     for (const double p : phases) {
       EXPECT_GE(p, 0.0) << where;
@@ -389,30 +371,19 @@ TEST(ReconvergenceEngineTest, PhaseTimingsFitInsideTheEpochWall) {
     EXPECT_GT(st.wall_s, 0.0) << where;
     EXPECT_LE(sum, st.wall_s) << where;
   };
-  for (const EngineMode mode :
-       {EngineMode::kIncremental, EngineMode::kFullRecompute}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      RouteStore store(t);
-      EngineConfig config;
-      config.mode = mode;
-      config.shards = shards;
-      ReconvergenceEngine engine(t, store, config);
-      const std::string tag = std::string(ctrlplane::to_string(mode)) +
-                              " shards " + std::to_string(shards);
-      expect_split(engine.apply({}, installs, {}).stats, tag + " admissions");
-      topo::LinkId link = 0;  // the first core-to-core link
-      while (t.kind(t.link(link).a.node) != topo::NodeKind::kCoreSwitch ||
-             t.kind(t.link(link).b.node) != topo::NodeKind::kCoreSwitch) {
-        ++link;
-      }
-      t.set_link_up(link, false);
-      expect_split(engine.apply({{link, false}}, installs, {0}).stats,
-                   tag + " failure");
-      t.set_link_up(link, true);
-      expect_split(engine.apply({{link, true}}).stats, tag + " repair");
-      expect_split(engine.totals(), tag + " totals");
-    }
+  RouteStore store(t);
+  ReconvergenceEngine engine(t, store);
+  expect_split(engine.apply({}, installs, {}).stats, "admissions");
+  topo::LinkId link = 0;  // the first core-to-core link
+  while (t.kind(t.link(link).a.node) != topo::NodeKind::kCoreSwitch ||
+         t.kind(t.link(link).b.node) != topo::NodeKind::kCoreSwitch) {
+    ++link;
   }
+  t.set_link_up(link, false);
+  expect_split(engine.apply({{link, false}}, installs, {0}).stats, "failure");
+  t.set_link_up(link, true);
+  expect_split(engine.apply({{link, true}}).stats, "repair");
+  expect_split(engine.totals(), "totals");
 }
 
 TEST(ForwardingTrace, WalksFig1Residues) {
@@ -487,9 +458,8 @@ topo::Topology make_two_islands() {
 TEST(ReactiveControllerIncremental, OnlyAffectedFlowsReact) {
   topo::Topology t = make_two_islands();
   const routing::Controller controller(t);
-  sim::Network net(t, controller, {});  // default engine: incremental
+  sim::Network net(t, controller, {});
   sim::ReactiveController reactive(net, /*reaction_delay_s=*/0.010);
-  EXPECT_EQ(reactive.engine_mode(), EngineMode::kIncremental);
 
   int ab_updates = 0;
   int cd_updates = 0;
@@ -529,32 +499,6 @@ TEST(ReactiveControllerIncremental, OnlyAffectedFlowsReact) {
   EXPECT_EQ(net.installed_route(0), nullptr);
   ASSERT_NE(net.installed_route(1), nullptr);
   EXPECT_EQ(net.route_table_version(), 2u);
-}
-
-TEST(ReactiveControllerFullRecompute, EveryFlowRecomputesEveryReaction) {
-  topo::Topology t = make_two_islands();
-  const routing::Controller controller(t);
-  sim::Network net(t, controller);
-  sim::ReactiveController reactive(net, 0.010, EngineMode::kFullRecompute);
-  EXPECT_EQ(reactive.engine_mode(), EngineMode::kFullRecompute);
-
-  int ab_updates = 0;
-  int cd_updates = 0;
-  reactive.watch_flow(t.at("A"), t.at("B"),
-                      [&](const routing::EncodedRoute&) { ++ab_updates; });
-  reactive.watch_flow(t.at("C"), t.at("D"),
-                      [&](const routing::EncodedRoute&) { ++cd_updates; });
-
-  net.fail_link_at(1.0, "X1", "X2");
-  net.events().run_until(2.0);
-  // Legacy semantics: every watched flow recomputed and re-pushed, the
-  // network's versioned route table untouched.
-  EXPECT_EQ(reactive.reactions(), 1u);
-  EXPECT_EQ(reactive.route_recomputes(), 2u);
-  EXPECT_EQ(ab_updates, 1);
-  EXPECT_EQ(cd_updates, 1);
-  EXPECT_EQ(net.route_table_version(), 0u);
-  EXPECT_EQ(net.installed_route_count(), 0u);
 }
 
 }  // namespace

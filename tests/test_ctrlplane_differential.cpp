@@ -1,44 +1,38 @@
 // Differential proof that the incremental reconvergence engine and the
-// full-recompute oracle maintain bit-identical route tables.
+// full-recompute reference (support/full_recompute.hpp) maintain
+// bit-identical route tables.
 //
 // 200 seeded churn sequences across fig1, fig2 (the 15-node experimental
 // network) and rnp28, with host edges attached so every topology offers
-// many distinct edge pairs. Each sequence runs one incremental and one
-// full-recompute engine over the SAME topology object through the same
-// epochs (schedule events grouped by timestamp) and asserts, after every
-// epoch: identical liveness, route IDs, port assignments, primary core
-// paths, changed-group lists and pure-modulo forwarding traces.
+// many distinct edge pairs. Each sequence runs the engine and the reference
+// over the SAME topology object through the same epochs (schedule events
+// grouped by timestamp) and asserts, after every epoch: identical version,
+// liveness, route IDs, port assignments, primary core paths, changed-group
+// lists and pure-modulo forwarding traces.
 //
 // Schedule families rotate through fail/repair churn (kRandomUpDown),
 // correlated cuts (kSrlgGroups), flapping and permanent k-failure sweeps;
 // half the sequences plan driven-deflection protection, half encode bare
 // primary paths.
 //
-// A second suite pins the sharded reconvergence path: the same sequences
-// run through incremental engines at shard widths 1, 4 and
-// hardware_concurrency, and every epoch must be *bit-identical* across
-// widths — version stamps and changed-group lists included, not just final
-// tables — because sharding is specified as a pure throughput knob
-// (docs/ctrlplane.md).
-//
-// A third suite mixes admissions and withdrawals into the churn epochs
-// (apply(events, installs, withdraws)) and holds the full-recompute engine
-// and incremental engines at widths 1, 4 and hardware width to identical
-// per-key liveness, tombstones, version stamps, route IDs and core paths.
+// A second suite mixes admissions and withdrawals into the churn epochs
+// (apply(events, installs, withdraws)) and holds the engine and the
+// reference to identical per-key liveness, tombstones, version stamps,
+// route IDs, core paths and forwarding traces, and identical changed-group
+// lists.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ctrlplane/engine.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "faultgen/schedule.hpp"
+#include "support/full_recompute.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
 
@@ -46,7 +40,6 @@ namespace kar {
 namespace {
 
 using ctrlplane::EngineConfig;
-using ctrlplane::EngineMode;
 using ctrlplane::LinkChange;
 using ctrlplane::ReconvergenceEngine;
 using ctrlplane::RouteKey;
@@ -54,6 +47,7 @@ using ctrlplane::RouteStore;
 using faultgen::FailureSchedule;
 using faultgen::ScheduleConfig;
 using faultgen::ScheduleKind;
+using testsupport::FullRecomputeReference;
 using topo::Scenario;
 
 Scenario make_scenario(const std::string& name) {
@@ -127,15 +121,12 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
 
   RouteStore inc_store(t);
   RouteStore full_store(t);
-  EngineConfig inc_config;
-  EngineConfig full_config;
-  full_config.mode = EngineMode::kFullRecompute;
+  EngineConfig config;
   // Half the sequences exercise the memoised protection planner, half the
   // bare-primary encoding path.
-  inc_config.plan_protection = full_config.plan_protection =
-      (sequence % 2 == 0);
-  ReconvergenceEngine inc(t, inc_store, inc_config);
-  ReconvergenceEngine full(t, full_store, full_config);
+  config.plan_protection = (sequence % 2 == 0);
+  ReconvergenceEngine inc(t, inc_store, config);
+  FullRecomputeReference full(t, full_store, config);
 
   const std::size_t route_count = 25;
   for (std::size_t i = 0; i < route_count; ++i) {
@@ -177,82 +168,10 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
   }
 }
 
-// Serial vs sharded incremental engines over identical epochs. Stricter
-// than expect_identical_tables: a shard width must not even perturb the
-// per-route version stamps.
-void run_sharded_sequence(const std::string& topology, std::uint64_t sequence,
-                          common::Rng& rng) {
-  const std::vector<std::size_t> widths = {
-      1, 4, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
-  Scenario s = make_scenario(topology);
-  topo::Topology& t = s.topology;
-  (void)topo::attach_host_edges(t);
-  const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
-
-  std::vector<std::unique_ptr<RouteStore>> stores;
-  std::vector<std::unique_ptr<ReconvergenceEngine>> engines;
-  for (const std::size_t shards : widths) {
-    EngineConfig config;
-    config.shards = shards;
-    config.plan_protection = (sequence % 2 == 0);
-    stores.push_back(std::make_unique<RouteStore>(t));
-    engines.push_back(
-        std::make_unique<ReconvergenceEngine>(t, *stores.back(), config));
-  }
-
-  for (std::size_t i = 0; i < 25; ++i) {
-    const std::size_t si = rng.below(edges.size());
-    std::size_t di = rng.below(edges.size() - 1);
-    if (di >= si) ++di;
-    const RouteKey key = engines[0]->add_route(edges[si], edges[di]);
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      ASSERT_EQ(engines[e]->add_route(edges[si], edges[di]), key);
-    }
-  }
-
-  const std::string tag =
-      topology + " sharded seq " + std::to_string(sequence);
-  common::Rng schedule_rng(common::derive_seed(0x54a6dedULL, sequence));
-  const FailureSchedule schedule =
-      faultgen::generate_schedule(t, schedule_for(sequence), schedule_rng);
-
-  std::size_t i = 0;
-  std::size_t epoch_index = 0;
-  while (i < schedule.events.size()) {
-    std::size_t j = i;
-    std::vector<LinkChange> events;
-    while (j < schedule.events.size() &&
-           schedule.events[j].time == schedule.events[i].time) {
-      const faultgen::LinkEvent& e = schedule.events[j];
-      t.set_link_up(e.link, !e.fail);
-      events.push_back(LinkChange{e.link, !e.fail});
-      ++j;
-    }
-    const auto serial = engines[0]->apply(events);
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      const auto sharded = engines[e]->apply(events);
-      const std::string where = tag + " epoch " + std::to_string(epoch_index) +
-                                " shards " + std::to_string(widths[e]);
-      ASSERT_EQ(serial.version, sharded.version) << where;
-      ASSERT_EQ(serial.changed, sharded.changed) << where;
-      ASSERT_EQ(serial.stats.candidates, sharded.stats.candidates) << where;
-      ASSERT_EQ(serial.stats.reencoded, sharded.stats.reencoded) << where;
-      ASSERT_EQ(serial.stats.withdrawn, sharded.stats.withdrawn) << where;
-      expect_identical_tables(t, *stores[0], *stores[e], where);
-      for (RouteKey key = 0; key < stores[0]->size(); ++key) {
-        ASSERT_EQ(stores[0]->get(key).version, stores[e]->get(key).version)
-            << where << ", route " << key << " version stamp";
-      }
-    }
-    i = j;
-    ++epoch_index;
-  }
-}
-
 // Mixed epochs: link events, route admissions and withdrawals in one
-// apply(). A full-recompute engine and incremental engines at shard widths
-// 1, 4 and hardware width run the same epochs and must agree on every key:
-// liveness, tombstone, version stamp, route ID and core path. Admissions
+// apply(). The engine and the reference run the same epochs and must agree
+// on the admitted keys, the changed groups and every key's liveness,
+// tombstone, version stamp, encoding and forwarding trace. Admissions
 // draw from a small endpoint pool so most join an existing group (live or
 // dead); some epochs withdraw a key admitted in that same epoch, and
 // withdrawn keys stay in the table through later reconvergence.
@@ -267,25 +186,12 @@ void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
       all_edges.begin() +
           static_cast<std::ptrdiff_t>(std::min<std::size_t>(6, all_edges.size())));
 
-  std::vector<EngineConfig> configs;
-  EngineConfig full_config;
-  full_config.mode = EngineMode::kFullRecompute;
-  configs.push_back(full_config);
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{4},
-        std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-    EngineConfig config;
-    config.shards = shards;
-    configs.push_back(config);
-  }
-  std::vector<std::unique_ptr<RouteStore>> stores;
-  std::vector<std::unique_ptr<ReconvergenceEngine>> engines;
-  for (EngineConfig& config : configs) {
-    config.plan_protection = (sequence % 2 == 0);
-    stores.push_back(std::make_unique<RouteStore>(t));
-    engines.push_back(
-        std::make_unique<ReconvergenceEngine>(t, *stores.back(), config));
-  }
+  RouteStore inc_store(t);
+  RouteStore full_store(t);
+  EngineConfig config;
+  config.plan_protection = (sequence % 2 == 0);
+  ReconvergenceEngine inc(t, inc_store, config);
+  FullRecomputeReference full(t, full_store, config);
 
   const auto random_pair = [&] {
     const std::size_t si = rng.below(edges.size());
@@ -295,9 +201,9 @@ void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
   };
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [src, dst] = random_pair();
-    for (auto& engine : engines) (void)engine->add_route(src, dst);
+    ASSERT_EQ(inc.add_route(src, dst), full.add_route(src, dst));
   }
-  std::vector<bool> withdrawn(stores[0]->size(), false);
+  std::vector<bool> withdrawn(full_store.size(), false);
 
   const std::string tag = topology + " mixed seq " + std::to_string(sequence);
   common::Rng schedule_rng(common::derive_seed(0x313ed5ULL, sequence));
@@ -325,13 +231,13 @@ void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
     const std::size_t install_count = rng.below(4);
     for (std::size_t n = 0; n < install_count; ++n) {
       if (rng.below(2) == 0) {
-        const auto existing = stores[0]->get(rng.below(stores[0]->size()));
+        const auto existing = full_store.get(rng.below(full_store.size()));
         installs.emplace_back(existing.src, existing.dst);
       } else {
         installs.push_back(random_pair());
       }
     }
-    const std::size_t first_new = stores[0]->size();
+    const std::size_t first_new = full_store.size();
     withdrawn.resize(first_new + installs.size(), false);
     std::vector<RouteKey> withdraws;
     for (std::size_t n = rng.below(3); n > 0; --n) {
@@ -348,32 +254,24 @@ void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
     }
 
     const std::string where = tag + " epoch " + std::to_string(epoch_index);
-    std::vector<RouteKey> reference_keys;
-    const auto reference =
-        engines[0]->apply(events, installs, withdraws, &reference_keys);
-    for (std::size_t e = 1; e < engines.size(); ++e) {
-      std::vector<RouteKey> keys;
-      const auto result = engines[e]->apply(events, installs, withdraws, &keys);
-      const std::string at = where + " engine " + std::to_string(e);
-      ASSERT_EQ(reference.version, result.version) << at;
-      ASSERT_EQ(reference_keys, keys) << at;
-      ASSERT_EQ(stores[0]->size(), stores[e]->size()) << at;
-      ASSERT_EQ(stores[0]->live_count(), stores[e]->live_count()) << at;
-      ASSERT_EQ(stores[0]->withdrawn_count(), stores[e]->withdrawn_count())
-          << at;
-      for (RouteKey key = 0; key < stores[0]->size(); ++key) {
-        const auto& a = stores[0]->get(key);
-        const auto& b = stores[e]->get(key);
-        ASSERT_EQ(a.live, b.live) << at << ", route " << key;
-        ASSERT_EQ(a.withdrawn, b.withdrawn) << at << ", route " << key;
-        ASSERT_EQ(a.withdrawn, static_cast<bool>(withdrawn[key]))
-            << at << ", route " << key;
-        ASSERT_EQ(a.version, b.version) << at << ", route " << key;
-        if (!a.live) continue;
-        ASSERT_EQ(a.core_path, b.core_path) << at << ", route " << key;
-        ASSERT_EQ(a.route.route_id, b.route.route_id)
-            << at << ", route " << key;
-      }
+    std::vector<RouteKey> inc_keys;
+    std::vector<RouteKey> full_keys;
+    const auto ri = inc.apply(events, installs, withdraws, &inc_keys);
+    const auto rf = full.apply(events, installs, withdraws, &full_keys);
+    ASSERT_EQ(ri.version, rf.version) << where;
+    ASSERT_EQ(inc_keys, full_keys) << where;
+    ASSERT_EQ(ri.changed, rf.changed) << where;
+    ASSERT_EQ(inc_store.live_count(), full_store.live_count()) << where;
+    ASSERT_EQ(inc_store.withdrawn_count(), full_store.withdrawn_count())
+        << where;
+    expect_identical_tables(t, inc_store, full_store, where);
+    for (RouteKey key = 0; key < full_store.size(); ++key) {
+      const auto& a = inc_store.get(key);
+      const auto& b = full_store.get(key);
+      ASSERT_EQ(a.withdrawn, b.withdrawn) << where << ", route " << key;
+      ASSERT_EQ(a.withdrawn, static_cast<bool>(withdrawn[key]))
+          << where << ", route " << key;
+      ASSERT_EQ(a.version, b.version) << where << ", route " << key;
     }
     i = j;
     ++epoch_index;
@@ -411,32 +309,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TopologyRuns{"fig2", 70},
                       TopologyRuns{"rnp28", 60}));
 
-class CtrlplaneShardedDifferential
-    : public ::testing::TestWithParam<TopologyRuns> {};
-
-TEST_P(CtrlplaneShardedDifferential, ShardWidthsBitIdentical) {
-  const auto [topology, sequences] = GetParam();
-  common::Rng rng = testsupport::make_rng(
-      0x54a6dULL ^ std::hash<std::string>{}(topology),
-      "CtrlplaneShardedDifferential");
-  for (int sequence = 0; sequence < sequences; ++sequence) {
-    run_sharded_sequence(topology, static_cast<std::uint64_t>(sequence), rng);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// 3 engines x 3 shard widths per sequence keeps this pricier than the
-// serial suite, so fewer sequences; all four schedule families still
-// rotate through on every topology.
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, CtrlplaneShardedDifferential,
-    ::testing::Values(TopologyRuns{"fig1", 16},
-                      TopologyRuns{"fig2", 16},
-                      TopologyRuns{"rnp28", 12}));
-
 class CtrlplaneMixedDifferential
     : public ::testing::TestWithParam<TopologyRuns> {};
 
+// The name is kept from when incremental engines at several shard widths
+// ran beside the reference.
 TEST_P(CtrlplaneMixedDifferential, MixedEpochsAgreeAcrossEnginesAndWidths) {
   const auto [topology, sequences] = GetParam();
   common::Rng rng = testsupport::make_rng(

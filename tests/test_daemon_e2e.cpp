@@ -7,7 +7,8 @@
 //     byte-identical response line the pre-restart daemon gave;
 //   * kill -TERM mid-churn still drains, snapshots, and exits cleanly, and
 //     the restarted daemon's re-serialized store is byte-identical to the
-//     file the dying daemon wrote.
+//     file the dying daemon wrote;
+//   * an unknown flag or an out-of-range port exits 2 instead of serving.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -264,6 +265,25 @@ TEST(DaemonE2E, SigtermMidChurnSnapshotsAndRestartsLossless) {
     EXPECT_TRUE(is_ok(stats)) << stats;
     ASSERT_TRUE(is_ok(kard.request("shutdown")));
     EXPECT_EQ(kard.wait_exit(), 0);
+  }
+}
+
+// Each of these would otherwise serve stdin until EOF and exit 0.
+TEST(DaemonE2E, UnknownFlagsExitTwo) {
+  for (const char* flag :
+       {"--engine=full", "--shards=4", "--flush-intreval=0.01"}) {
+    KardProc kard({"--topology=fig1", flag});
+    ASSERT_GT(kard.pid(), 0);
+    EXPECT_EQ(kard.wait_exit(), 2) << flag;
+  }
+}
+
+TEST(DaemonE2E, OutOfRangePortsExitTwo) {
+  for (const char* flag :
+       {"--listen=65536", "--listen=-1", "--metrics-port=70000"}) {
+    KardProc kard({"--topology=fig1", flag});
+    ASSERT_GT(kard.pid(), 0);
+    EXPECT_EQ(kard.wait_exit(), 2) << flag;
   }
 }
 

@@ -232,8 +232,7 @@ TEST(DaemonStats, ReportsEnginePhaseSplit) {
   ASSERT_NE(at, std::string::npos) << stats;
   const std::string phases = stats.substr(at, stats.find('}', at) - at);
   double sum = 0.0;
-  for (const char* phase :
-       {"spt", "merge", "reconverge", "replay", "admission"}) {
+  for (const char* phase : {"spt", "merge", "reconverge", "admission"}) {
     const double seconds = json_double_field(phases, phase);
     EXPECT_GE(seconds, 0.0) << phase << " in " << stats;
     sum += seconds;

@@ -66,5 +66,16 @@ TEST(Flags, FlagFollowedByFlagIsBoolean) {
   EXPECT_EQ(f.get_int("b", 0), 2);
 }
 
+TEST(Flags, UnreadListsFlagsNoGetterAskedFor) {
+  const Flags f = parse({"--port=1", "--no-color", "--typo=3", "--quiet"});
+  EXPECT_EQ(f.unread(),
+            (std::vector<std::string>{"color", "port", "quiet", "typo"}));
+  (void)f.get_int("port", 0);
+  (void)f.get_bool("color", true);
+  EXPECT_FALSE(f.has("absent"));
+  EXPECT_TRUE(f.has("quiet"));
+  EXPECT_EQ(f.unread(), (std::vector<std::string>{"typo"}));
+}
+
 }  // namespace
 }  // namespace kar::common

@@ -23,7 +23,6 @@
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "runner/fork_join.hpp"
 #include "runner/jsonl.hpp"
 #include "runner/thread_pool.hpp"
 #include "support/testsupport.hpp"
@@ -125,58 +124,6 @@ TEST(ThreadPool, SupportsNestedSubmission) {
     return inner.get() + 1;
   });
   EXPECT_EQ(outer.get(), 6);
-}
-
-TEST(ForkJoin, RunsEveryShardExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(8);
-  fork_join(pool, hits.size(),
-            [&](std::size_t shard) { hits[shard].fetch_add(1); });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ForkJoin, RunsShardZeroOnTheCaller) {
-  // The caller is the +1 worker: shard 0 must execute inline so a
-  // `shards`-wide fork needs only shards - 1 pool threads.
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id shard0;
-  fork_join(pool, 2, [&](std::size_t shard) {
-    if (shard == 0) shard0 = std::this_thread::get_id();
-  });
-  EXPECT_EQ(shard0, caller);
-}
-
-TEST(ForkJoin, SingleShardNeverTouchesThePool) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran;
-  fork_join(pool, 1, [&](std::size_t) { ran = std::this_thread::get_id(); });
-  EXPECT_EQ(ran, caller);
-}
-
-TEST(ForkJoin, LowestShardExceptionWinsAndAllShardsJoin) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(4);
-  try {
-    fork_join(pool, hits.size(), [&](std::size_t shard) {
-      hits[shard].fetch_add(1);
-      if (shard == 2) throw std::runtime_error("shard 2");
-      if (shard == 1) throw std::runtime_error("shard 1");
-    });
-    FAIL() << "fork_join swallowed the shard exceptions";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 1");  // deterministic: lowest index wins
-  }
-  // The barrier held: every shard ran to its throw before the rethrow.
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ForkJoin, ZeroShardsIsANoOp) {
-  ThreadPool pool(1);
-  bool ran = false;
-  fork_join(pool, 0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, DefaultThreadsIsPositive) {
