@@ -269,6 +269,7 @@ int main(int argc, char** argv) {
   const double min_coalesced_speedup =
       flags.get_double("min-coalesced-speedup", 0.0);
   const std::string out_path = flags.get_string("out", "");
+  if (kar::common::report_unread(flags, "churn_convergence")) return 2;
 
   std::vector<std::size_t> route_counts;
   for (const std::string& part : kar::common::split(routes_flag, ',')) {

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   const double rate_pps = flags.get_double("rate-pps", 2000.0);
   const double seconds = flags.get_double("seconds", 4.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (kar::common::report_unread(flags, "controller_reaction")) return 2;
 
   std::cout << "=== Failure reaction: controller notification vs KAR "
                "deflection (15-node net, SW7-SW13 fails at t=1 s) ===\n"

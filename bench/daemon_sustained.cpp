@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
   config.flush_max_ops =
       static_cast<std::size_t>(flags.get_int("flush-max", 4096));
   config.snapshot_on_shutdown = false;
+  if (kar::common::report_unread(flags, "daemon_sustained")) return 2;
   kar::daemon::Kard kard(config);
   kard.start();
 

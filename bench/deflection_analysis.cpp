@@ -140,6 +140,7 @@ int main(int argc, char** argv) {
   const auto flags = kar::common::Flags::parse(argc, argv);
   const auto walks = static_cast<std::size_t>(flags.get_int("walks", 20000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (kar::common::report_unread(flags, "deflection_analysis")) return 2;
   std::cout << "=== Deflection analysis: exact Markov + Monte-Carlo backing "
                "for the paper's §2/§3 prose claims ===\n\n";
   fig1_walkthrough(walks, seed);

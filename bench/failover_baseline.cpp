@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   const auto probes = static_cast<std::size_t>(flags.get_int("probes", 500));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool all_links = flags.get_bool("all-links", false);
+  if (kar::common::report_unread(flags, "failover_baseline")) return 2;
 
   Scenario reference = kar::topo::make_rnp28();
   const kar::routing::Controller controller(reference.topology);

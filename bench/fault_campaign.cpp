@@ -312,6 +312,14 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(flags.get_int("mutate-hop-budget", 0));
   }
   const std::string protection = flags.get_string("protection", "partial");
+  const std::string technique = flags.get_string("technique", "all");
+  const std::string schedule = flags.get_string("schedule", "all");
+  const bool bench_json = flags.has("bench-json");
+  std::string bench_json_path =
+      flags.get_string("bench-json", "BENCH_runner.json");
+  // A bare --bench-json reads as "true".
+  if (bench_json_path == "true") bench_json_path = "BENCH_runner.json";
+  if (common::report_unread(flags, "fault_campaign")) return 2;
   if (protection == "none" || protection == "unprotected") {
     options.base.protection = topo::ProtectionLevel::kUnprotected;
   } else if (protection == "partial") {
@@ -324,7 +332,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string technique = flags.get_string("technique", "all");
     if (technique == "all") {
       options.techniques = {dataplane::DeflectionTechnique::kHotPotato,
                             dataplane::DeflectionTechnique::kAnyValidPort,
@@ -332,7 +339,6 @@ int main(int argc, char** argv) {
     } else {
       options.techniques = {dataplane::technique_from_string(technique)};
     }
-    const std::string schedule = flags.get_string("schedule", "all");
     if (schedule == "all") {
       options.schedules = {
           faultgen::ScheduleKind::kRandomUpDown, faultgen::ScheduleKind::kSrlgGroups,
@@ -340,11 +346,7 @@ int main(int argc, char** argv) {
     } else {
       options.schedules = {faultgen::schedule_kind_from_string(schedule)};
     }
-    if (flags.has("bench-json")) {
-      std::string path = flags.get_string("bench-json", "BENCH_runner.json");
-      if (path == "true") path = "BENCH_runner.json";  // bare --bench-json
-      return run_bench_json(options, path);
-    }
+    if (bench_json) return run_bench_json(options, bench_json_path);
     return run_campaigns(options);
   } catch (const std::exception& error) {
     std::cerr << "fault_campaign: " << error.what() << '\n';

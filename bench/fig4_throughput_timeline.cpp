@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   const std::string metrics_path = flags.get_string("metrics-out", "");
   const std::string trace_path = flags.get_string("trace-out", "");
   const bool profile = flags.get_bool("profile", false);
+  if (kar::common::report_unread(flags, "fig4_throughput_timeline")) return 2;
 
   std::cout << "=== Paper Fig. 4: TCP throughput timeline, failed link "
                "SW7-SW13 (15-node network, partial protection) ===\n"

@@ -51,6 +51,11 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const std::string metrics_path = flags.get_string("metrics-out", "");
   const bool collect_metrics = !metrics_path.empty();
+  kar::runner::RunnerConfig runner_config;
+  runner_config.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  runner_config.progress = flags.get_bool("progress", false);
+  runner_config.progress_label = "fig5";
+  if (kar::common::report_unread(flags, "fig5_protection_tradeoff")) return 2;
 
   std::cout << "=== Paper Fig. 5: protection level vs deflection technique "
                "(15-node network) ===\n"
@@ -98,10 +103,6 @@ int main(int argc, char** argv) {
   };
   kar::obs::MetricsSnapshot merged_metrics;
 
-  kar::runner::RunnerConfig runner_config;
-  runner_config.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-  runner_config.progress = flags.get_bool("progress", false);
-  runner_config.progress_label = "fig5";
   kar::runner::run_indexed<UnitSample>(
       cells.size() * runs, runner_config,
       [&](std::size_t index, const kar::runner::CancelToken&) {

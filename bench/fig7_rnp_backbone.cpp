@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const double seconds = flags.get_double("seconds", 5.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool csv = flags.get_bool("csv", false);
+  if (kar::common::report_unread(flags, "fig7_rnp_backbone")) return 2;
 
   std::cout << "=== Paper Fig. 7: RNP backbone (28 nodes, 40 links), NIP + "
                "partial protection ===\n"

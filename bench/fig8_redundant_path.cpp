@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   const double duration = flags.get_double("duration", 60.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto runs = static_cast<std::size_t>(flags.get_int("runs", 5));
+  if (kar::common::report_unread(flags, "fig8_redundant_path")) return 2;
 
   std::cout << "=== Paper Fig. 8: redundant-path scenario (RNP backbone) ===\n"
             << "route SW7-SW13-SW41-SW73-SW107-SW113, protection "

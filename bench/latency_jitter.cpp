@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   const double rate_pps = flags.get_double("rate-pps", 2000.0);
   const double seconds = flags.get_double("seconds", 10.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (kar::common::report_unread(flags, "latency_jitter")) return 2;
 
   std::cout << "=== Latency / jitter / disordering under deflection "
                "(15-node network, SW7-SW13 down) ===\n"

@@ -140,6 +140,7 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(flags.get_int("reps", 7));
   const double min_speedup = flags.get_double("min-speedup", 1.0);
   const std::string out_path = flags.get_string("out", "");
+  if (kar::common::report_unread(flags, "micro_dataplane")) return 2;
 
   const std::vector<DeflectionTechnique> techniques = {
       DeflectionTechnique::kNone, DeflectionTechnique::kHotPotato,

@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(flags.get_int("reps", 7));
   const double threshold_pct = flags.get_double("threshold-pct", 2.0);
   const std::string out_path = flags.get_string("out", "");
+  if (kar::common::report_unread(flags, "micro_obs")) return 2;
 
   LoopContext context;
 

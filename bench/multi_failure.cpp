@@ -148,6 +148,11 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string metrics_path = flags.get_string("metrics-out", "");
   const bool collect_metrics = !metrics_path.empty();
+  kar::runner::RunnerConfig runner_config;
+  runner_config.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  runner_config.progress = flags.get_bool("progress", false);
+  runner_config.progress_label = "multi_failure";
+  if (kar::common::report_unread(flags, "multi_failure")) return 2;
   kar::obs::MetricsSnapshot merged_metrics;
 
   std::cout << "=== Multiple simultaneous link failures (RNP backbone, "
@@ -161,10 +166,6 @@ int main(int argc, char** argv) {
       k_count, std::vector<UnitResult>(kConfigCount));
   const std::size_t unit_count = k_count * kConfigCount * sets;
 
-  kar::runner::RunnerConfig runner_config;
-  runner_config.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-  runner_config.progress = flags.get_bool("progress", false);
-  runner_config.progress_label = "multi_failure";
   kar::runner::run_indexed<UnitResult>(
       unit_count, runner_config,
       [&](std::size_t index, const kar::runner::CancelToken&) {

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace kar;
   const auto flags = common::Flags::parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (common::report_unread(flags, "state_comparison")) return 2;
 
   // Multihome the RNP backbone: one customer edge per PoP, which is how a
   // national research network actually looks.

@@ -117,6 +117,8 @@ void print_budgeted_planner() {
 
 int main(int argc, char** argv) {
   const auto flags = kar::common::Flags::parse(argc, argv);
+  const bool ablation = flags.get_bool("ablation", true);
+  if (kar::common::report_unread(flags, "table1_bitlength")) return 2;
   std::cout << "=== Paper Table 1: maximum route-ID bit length (15-node "
                "network) ===\n\n";
   print_table1(kar::topo::make_experimental15(),
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
   print_table1(kar::topo::make_fig8_redundant(),
                "Fig. 8 redundant-path route SW7..SW113 (extension)");
 
-  if (!flags.has("no-ablation")) {
+  if (ablation) {
     print_id_ablation();
     print_budgeted_planner();
   }

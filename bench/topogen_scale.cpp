@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
   const auto min_concurrent =
       static_cast<std::size_t>(flags.get_int("min-concurrent", 0));
   const std::string out_path = flags.get_string("out", "");
+  if (kar::common::report_unread(flags, "topogen_scale")) return 2;
 
   std::vector<std::size_t> sizes;
   for (const std::string& token : kar::common::split(sizes_csv, ',')) {

@@ -2,17 +2,19 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
 // `--no-name`; positional arguments are collected. Flags are not declared
-// up front: a binary that rejects unrecognised flags reads every flag it
-// knows, then reports unread(). This keeps experiment harnesses
+// up front: a binary reads every flag it knows, then rejects the rest with
+// report_unread() (exit 2). This keeps experiment harnesses
 // self-describing without an external dependency.
 #pragma once
 
 #include <cstdint>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -115,5 +117,18 @@ class Flags {
   /// Names asked for so far (see unread()).
   mutable std::set<std::string> read_;
 };
+
+/// Names each unread() flag on stderr as `<program>: unknown flag --<name>`
+/// and returns true when there is one; the caller then exits 2. Call it
+/// once every flag the program knows has been read, before any branch
+/// that reads only some of them, so none is reported by mistake.
+[[nodiscard]] inline bool report_unread(const Flags& flags,
+                                        std::string_view program) {
+  const std::vector<std::string> unknown = flags.unread();
+  for (const std::string& name : unknown) {
+    std::cerr << program << ": unknown flag --" << name << '\n';
+  }
+  return !unknown.empty();
+}
 
 }  // namespace kar::common

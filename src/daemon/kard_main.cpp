@@ -78,12 +78,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (const auto unknown = flags.unread(); !unknown.empty()) {
-      for (const std::string& name : unknown) {
-        std::cerr << "kard: unknown flag --" << name << '\n';
-      }
-      return 2;
-    }
+    if (common::report_unread(flags, "kard")) return 2;
     if (!use_stdin && !use_socket) {
       std::cerr << "kard: nothing to serve; pass --stdin and/or --listen=PORT\n";
       return 2;

@@ -1,6 +1,7 @@
 #include "faultgen/campaign.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -125,15 +126,16 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
   inv_config.hop_budget_override = config_.hop_budget_override;
   InvariantChecker checker(net, inv_config);
 
-  // Observability: per-run registry + optional bounded trace ring. The
-  // observer composes with the invariant checker on the single trace hook;
-  // neither consumes randomness nor alters event order, so determinism is
-  // untouched.
+  // Observability: per-run registry + a bounded trace ring for traced runs
+  // only. The observer composes with the invariant checker on the single
+  // trace hook; neither consumes randomness nor alters event order, so
+  // determinism is untouched.
   obs::MetricsRegistry registry(config_.collect_metrics);
-  obs::TraceRecorder recorder(config_.trace_ring_capacity);
+  std::optional<obs::TraceRecorder> recorder;
+  if (traced) recorder.emplace(config_.trace_ring_capacity);
   obs::NetworkObserverOptions observer_options;
   observer_options.metrics = config_.collect_metrics ? &registry : nullptr;
-  observer_options.trace = traced ? &recorder : nullptr;
+  observer_options.trace = recorder.has_value() ? &*recorder : nullptr;
   observer_options.labels = {
       {"technique", std::string(dataplane::to_string(config_.technique))},
       {"topology", config_.topology}};
@@ -214,7 +216,7 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
   result.violations = checker.violations();
   if (config_.profile) result.profile.phases.runs = 1;
   if (config_.collect_metrics) result.metrics = registry.snapshot();
-  if (traced) result.trace = recorder.snapshot();
+  if (recorder.has_value()) result.trace = recorder->snapshot();
   return result;
 }
 

@@ -33,6 +33,13 @@ void InvariantChecker::record(Violation::Kind kind, double time,
   violations_.push_back(Violation{kind, time, packet_id, std::move(detail)});
 }
 
+InvariantChecker::PacketState* InvariantChecker::live(std::uint64_t packet_id) {
+  if (packet_id >= packets_.size() || !packets_[packet_id].in_flight) {
+    return nullptr;
+  }
+  return &packets_[packet_id];
+}
+
 void InvariantChecker::check_hop(const TraceEvent& event, PacketState& state) {
   const topo::Topology& topo = net_->topology();
   if (++state.hops > hop_budget_) {
@@ -79,39 +86,45 @@ void InvariantChecker::observe(const TraceEvent& event) {
 
   switch (event.kind) {
     case TraceEvent::Kind::kInject:
-      if (!live_.try_emplace(event.packet_id).second) {
+      if (live(event.packet_id) != nullptr) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "packet injected twice");
         return;
       }
+      if (event.packet_id >= packets_.size()) {
+        packets_.resize(event.packet_id + 1);
+      }
+      packets_[event.packet_id] = PacketState{0, true};
+      ++in_flight_;
       ++injected_;
       break;
     case TraceEvent::Kind::kHop: {
-      const auto it = live_.find(event.packet_id);
-      if (it == live_.end()) {
+      PacketState* state = live(event.packet_id);
+      if (state == nullptr) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "hop for a packet that is not in flight");
         return;
       }
-      check_hop(event, it->second);
+      check_hop(event, *state);
       break;
     }
     case TraceEvent::Kind::kReencode:
     case TraceEvent::Kind::kBounce:
-      if (!live_.contains(event.packet_id)) {
+      if (live(event.packet_id) == nullptr) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "edge event for a packet that is not in flight");
       }
       break;
     case TraceEvent::Kind::kDeliver:
     case TraceEvent::Kind::kDrop: {
-      const auto it = live_.find(event.packet_id);
-      if (it == live_.end()) {
+      PacketState* state = live(event.packet_id);
+      if (state == nullptr) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "terminal event for a packet that is not in flight");
         return;
       }
-      live_.erase(it);
+      state->in_flight = false;
+      --in_flight_;
       if (event.kind == TraceEvent::Kind::kDeliver) {
         ++delivered_;
       } else {
@@ -136,16 +149,16 @@ void InvariantChecker::finish(bool queue_drained) {
   check_count(injected_, counters.injected, "injected");
   check_count(delivered_, counters.delivered, "delivered");
   check_count(dropped_, counters.total_drops(), "dropped");
-  if (injected_ != delivered_ + dropped_ + live_.size()) {
+  if (injected_ != delivered_ + dropped_ + in_flight_) {
     record(Violation::Kind::kConservation, last_time_, 0,
            "injected " + std::to_string(injected_) + " != delivered " +
                std::to_string(delivered_) + " + dropped " +
                std::to_string(dropped_) + " + in-flight " +
-               std::to_string(live_.size()));
+               std::to_string(in_flight_));
   }
-  if (queue_drained && !live_.empty()) {
+  if (queue_drained && in_flight_ != 0) {
     record(Violation::Kind::kConservation, last_time_, 0,
-           std::to_string(live_.size()) +
+           std::to_string(in_flight_) +
                " packet(s) vanished: still tracked after the event queue drained");
   }
 }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -90,23 +89,29 @@ class InvariantChecker {
   [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
 
   /// Packets injected but not yet delivered or dropped.
-  [[nodiscard]] std::size_t in_flight() const noexcept { return live_.size(); }
+  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
  private:
   void record(Violation::Kind kind, double time, std::uint64_t packet_id,
               std::string detail);
   struct PacketState {
     std::uint32_t hops = 0;
+    bool in_flight = false;
   };
 
-  /// Checks one hop of the in-flight packet whose live_ entry is `state`.
+  /// The state of an in-flight packet, or nullptr.
+  PacketState* live(std::uint64_t packet_id);
+
+  /// Checks one hop of the in-flight packet whose state is `state`.
   void check_hop(const sim::TraceEvent& event, PacketState& state);
 
   const sim::Network* net_;
   InvariantConfig config_;
   std::uint32_t hop_budget_;
   std::vector<Violation> violations_;
-  std::unordered_map<std::uint64_t, PacketState> live_;
+  /// Indexed by packet id: sim::Network numbers its packets 1, 2, ...
+  std::vector<PacketState> packets_;
+  std::size_t in_flight_ = 0;
   double last_time_ = 0.0;
   std::uint64_t injected_ = 0;
   std::uint64_t delivered_ = 0;

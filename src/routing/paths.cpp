@@ -33,13 +33,9 @@ std::optional<Path> dijkstra(const topo::Topology& topo, topo::NodeId src,
     if (cur == dst) break;
     // Edge nodes do not forward transit traffic.
     if (cur != src && topo.kind(cur) == topo::NodeKind::kEdgeNode) continue;
-    // Ports in ascending order, like neighbors(), without building its
-    // list: a wrong-edge re-encode runs this inside the simulation loop.
-    for (topo::PortIndex port = 0; port < topo.port_count(cur); ++port) {
+    for (const auto& [port, next] : topo.neighbors(cur)) {
       const topo::LinkId link_id = topo.link_at(cur, port);
-      if (link_id == topo::kInvalidLink) continue;
       const topo::Link& link = topo.link(link_id);
-      const topo::NodeId next = link.a.node == cur ? link.b.node : link.a.node;
       if (!options.ignore_failures && !link.up) continue;
       if (banned_links && banned_links->contains(link_id)) continue;
       if (banned_nodes && (*banned_nodes)[next] && next != dst) continue;

@@ -128,13 +128,8 @@ std::optional<PortIndex> Topology::port_to(NodeId from, NodeId to) const {
   return std::nullopt;
 }
 
-std::vector<std::pair<PortIndex, NodeId>> Topology::neighbors(NodeId node) const {
-  std::vector<std::pair<PortIndex, NodeId>> out;
-  const Node& n = node_ref(node);
-  for (PortIndex p = 0; p < n.ports.size(); ++p) {
-    if (const auto other = neighbor(node, p)) out.emplace_back(p, *other);
-  }
-  return out;
+NeighborView Topology::neighbors(NodeId node) const {
+  return {links_.data(), node_ref(node).ports, node};
 }
 
 const Link& Topology::link(LinkId id) const {

@@ -10,10 +10,13 @@
 // encoder).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace kar::topo {
@@ -63,6 +66,60 @@ struct Link {
   bool up = true;
 };
 
+/// The (port, neighbor) pairs of one node in ascending port order, read in
+/// place from the node's port table: walking it allocates nothing. Every
+/// port carries a link, so every port yields a pair. Valid until the next
+/// add_link() or node insertion on the topology.
+class NeighborView {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using value_type = std::pair<PortIndex, NodeId>;
+    using difference_type = std::ptrdiff_t;
+
+    iterator() = default;
+    value_type operator*() const {
+      const Link& l = links_[ports_[port_]];
+      return {port_, l.a.node == node_ ? l.b.node : l.a.node};
+    }
+    iterator& operator++() {
+      ++port_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++port_;
+      return before;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class NeighborView;
+    iterator(const Link* links, const LinkId* ports, NodeId node, PortIndex port)
+        : links_(links), ports_(ports), node_(node), port_(port) {}
+    const Link* links_ = nullptr;
+    const LinkId* ports_ = nullptr;
+    NodeId node_ = kInvalidNode;
+    PortIndex port_ = 0;
+  };
+
+  NeighborView(const Link* links, const std::vector<LinkId>& ports, NodeId node)
+      : links_(links), ports_(ports.data()),
+        count_(static_cast<PortIndex>(ports.size())), node_(node) {}
+
+  [[nodiscard]] iterator begin() const { return {links_, ports_, node_, 0}; }
+  [[nodiscard]] iterator end() const { return {links_, ports_, node_, count_}; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+
+ private:
+  const Link* links_;
+  const LinkId* ports_;
+  PortIndex count_;
+  NodeId node_;
+};
+
 /// The KAR network graph.
 class Topology {
  public:
@@ -104,8 +161,9 @@ class Topology {
   [[nodiscard]] std::optional<NodeId> neighbor(NodeId node, PortIndex port) const;
   /// The local port that reaches `to`, if the nodes are adjacent.
   [[nodiscard]] std::optional<PortIndex> port_to(NodeId from, NodeId to) const;
-  /// All (port, neighbor) pairs of a node.
-  [[nodiscard]] std::vector<std::pair<PortIndex, NodeId>> neighbors(NodeId node) const;
+  /// All (port, neighbor) pairs of a node, ascending by port; see
+  /// NeighborView.
+  [[nodiscard]] NeighborView neighbors(NodeId node) const;
 
   [[nodiscard]] const Link& link(LinkId id) const;
   [[nodiscard]] Link& link(LinkId id);

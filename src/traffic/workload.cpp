@@ -131,10 +131,10 @@ void Workload::compile_bottleneck() {
   // The access links only need to outrun the *uncongested* trunks around
   // the bottleneck, which themselves are faster than the bottleneck link.
   double core_rate = 0.0;
-  for (std::size_t port = 0; port < topo.port_count(*a); ++port) {
-    core_rate = std::max(
-        core_rate, topo.link(topo.link_at(*a, static_cast<topo::PortIndex>(port)))
-                       .params.rate_bps);
+  for (const auto& [port, next] : topo.neighbors(*a)) {
+    (void)next;
+    core_rate =
+        std::max(core_rate, topo.link(topo.link_at(*a, port)).params.rate_bps);
   }
   const LinkParams access = host_link_params(core_rate);
 
@@ -175,6 +175,9 @@ void Workload::compile_mesh() {
         "Workload: topology has fewer than two switches with host headroom");
   }
   const std::vector<double> starts = sample_starts(spec_, rng);
+  // One BFS tree per distinct source host, built when the source is first
+  // drawn; it routes every flow from that source as bfs_core_path would.
+  std::vector<std::vector<NodeId>> trees(topo.node_count());
   plan_.reserve(spec_.flows);
   for (std::size_t i = 0; i < spec_.flows; ++i) {
     FlowPlan flow;
@@ -185,7 +188,9 @@ void Workload::compile_mesh() {
     while (dst == src) dst = hosts[rng.below(hosts.size())];
     flow.src_edge = topo.name(src);
     flow.dst_edge = topo.name(dst);
-    flow.core_path = topo::bfs_core_path(topo, src, dst);
+    std::vector<NodeId>& tree = trees[src];
+    if (tree.empty()) tree = topo::bfs_parents(topo, src);
+    flow.core_path = topo::core_path_from(topo, tree, src, dst);
     plan_.push_back(std::move(flow));
   }
 }

@@ -260,9 +260,9 @@ TEST(AttachHostEdges, EveryEligibleSwitchGainsAHost) {
   for (const NodeId host : hosts) {
     EXPECT_EQ(t.kind(host), NodeKind::kEdgeNode);
     // Each host hangs off exactly one switch and is named after it.
-    const auto& adjacent = t.neighbors(host);
+    const NeighborView adjacent = t.neighbors(host);
     ASSERT_EQ(adjacent.size(), 1u);
-    EXPECT_EQ(t.name(host), "H-" + t.name(adjacent.front().second));
+    EXPECT_EQ(t.name(host), "H-" + t.name((*adjacent.begin()).second));
   }
   // The KAR invariant survives: a host is only attached where the switch
   // still has a spare residue (port index < switch id).

@@ -80,7 +80,7 @@ TEST(DaemonAnswers, QueriesMatchEncodeAndARestoredDaemonUnderChurn) {
                                         all_edges.begin() + kEdges);
   const topo::NodeId cut_edge = edges[0];
   const std::string uplink =
-      t.name(cut_edge) + ' ' + t.name(t.neighbors(cut_edge).front().second);
+      t.name(cut_edge) + ' ' + t.name((*t.neighbors(cut_edge).begin()).second);
   std::vector<std::string> core_links;
   for (topo::LinkId id = 0; id < static_cast<topo::LinkId>(t.link_count());
        ++id) {

@@ -99,7 +99,7 @@ std::string run_sequence() {
   const std::vector<topo::NodeId> edges(all_edges.begin(),
                                         all_edges.begin() + 6);
   const topo::NodeId stranded = edges[0];
-  const topo::NodeId uplink_switch = t.neighbors(stranded).front().second;
+  const topo::NodeId uplink_switch = (*t.neighbors(stranded).begin()).second;
   const std::string uplink = t.name(stranded) + ' ' + t.name(uplink_switch);
   // A core link on the stranded edge's switch, so its failure moves paths.
   std::string core_link;

@@ -226,6 +226,37 @@ TEST_F(CheckerFixture, DoubleTerminalIsFlagged) {
   EXPECT_EQ(checker.violations().front().kind, Violation::Kind::kLifecycle);
 }
 
+TEST_F(CheckerFixture, EachLifecycleViolationIsRecorded) {
+  auto checker = make_checker();
+  const topo::NodeId s = scenario.topology.at("S");
+  const topo::NodeId d = scenario.topology.at("D");
+  checker.observe(event(TraceEvent::Kind::kInject, 0.0, 1, s));
+  checker.observe(event(TraceEvent::Kind::kInject, 0.1, 1, s));  // duplicate
+  // A hop and an edge event for packets never injected, one beyond every
+  // id seen so far.
+  checker.observe(event(TraceEvent::Kind::kHop, 0.2, 7, scenario.topology.at("SW4")));
+  checker.observe(event(TraceEvent::Kind::kBounce, 0.2, 7, d));
+  checker.observe(event(TraceEvent::Kind::kDeliver, 0.3, 1, d));
+  checker.observe(event(TraceEvent::Kind::kDrop, 0.4, 1, d));  // second terminal
+  EXPECT_EQ(checker.in_flight(), 0u);
+  // A packet delivered once may be injected again under the same id.
+  checker.observe(event(TraceEvent::Kind::kInject, 0.5, 1, s));
+  EXPECT_EQ(checker.in_flight(), 1u);
+
+  const std::vector<Violation>& v = checker.violations();
+  ASSERT_EQ(v.size(), 4u);
+  const std::pair<std::uint64_t, const char*> expected[] = {
+      {1, "packet injected twice"},
+      {7, "hop for a packet that is not in flight"},
+      {7, "edge event for a packet that is not in flight"},
+      {1, "terminal event for a packet that is not in flight"}};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(v[i].kind, Violation::Kind::kLifecycle) << i;
+    EXPECT_EQ(v[i].packet_id, expected[i].first) << i;
+    EXPECT_EQ(v[i].detail, expected[i].second) << i;
+  }
+}
+
 TEST_F(CheckerFixture, VanishedPacketFailsConservation) {
   auto checker = make_checker();
   checker.observe(event(TraceEvent::Kind::kInject, 0.0, 1, scenario.topology.at("S")));

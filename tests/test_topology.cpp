@@ -114,7 +114,10 @@ TEST(Topology, FailLinkOnNonAdjacentThrows) {
 
 TEST(Topology, NeighborsEnumeratesAllPorts) {
   Topology t = make_triangle();
-  const auto neighbors = t.neighbors(t.at("B"));
+  const NeighborView view = t.neighbors(t.at("B"));
+  ASSERT_EQ(view.size(), 2u);
+  const std::vector<std::pair<PortIndex, NodeId>> neighbors(view.begin(),
+                                                            view.end());
   ASSERT_EQ(neighbors.size(), 2u);
   EXPECT_EQ(neighbors[0].first, 0u);
   EXPECT_EQ(neighbors[0].second, t.at("A"));

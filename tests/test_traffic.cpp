@@ -1,12 +1,14 @@
 // Tests for the heavy-traffic workload engine: deterministic sampling
 // (exponential inter-arrivals, bounded Pareto), plan compilation in both
-// bottleneck and mesh modes, and a small end-to-end run where concurrent
+// bottleneck and mesh modes (mesh plans checked against the single-pair
+// search), and a small end-to-end run where concurrent
 // finite TCP flows share the Internet2 bottleneck under RED.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "topogen/topogen.hpp"
+#include "topology/autoroute.hpp"
 #include "traffic/workload.hpp"
 
 namespace kar {
@@ -73,6 +75,37 @@ TEST(TrafficCompile, MeshModeRoutesRandomPairsOverCorePaths) {
   for (const FlowPlan& flow : workload.plan()) {
     EXPECT_NE(flow.src_edge, flow.dst_edge);
     EXPECT_FALSE(flow.core_path.empty());
+  }
+}
+
+TEST(TrafficCompile, MeshPlansMatchThePerPairSearch) {
+  // compile_mesh routes every flow from one BFS tree per source host; each
+  // plan must equal the single-pair search bfs_core_path runs.
+  for (const char* spec_text :
+       {"gen:internet2:scale=9", "gen:waxman:n=80,seed=5"}) {
+    topo::Scenario scenario = topogen::make_from_spec(spec_text);
+    scenario.bottleneck_a.clear();  // mesh mode
+    scenario.bottleneck_b.clear();
+    for (const std::uint64_t seed : {11u, 12u, 13u}) {
+      WorkloadSpec spec;
+      spec.flows = 400;
+      spec.seed = seed;
+      const Workload workload(scenario, spec);
+      const topo::Topology& t = workload.scenario().topology;
+      ASSERT_EQ(workload.plan().size(), spec.flows);
+      for (const FlowPlan& flow : workload.plan()) {
+        ASSERT_EQ(flow.core_path,
+                  topo::bfs_core_path(t, t.at(flow.src_edge),
+                                      t.at(flow.dst_edge)))
+            << spec_text << " seed " << seed << ": " << flow.src_edge
+            << " -> " << flow.dst_edge;
+      }
+      // A tree read for another source is refused, not walked forever.
+      const topo::NodeId a = t.at(workload.plan()[0].src_edge);
+      const topo::NodeId b = t.at(workload.plan()[0].dst_edge);
+      EXPECT_THROW((void)topo::core_path_from(t, topo::bfs_parents(t, a), b, a),
+                   std::invalid_argument);
+    }
   }
 }
 

@@ -11,7 +11,9 @@
 // draws in the mix; across >= 100k events of a
 // window-limited TCP flow through sim::Network; and across hot-potato
 // walkers that keep surfacing at a wrong edge, once each edge has
-// re-encoded toward the destination. The `kard` query path gets a budget
+// re-encoded toward the destination; and across a walk of every node's
+// neighbors, the inner loop of every graph search. The `kard` query path
+// gets a budget
 // rather than a zero: its answer is one string, and a std::promise costs
 // two more.
 //
@@ -34,6 +36,7 @@
 #include "routing/controller.hpp"
 #include "sim/network.hpp"
 #include "support/testsupport.hpp"
+#include "topogen/topogen.hpp"
 #include "topology/builders.hpp"
 #include "transport/flows.hpp"
 
@@ -217,6 +220,28 @@ TEST(ZeroAlloc, WarmedWrongEdgeReencodesDoNotTouchTheHeap) {
       << g_allocations << " allocations over "
       << net.counters().reencodes - warm_reencodes << " re-encodes";
   EXPECT_EQ(net.counters().delivered, 400u);
+}
+
+TEST(ZeroAlloc, NeighborWalkDoesNotTouchTheHeap) {
+  // Every graph walk (BFS, the SPTs, the route store's reindex) iterates
+  // Topology::neighbors() once per visited node.
+  const topo::Scenario s = topogen::make_from_spec("gen:internet2:scale=9");
+  const topo::Topology& t = s.topology;
+  std::size_t pairs = 0;
+  std::uint64_t port_sum = 0;
+  g_allocations = 0;
+  g_counting = true;
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) {
+    for (const auto& [port, next] : t.neighbors(n)) {
+      ++pairs;
+      port_sum += port + next;
+    }
+  }
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 0u)
+      << g_allocations << " allocations walking " << pairs << " ports";
+  EXPECT_EQ(pairs, 2 * t.link_count());
+  EXPECT_GT(port_sum, 0u);
 }
 
 TEST(ZeroAlloc, WarmedKardQueryStaysWithinItsAllocationBudget) {
