@@ -252,7 +252,7 @@ bool tables_identical(const RouteStore& a, const RouteStore& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const std::string topologies_flag =
       flags.get_string("topologies", flags.get_string("topology", "fig2,rnp28"));
   const std::string routes_flag = flags.get_string("routes", "1000,10000,100000");

@@ -72,7 +72,7 @@ Outcome run_mode(DeflectionTechnique technique, ProtectionLevel level,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const double rate_pps = flags.get_double("rate-pps", 2000.0);
   const double seconds = flags.get_double("seconds", 4.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));

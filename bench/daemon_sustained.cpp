@@ -112,7 +112,7 @@ void drain(std::deque<Pending>& window, ClassStats& stats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const std::string topology = flags.get_string("topology", "rnp28");
   const auto routes = static_cast<std::size_t>(
       flags.get_int("routes", 1000000));

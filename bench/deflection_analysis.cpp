@@ -137,7 +137,7 @@ void edge_policy_ablation(std::size_t walks, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto walks = static_cast<std::size_t>(flags.get_int("walks", 20000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   if (kar::common::report_unread(flags, "deflection_analysis")) return 2;

@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace kar;
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = common::Flags::parse_cli(argc, argv);
   const double rate_pps = flags.get_double("rate-pps", 2000.0);
   const double seconds = flags.get_double("seconds", 4.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));

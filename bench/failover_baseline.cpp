@@ -76,7 +76,7 @@ ModeResult run_probes(kar::sim::DataPlaneMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto probes = static_cast<std::size_t>(flags.get_int("probes", 500));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool all_links = flags.get_bool("all-links", false);

@@ -278,7 +278,7 @@ int run_bench_json(const CliOptions& options, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = common::Flags::parse_cli(argc, argv);
 
   CliOptions options;
   options.base.topology = flags.get_string("topology", "fig1");

@@ -35,7 +35,7 @@ using kar::dataplane::DeflectionTechnique;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const double duration = flags.get_double("duration", 90.0);
   const double t_fail = flags.get_double("fail", duration / 3.0);
   const double t_repair = flags.get_double("repair", 2.0 * duration / 3.0);

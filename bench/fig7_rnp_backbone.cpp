@@ -28,7 +28,7 @@ using kar::common::TextTable;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto runs = static_cast<std::size_t>(flags.get_int("runs", 10));
   const double seconds = flags.get_double("seconds", 5.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));

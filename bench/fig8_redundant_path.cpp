@@ -43,7 +43,7 @@ kar::topo::ScenarioRoute fig8_reverse() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const double duration = flags.get_double("duration", 60.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto runs = static_cast<std::size_t>(flags.get_int("runs", 5));

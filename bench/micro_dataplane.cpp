@@ -1,17 +1,17 @@
 // Forwarding fast-path microbenchmark: proves the per-hop residue cost no
-// longer scales with route-ID width (ISSUE: forwarding hot-path residue
-// fast path).
+// longer scales with route-ID width.
 //
 // Three measurements, hand-timed like micro_obs so the harness itself adds
 // nothing:
-//   forwarding — the KarSwitch::forward hot loop at ResiduePath::kNaive
-//                (per-hop BigUint::mod_u64 long division) vs
-//                ResiduePath::kFast (PreparedMod reduction behind the
-//                route-ID residue memo), on the fig2 (experimental15) and
-//                RNP-28 scenarios across all four deflection techniques;
+//   forwarding — the naive decision, KarSwitch::decide fed
+//                KarSwitch::residue (per-hop BigUint::mod_u64 long
+//                division), vs KarSwitch::forward (PreparedMod reduction
+//                behind the route-ID residue memo), on the fig2
+//                (experimental15) and RNP-28 scenarios across all four
+//                deflection techniques;
 //   divmod     — multi-limb BigUint::divmod (Knuth Algorithm D, word
-//                level) vs the retired bit-at-a-time divmod_binary on a
-//                route-ID-sized dividend;
+//                level) vs the retired bit-at-a-time divider
+//                (testsupport::divmod_binary) on a route-ID-sized dividend;
 //   reduce     — PreparedMod::reduce vs BigUint::mod_u64 for a single
 //                uncached reduction (the cache-miss path).
 //
@@ -45,6 +45,7 @@
 #include "rns/prepared_mod.hpp"
 #include "routing/controller.hpp"
 #include "runner/jsonl.hpp"
+#include "support/divmod_reference.hpp"
 #include "topology/builders.hpp"
 
 namespace {
@@ -52,7 +53,6 @@ namespace {
 using kar::dataplane::DeflectionTechnique;
 using kar::dataplane::KarSwitch;
 using kar::dataplane::Packet;
-using kar::dataplane::ResiduePath;
 using kar::rns::BigUint;
 
 /// Keeps `value` observable so the optimizer cannot delete the loop.
@@ -70,7 +70,8 @@ double best_of(std::size_t reps, Rep rep) {
 }
 
 /// One scenario x technique forwarding measurement: the same decision
-/// loop micro_obs times, once per residue path.
+/// loop micro_obs times, once with the naive residue and once through
+/// forward().
 struct ForwardingCase {
   std::string scenario;
   std::string technique;
@@ -82,12 +83,13 @@ struct ForwardingCase {
   [[nodiscard]] double speedup() const { return naive_ns / fast_ns; }
 };
 
-double timed_forward_rep(KarSwitch& sw, Packet& packet,
-                         kar::common::Rng& rng, std::size_t iters) {
+/// `iters` decisions of `decision(rng)`, timed.
+template <typename Decision>
+double timed_rep(Decision decision, kar::common::Rng& rng, std::size_t iters) {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    const auto decision = sw.forward(packet, 0, rng);
-    keep(decision);
+    const auto made = decision(rng);
+    keep(made);
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -113,19 +115,22 @@ ForwardingCase run_forwarding_case(const kar::topo::Scenario& scenario,
     return seconds * 1e9 / static_cast<double>(iters);
   };
   const auto node = scenario.topology.at(switch_name);
-  {
-    KarSwitch sw(scenario.topology, node, technique, ResiduePath::kNaive);
+  const auto measure = [&](auto decision) {
     kar::common::Rng rng{1};
-    (void)timed_forward_rep(sw, packet, rng, iters / 10 + 1);  // warm-up
-    result.naive_ns = ns_per_op(best_of(
-        reps, [&] { return timed_forward_rep(sw, packet, rng, iters); }));
+    (void)timed_rep(decision, rng, iters / 10 + 1);  // warm-up
+    return ns_per_op(
+        best_of(reps, [&] { return timed_rep(decision, rng, iters); }));
+  };
+  {
+    const KarSwitch sw(scenario.topology, node, technique);
+    result.naive_ns = measure([&](kar::common::Rng& rng) {
+      return sw.decide(sw.residue(packet.kar.route_id), 0, rng);
+    });
   }
   {
-    KarSwitch sw(scenario.topology, node, technique, ResiduePath::kFast);
-    kar::common::Rng rng{1};
-    (void)timed_forward_rep(sw, packet, rng, iters / 10 + 1);  // warm-up
-    result.fast_ns = ns_per_op(best_of(
-        reps, [&] { return timed_forward_rep(sw, packet, rng, iters); }));
+    const KarSwitch sw(scenario.topology, node, technique);
+    result.fast_ns = measure(
+        [&](kar::common::Rng& rng) { return sw.forward(packet, 0, rng); });
   }
   return result;
 }
@@ -133,7 +138,7 @@ ForwardingCase run_forwarding_case(const kar::topo::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto iters = static_cast<std::size_t>(flags.get_int("iters", 2000000));
   const auto divmod_iters =
       static_cast<std::size_t>(flags.get_int("divmod-iters", 200000));
@@ -201,7 +206,7 @@ int main(int argc, char** argv) {
   const BigUint dividend = rnp28_route * rnp28_route + BigUint(12345);
   const BigUint divisor = fig2_route + BigUint(1);
   if (dividend.divmod(divisor).remainder !=
-      dividend.divmod_binary(divisor).remainder) {
+      kar::testsupport::divmod_binary(dividend, divisor).remainder) {
     std::cerr << "micro_dataplane: divmod disagrees with divmod_binary\n";
     return 2;
   }
@@ -226,7 +231,8 @@ int main(int argc, char** argv) {
               [&] {
                 const auto start = std::chrono::steady_clock::now();
                 for (std::size_t i = 0; i < divmod_iters; ++i) {
-                  const auto dm = dividend.divmod_binary(divisor);
+                  const auto dm =
+                      kar::testsupport::divmod_binary(dividend, divisor);
                   keep(dm);
                 }
                 return std::chrono::duration<double>(

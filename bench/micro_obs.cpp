@@ -124,7 +124,7 @@ std::vector<double> fastest_slice(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto iters =
       static_cast<std::size_t>(flags.get_int("iters", 20000000));
   const auto reps = static_cast<std::size_t>(flags.get_int("reps", 7));

@@ -140,7 +140,7 @@ UnitResult run_unit(std::size_t k, const Config& config, std::size_t walks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const auto sets = static_cast<std::size_t>(flags.get_int("sets", 30));
   const auto walks = static_cast<std::size_t>(flags.get_int("walks", 300));
   const auto max_failures =

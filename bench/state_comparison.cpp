@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace kar;
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = common::Flags::parse_cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   if (common::report_unread(flags, "state_comparison")) return 2;
 

@@ -116,7 +116,7 @@ void print_budgeted_planner() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const bool ablation = flags.get_bool("ablation", true);
   if (kar::common::report_unread(flags, "table1_bitlength")) return 2;
   std::cout << "=== Paper Table 1: maximum route-ID bit length (15-node "

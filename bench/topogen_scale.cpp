@@ -101,7 +101,7 @@ double optimal_bits(const kar::topo::Topology& topo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = kar::common::Flags::parse(argc, argv);
+  const auto flags = kar::common::Flags::parse_cli(argc, argv);
   const std::string sizes_csv = flags.get_string("sizes", "100,250,500,1000");
   const auto path_samples =
       static_cast<std::size_t>(flags.get_int("paths", 30));

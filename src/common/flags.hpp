@@ -2,8 +2,9 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
 // `--no-name`; positional arguments are collected. Flags are not declared
-// up front: a binary reads every flag it knows, then rejects the rest with
-// report_unread() (exit 2). This keeps experiment harnesses
+// up front: a binary parses its command line with parse_cli(), reads every
+// flag it knows, then rejects the rest — and any value it could not
+// parse — with report_unread() (exit 2). This keeps experiment harnesses
 // self-describing without an external dependency.
 #pragma once
 
@@ -26,7 +27,8 @@ class Flags {
  public:
   Flags() = default;
 
-  /// Parses argv. Throws std::invalid_argument on malformed input.
+  /// Parses argv. A getter throws std::invalid_argument on a value it
+  /// cannot parse.
   static Flags parse(int argc, const char* const* argv) {
     Flags flags;
     for (int i = 1; i < argc; ++i) {
@@ -49,6 +51,16 @@ class Flags {
     return flags;
   }
 
+  /// parse() for a program's own command line, whose reads end in
+  /// report_unread(): a getter records a value it cannot parse and returns
+  /// its fallback, and report_unread() names it as a usage error, so a
+  /// typo such as `--runs=abc` exits 2 instead of escaping main.
+  static Flags parse_cli(int argc, const char* const* argv) {
+    Flags flags = parse(argc, argv);
+    flags.defer_errors_ = true;
+    return flags;
+  }
+
   [[nodiscard]] bool has(const std::string& name) const {
     return find(name) != values_.end();
   }
@@ -64,10 +76,7 @@ class Flags {
     const auto it = find(name);
     if (it == values_.end()) return fallback;
     const auto value = parse_i64(it->second);
-    if (!value) {
-      throw std::invalid_argument("flag --" + name +
-                                  ": not a number: " + it->second);
-    }
+    if (!value) return malformed(name, "not a number", fallback);
     return *value;
   }
 
@@ -75,10 +84,7 @@ class Flags {
     const auto it = find(name);
     if (it == values_.end()) return fallback;
     const auto value = parse_double(it->second);
-    if (!value) {
-      throw std::invalid_argument("flag --" + name +
-                                  ": not a number: " + it->second);
-    }
+    if (!value) return malformed(name, "not a number", fallback);
     return *value;
   }
 
@@ -88,7 +94,7 @@ class Flags {
     const std::string& v = it->second;
     if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
     if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-    throw std::invalid_argument("flag --" + name + ": not a boolean: " + v);
+    return malformed(name, "not a boolean", fallback);
   }
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -105,6 +111,12 @@ class Flags {
     return names;
   }
 
+  /// Values a getter could not parse, as `flag --<name>: <problem>:
+  /// <value>` (parse_cli() only; parse() throws instead).
+  [[nodiscard]] const std::vector<std::string>& malformed() const {
+    return malformed_;
+  }
+
  private:
   std::map<std::string, std::string>::const_iterator find(
       const std::string& name) const {
@@ -112,23 +124,38 @@ class Flags {
     return values_.find(name);
   }
 
+  template <typename T>
+  T malformed(const std::string& name, const char* problem, T fallback) const {
+    std::string message =
+        "flag --" + name + ": " + problem + ": " + values_.at(name);
+    if (!defer_errors_) throw std::invalid_argument(message);
+    malformed_.push_back(std::move(message));
+    return fallback;
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   /// Names asked for so far (see unread()).
   mutable std::set<std::string> read_;
+  bool defer_errors_ = false;
+  mutable std::vector<std::string> malformed_;
 };
 
-/// Names each unread() flag on stderr as `<program>: unknown flag --<name>`
+/// Names each malformed() value and each unread() flag on stderr, as
+/// `<program>: flag --<name>: ...` and `<program>: unknown flag --<name>`,
 /// and returns true when there is one; the caller then exits 2. Call it
 /// once every flag the program knows has been read, before any branch
 /// that reads only some of them, so none is reported by mistake.
 [[nodiscard]] inline bool report_unread(const Flags& flags,
                                         std::string_view program) {
+  for (const std::string& problem : flags.malformed()) {
+    std::cerr << program << ": " << problem << '\n';
+  }
   const std::vector<std::string> unknown = flags.unread();
   for (const std::string& name : unknown) {
     std::cerr << program << ": unknown flag --" << name << '\n';
   }
-  return !unknown.empty();
+  return !unknown.empty() || !flags.malformed().empty();
 }
 
 }  // namespace kar::common

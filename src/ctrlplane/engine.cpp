@@ -314,27 +314,4 @@ EpochResult ReconvergenceEngine::apply(
   return result;
 }
 
-std::vector<TraceHop> forwarding_trace(const topo::Topology& topology,
-                                       const routing::EncodedRoute& route,
-                                       std::size_t max_hops) {
-  std::vector<TraceHop> trace;
-  if (route.assignments.empty() || route.primary_count == 0) return trace;
-  const topo::NodeId first = route.assignments.front().node;
-  const auto uplink = topology.port_to(route.src_edge, first);
-  if (!uplink.has_value()) return trace;
-  trace.push_back(TraceHop{route.src_edge, *uplink});
-  topo::NodeId cur = first;
-  while (trace.size() <= max_hops &&
-         topology.kind(cur) == topo::NodeKind::kCoreSwitch) {
-    const topo::SwitchId id = topology.switch_id(cur);
-    const auto port =
-        static_cast<topo::PortIndex>(route.route_id.mod_u64(id));
-    trace.push_back(TraceHop{cur, port});
-    const auto next = topology.neighbor(cur, port);
-    if (!next.has_value()) break;
-    cur = *next;
-  }
-  return trace;
-}
-
 }  // namespace kar::ctrlplane

@@ -241,21 +241,4 @@ class ReconvergenceEngine {
   obs::Gauge phase_admission_;
 };
 
-/// One hop of a pure modulo walk over an encoded route.
-struct TraceHop {
-  topo::NodeId node = topo::kInvalidNode;
-  topo::PortIndex port = 0;
-
-  friend bool operator==(const TraceHop&, const TraceHop&) = default;
-};
-
-/// The control-plane semantics of an encoding: starting at the source
-/// edge's uplink, apply route_id mod switch_id at every core switch,
-/// ignoring link state and deflection. Stops on reaching an edge node, a
-/// dead end, or after `max_hops`. Used by the differential suite to prove
-/// two route tables forward identically.
-[[nodiscard]] std::vector<TraceHop> forwarding_trace(
-    const topo::Topology& topology, const routing::EncodedRoute& route,
-    std::size_t max_hops = 64);
-
 }  // namespace kar::ctrlplane

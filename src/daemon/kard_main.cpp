@@ -48,7 +48,7 @@
 int main(int argc, char** argv) {
   using namespace kar;
   try {
-    const auto flags = common::Flags::parse(argc, argv);
+    const auto flags = common::Flags::parse_cli(argc, argv);
     daemon::KardConfig config;
     config.topology = flags.get_string("topology", "fig2");
     config.host_edges = flags.get_bool("host-edges", true);

@@ -31,12 +31,11 @@ DeflectionTechnique technique_from_string(std::string_view name) {
 }
 
 KarSwitch::KarSwitch(const topo::Topology& topology, topo::NodeId node,
-                     DeflectionTechnique technique, ResiduePath residue_path)
+                     DeflectionTechnique technique)
     : topo_(&topology),
       node_(node),
       switch_id_(topology.switch_id(node)),  // throws for non-switches
       technique_(technique),
-      residue_path_(residue_path),
       prepared_mod_(switch_id_) {}
 
 ForwardDecision KarSwitch::random_among_available(
@@ -82,10 +81,12 @@ ForwardDecision KarSwitch::forward(const Packet& packet,
   if (technique_ == DeflectionTechnique::kHotPotato && packet.kar.deflected) {
     return random_among_available(std::nullopt, /*marked=*/false, rng);
   }
+  return decide(residue_fast(packet.kar.route_id), in_port, rng);
+}
 
-  const std::uint64_t residue_port = (residue_path_ == ResiduePath::kFast)
-                                         ? residue_fast(packet.kar.route_id)
-                                         : residue(packet.kar.route_id);
+ForwardDecision KarSwitch::decide(std::uint64_t residue_port,
+                                  std::optional<topo::PortIndex> in_port,
+                                  common::Rng& rng) const {
   const bool residue_is_port =
       residue_port < topo_->port_count(node_) &&
       topo_->port_available(node_, static_cast<topo::PortIndex>(residue_port));
@@ -132,7 +133,7 @@ ForwardDecision KarSwitch::forward(const Packet& packet,
       return random_among_available(in_port, /*marked=*/false, rng);
     }
   }
-  throw std::logic_error("KarSwitch::forward: bad technique");
+  throw std::logic_error("KarSwitch::decide: bad technique");
 }
 
 }  // namespace kar::dataplane

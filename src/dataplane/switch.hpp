@@ -40,13 +40,6 @@ enum class DeflectionTechnique : std::uint8_t {
 /// std::invalid_argument listing the valid options on anything else.
 [[nodiscard]] DeflectionTechnique technique_from_string(std::string_view name);
 
-/// Which residue implementation forward() consults. kFast (the default)
-/// runs PreparedMod reduction through the ResidueCache memo; kNaive
-/// recomputes BigUint::mod_u64 per packet per hop. The two are
-/// bit-identical by contract (tests/test_fastpath_differential.cpp);
-/// kNaive exists as the differential oracle and benchmark baseline.
-enum class ResiduePath : std::uint8_t { kFast, kNaive };
-
 /// Outcome of one forwarding decision.
 struct ForwardDecision {
   enum class Action : std::uint8_t { kForward, kDrop };
@@ -66,13 +59,11 @@ class KarSwitch {
   /// Binds to a core switch of `topology`. The topology must outlive the
   /// switch. Throws std::invalid_argument if `node` is not a core switch.
   KarSwitch(const topo::Topology& topology, topo::NodeId node,
-            DeflectionTechnique technique,
-            ResiduePath residue_path = ResiduePath::kFast);
+            DeflectionTechnique technique);
 
   [[nodiscard]] topo::NodeId node() const noexcept { return node_; }
   [[nodiscard]] topo::SwitchId switch_id() const noexcept { return switch_id_; }
   [[nodiscard]] DeflectionTechnique technique() const noexcept { return technique_; }
-  [[nodiscard]] ResiduePath residue_path() const noexcept { return residue_path_; }
 
   /// The pure modulo decision (paper Eq. 3): `route_id mod switch_id`,
   /// computed the naive way. This is the reference semantics every fast
@@ -82,11 +73,11 @@ class KarSwitch {
   }
 
   /// The same residue through the prepared-reciprocal reduction, gated on
-  /// route width (what forward() uses on the kFast path). Routes of <= 64
-  /// bits reduce directly — at that width the memo's digest + limb compare
-  /// costs more than the reduction it saves (the 0.82x narrow-route
-  /// regression in BENCH_dataplane.json) — while wider routes go through
-  /// the ResidueCache memo. Bit-identical to residue() either way.
+  /// route width (what forward() uses). Routes of <= 64 bits reduce
+  /// directly — at that width the memo's digest + limb compare costs more
+  /// than the reduction it saves (the 0.82x narrow-route regression in
+  /// BENCH_dataplane.json) — while wider routes go through the
+  /// ResidueCache memo. Bit-identical to residue() either way.
   [[nodiscard]] std::uint64_t residue_fast(const rns::BigUint& route_id) const {
     if (route_id.fits_u64()) return prepared_mod_.reduce(route_id);
     return cache_.lookup(route_id, prepared_mod_);
@@ -98,10 +89,20 @@ class KarSwitch {
   /// One forwarding decision. `in_port` is the port the packet arrived on;
   /// pass std::nullopt for locally originated probes. Randomness is drawn
   /// from `rng` (uniform across candidate ports, matching the paper's
-  /// assumption).
+  /// assumption). A Hot-Potato packet already on its random walk never
+  /// consults the residue; every other packet gets
+  /// decide(residue_fast(route ID), ...).
   [[nodiscard]] ForwardDecision forward(const Packet& packet,
                                         std::optional<topo::PortIndex> in_port,
                                         common::Rng& rng) const;
+
+  /// Algorithm 1 given the residue: follow port `residue_port` when it is
+  /// usable (in range, up and, under NIP, not `in_port`), otherwise deflect
+  /// by the technique (or drop under kNone). decide(residue(route ID), ...)
+  /// is the naive baseline forward() is measured against.
+  [[nodiscard]] ForwardDecision decide(std::uint64_t residue_port,
+                                       std::optional<topo::PortIndex> in_port,
+                                       common::Rng& rng) const;
 
  private:
   [[nodiscard]] ForwardDecision random_among_available(
@@ -111,7 +112,6 @@ class KarSwitch {
   topo::NodeId node_;
   topo::SwitchId switch_id_;
   DeflectionTechnique technique_;
-  ResiduePath residue_path_;
   rns::PreparedMod prepared_mod_;
   /// Pure-function memo; mutating it never changes a decision, so the
   /// switch keeps value semantics for callers holding it const.

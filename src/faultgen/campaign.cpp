@@ -112,7 +112,6 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
 
   sim::NetworkConfig net_config;
   net_config.technique = config_.technique;
-  net_config.residue_path = config_.residue_path;
   net_config.wrong_edge_policy = config_.wrong_edge_policy;
   net_config.max_hops = config_.max_hops;
   net_config.failure_detection_delay_s = config_.failure_detection_delay_s;

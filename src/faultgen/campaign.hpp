@@ -35,11 +35,6 @@ struct CampaignConfig {
   std::string topology = "fig1";
   dataplane::DeflectionTechnique technique =
       dataplane::DeflectionTechnique::kNotInputPort;
-  /// Residue computation on every core switch (kFast = memoized
-  /// PreparedMod reduction, kNaive = per-hop BigUint::mod_u64). Decisions
-  /// are bit-identical either way (tests/test_fastpath_differential.cpp);
-  /// the knob exists for that differential suite and for benchmarking.
-  dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
   topo::ProtectionLevel protection = topo::ProtectionLevel::kPartial;
   dataplane::WrongEdgePolicy wrong_edge_policy =
       dataplane::WrongEdgePolicy::kReencode;

@@ -61,19 +61,39 @@ void InvariantChecker::check_hop(const TraceEvent& event, PacketState& state) {
            topo.name(event.node) + " returned packet out input port " +
                std::to_string(event.in_port));
   }
-  // Residue match on unfailed (non-deflected) segments: Eq. 3.
-  if (config_.check_residue && !event.deflected && event.packet != nullptr) {
-    const std::uint64_t residue =
-        event.packet->kar.route_id.mod_u64(topo.switch_id(event.node));
-    if (residue != event.out_port) {
-      std::ostringstream detail;
-      detail << topo.name(event.node) << " followed port " << event.out_port
-             << " but route ID " << event.packet->kar.route_id
-             << " decodes to residue " << residue;
-      record(Violation::Kind::kResidueMismatch, event.time, event.packet_id,
-             detail.str());
-    }
+  if (!config_.check_residue || event.packet == nullptr) return;
+  // A Hot-Potato packet on its random walk no longer consults the residue.
+  if (event.deflected && config_.technique == DeflectionTechnique::kHotPotato) {
+    if (state.walking) return;
+    state.walking = true;
   }
+  check_residue(event, !event.deflected);
+}
+
+void InvariantChecker::check_residue(const TraceEvent& event, bool followed) {
+  const topo::Topology& topo = net_->topology();
+  const rns::BigUint& route_id = event.packet->kar.route_id;
+  const std::uint64_t residue = route_id.mod_u64(topo.switch_id(event.node));
+  const auto usable = [&] {
+    return residue < topo.port_count(event.node) &&
+           topo.port_available(event.node,
+                               static_cast<topo::PortIndex>(residue)) &&
+           !(config_.technique == DeflectionTechnique::kNotInputPort &&
+             residue == event.in_port);
+  };
+  if (followed ? residue == event.out_port : !usable()) return;
+  std::ostringstream detail;
+  detail << topo.name(event.node);
+  if (event.kind == TraceEvent::Kind::kDrop) {
+    detail << " dropped the packet";
+  } else {
+    detail << (followed ? " followed port " : " deflected to port ")
+           << event.out_port;
+  }
+  detail << " but route ID " << route_id << " decodes to "
+         << (followed ? "residue " : "usable port ") << residue;
+  record(Violation::Kind::kResidueMismatch, event.time, event.packet_id,
+         detail.str());
 }
 
 void InvariantChecker::observe(const TraceEvent& event) {
@@ -109,12 +129,17 @@ void InvariantChecker::observe(const TraceEvent& event) {
       break;
     }
     case TraceEvent::Kind::kReencode:
-    case TraceEvent::Kind::kBounce:
-      if (live(event.packet_id) == nullptr) {
+    case TraceEvent::Kind::kBounce: {
+      PacketState* state = live(event.packet_id);
+      if (state == nullptr) {
         record(Violation::Kind::kLifecycle, event.time, event.packet_id,
                "edge event for a packet that is not in flight");
+        return;
       }
+      // A fresh route ID clears the Hot-Potato mark (EdgeNode::receive).
+      if (event.kind == TraceEvent::Kind::kReencode) state->walking = false;
       break;
+    }
     case TraceEvent::Kind::kDeliver:
     case TraceEvent::Kind::kDrop: {
       PacketState* state = live(event.packet_id);
@@ -129,6 +154,14 @@ void InvariantChecker::observe(const TraceEvent& event) {
         ++delivered_;
       } else {
         ++dropped_;
+        // Only kNone drops because of its residue; AVP, NIP and HP drop
+        // with kNoViablePort only when no candidate port is up at all.
+        if (config_.check_residue && event.packet != nullptr &&
+            config_.technique == DeflectionTechnique::kNone &&
+            event.drop_reason == dataplane::DropReason::kNoViablePort &&
+            net_->topology().kind(event.node) == topo::NodeKind::kCoreSwitch) {
+          check_residue(event, /*followed=*/false);
+        }
       }
       break;
     }

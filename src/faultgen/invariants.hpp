@@ -11,7 +11,11 @@
 //   * port liveness — no switch forwards out a port whose failure has been
 //                     detected (AVP/NIP deflect instead; kNone drops);
 //   * residue match — every non-deflected hop follows the CRT-decoded
-//                     residue: out_port == route_id mod switch_id (Eq. 3);
+//                     residue, route_id mod switch_id (Eq. 3), computed
+//                     naively; a deflection, or a kNone drop, happens only
+//                     where that residue names no usable port (Hot-Potato
+//                     walks exempt). So a passing run is the run the naive
+//                     residue would have produced;
 //   * lifecycle     — each injected packet has at most one terminal event
 //                     (deliver or drop), and none after it;
 //   * monotonicity  — trace timestamps never run backwards;
@@ -97,6 +101,9 @@ class InvariantChecker {
   struct PacketState {
     std::uint32_t hops = 0;
     bool in_flight = false;
+    /// Hot-Potato: set on the packet's first deflected hop, cleared when
+    /// an edge re-encodes it (a bounce keeps the walk going).
+    bool walking = false;
   };
 
   /// The state of an in-flight packet, or nullptr.
@@ -104,6 +111,11 @@ class InvariantChecker {
 
   /// Checks one hop of the in-flight packet whose state is `state`.
   void check_hop(const sim::TraceEvent& event, PacketState& state);
+
+  /// Holds a core-switch hop or drop to the naive residue: a `followed`
+  /// hop must take the residue port, anything else must find it unusable
+  /// (out of range, detected down, or the input port under NIP).
+  void check_residue(const sim::TraceEvent& event, bool followed);
 
   const sim::Network* net_;
   InvariantConfig config_;

@@ -382,32 +382,6 @@ BigUint::DivMod BigUint::divmod(const BigUint& divisor) const {
   return {std::move(quotient), std::move(remainder)};
 }
 
-BigUint::DivMod BigUint::divmod_binary(const BigUint& divisor) const {
-  // Reference implementation: binary long division, one bit per step. Kept
-  // as the differential oracle for divmod() and as the "before" side of
-  // bench/micro_dataplane.cpp; not used on any production path.
-  if (divisor.is_zero()) throw std::domain_error("BigUint: division by zero");
-  if (*this < divisor) return {BigUint{}, *this};
-  BigUint quotient;
-  BigUint remainder;
-  quotient.resize(size_);
-  const std::uint32_t* limbs = data();
-  const std::size_t total_bits = bit_length();
-  for (std::size_t bit = total_bits; bit-- > 0;) {
-    remainder <<= 1;
-    const std::uint32_t limb = limbs[bit / 32];
-    if ((limb >> (bit % 32)) & 1U) {
-      remainder += BigUint(1);
-    }
-    if (remainder >= divisor) {
-      remainder -= divisor;
-      quotient.data()[bit / 32] |= (1U << (bit % 32));
-    }
-  }
-  quotient.normalize();
-  return {std::move(quotient), std::move(remainder)};
-}
-
 std::uint64_t BigUint::mod_u64(std::uint64_t divisor) const {
   if (divisor == 0) throw std::domain_error("BigUint: division by zero");
   const std::uint32_t* limbs = data();

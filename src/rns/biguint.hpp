@@ -83,11 +83,6 @@ class BigUint {
   struct DivMod;  // { BigUint quotient; BigUint remainder; } — defined below.
   [[nodiscard]] DivMod divmod(const BigUint& divisor) const;
 
-  /// Reference bit-at-a-time long division. Differential oracle for
-  /// divmod() (tests) and the "before" side of bench/micro_dataplane.cpp;
-  /// not used on any production path.
-  [[nodiscard]] DivMod divmod_binary(const BigUint& divisor) const;
-
   friend BigUint operator/(const BigUint& lhs, const BigUint& rhs);
   friend BigUint operator%(const BigUint& lhs, const BigUint& rhs);
 

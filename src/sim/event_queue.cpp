@@ -59,11 +59,6 @@ EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,
   return Entry{time, next_seq_++, slot, kind, Target::kPacket};
 }
 
-void EventQueue::schedule_packet_at(double time, EventKind kind,
-                                    std::uint32_t slot) {
-  push_heap(heap_, packet_entry(time, kind, slot));
-}
-
 void EventQueue::schedule_packet_fifo(double time, EventKind kind,
                                       std::uint32_t slot) {
   const Entry entry = packet_entry(time, kind, slot);

@@ -143,13 +143,11 @@ class EventQueue {
 
   /// Schedules a packet event at `time` (clamped like schedule_at): when it
   /// fires, the attached sink receives (kind, slot). Same (time, seq)
-  /// ordering as handler events. Throws std::logic_error with no sink.
-  void schedule_packet_at(double time, EventKind kind, std::uint32_t slot);
-
-  /// schedule_packet_at for callers whose successive times never decrease,
-  /// such as a fixed delay after now(): the event joins the FIFO lane. One
-  /// that would fire before the lane's tail goes to the heap instead, so
-  /// the firing order is the same either way.
+  /// ordering as handler events. Meant for callers whose successive times
+  /// never decrease, such as a fixed delay after now(): the event joins the
+  /// FIFO lane. One that would fire before the lane's tail goes to the heap
+  /// instead, so the firing order is the same either way. Throws
+  /// std::logic_error with no sink.
   void schedule_packet_fifo(double time, EventKind kind, std::uint32_t slot);
 
   /// Sizes the channels to `count` (channel ids 0 .. count - 1). Throws

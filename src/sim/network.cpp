@@ -38,8 +38,7 @@ Network::Network(topo::Topology& topology, const routing::Controller& controller
   edges_.resize(n);
   for (topo::NodeId node = 0; node < n; ++node) {
     if (topology.kind(node) == topo::NodeKind::kCoreSwitch) {
-      switches_[node].emplace(topology, node, config_.technique,
-                              config_.residue_path);
+      switches_[node].emplace(topology, node, config_.technique);
     } else {
       edges_[node].emplace(topology, node, controller, config_.wrong_edge_policy);
     }

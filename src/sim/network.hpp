@@ -73,11 +73,6 @@ struct NetworkConfig {
   /// Fig. 8 protection loop against infinite circulation.
   std::uint32_t max_hops = 4096;
   std::uint64_t seed = 1;
-  /// Which residue implementation the core switches run. kFast (default):
-  /// PreparedMod reduction + per-switch memo cache, reused across every
-  /// hop of the run. kNaive: recompute BigUint::mod_u64 per packet per hop
-  /// — the differential oracle (tests/test_fastpath_differential.cpp).
-  dataplane::ResiduePath residue_path = dataplane::ResiduePath::kFast;
 };
 
 /// Aggregate data-plane counters.

@@ -11,7 +11,8 @@
 // mutators. Versions, changed-group lists, stamps and the order of events,
 // admissions and withdrawals follow the engine's contract
 // (ctrlplane/engine.hpp), so tests/test_ctrlplane_differential.cpp compares
-// the two epoch by epoch.
+// the two epoch by epoch. forwarding_trace() walks an encoding the way a
+// healthy data plane would, so two tables can be compared hop by hop.
 //
 // Test infrastructure, but bench/churn_convergence times it as the baseline
 // of its --min-speedup gate, so it builds without gtest and without the
@@ -73,5 +74,22 @@ class FullRecomputeReference {
   std::unordered_map<topo::NodeId, std::unique_ptr<ctrlplane::DynamicSpt>>
       spts_;
 };
+
+/// One hop of a pure modulo walk over an encoded route.
+struct TraceHop {
+  topo::NodeId node = topo::kInvalidNode;
+  topo::PortIndex port = 0;
+
+  friend bool operator==(const TraceHop&, const TraceHop&) = default;
+};
+
+/// The control-plane semantics of an encoding: starting at the source
+/// edge's uplink, apply route_id mod switch_id at every core switch,
+/// ignoring link state and deflection. Stops on reaching an edge node, a
+/// dead end, or after `max_hops`. Used by the differential suites to prove
+/// two route tables forward identically.
+[[nodiscard]] std::vector<TraceHop> forwarding_trace(
+    const topo::Topology& topology, const routing::EncodedRoute& route,
+    std::size_t max_hops = 64);
 
 }  // namespace kar::testsupport

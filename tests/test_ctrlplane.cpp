@@ -258,8 +258,8 @@ void expect_same_tables(const topo::Topology& t, const RouteStore& a,
     if (!ra.live) continue;
     EXPECT_EQ(ra.core_path, rb.core_path) << "route " << key;
     EXPECT_EQ(ra.route.route_id, rb.route.route_id) << "route " << key;
-    EXPECT_EQ(ctrlplane::forwarding_trace(t, ra.route),
-              ctrlplane::forwarding_trace(t, rb.route))
+    EXPECT_EQ(testsupport::forwarding_trace(t, ra.route),
+              testsupport::forwarding_trace(t, rb.route))
         << "route " << key;
   }
 }
@@ -392,9 +392,9 @@ TEST(ForwardingTrace, WalksFig1Residues) {
   const routing::Controller controller(t);
   const auto route =
       controller.encode_scenario(s.route, topo::ProtectionLevel::kUnprotected);
-  const auto trace = ctrlplane::forwarding_trace(t, route);
+  const auto trace = testsupport::forwarding_trace(t, route);
   // R = 44: S uplink, then 44 mod 4 = 0, 44 mod 7 = 2, 44 mod 11 = 0.
-  const std::vector<ctrlplane::TraceHop> expected = {
+  const std::vector<testsupport::TraceHop> expected = {
       {t.at("S"), 0}, {t.at("SW4"), 0}, {t.at("SW7"), 2}, {t.at("SW11"), 0}};
   EXPECT_EQ(trace, expected);
 }

@@ -15,6 +15,7 @@
 #include "ctrlplane/engine.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "faultgen/schedule.hpp"
+#include "support/full_recompute.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
 
@@ -262,8 +263,8 @@ TEST_P(CoalesceStorm, WindowedReplayMatchesSerialTables) {
       if (!a.live) continue;
       ASSERT_EQ(a.core_path, b.core_path) << tag << ", route " << key;
       ASSERT_EQ(a.route.route_id, b.route.route_id) << tag << ", route " << key;
-      ASSERT_EQ(ctrlplane::forwarding_trace(ts, a.route),
-                ctrlplane::forwarding_trace(tw, b.route))
+      ASSERT_EQ(testsupport::forwarding_trace(ts, a.route),
+                testsupport::forwarding_trace(tw, b.route))
           << tag << ", route " << key;
     }
   }

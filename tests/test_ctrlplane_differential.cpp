@@ -105,8 +105,8 @@ void expect_identical_tables(const topo::Topology& t, const RouteStore& inc,
       ASSERT_EQ(a.route.assignments[i].port, b.route.assignments[i].port)
           << where << ", route " << key << ", assignment " << i;
     }
-    ASSERT_EQ(ctrlplane::forwarding_trace(t, a.route),
-              ctrlplane::forwarding_trace(t, b.route))
+    ASSERT_EQ(testsupport::forwarding_trace(t, a.route),
+              testsupport::forwarding_trace(t, b.route))
         << where << ", route " << key;
   }
 }

@@ -106,7 +106,8 @@ TEST(EventQueue, NullHandlerThrows) {
 
 TEST(EventQueue, PacketEventsNeedASink) {
   EventQueue q;
-  EXPECT_THROW(q.schedule_packet_at(1.0, EventKind::kLinkArrival, 0),
+  q.set_channel_count(1);
+  EXPECT_THROW(q.schedule_packet_on(0, 1.0, EventKind::kLinkArrival, 0),
                std::logic_error);
 }
 
@@ -209,11 +210,11 @@ class ReferenceQueue {
 };
 
 /// The production queue behind the same interface. Odd ids go in as
-/// packet events (through the sink), even ids as handler events, so both
-/// entry types share one ordering; FIFO pushes are packet events in the
-/// lane, channel pushes packet events on a channel, timers are re-armable
-/// queue timers, and a traffic source keeps one pending event on seqs it
-/// reserved at start.
+/// packet events on a channel (through the sink), even ids as handler
+/// events, so both entry types share one ordering; FIFO pushes are packet
+/// events in the lane, channel pushes packet events on a channel, timers
+/// are re-armable queue timers, and a traffic source keeps one pending
+/// event on seqs it reserved at start.
 class HeapQueue : private PacketEventSink {
  public:
   static constexpr std::size_t kTimers = ReferenceQueue::kTimers;
@@ -230,7 +231,10 @@ class HeapQueue : private PacketEventSink {
   void schedule(double time, std::uint32_t id, const FireFn& fire) {
     fire_ = &fire;  // outlives the run; never reassigned while it executes
     if (id % 2 == 1) {
-      q_.schedule_packet_at(time, EventKind::kLinkArrival, id);
+      // Spread over the channels: a time before a channel's tail (ties,
+      // clamped past times, later grid points) sends it to the heap.
+      q_.schedule_packet_on((id / 2) % kChannels, time,
+                            EventKind::kLinkArrival, id);
     } else {
       q_.schedule_at(time, [this, id] { (*fire_)(id); });
     }

@@ -1,34 +1,35 @@
-// Differential suite for the forwarding fast path: a network of switches
-// running ResiduePath::kFast (width-gated PreparedMod reduction + memo)
-// must be observably indistinguishable, bit for bit, from the
-// ResiduePath::kNaive reference (per-hop BigUint::mod_u64 long division).
+// Differential suite for the forwarding fast path: every core switch runs
+// KarSwitch::residue_fast (width-gated PreparedMod reduction + memo), and
+// each run carries the campaign InvariantChecker, which re-derives every
+// residue the naive way (BigUint::mod_u64, paper Eq. 3).
 //
-// The determinism contract makes this a strong oracle: identical residues
-// imply identical branch paths imply identical RNG consumption, so the
-// full packet trace CSV — every event, timestamp and port — and all
-// counters must match exactly. Any divergence anywhere in a run means the
-// fast path computed a different residue or drew the RNG differently.
+// The checker holds both halves of the decision to the naive residue: a
+// hop that follows the residue must follow the naive one, and a switch
+// may deflect (or, under kNone, drop) only where the naive residue names
+// no usable port. So the first hop at which the fast residue differs in a
+// way that changes the outcome is a violation; where both residues are
+// unusable the branch and the RNG draws are the same. A run the checker
+// passes is therefore exactly the run the naive residue would have made.
 //
 // Coverage: fig1 / fig2 / rnp28 topologies x all four deflection
-// techniques x seeds, each run comparing naive against fast across a
-// mid-route link failure + repair, with single packets and back-to-back
-// trains; a widened (>64-bit route ID) variant keeps the residue memo in
-// the loop now that narrow routes bypass it; plus campaign-level
-// aggregate identity through the parallel runner at --jobs=1 and --jobs=4.
+// techniques x seeds, each run crossing a mid-route link failure + repair
+// with single packets and back-to-back trains; every fourth seed widens
+// the route ID past 64 bits so the residue memo stays in the loop (narrow
+// routes bypass it); plus campaign-level aggregate identity, with no
+// violations, through the parallel runner at --jobs=1 and --jobs=4.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dataplane/switch.hpp"
 #include "faultgen/campaign.hpp"
+#include "faultgen/invariants.hpp"
 #include "routing/controller.hpp"
 #include "runner/campaign_runner.hpp"
 #include "sim/network.hpp"
-#include "sim/trace_csv.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
 #include "topology/scenario.hpp"
@@ -37,25 +38,17 @@ namespace kar {
 namespace {
 
 using dataplane::DeflectionTechnique;
-using dataplane::ResiduePath;
 
-struct TracedRun {
-  std::string trace;  ///< Full CSV trace + counters rendering.
+struct CheckedRun {
+  std::vector<faultgen::Violation> violations;
+  std::size_t packets_in_flight = 0;
+  sim::NetworkCounters counters;
   dataplane::ResidueCache::Stats cache;
 };
 
-std::string render_counters(const sim::NetworkCounters& c) {
-  std::ostringstream out;
-  out << "injected=" << c.injected << " delivered=" << c.delivered
-      << " hops=" << c.hops << " deflections=" << c.deflections
-      << " reencodes=" << c.reencodes << " bounces=" << c.bounces
-      << " drops=" << c.total_drops();
-  return out.str();
-}
-
 /// Adds (product of every switch ID in the topology) << 384 to a route ID:
 /// the residue at every core switch is unchanged, but the ID no longer
-/// fits 64 bits, so the kFast path goes through the ResidueCache memo
+/// fits 64 bits, so residue_fast goes through the ResidueCache memo
 /// instead of the width-gated direct reduction.
 void widen_route(const topo::Topology& topology, routing::EncodedRoute& route) {
   rns::BigUint product(1);
@@ -66,12 +59,11 @@ void widen_route(const topo::Topology& topology, routing::EncodedRoute& route) {
 }
 
 /// One seeded run: singles and trains across a mid-route link failure +
-/// repair, full trace captured. Everything (injection times, sizes,
-/// failure window) derives from `seed`, so two calls differing only in
-/// `residue_path` / `widen` see byte-identical inputs.
-TracedRun run_traced(const std::string& topology_name,
-                     DeflectionTechnique technique, ResiduePath residue_path,
-                     std::uint64_t seed, bool widen = false) {
+/// repair, with the invariant checker attached. Everything (injection
+/// times, sizes, failure window) derives from `seed`.
+CheckedRun run_checked(const std::string& topology_name,
+                       DeflectionTechnique technique, std::uint64_t seed,
+                       bool widen = false) {
   topo::Scenario s = faultgen::make_campaign_scenario(topology_name);
   const routing::Controller controller(s.topology);
   auto route =
@@ -80,13 +72,15 @@ TracedRun run_traced(const std::string& topology_name,
 
   sim::NetworkConfig config;
   config.technique = technique;
-  config.residue_path = residue_path;
   config.seed = common::derive_seed(seed, 1);
   sim::Network net(s.topology, controller, config);
 
-  std::ostringstream out;
-  sim::TraceCsvWriter writer(out);
-  net.set_trace_hook(writer.hook(net));
+  faultgen::InvariantConfig checks;
+  checks.max_hops = config.max_hops;
+  checks.technique = technique;
+  faultgen::InvariantChecker checker(net, checks);
+  net.set_trace_hook(
+      [&checker](const sim::TraceEvent& e) { checker.observe(e); });
 
   // Fail a primary-path core link mid-run so residues keep being computed
   // while deflection (and its RNG draws) is active, then repair it.
@@ -123,53 +117,61 @@ TracedRun run_traced(const std::string& topology_name,
     });
   }
   net.events().run_all();
-  EXPECT_EQ(net.packets_in_flight(), 0u)
-      << "a delivered or dropped packet kept its pool slot";
+  checker.finish(/*queue_drained=*/true);
 
-  TracedRun result;
-  result.trace = out.str() + render_counters(net.counters());
+  CheckedRun result;
+  result.violations = checker.violations();
+  result.packets_in_flight = net.packets_in_flight();
+  result.counters = net.counters();
   result.cache = net.residue_cache_stats();
   return result;
 }
 
-TEST(FastPathDifferential, TracesBitIdenticalAcrossTopologiesTechniquesSeeds) {
+TEST(FastPathDifferential, CheckerPassesEveryRunAcrossTopologiesTechniquesSeeds) {
   const std::vector<std::string> topologies = {"fig1", "fig2", "rnp28"};
   const std::vector<DeflectionTechnique> techniques = {
       DeflectionTechnique::kNone, DeflectionTechnique::kHotPotato,
       DeflectionTechnique::kAnyValidPort, DeflectionTechnique::kNotInputPort};
   const std::uint64_t base = testsupport::seed_or(20260807);
 
-  std::uint64_t wide_fast_hits = 0;
+  std::uint64_t wide_hits = 0;
+  std::uint64_t deflections = 0;
+  std::uint64_t no_viable_port_drops = 0;
   for (const auto& topology : topologies) {
     for (const auto technique : techniques) {
-      // Seeds per combination; on mismatch fail fast with the full context
-      // instead of flooding the log hundreds of times. Every fourth seed
-      // re-runs the comparison with a widened (>64-bit) route ID.
+      // Seeds per combination; on a violation fail fast with the full
+      // context instead of flooding the log hundreds of times.
       for (std::uint64_t i = 0; i < 12; ++i) {
         const std::uint64_t seed = common::derive_seed(base, i);
         const bool widen = (i % 4 == 0);
-        const TracedRun naive =
-            run_traced(topology, technique, ResiduePath::kNaive, seed, widen);
-        const TracedRun fast =
-            run_traced(topology, technique, ResiduePath::kFast, seed, widen);
-        ASSERT_EQ(fast.trace, naive.trace)
+        const CheckedRun run = run_checked(topology, technique, seed, widen);
+        ASSERT_TRUE(run.violations.empty())
             << topology << " " << dataplane::to_string(technique) << " seed "
-            << seed << " widen=" << widen;
-        // The naive path must never have touched a cache.
-        ASSERT_EQ(naive.cache.hits + naive.cache.misses, 0u);
-        if (widen) wide_fast_hits += fast.cache.hits;
+            << seed << " widen=" << widen << ": "
+            << faultgen::to_string(run.violations.front().kind) << " — "
+            << run.violations.front().detail;
+        ASSERT_EQ(run.packets_in_flight, 0u)
+            << "a delivered or dropped packet kept its pool slot";
+        if (widen) wide_hits += run.cache.hits;
+        deflections += run.counters.deflections;
+        if (technique == DeflectionTechnique::kNone) {
+          no_viable_port_drops += run.counters.drop_no_viable_port;
+        }
       }
     }
   }
   // The widened runs must have exercised the residue memo (narrow routes
-  // bypass it by design), or this test compared naive against itself.
-  EXPECT_GT(wide_fast_hits, 0u);
+  // bypass it by design), and both new halves of the residue check must
+  // have had something to judge.
+  EXPECT_GT(wide_hits, 0u);
+  EXPECT_GT(deflections, 0u);
+  EXPECT_GT(no_viable_port_drops, 0u);
 }
 
 TEST(FastPathDifferential, CampaignAggregatesIdenticalAtAnyJobs) {
   // The campaign engine sweeps failure schedules, shrinking and the
-  // invariant checker over both residue paths; canonical_aggregates is the
-  // runner's hexfloat rendering — equal strings iff bit-equal doubles.
+  // invariant checker; canonical_aggregates is the runner's hexfloat
+  // rendering — equal strings iff bit-equal doubles.
   faultgen::CampaignConfig config;
   config.topology = "rnp28";
   config.technique = DeflectionTechnique::kNotInputPort;
@@ -177,20 +179,17 @@ TEST(FastPathDifferential, CampaignAggregatesIdenticalAtAnyJobs) {
   config.packets_per_run = 10;
   config.seed = testsupport::seed_or(303);
 
-  config.residue_path = ResiduePath::kNaive;
-  const faultgen::CampaignEngine naive_engine(config);
-  const std::string reference =
-      runner::canonical_aggregates(naive_engine.run());
+  const faultgen::CampaignEngine engine(config);
+  const faultgen::CampaignResult serial = engine.run();
+  EXPECT_TRUE(serial.ok()) << serial.reports.front().first.detail;
+  const std::string reference = runner::canonical_aggregates(serial);
   ASSERT_FALSE(reference.empty());
-
-  config.residue_path = ResiduePath::kFast;
-  const faultgen::CampaignEngine fast_engine(config);
-  EXPECT_EQ(runner::canonical_aggregates(fast_engine.run()), reference);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     runner::CampaignJobOptions options;
     options.runner.jobs = jobs;
-    const auto result = runner::run_campaign(fast_engine, options, nullptr);
+    const auto result = runner::run_campaign(engine, options, nullptr);
+    EXPECT_TRUE(result.ok()) << "jobs=" << jobs;
     EXPECT_EQ(runner::canonical_aggregates(result), reference)
         << "jobs=" << jobs;
   }

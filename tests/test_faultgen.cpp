@@ -196,6 +196,106 @@ TEST_F(CheckerFixture, ResidueMismatchIsFlagged) {
   EXPECT_EQ(checker.violations().front().kind, Violation::Kind::kResidueMismatch);
 }
 
+// The other half of the residue check: a switch may leave its residue
+// only when that residue names no usable port. Fig. 1's SW7 (ID 7) has
+// ports 0 -> SW4, 1 -> SW5, 2 -> SW11; route 8 decodes to port 1 there,
+// route 13 to port 6, which does not exist.
+TEST_F(CheckerFixture, DeflectionOffAUsableResidueIsFlagged) {
+  auto checker = make_checker();
+  checker.observe(event(TraceEvent::Kind::kInject, 0.0, 1, scenario.topology.at("S")));
+  dataplane::Packet packet;
+  packet.kar.route_id = rns::BigUint(8);  // 8 mod 7 == 1: SW5, up
+  auto hop = event(TraceEvent::Kind::kHop, 0.1, 1, scenario.topology.at("SW7"));
+  hop.out_port = 2;
+  hop.in_port = 0;
+  hop.deflected = true;
+  hop.packet = &packet;
+  checker.observe(hop);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().kind, Violation::Kind::kResidueMismatch);
+
+  // The same deflection is legal once the residue port is detected down.
+  scenario.topology.fail_link("SW7", "SW5");
+  auto legal = make_checker();
+  legal.observe(event(TraceEvent::Kind::kInject, 0.0, 1, scenario.topology.at("S")));
+  legal.observe(hop);
+  EXPECT_TRUE(legal.ok());
+}
+
+TEST_F(CheckerFixture, NoneDropOnAUsableResidueIsFlagged) {
+  InvariantConfig config;
+  config.technique = DeflectionTechnique::kNone;
+  auto checker = make_checker(config);
+  dataplane::Packet usable;
+  usable.kar.route_id = rns::BigUint(8);  // 8 mod 7 == 1: SW5, up
+  dataplane::Packet out_of_range;
+  out_of_range.kar.route_id = rns::BigUint(13);  // 13 mod 7 == 6: no port
+  for (const std::uint64_t id : {1, 2}) {
+    checker.observe(
+        event(TraceEvent::Kind::kInject, 0.0, id, scenario.topology.at("S")));
+  }
+  auto drop = event(TraceEvent::Kind::kDrop, 0.1, 1, scenario.topology.at("SW7"));
+  drop.packet = &out_of_range;
+  checker.observe(drop);
+  EXPECT_TRUE(checker.ok());
+  drop.packet_id = 2;
+  drop.packet = &usable;
+  checker.observe(drop);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().kind, Violation::Kind::kResidueMismatch);
+  EXPECT_EQ(checker.violations().front().packet_id, 2u);
+}
+
+TEST_F(CheckerFixture, HotPotatoWalkIsExemptUntilReencode) {
+  InvariantConfig config;
+  config.technique = DeflectionTechnique::kHotPotato;
+  auto checker = make_checker(config);
+  const topo::NodeId sw4 = scenario.topology.at("SW4");
+  const topo::NodeId sw7 = scenario.topology.at("SW7");
+  const topo::NodeId d = scenario.topology.at("D");
+  dataplane::Packet packet;
+  packet.kar.route_id = rns::BigUint(13);  // SW7: port 6 (none); SW4: port 1 (S)
+  checker.observe(event(TraceEvent::Kind::kInject, 0.0, 1, scenario.topology.at("S")));
+  // The first deflection starts the walk; the residue was unusable.
+  auto first = event(TraceEvent::Kind::kHop, 0.1, 1, sw7);
+  first.out_port = 0;
+  first.in_port = 2;
+  first.deflected = true;
+  first.packet = &packet;
+  checker.observe(first);
+  // On the walk the usable residue at SW4 is ignored, also after a bounce.
+  auto walk = event(TraceEvent::Kind::kHop, 0.2, 1, sw4);
+  walk.out_port = 0;
+  walk.in_port = 0;
+  walk.deflected = true;
+  walk.packet = &packet;
+  checker.observe(walk);
+  checker.observe(event(TraceEvent::Kind::kBounce, 0.3, 1, d));
+  walk.time = 0.4;
+  checker.observe(walk);
+  EXPECT_TRUE(checker.ok());
+  // A re-encode ends the walk: the same deflection is now a violation.
+  checker.observe(event(TraceEvent::Kind::kReencode, 0.5, 1, d));
+  walk.time = 0.6;
+  checker.observe(walk);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front().kind, Violation::Kind::kResidueMismatch);
+}
+
+TEST_F(CheckerFixture, NipDeflectionOffAResidueThatIsTheInputPortPasses) {
+  auto checker = make_checker();
+  checker.observe(event(TraceEvent::Kind::kInject, 0.0, 1, scenario.topology.at("S")));
+  dataplane::Packet packet;
+  packet.kar.route_id = rns::BigUint(8);  // 8 mod 7 == 1: SW5, up
+  auto hop = event(TraceEvent::Kind::kHop, 0.1, 1, scenario.topology.at("SW7"));
+  hop.out_port = 2;
+  hop.in_port = 1;  // arrived from SW5: Algorithm 1 must not send it back
+  hop.deflected = true;
+  hop.packet = &packet;
+  checker.observe(hop);
+  EXPECT_TRUE(checker.ok());
+}
+
 TEST_F(CheckerFixture, ForwardOnDetectedDownPortIsFlagged) {
   scenario.topology.fail_link("SW7", "SW11");
   auto checker = make_checker();

@@ -14,6 +14,7 @@
 #include "rns/crt.hpp"
 #include "rns/modular.hpp"
 #include "rns/prepared_mod.hpp"
+#include "support/divmod_reference.hpp"
 #include "support/testsupport.hpp"
 
 namespace kar::rns {
@@ -133,8 +134,8 @@ TEST_P(RnsProperty, DivModMatchesSchoolbookReference) {
 
 TEST_P(RnsProperty, DivModMatchesRetiredBinaryDivider) {
   // The bit-at-a-time divider the word-level Knuth D implementation
-  // replaced stays in the tree as divmod_binary — an always-on
-  // differential oracle with completely different failure modes.
+  // replaced stays in the tree as testsupport::divmod_binary — an
+  // always-on differential oracle with completely different failure modes.
   auto rng = testsupport::make_rng(GetParam() ^ 0xB1DULL, "DivModBinary");
   for (int iteration = 0; iteration < 30; ++iteration) {
     const BigUint dividend = random_biguint(rng, 32 + rng.below(300));
@@ -142,7 +143,7 @@ TEST_P(RnsProperty, DivModMatchesRetiredBinaryDivider) {
     if (divisor.is_zero()) divisor = BigUint(1 + rng.below(1000));
 
     const auto fast = dividend.divmod(divisor);
-    const auto reference = dividend.divmod_binary(divisor);
+    const auto reference = testsupport::divmod_binary(dividend, divisor);
     EXPECT_EQ(fast.quotient, reference.quotient)
         << dividend << " / " << divisor;
     EXPECT_EQ(fast.remainder, reference.remainder)

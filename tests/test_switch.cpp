@@ -204,22 +204,20 @@ TEST(DeflectionTechnique, UnknownNameErrorListsTheOptions) {
 }
 
 TEST_F(Fig1Fixture, FastResiduePathMatchesNaiveDecisionForDecision) {
-  // The default kFast switch and an explicit kNaive switch must make
-  // bit-identical decisions from identical RNG streams.
+  // forward() (residue_fast) and Algorithm 1 fed the naive residue,
+  // decide(residue(...)), must make bit-identical decisions from identical
+  // RNG streams. The naive side runs on a switch of its own so its memo
+  // stays untouched.
   const topo::Topology& t = scenario.topology;
-  const KarSwitch fast(t, t.at("SW7"), DeflectionTechnique::kNotInputPort,
-                       ResiduePath::kFast);
-  const KarSwitch naive(t, t.at("SW7"), DeflectionTechnique::kNotInputPort,
-                        ResiduePath::kNaive);
-  EXPECT_EQ(fast.residue_path(), ResiduePath::kFast);
-  EXPECT_EQ(naive.residue_path(), ResiduePath::kNaive);
+  const KarSwitch fast(t, t.at("SW7"), DeflectionTechnique::kNotInputPort);
+  const KarSwitch naive(t, t.at("SW7"), DeflectionTechnique::kNotInputPort);
   Rng rng_fast{99};
   Rng rng_naive{99};
   for (int pass = 0; pass < 2; ++pass) {
     for (std::uint64_t r : {0u, 1u, 7u, 44u, 660u, 123456u}) {
       const Packet p = make_packet(r);
       const auto a = fast.forward(p, 0, rng_fast);
-      const auto b = naive.forward(p, 0, rng_naive);
+      const auto b = naive.decide(naive.residue(p.kar.route_id), 0, rng_naive);
       EXPECT_EQ(a.action, b.action) << r;
       EXPECT_EQ(a.out_port, b.out_port) << r;
       EXPECT_EQ(a.deflected, b.deflected) << r;
@@ -239,7 +237,7 @@ TEST_F(Fig1Fixture, FastResiduePathMatchesNaiveDecisionForDecision) {
       Packet p = make_packet(r);
       p.kar.route_id += rns::BigUint(7) << 200;
       const auto a = fast.forward(p, 0, rng_fast);
-      const auto b = naive.forward(p, 0, rng_naive);
+      const auto b = naive.decide(naive.residue(p.kar.route_id), 0, rng_naive);
       EXPECT_EQ(a.action, b.action) << r;
       EXPECT_EQ(a.out_port, b.out_port) << r;
       EXPECT_EQ(a.deflected, b.deflected) << r;

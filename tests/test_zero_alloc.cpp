@@ -110,7 +110,7 @@ TEST(ZeroAlloc, WarmedForwardLoopDoesNotTouchTheHeap) {
        {DeflectionTechnique::kNone, DeflectionTechnique::kHotPotato,
         DeflectionTechnique::kAnyValidPort,
         DeflectionTechnique::kNotInputPort}) {
-    const KarSwitch sw(s.topology, sw7, technique, ResiduePath::kFast);
+    const KarSwitch sw(s.topology, sw7, technique);
 
     auto sweep = [&](common::Rng& draw) {
       std::uint64_t folded = 0;
