@@ -23,12 +23,13 @@
 #include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
+#include "experiments/tcp_experiment.hpp"
 #include "obs/export.hpp"
 
 namespace {
 
-using kar::bench::TcpExperiment;
-using kar::bench::TcpRunResult;
+using kar::experiments::TcpExperiment;
+using kar::experiments::TcpRunResult;
 using kar::common::TextTable;
 using kar::dataplane::DeflectionTechnique;
 
@@ -72,9 +73,9 @@ int main(int argc, char** argv) {
     const auto& curve = kCurves[i];
     kar::obs::TraceRecorder recorder(1 << 16);
     TcpExperiment experiment;
-    experiment.scenario = kar::topo::make_experimental15(kar::bench::paper_link_params());
+    experiment.scenario = kar::topo::make_experimental15(kar::experiments::paper_link_params());
     experiment.reverse_route =
-        kar::bench::reverse_for_experimental15(experiment.scenario.route);
+        kar::experiments::reverse_for_experimental15(experiment.scenario.route);
     experiment.technique = curve.technique;
     experiment.level = kar::topo::ProtectionLevel::kPartial;
     experiment.failed_link = {{"SW7", "SW13"}};
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
     experiment.obs_labels = {{"technique", curve.name}};
     experiment.obs_tid = static_cast<std::uint32_t>(i);
     if (profile) experiment.event_profile = &event_profile;
-    results.push_back(kar::bench::run_tcp_experiment(std::move(experiment)));
+    results.push_back(kar::experiments::run_tcp_experiment(std::move(experiment)));
     if (!trace_path.empty()) {
       processes.push_back({curve.name, recorder.snapshot()});
     }

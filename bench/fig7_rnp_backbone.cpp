@@ -13,19 +13,10 @@
 //
 // Usage: fig7_rnp_backbone [--runs=10] [--seconds=5] [--seed=1] [--csv]
 #include <iostream>
-#include <optional>
 
-#include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
-#include "stats/summary.hpp"
-
-namespace {
-
-using kar::bench::TcpExperiment;
-using kar::common::TextTable;
-
-}  // namespace
+#include "experiments/paper_figures.hpp"
 
 int main(int argc, char** argv) {
   const auto flags = kar::common::Flags::parse_cli(argc, argv);
@@ -40,45 +31,23 @@ int main(int argc, char** argv) {
             << "route SW7 (Boa Vista) -> SW73 (Sao Paulo); " << runs
             << " runs x " << seconds << " s per case\n\n";
 
-  const std::optional<std::pair<std::string, std::string>> kCases[] = {
-      std::nullopt,
-      {{"SW7", "SW13"}},
-      {{"SW13", "SW41"}},
-      {{"SW41", "SW73"}},
-  };
-
   if (csv) std::cout << "failure,mean_mbps,ci95_mbps,drop_vs_nominal\n";
-  TextTable table({"failure", "mean (Mb/s)", "95% CI (+/-)",
-                   "drop vs no-failure", "paper reports"});
-  double nominal = 0.0;
+  kar::common::TextTable table({"failure", "mean (Mb/s)", "95% CI (+/-)",
+                                "drop vs no-failure", "paper reports"});
   const char* kPaperNotes[] = {"~nominal", "< 5% drop", "~40% drop, max variance",
                                "~30% drop"};
-  int case_index = 0;
-  for (const auto& failure : kCases) {
-    TcpExperiment base;
-    base.scenario = kar::topo::make_rnp28(kar::bench::paper_link_params());
-    base.reverse_route = kar::bench::reverse_for_rnp28(base.scenario.route);
-    base.technique = kar::dataplane::DeflectionTechnique::kNotInputPort;
-    base.level = kar::topo::ProtectionLevel::kPartial;
-    base.failed_link = failure;
-    base.seed = seed;
-    const auto samples = kar::bench::repeated_failure_runs(base, runs, seconds);
-    const auto summary = kar::stats::summarize(samples);
-    if (!failure) nominal = summary.mean;
-    const std::string name =
-        failure ? failure->first + "-" + failure->second : "none";
-    const double drop =
-        nominal > 0 ? (1.0 - summary.mean / nominal) * 100.0 : 0.0;
+  const auto cases = kar::experiments::fig7_cases(runs, seconds, seed);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& c = cases[i];
     if (csv) {
-      std::cout << name << "," << kar::common::fmt_double(summary.mean, 2)
-                << "," << kar::common::fmt_double(summary.ci95_half_width, 2)
-                << "," << kar::common::fmt_double(drop, 1) << "\n";
+      std::cout << c.name() << "," << kar::common::fmt_double(c.summary.mean, 2)
+                << "," << kar::common::fmt_double(c.summary.ci95_half_width, 2)
+                << "," << kar::common::fmt_double(c.drop_pct, 1) << "\n";
     }
-    table.add_row({name, kar::common::fmt_double(summary.mean, 1),
-                   kar::common::fmt_double(summary.ci95_half_width, 1),
-                   kar::common::fmt_double(drop, 1) + "%",
-                   kPaperNotes[case_index]});
-    ++case_index;
+    table.add_row({c.name(), kar::common::fmt_double(c.summary.mean, 1),
+                   kar::common::fmt_double(c.summary.ci95_half_width, 1),
+                   kar::common::fmt_double(c.drop_pct, 1) + "%",
+                   kPaperNotes[i]});
   }
   if (!csv) std::cout << table.render();
   return 0;

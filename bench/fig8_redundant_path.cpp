@@ -21,12 +21,13 @@
 #include "bench_util.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
+#include "experiments/tcp_experiment.hpp"
 #include "routing/controller.hpp"
 #include "stats/summary.hpp"
 
 namespace {
 
-using kar::bench::TcpExperiment;
+using kar::experiments::TcpExperiment;
 using kar::common::TextTable;
 using kar::common::fmt_double;
 
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   {
     const double t_fail = duration / 3.0;
     TcpExperiment experiment;
-    experiment.scenario = kar::topo::make_fig8_redundant(kar::bench::paper_link_params());
+    experiment.scenario = kar::topo::make_fig8_redundant(kar::experiments::paper_link_params());
     experiment.reverse_route = fig8_reverse();
     experiment.technique = kar::dataplane::DeflectionTechnique::kNotInputPort;
     experiment.level = kar::topo::ProtectionLevel::kPartial;
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     experiment.t_repair = duration + 1.0;  // stays failed
     experiment.t_end = duration;
     experiment.seed = seed;
-    const auto result = kar::bench::run_tcp_experiment(experiment);
+    const auto result = kar::experiments::run_tcp_experiment(experiment);
     std::cout << "TCP timeline (failure at t=" << t_fail << " s, never repaired):\n"
               << "  |" << kar::bench::sparkline(result.timeline_mbps, 200.0)
               << "|\n"
@@ -110,18 +111,18 @@ int main(int argc, char** argv) {
                      "% of nominal"});
     // Nominal from a no-failure baseline run at default threshold.
     TcpExperiment nominal_base;
-    nominal_base.scenario = kar::topo::make_fig8_redundant(kar::bench::paper_link_params());
+    nominal_base.scenario = kar::topo::make_fig8_redundant(kar::experiments::paper_link_params());
     nominal_base.reverse_route = fig8_reverse();
     nominal_base.level = kar::topo::ProtectionLevel::kPartial;
     nominal_base.seed = seed;
     const auto nominal_samples =
-        kar::bench::repeated_failure_runs(nominal_base, runs, 5.0);
+        kar::experiments::repeated_failure_runs(nominal_base, runs, 5.0);
     const double nominal = kar::stats::summarize(nominal_samples).mean;
     for (const std::uint32_t threshold : {3u, 8u, 16u, 32u, 64u}) {
       TcpExperiment base = nominal_base;
       base.failed_link = {{"SW73", "SW107"}};
       base.tcp.dupack_threshold = threshold;
-      const auto samples = kar::bench::repeated_failure_runs(base, runs, 5.0);
+      const auto samples = kar::experiments::repeated_failure_runs(base, runs, 5.0);
       const auto summary = kar::stats::summarize(samples);
       table.add_row({std::to_string(threshold), fmt_double(summary.mean, 1),
                      fmt_double(summary.ci95_half_width, 1),

@@ -9,6 +9,7 @@
 //                        [--level=unprotected|partial|full]
 //                        [--fail-a=SW7 --fail-b=SW13] [--duration=30]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/markov.hpp"
 #include "common/flags.hpp"
@@ -31,13 +32,22 @@ kar::topo::ProtectionLevel level_from(const std::string& name) {
 
 int main(int argc, char** argv) {
   using namespace kar;
-  const auto flags = common::Flags::parse(argc, argv);
-  const auto technique =
-      dataplane::technique_from_string(flags.get_string("technique", "nip"));
-  const auto level = level_from(flags.get_string("level", "partial"));
+  const auto flags = common::Flags::parse_cli(argc, argv);
+  const std::string technique_name = flags.get_string("technique", "nip");
+  const std::string level_name = flags.get_string("level", "partial");
   const std::string fail_a = flags.get_string("fail-a", "SW7");
   const std::string fail_b = flags.get_string("fail-b", "SW13");
   const double duration = flags.get_double("duration", 30.0);
+  if (common::report_unread(flags, "failover_15node")) return 2;
+  dataplane::DeflectionTechnique technique{};
+  topo::ProtectionLevel level{};
+  try {
+    technique = dataplane::technique_from_string(technique_name);
+    level = level_from(level_name);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "failover_15node: " << e.what() << '\n';
+    return 2;
+  }
 
   topo::Scenario scenario = topo::make_experimental15();
   const routing::Controller controller(scenario.topology);

@@ -18,8 +18,10 @@
 
 int main(int argc, char** argv) {
   using namespace kar;
-  const auto flags = common::Flags::parse(argc, argv);
+  const auto flags = common::Flags::parse_cli(argc, argv);
   const auto bit_budget = static_cast<std::size_t>(flags.get_int("bits", 64));
+  const bool export_dot = flags.get_bool("export-dot", false);
+  if (common::report_unread(flags, "rnp_backbone")) return 2;
 
   topo::Scenario scenario = topo::make_rnp28();
   topo::Topology& net = scenario.topology;
@@ -74,7 +76,7 @@ int main(int argc, char** argv) {
   net.repair_all();
   std::cout << table.render();
 
-  if (flags.get_bool("export-dot", false)) {
+  if (export_dot) {
     std::cout << "\n" << topo::to_graphviz(net);
   } else {
     std::cout << "\n(run with --export-dot to dump Graphviz)\n";

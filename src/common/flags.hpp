@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,9 +26,11 @@ class Flags {
  public:
   Flags() = default;
 
-  /// Parses argv. A getter throws std::invalid_argument on a value it
-  /// cannot parse.
-  static Flags parse(int argc, const char* const* argv) {
+  /// Parses a program's own command line, whose reads end in
+  /// report_unread(): a getter records a value it cannot parse and returns
+  /// its fallback, and report_unread() names it as a usage error, so a
+  /// typo such as `--runs=abc` exits 2 instead of escaping main.
+  static Flags parse_cli(int argc, const char* const* argv) {
     Flags flags;
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
@@ -48,16 +49,6 @@ class Flags {
         flags.values_[arg] = "true";
       }
     }
-    return flags;
-  }
-
-  /// parse() for a program's own command line, whose reads end in
-  /// report_unread(): a getter records a value it cannot parse and returns
-  /// its fallback, and report_unread() names it as a usage error, so a
-  /// typo such as `--runs=abc` exits 2 instead of escaping main.
-  static Flags parse_cli(int argc, const char* const* argv) {
-    Flags flags = parse(argc, argv);
-    flags.defer_errors_ = true;
     return flags;
   }
 
@@ -112,7 +103,7 @@ class Flags {
   }
 
   /// Values a getter could not parse, as `flag --<name>: <problem>:
-  /// <value>` (parse_cli() only; parse() throws instead).
+  /// <value>`.
   [[nodiscard]] const std::vector<std::string>& malformed() const {
     return malformed_;
   }
@@ -126,10 +117,8 @@ class Flags {
 
   template <typename T>
   T malformed(const std::string& name, const char* problem, T fallback) const {
-    std::string message =
-        "flag --" + name + ": " + problem + ": " + values_.at(name);
-    if (!defer_errors_) throw std::invalid_argument(message);
-    malformed_.push_back(std::move(message));
+    malformed_.push_back("flag --" + name + ": " + problem + ": " +
+                         values_.at(name));
     return fallback;
   }
 
@@ -137,7 +126,6 @@ class Flags {
   std::vector<std::string> positional_;
   /// Names asked for so far (see unread()).
   mutable std::set<std::string> read_;
-  bool defer_errors_ = false;
   mutable std::vector<std::string> malformed_;
 };
 

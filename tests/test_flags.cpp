@@ -8,7 +8,7 @@ namespace {
 Flags parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv = {"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return Flags::parse(static_cast<int>(argv.size()), argv.data());
+  return Flags::parse_cli(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(Flags, EqualsSyntax) {
@@ -37,7 +37,9 @@ TEST(Flags, BooleanSynonyms) {
   EXPECT_TRUE(f.get_bool("a", false));
   EXPECT_FALSE(f.get_bool("b", true));
   EXPECT_TRUE(f.get_bool("c", false));
-  EXPECT_THROW(parse({"--x=maybe"}).get_bool("x", false), std::invalid_argument);
+  const Flags bad = parse({"--x=maybe"});
+  EXPECT_TRUE(bad.get_bool("x", true));  // the fallback
+  EXPECT_EQ(bad.malformed().size(), 1u);
 }
 
 TEST(Flags, PositionalArguments) {
@@ -54,10 +56,13 @@ TEST(Flags, FallbacksWhenAbsent) {
   EXPECT_DOUBLE_EQ(f.get_double("d", 1.5), 1.5);
 }
 
-TEST(Flags, MalformedNumbersThrow) {
+TEST(Flags, MalformedNumbersAreRecorded) {
   const Flags f = parse({"--n=abc", "--d=1.2.3"});
-  EXPECT_THROW(f.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(f.get_double("d", 0), std::invalid_argument);
+  EXPECT_EQ(f.get_int("n", 7), 7);
+  EXPECT_DOUBLE_EQ(f.get_double("d", 2.5), 2.5);
+  EXPECT_EQ(f.malformed(),
+            (std::vector<std::string>{"flag --n: not a number: abc",
+                                      "flag --d: not a number: 1.2.3"}));
 }
 
 TEST(Flags, FlagFollowedByFlagIsBoolean) {

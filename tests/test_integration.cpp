@@ -3,11 +3,11 @@
 // network -> TCP), at reduced time scale so the suite stays fast.
 #include <gtest/gtest.h>
 
-#include "analysis/reorder.hpp"
+#include "experiments/paper_figures.hpp"
+#include "experiments/tcp_experiment.hpp"
 #include "routing/controller.hpp"
 #include "sim/network.hpp"
 #include "topology/builders.hpp"
-#include "transport/flows.hpp"
 
 namespace kar {
 namespace {
@@ -15,67 +15,40 @@ namespace {
 using dataplane::DeflectionTechnique;
 using topo::ProtectionLevel;
 using topo::Scenario;
-using transport::BulkTransferFlow;
-using transport::FlowDispatcher;
 using transport::TcpParams;
 
-/// Runs a compressed Fig.4-style experiment on the 15-node network:
-/// bulk TCP AS1 -> AS3, SW7-SW13 fails during [t_fail, t_repair).
-struct Fig4Run {
-  double before_mbps = 0;
-  double during_mbps = 0;
-  double after_mbps = 0;
-  std::uint64_t out_of_order = 0;
-  std::uint64_t fast_retransmits = 0;
-  std::uint64_t drops = 0;
-};
+/// A compressed paper TCP experiment on `scenario`'s default 200 Mb/s
+/// links: bulk TCP with partial protection, a 256-segment window, the
+/// failure at t = 2 s and 0.25 s goodput bins.
+experiments::TcpExperiment compressed(Scenario scenario,
+                                      DeflectionTechnique technique) {
+  experiments::TcpExperiment experiment;
+  experiment.scenario = std::move(scenario);
+  experiment.technique = technique;
+  experiment.t_fail = 2.0;
+  experiment.bin_s = 0.25;
+  experiment.tcp = TcpParams{};
+  experiment.tcp.receiver_window_segments = 256;
+  return experiment;
+}
 
-Fig4Run run_fig4(DeflectionTechnique technique, ProtectionLevel level,
-                 const std::string& fail_a = "SW7",
-                 const std::string& fail_b = "SW13") {
-  Scenario s = topo::make_experimental15();
-  const routing::Controller controller(s.topology);
-  sim::NetworkConfig config;
-  config.technique = technique;
-  config.seed = 1234;
-  sim::Network net(s.topology, controller, config);
-  FlowDispatcher dispatcher(net);
-  const auto forward = controller.encode_scenario(s.route, level);
-  // ACKs return over the backup chain SW29-SW31-SW19-SW11-SW10, disjoint
-  // from all three studied failure links, so the measurement isolates
-  // forward-path deflection effects (the ReverseProtection test covers
-  // ACK-side failures explicitly).
-  topo::ScenarioRoute reverse_route;
-  reverse_route.src_edge = s.route.dst_edge;
-  reverse_route.dst_edge = s.route.src_edge;
-  reverse_route.core_path = {"SW29", "SW31", "SW19", "SW11", "SW10"};
-  const auto reverse =
-      controller.encode_scenario(reverse_route, ProtectionLevel::kUnprotected);
-  TcpParams params;
-  params.receiver_window_segments = 256;
-  BulkTransferFlow flow(net, dispatcher, forward, reverse, 1, params, 0.25);
-
-  constexpr double kFail = 2.0;
-  constexpr double kRepair = 4.0;
-  constexpr double kEnd = 6.0;
-  flow.start_at(0.0);
-  net.fail_link_at(kFail, fail_a, fail_b);
-  net.repair_link_at(kRepair, fail_a, fail_b);
-  flow.stop_at(kEnd);
-  net.events().run_until(kEnd + 1.0);
-
-  Fig4Run result;
-  result.before_mbps = flow.receiver().goodput().mbps_between(1.0, kFail);
-  result.during_mbps = flow.receiver().goodput().mbps_between(kFail + 0.25, kRepair);
-  result.after_mbps = flow.receiver().goodput().mbps_between(kRepair + 0.5, kEnd);
-  result.out_of_order = flow.receiver().stats().out_of_order_segments;
-  result.fast_retransmits = flow.sender().stats().fast_retransmits;
-  result.drops = net.counters().total_drops();
-  return result;
+/// A compressed Fig. 4: AS1 -> AS3 on the 15-node network, SW7-SW13 down
+/// during [2, 4) of a 6 s run. ACKs take the SW29-SW31-SW19-SW11-SW10
+/// backup chain, disjoint from all three studied failure links (the
+/// ReverseProtection test covers ACK-side failures).
+experiments::TcpRunResult run_fig4_style(DeflectionTechnique technique) {
+  auto experiment = compressed(topo::make_experimental15(), technique);
+  experiment.reverse_route =
+      experiments::reverse_for_experimental15(experiment.scenario.route);
+  experiment.failed_link = {{"SW7", "SW13"}};
+  experiment.t_repair = 4.0;
+  experiment.t_end = 6.0;
+  experiment.seed = 1234;
+  return experiments::run_tcp_experiment(std::move(experiment));
 }
 
 TEST(Fig4Style, NoDeflectionStallsDuringFailure) {
-  const Fig4Run r = run_fig4(DeflectionTechnique::kNone, ProtectionLevel::kPartial);
+  const auto r = run_fig4_style(DeflectionTechnique::kNone);
   EXPECT_GT(r.before_mbps, 100.0);       // healthy: near nominal 200
   EXPECT_LT(r.during_mbps, 5.0);         // traffic stops
   EXPECT_GT(r.after_mbps, 50.0);         // recovers after repair
@@ -83,8 +56,7 @@ TEST(Fig4Style, NoDeflectionStallsDuringFailure) {
 }
 
 TEST(Fig4Style, NipKeepsTrafficFlowingThroughFailure) {
-  const Fig4Run r =
-      run_fig4(DeflectionTechnique::kNotInputPort, ProtectionLevel::kPartial);
+  const auto r = run_fig4_style(DeflectionTechnique::kNotInputPort);
   EXPECT_GT(r.before_mbps, 100.0);
   // Paper: NIP holds roughly 75% of nominal during the failure; we assert
   // the qualitative bound (well above half of the healthy rate).
@@ -93,12 +65,9 @@ TEST(Fig4Style, NipKeepsTrafficFlowingThroughFailure) {
 }
 
 TEST(Fig4Style, TechniqueOrderingNipBeatsHotPotato) {
-  const Fig4Run nip =
-      run_fig4(DeflectionTechnique::kNotInputPort, ProtectionLevel::kPartial);
-  const Fig4Run hp =
-      run_fig4(DeflectionTechnique::kHotPotato, ProtectionLevel::kPartial);
-  const Fig4Run none =
-      run_fig4(DeflectionTechnique::kNone, ProtectionLevel::kPartial);
+  const auto nip = run_fig4_style(DeflectionTechnique::kNotInputPort);
+  const auto hp = run_fig4_style(DeflectionTechnique::kHotPotato);
+  const auto none = run_fig4_style(DeflectionTechnique::kNone);
   // The paper's ordering in Fig. 4: NIP > HP > no deflection (during failure).
   EXPECT_GT(nip.during_mbps, hp.during_mbps);
   EXPECT_GT(hp.during_mbps, none.during_mbps);
@@ -108,59 +77,58 @@ TEST(Fig4Style, DeflectionCausesReordering) {
   // With the SW7-SW13 failure and partial protection, NIP drives packets
   // over the longer SW19-SW31 branch while in-flight packets complete on
   // the short path: reordering and spurious retransmits must show up.
-  const Fig4Run r =
-      run_fig4(DeflectionTechnique::kNotInputPort, ProtectionLevel::kPartial);
+  const auto r = run_fig4_style(DeflectionTechnique::kNotInputPort);
   EXPECT_GT(r.out_of_order, 0u);
   EXPECT_GT(r.fast_retransmits, 0u);
+}
+
+/// Mean NIP goodput of a Fig. 5 cell at the bench smoke setting (1 run x
+/// 2 s per cell, seed 1); the grid runs once per test binary.
+double fig5_nip_mbps(const std::string& failure, ProtectionLevel level) {
+  static const auto grid = experiments::fig5_grid(1, 2.0, 1, {});
+  for (const auto& cell : grid) {
+    if (cell.failure() == failure && cell.level == level &&
+        cell.technique == DeflectionTechnique::kNotInputPort) {
+      return cell.summary.mean;
+    }
+  }
+  ADD_FAILURE() << "no Fig. 5 cell " << failure;
+  return 0.0;
 }
 
 TEST(Fig5Style, FullProtectionBeatsPartialForSw10Failure) {
   // Paper Fig. 5: failure at SW10-SW7 is where partial protection loses
   // 2/3 of deflected packets to unprotected wandering; full protection
   // drives all three branches.
-  const Fig4Run partial = run_fig4(DeflectionTechnique::kNotInputPort,
-                                   ProtectionLevel::kPartial, "SW10", "SW7");
-  const Fig4Run full = run_fig4(DeflectionTechnique::kNotInputPort,
-                                ProtectionLevel::kFull, "SW10", "SW7");
-  EXPECT_GT(full.during_mbps, partial.during_mbps * 1.2);
+  const double partial = fig5_nip_mbps("SW10-SW7", ProtectionLevel::kPartial);
+  const double full = fig5_nip_mbps("SW10-SW7", ProtectionLevel::kFull);
+  EXPECT_GT(full, partial * 1.2);
 }
 
 TEST(Fig5Style, PartialMatchesFullWhenCoverageSuffices) {
   // For SW13-SW29 failures the partial set already encloses the alternative
   // path (paper §3.1): partial and full should be close.
-  const Fig4Run partial = run_fig4(DeflectionTechnique::kNotInputPort,
-                                   ProtectionLevel::kPartial, "SW13", "SW29");
-  const Fig4Run full = run_fig4(DeflectionTechnique::kNotInputPort,
-                                ProtectionLevel::kFull, "SW13", "SW29");
-  EXPECT_GT(partial.during_mbps, 10.0);
-  EXPECT_NEAR(partial.during_mbps / full.during_mbps, 1.0, 0.35);
+  const double partial = fig5_nip_mbps("SW13-SW29", ProtectionLevel::kPartial);
+  const double full = fig5_nip_mbps("SW13-SW29", ProtectionLevel::kFull);
+  EXPECT_GT(partial, 10.0);
+  EXPECT_NEAR(partial / full, 1.0, 0.35);
 }
 
 TEST(Fig8Style, ProtectionLoopDegradesButDelivers) {
-  Scenario s = topo::make_fig8_redundant();
-  const routing::Controller controller(s.topology);
-  sim::NetworkConfig config;
-  config.technique = DeflectionTechnique::kNotInputPort;
-  sim::Network net(s.topology, controller, config);
-  FlowDispatcher dispatcher(net);
-  const auto forward = controller.encode_scenario(s.route, ProtectionLevel::kPartial);
-  // ACKs ride the redundant SW113-SW109-SW73 path (a different route ID may
-  // freely use the parallel branch), so the failure hits only the data path.
-  topo::ScenarioRoute reverse_route;
-  reverse_route.src_edge = s.route.dst_edge;
-  reverse_route.dst_edge = s.route.src_edge;
-  reverse_route.core_path = {"SW113", "SW109", "SW73", "SW41", "SW13", "SW7"};
-  const auto reverse =
-      controller.encode_scenario(reverse_route, ProtectionLevel::kUnprotected);
-  TcpParams params;
-  params.receiver_window_segments = 256;
-  BulkTransferFlow flow(net, dispatcher, forward, reverse, 1, params, 0.25);
-  flow.start_at(0.0);
-  net.fail_link_at(2.0, "SW73", "SW107");
-  flow.stop_at(5.0);
-  net.events().run_until(6.0);
-  const double before = flow.receiver().goodput().mbps_between(1.0, 2.0);
-  const double during = flow.receiver().goodput().mbps_between(2.5, 5.0);
+  // SW73-SW107 stays down from t = 2 s to the end of a 5 s run. ACKs ride
+  // the redundant SW113-SW109-SW73 path (a different route ID may freely
+  // use the parallel branch), so the failure hits only the data path.
+  auto experiment = compressed(topo::make_fig8_redundant(),
+                               DeflectionTechnique::kNotInputPort);
+  experiment.reverse_route.src_edge = experiment.scenario.route.dst_edge;
+  experiment.reverse_route.dst_edge = experiment.scenario.route.src_edge;
+  experiment.reverse_route.core_path = {"SW113", "SW109", "SW73",
+                                        "SW41",  "SW13",  "SW7"};
+  experiment.failed_link = {{"SW73", "SW107"}};
+  experiment.t_repair = experiment.t_end = 5.0;
+  const auto r = experiments::run_tcp_experiment(std::move(experiment));
+  const double before = r.before_mbps;
+  const double during = r.during_mbps;
   EXPECT_GT(before, 100.0);
   // Liveness: the protection loop keeps delivering (the paper reports a
   // drop to 54.8% of nominal; our plain NewReno-without-SACK substrate is
@@ -203,31 +171,24 @@ TEST(HotPotatoEndToEnd, WrongEdgeReencodeRescuesWalkers) {
 TEST(ReverseProtection, AckPathFailureIsAlsoSurvivable) {
   // Fail a link that only the ACK path protection covers: data flows
   // forward on the unprotected short path while ACKs detour.
-  Scenario s = topo::make_experimental15();
-  const routing::Controller controller(s.topology);
-  sim::NetworkConfig config;
-  config.technique = DeflectionTechnique::kNotInputPort;
-  sim::Network net(s.topology, controller, config);
-  FlowDispatcher dispatcher(net);
-  const auto forward =
-      controller.encode_scenario(s.route, ProtectionLevel::kPartial);
-  topo::ScenarioRoute reverse_route;
-  reverse_route.src_edge = s.route.dst_edge;
-  reverse_route.dst_edge = s.route.src_edge;
-  reverse_route.core_path.assign(s.route.core_path.rbegin(),
-                                 s.route.core_path.rend());
+  experiments::TcpExperiment experiment;
+  experiment.scenario = topo::make_experimental15();
+  const topo::ScenarioRoute& route = experiment.scenario.route;
+  experiment.reverse_route.src_edge = route.dst_edge;
+  experiment.reverse_route.dst_edge = route.src_edge;
+  experiment.reverse_route.core_path.assign(route.core_path.rbegin(),
+                                            route.core_path.rend());
   // Reverse protection: mirror tree toward SW10.
-  reverse_route.partial_protection = {
+  experiment.reverse_route.partial_protection = {
       {"SW31", "SW19"}, {"SW19", "SW11"}, {"SW11", "SW10"}};
-  const auto reverse =
-      controller.encode_scenario(reverse_route, ProtectionLevel::kPartial);
-  BulkTransferFlow flow(net, dispatcher, forward, reverse, 1);
-  flow.start_at(0.0);
-  net.fail_link_at(1.5, "SW7", "SW13");
-  flow.stop_at(4.0);
-  net.events().run_until(5.0);
+  experiment.failed_link = {{"SW7", "SW13"}};
+  experiment.t_fail = 1.5;
+  experiment.t_repair = experiment.t_end = 4.0;
+  experiment.bin_s = 0.5;  // the during window is then [2, 4)
+  experiment.tcp = TcpParams{};
   // Both directions cross SW7-SW13; both survive via their protections.
-  EXPECT_GT(flow.receiver().goodput().mbps_between(2.0, 4.0), 20.0);
+  EXPECT_GT(experiments::run_tcp_experiment(std::move(experiment)).during_mbps,
+            20.0);
 }
 
 }  // namespace

@@ -224,6 +224,12 @@ struct GridCase {
   bool wrap;
 };
 
+// Names the grid, so ctest names do not carry the struct's uninitialised
+// padding bytes, which move from run to run.
+void PrintTo(const GridCase& grid, std::ostream* os) {
+  *os << grid.rows << 'x' << grid.cols << (grid.wrap ? "_wrap" : "");
+}
+
 class GridProperty : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(GridProperty, FullProtectionAccountsForEverySingleFailureOnPath) {
