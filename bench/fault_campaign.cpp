@@ -332,6 +332,9 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // An unknown name is a usage error, found once here rather than by
+    // every run of every engine.
+    (void)faultgen::make_campaign_scenario(options.base.topology);
     if (technique == "all") {
       options.techniques = {dataplane::DeflectionTechnique::kHotPotato,
                             dataplane::DeflectionTechnique::kAnyValidPort,

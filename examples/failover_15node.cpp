@@ -50,6 +50,21 @@ int main(int argc, char** argv) {
   }
 
   topo::Scenario scenario = topo::make_experimental15();
+  {
+    const topo::Topology& topology = scenario.topology;
+    const auto a = topology.find(fail_a);
+    const auto b = topology.find(fail_b);
+    if (!a || !b) {
+      std::cerr << "failover_15node: no node named " << (a ? fail_b : fail_a)
+                << '\n';
+      return 2;
+    }
+    if (!topology.link_between(*a, *b)) {
+      std::cerr << "failover_15node: " << fail_a << " and " << fail_b
+                << " are not adjacent\n";
+      return 2;
+    }
+  }
   const routing::Controller controller(scenario.topology);
 
   // Encode the forward route at the requested protection level and print

@@ -41,7 +41,13 @@ std::uint64_t ResidueCache::lookup(const rns::BigUint& route_id,
 }
 
 void ResidueCache::clear() noexcept {
-  entries_.clear();
+  for (Entry& entry : entries_) entry.valid = false;
+}
+
+void ResidueCache::reset() noexcept {
+  clear();
+  stats_ = Stats{};
+  bind_counters({}, {}, {});
 }
 
 }  // namespace kar::dataplane

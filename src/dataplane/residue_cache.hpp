@@ -61,8 +61,13 @@ class ResidueCache {
     evictions_ = evictions;
   }
 
-  /// Drops every entry (stats and bound counters are kept).
+  /// Drops every entry, keeping the storage (stats and bound counters are
+  /// kept).
   void clear() noexcept;
+
+  /// Back to a new cache's state: no entry (storage kept), zero stats and
+  /// no bound counters.
+  void reset() noexcept;
 
   /// FNV-1a over the route-ID limbs: the slot-selection digest.
   [[nodiscard]] static std::uint64_t digest(

@@ -1,5 +1,6 @@
 #include "experiments/tcp_experiment.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "routing/controller.hpp"
@@ -89,7 +90,8 @@ TcpRunResult run_tcp_experiment(TcpExperiment experiment) {
   }
   result.before_mbps = series.mbps_between(1.0, experiment.t_fail);
   result.during_mbps =
-      series.mbps_between(experiment.t_fail + experiment.bin_s, experiment.t_repair);
+      series.mbps_between(experiment.t_fail + experiment.bin_s,
+                          std::min(experiment.t_repair, experiment.t_end));
   result.after_mbps =
       series.mbps_between(experiment.t_repair + experiment.bin_s, experiment.t_end);
   result.overall_mbps = series.mbps_between(1.0, experiment.t_end);

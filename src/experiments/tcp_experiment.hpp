@@ -112,8 +112,8 @@ struct TcpRunResult {
 };
 
 /// Runs `experiment` to `t_end`. Goodput windows: before = [1, t_fail),
-/// during = [t_fail + bin_s, t_repair), after = [t_repair + bin_s, t_end),
-/// overall = [1, t_end).
+/// during = [t_fail + bin_s, min(t_repair, t_end)), after =
+/// [t_repair + bin_s, t_end), overall = [1, t_end).
 [[nodiscard]] TcpRunResult run_tcp_experiment(TcpExperiment experiment);
 
 /// One run of the paper's Fig.5/7 methodology: run `r` of an iperf-style

@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "obs/instrument.hpp"
-#include "routing/controller.hpp"
 #include "topogen/topogen.hpp"
 #include "topology/builders.hpp"
 
@@ -23,8 +22,10 @@ topo::Scenario make_campaign_scenario(const std::string& name) {
   if (name == "fig8") return topo::make_fig8_redundant();
   if (name == "grid") return topo::make_grid(3, 4);
   if (name == "line") return topo::make_line(5);
-  throw std::invalid_argument("make_campaign_scenario: unknown topology " +
-                              name + "\n" + topogen::spec_grammar_help());
+  throw std::invalid_argument(
+      "make_campaign_scenario: unknown topology " + name +
+      "; named topologies: fig1, fig2 (or exp15), rnp28, fig8, grid, line\n" +
+      topogen::spec_grammar_help());
 }
 
 CampaignEngine::CampaignEngine(CampaignConfig config)
@@ -35,6 +36,24 @@ CampaignEngine::CampaignEngine(CampaignConfig config)
 }
 
 namespace {
+
+sim::NetworkConfig network_config(const CampaignConfig& config) {
+  sim::NetworkConfig net_config;
+  net_config.technique = config.technique;
+  net_config.wrong_edge_policy = config.wrong_edge_policy;
+  net_config.max_hops = config.max_hops;
+  net_config.failure_detection_delay_s = config.failure_detection_delay_s;
+  return net_config;
+}
+
+InvariantConfig invariant_config(const CampaignConfig& config) {
+  InvariantConfig inv_config;
+  inv_config.max_hops = config.max_hops;
+  inv_config.technique = config.technique;
+  inv_config.check_residue = true;
+  inv_config.hop_budget_override = config.hop_budget_override;
+  return inv_config;
+}
 
 /// The run's traffic source: packet i leaves the route's source edge at
 /// i * interval with a payload drawn from `rng`. It keeps one pending
@@ -91,7 +110,32 @@ std::uint64_t CampaignEngine::run_seed_at(std::size_t index) const noexcept {
   return common::derive_seed(config_.seed, index);
 }
 
+CampaignWorld::CampaignWorld(const CampaignConfig& config)
+    : scenario_(make_campaign_scenario(config.topology)),
+      controller_(scenario_.topology),
+      // Routes are encoded before any failure, and the controller keeps
+      // them (the paper's evaluation policy): recovery is the data plane's
+      // job.
+      route_(controller_.encode_scenario(scenario_.route, config.protection)),
+      net_(scenario_.topology, controller_, network_config(config)),
+      checker_(net_, invariant_config(config)),
+      labels_{{"technique", std::string(dataplane::to_string(config.technique))},
+              {"topology", config.topology}} {}
+
+void CampaignWorld::reset(std::uint64_t run_seed) {
+  net_.reset(run_seed);
+  checker_.reset();
+}
+
 RunResult CampaignEngine::run_one(std::uint64_t run_seed,
+                                  const FailureSchedule* override_schedule,
+                                  const std::atomic<bool>* cancel,
+                                  bool traced) const {
+  WorldSlot world;
+  return run_one(world, run_seed, override_schedule, cancel, traced);
+}
+
+RunResult CampaignEngine::run_one(WorldSlot& slot, std::uint64_t run_seed,
                                   const FailureSchedule* override_schedule,
                                   const std::atomic<bool>* cancel,
                                   bool traced) const {
@@ -103,27 +147,14 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
                 obs::Phase::kSetup)]
           : nullptr);
 
-  topo::Scenario scenario = make_campaign_scenario(config_.topology);
-  const routing::Controller controller(scenario.topology);
-  // Routes are encoded before any failure, and the controller keeps them
-  // (the paper's evaluation policy): recovery is the data plane's job.
-  const routing::EncodedRoute route =
-      controller.encode_scenario(scenario.route, config_.protection);
-
-  sim::NetworkConfig net_config;
-  net_config.technique = config_.technique;
-  net_config.wrong_edge_policy = config_.wrong_edge_policy;
-  net_config.max_hops = config_.max_hops;
-  net_config.failure_detection_delay_s = config_.failure_detection_delay_s;
-  net_config.seed = run_seed;
-  sim::Network net(scenario.topology, controller, net_config);
-
-  InvariantConfig inv_config;
-  inv_config.max_hops = config_.max_hops;
-  inv_config.technique = config_.technique;
-  inv_config.check_residue = true;
-  inv_config.hop_budget_override = config_.hop_budget_override;
-  InvariantChecker checker(net, inv_config);
+  // The world leaves its slot for the run and goes back only when the run
+  // ends uncancelled, so a cancelled or throwing run leaves the slot empty.
+  WorldSlot world = std::move(slot);
+  if (world == nullptr) world = std::make_unique<CampaignWorld>(config_);
+  world->reset(run_seed);
+  sim::Network& net = world->net_;
+  InvariantChecker& checker = world->checker_;
+  const routing::EncodedRoute& route = world->route_;
 
   // Observability: per-run registry + a bounded trace ring for traced runs
   // only. The observer composes with the invariant checker on the single
@@ -132,24 +163,21 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
   obs::MetricsRegistry registry(config_.collect_metrics);
   std::optional<obs::TraceRecorder> recorder;
   if (traced) recorder.emplace(config_.trace_ring_capacity);
-  obs::NetworkObserverOptions observer_options;
-  observer_options.metrics = config_.collect_metrics ? &registry : nullptr;
-  observer_options.trace = recorder.has_value() ? &*recorder : nullptr;
-  observer_options.labels = {
-      {"technique", std::string(dataplane::to_string(config_.technique))},
-      {"topology", config_.topology}};
-  const bool observe = config_.collect_metrics || traced;
   std::optional<obs::NetworkObserver> observer;
-  if (observe) observer.emplace(net, observer_options);
-  net.set_trace_hook([&checker, &observer](const sim::TraceEvent& e) {
-    checker.observe(e);
-    if (observer.has_value()) observer->on_trace(e);
-  });
-  if (observe) {
+  if (config_.collect_metrics || traced) {
+    obs::NetworkObserverOptions observer_options;
+    observer_options.metrics = config_.collect_metrics ? &registry : nullptr;
+    observer_options.trace = recorder.has_value() ? &*recorder : nullptr;
+    observer_options.labels = world->labels_;
+    observer.emplace(net, std::move(observer_options));
     net.set_link_state_hook([&observer](topo::LinkId link, bool up) {
       observer->on_link_state(link, up);
     });
   }
+  net.set_trace_hook([&checker, &observer](const sim::TraceEvent& e) {
+    checker.observe(e);
+    if (observer.has_value()) observer->on_trace(e);
+  });
   sim::EventLoopProfile* event_profile =
       config_.profile ? &result.profile.events : nullptr;
   net.events().set_profile(event_profile);
@@ -158,17 +186,19 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
     result.schedule = *override_schedule;
   } else {
     common::Rng schedule_rng(run_seed ^ 0x5eedfa171c5c11edULL);
-    result.schedule =
-        generate_schedule(scenario.topology, config_.schedule, schedule_rng);
+    result.schedule = generate_schedule(world->scenario_.topology,
+                                        config_.schedule, schedule_rng);
   }
   for (const LinkEvent& event : result.schedule.events) {
-    net.events().schedule_at(event.time, [&net, event] {
-      if (event.fail) {
-        net.fail_link_now(event.link);
-      } else {
-        net.repair_link_now(event.link);
-      }
-    });
+    // Captures no more than std::function stores inline: no allocation.
+    net.events().schedule_at(
+        event.time, [&net, link = event.link, fail = event.fail] {
+          if (fail) {
+            net.fail_link_now(link);
+          } else {
+            net.repair_link_now(link);
+          }
+        });
   }
 
   net.set_delivery_handler(route.dst_edge, [&result](const Packet& p) {
@@ -216,12 +246,16 @@ RunResult CampaignEngine::run_one(std::uint64_t run_seed,
   if (config_.profile) result.profile.phases.runs = 1;
   if (config_.collect_metrics) result.metrics = registry.snapshot();
   if (recorder.has_value()) result.trace = recorder->snapshot();
+  if (cancel == nullptr || !cancel->load(std::memory_order_relaxed)) {
+    slot = std::move(world);
+  }
   return result;
 }
 
 FailureSchedule CampaignEngine::shrink_schedule(
     std::uint64_t run_seed, const FailureSchedule& failing) const {
   FailureSchedule current = failing;
+  WorldSlot world;
   std::size_t replays = 0;
   bool improved = true;
   while (improved && replays < config_.max_shrink_replays) {
@@ -233,7 +267,7 @@ FailureSchedule CampaignEngine::shrink_schedule(
         if (j != i) candidate.events.push_back(current.events[j]);
       }
       ++replays;
-      const RunResult replay = run_one(run_seed, &candidate);
+      const RunResult replay = run_one(world, run_seed, &candidate);
       if (!replay.violations.empty()) {
         current = std::move(candidate);
         improved = true;
@@ -247,8 +281,9 @@ FailureSchedule CampaignEngine::shrink_schedule(
 
 CampaignResult CampaignEngine::run() const {
   CampaignAccumulator accumulator(*this);
+  WorldSlot world;
   for (std::size_t i = 0; i < config_.runs; ++i) {
-    accumulator.add(run_one(run_seed_at(i), nullptr, nullptr,
+    accumulator.add(run_one(world, run_seed_at(i), nullptr, nullptr,
                             /*traced=*/i < config_.trace_runs));
   }
   return accumulator.take();

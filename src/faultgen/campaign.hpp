@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "routing/controller.hpp"
 #include "sim/network.hpp"
 #include "stats/summary.hpp"
 #include "topology/scenario.hpp"
@@ -133,37 +135,85 @@ struct CampaignResult {
 /// for an unknown topology name.
 [[nodiscard]] topo::Scenario make_campaign_scenario(const std::string& name);
 
-/// The engine. Stateless between calls except for the config.
+/// What every run of one campaign shares, because its seed does not decide
+/// it: the scenario topology, the controller, the encoded scenario route,
+/// the network, the invariant checker and the observer labels. A run resets
+/// the world to the state a freshly built one has and then regenerates what
+/// its seed decides (schedule, link events, injector, random streams, and
+/// the hooks bound to its RunResult). A world belongs to one worker and is
+/// never shared; between runs it may still hold the last run's hooks and
+/// unfired events, which the next reset drops unrun.
+class CampaignWorld {
+ public:
+  /// Builds the world; throws std::invalid_argument for an unknown
+  /// topology (see make_campaign_scenario).
+  explicit CampaignWorld(const CampaignConfig& config);
+  // The network points into the scenario and the controller.
+  CampaignWorld(const CampaignWorld&) = delete;
+  CampaignWorld& operator=(const CampaignWorld&) = delete;
+
+ private:
+  friend class CampaignEngine;
+
+  /// Back to the freshly built state, the network's random stream seeded
+  /// from `run_seed`.
+  void reset(std::uint64_t run_seed);
+
+  topo::Scenario scenario_;
+  routing::Controller controller_;
+  routing::EncodedRoute route_;
+  sim::Network net_;
+  InvariantChecker checker_;
+  obs::Labels labels_;
+};
+
+/// A worker's world for one engine: empty until the worker's first run
+/// builds it, and emptied by a run that is cancelled or throws, so the
+/// next run starts from a fresh one.
+using WorldSlot = std::unique_ptr<CampaignWorld>;
+
+/// The engine. Stateless between calls except for the config; the worlds
+/// its runs reuse live in the callers' WorldSlots.
 class CampaignEngine {
  public:
   explicit CampaignEngine(CampaignConfig config);
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
-  /// Runs the whole campaign: `runs` seeded scenarios, shrinking and
-  /// reporting every violating run.
+  /// Runs the whole campaign: `runs` seeded scenarios on one world,
+  /// shrinking and reporting every violating run.
   [[nodiscard]] CampaignResult run() const;
 
-  /// One seeded run. When `override_schedule` is set it replaces the
-  /// generated schedule (the shrinker's replay path); traffic and network
-  /// randomness still derive from `run_seed`. `cancel`, when set, is a
-  /// cooperative stop flag polled between event-queue slices (the runner's
-  /// per-run timeout): a cancelled run returns early with
-  /// `queue_drained == false` and partial counters.
+  /// One seeded run on the world in `world`, which it builds when the slot
+  /// is empty and otherwise resets. When `override_schedule` is set it
+  /// replaces the generated schedule (the shrinker's replay path); traffic
+  /// and network randomness still derive from `run_seed`. `cancel`, when
+  /// set, is a cooperative stop flag polled between event-queue slices (the
+  /// runner's per-run timeout): a cancelled run returns early with
+  /// `queue_drained == false` and partial counters. A cancelled or throwing
+  /// run leaves the slot empty. The result equals a fresh-world run's,
+  /// field for field.
   ///
-  /// Thread safety: const and self-contained (each call builds its own
-  /// scenario, controller and network), so concurrent calls with distinct
-  /// seeds are safe — the property the parallel runner relies on.
+  /// Thread safety: const; the only state a run touches is its world, so
+  /// concurrent calls on distinct slots are safe — the property the
+  /// parallel runner relies on (one slot per worker).
   ///
   /// `traced` opts this run into trace recording (the caller decides by run
   /// index; shrinker replays never trace).
+  [[nodiscard]] RunResult run_one(
+      WorldSlot& world, std::uint64_t run_seed,
+      const FailureSchedule* override_schedule = nullptr,
+      const std::atomic<bool>* cancel = nullptr, bool traced = false) const;
+
+  /// The same run on a fresh world of its own.
   [[nodiscard]] RunResult run_one(
       std::uint64_t run_seed,
       const FailureSchedule* override_schedule = nullptr,
       const std::atomic<bool>* cancel = nullptr, bool traced = false) const;
 
   /// Greedy schedule shrinking: repeatedly drops events whose removal
-  /// keeps the run violating, until a fixpoint (or the replay budget).
+  /// keeps the run violating, until a fixpoint (or the replay budget). The
+  /// replays share one world.
   [[nodiscard]] FailureSchedule shrink_schedule(
       std::uint64_t run_seed, const FailureSchedule& failing) const;
 

@@ -27,6 +27,16 @@ InvariantChecker::InvariantChecker(const sim::Network& network,
       config_(config),
       hop_budget_(config.hop_budget_override.value_or(config.max_hops)) {}
 
+void InvariantChecker::reset() noexcept {
+  violations_.clear();
+  packets_.clear();
+  in_flight_ = 0;
+  last_time_ = 0.0;
+  injected_ = 0;
+  delivered_ = 0;
+  dropped_ = 0;
+}
+
 void InvariantChecker::record(Violation::Kind kind, double time,
                               std::uint64_t packet_id, std::string detail) {
   if (violations_.size() >= config_.max_recorded) return;

@@ -83,6 +83,10 @@ class InvariantChecker {
   /// Consumes one trace event (invoked from the simulation loop).
   void observe(const sim::TraceEvent& event);
 
+  /// Back to a new checker's state for the next run on the same network:
+  /// no counts, no violations and no packet state (storage kept).
+  void reset() noexcept;
+
   /// End-of-run checks. `queue_drained` says the event queue ran dry, in
   /// which case in-flight must be zero. Idempotent per run.
   void finish(bool queue_drained);

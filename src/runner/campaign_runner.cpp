@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace kar::runner {
 
@@ -115,8 +116,18 @@ faultgen::CampaignResult run_campaign(const faultgen::CampaignEngine& engine,
                                       const CampaignJobOptions& options,
                                       CampaignJobStats* stats) {
   faultgen::CampaignAccumulator accumulator(engine);
-  const auto fn = [&engine](std::size_t index, const CancelToken& token) {
-    return engine.run_one(engine.run_seed_at(index), nullptr, token.raw(),
+  // One world per worker slot, never shared: the serial path runs every
+  // run in slot 0 on this thread, the pool's worker w only in slot w.
+  const std::size_t jobs = options.runner.jobs == 0
+                               ? ThreadPool::default_threads()
+                               : options.runner.jobs;
+  std::vector<faultgen::WorldSlot> worlds(jobs);
+  const auto fn = [&engine, &worlds, jobs](std::size_t index,
+                                           const CancelToken& token) {
+    faultgen::WorldSlot& world =
+        worlds[jobs == 1 ? 0 : ThreadPool::current_worker()];
+    return engine.run_one(world, engine.run_seed_at(index), nullptr,
+                          token.raw(),
                           /*traced=*/index < engine.config().trace_runs);
   };
   const auto consume = [&](std::size_t index,

@@ -172,10 +172,11 @@ IndexedOutcome<T> execute_one(Fn& fn, std::size_t index, CancelToken& token) {
 /// calling thread, strictly in index order, exactly once per index.
 ///
 /// Requirements: `fn` is invoked concurrently from pool threads and must be
-/// safe to call in parallel (the campaign engine is: every run builds its
-/// own scenario/network from its seed). `consume` runs only on the calling
-/// thread. Completed out-of-order results are buffered (O(count) slots) —
-/// run values should be summaries, not gigabyte traces.
+/// safe to call in parallel (the campaign runner is: each worker runs on
+/// its own campaign world, keyed by ThreadPool::current_worker()); with
+/// `jobs == 1` every call runs on the calling thread. `consume` runs only
+/// on the calling thread. Completed out-of-order results are buffered
+/// (O(count) slots) — run values should be summaries, not gigabyte traces.
 template <typename T, typename Fn, typename Consume>
 RunnerReport run_indexed(std::size_t count, const RunnerConfig& config,
                          Fn&& fn, Consume&& consume) {

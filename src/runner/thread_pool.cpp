@@ -40,6 +40,8 @@ ThreadPool::~ThreadPool() {
   }
 }
 
+std::size_t ThreadPool::current_worker() noexcept { return t_current_worker; }
+
 std::size_t ThreadPool::next_external_worker() noexcept {
   if (t_current_pool == this) return t_current_worker;
   std::lock_guard<std::mutex> lock(sleep_mutex_);

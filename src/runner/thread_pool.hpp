@@ -44,6 +44,11 @@ class ThreadPool {
   /// allows it to report 0 when unknown).
   [[nodiscard]] static std::size_t default_threads();
 
+  /// The calling thread's worker index (0 .. size() - 1) in the pool that
+  /// runs it, or 0 on a thread no pool owns. A task may key per-worker
+  /// state by it: one worker runs one task at a time.
+  [[nodiscard]] static std::size_t current_worker() noexcept;
+
   /// Schedules `fn` on the pool. The returned future carries fn's result or
   /// its exception.
   template <typename F>

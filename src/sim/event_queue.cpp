@@ -157,6 +157,26 @@ void EventQueue::remove_timer(TimerId id) {
   free_timers_.push_back(id);
 }
 
+void EventQueue::reset() noexcept {
+  now_ = 0.0;
+  next_seq_ = 0;
+  latest_arm_ = 0.0;
+  profile_ = nullptr;
+  heap_.clear();
+  lane_head_ = 0;
+  lane_size_ = 0;
+  std::fill(channel_tail_.begin(), channel_tail_.end(), kNoNode);
+  nodes_.clear();
+  free_node_ = kNoNode;
+  chained_ = 0;
+  channel_heap_.clear();
+  timer_heap_.clear();
+  timers_.clear();
+  free_timers_.clear();
+  handlers_.clear();
+  free_handlers_.clear();
+}
+
 template <class Place>
 void EventQueue::sift_up(std::vector<Entry>& heap, std::size_t i, Entry entry,
                          Place place) {

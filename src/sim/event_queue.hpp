@@ -180,6 +180,12 @@ class EventQueue {
   /// Attaches the sink that receives packet events (nullptr detaches).
   void set_packet_sink(PacketEventSink* sink) noexcept { sink_ = sink; }
 
+  /// Back to a new queue's state: no queued event (their handlers are
+  /// destroyed unrun), no timer, now() and the latest armed deadline 0, and
+  /// the seq counter at 0. The channel count, the packet sink and the
+  /// storage stay; the profile is detached.
+  void reset() noexcept;
+
   /// Attaches (or detaches, with nullptr) per-kind event accounting. The
   /// profile must outlive its attachment; timing costs two clock reads per
   /// event, so attach only when profiling is wanted.

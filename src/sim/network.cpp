@@ -45,6 +45,33 @@ Network::Network(topo::Topology& topology, const routing::Controller& controller
   }
   link_state_.resize(topology.link_count());
   physically_up_.assign(topology.link_count(), true);
+  pristine_up_.resize(topology.link_count());
+  for (topo::LinkId link = 0; link < topology.link_count(); ++link) {
+    pristine_up_[link] = topology.link_up(link);
+  }
+}
+
+void Network::reset(std::uint64_t seed) {
+  events_.reset();
+  pool_.reset();
+  counters_ = NetworkCounters{};
+  next_packet_id_ = 1;
+  for (auto& dirs : link_state_) dirs = {};
+  physically_up_.assign(physically_up_.size(), true);
+  for (topo::LinkId link = 0; link < pristine_up_.size(); ++link) {
+    topo_->set_link_up(link, pristine_up_[link]);
+  }
+  installed_.clear();
+  route_table_version_ = 0;
+  config_.seed = seed;
+  rng_.reseed(seed);
+  trace_ = nullptr;
+  link_state_hook_ = nullptr;
+  // Unset handlers keep their map entries: arrive_at skips an empty one.
+  for (auto& entry : delivery_) entry.second = nullptr;
+  for (auto& sw : switches_) {
+    if (sw) sw->residue_cache().reset();
+  }
 }
 
 const dataplane::EdgeNode& Network::edge_at(topo::NodeId node) const {
@@ -301,7 +328,7 @@ void Network::apply_decision(topo::NodeId node, topo::PortIndex in_port,
 
 void Network::fail_link_now(topo::LinkId link) {
   // Physical failure: everything queued or in flight dies immediately.
-  physically_up_[link] = false;
+  physically_up_.at(link) = false;
   for (auto& dir : link_state_[link]) {
     ++dir.epoch;
     dir.busy_until = now();
@@ -326,7 +353,7 @@ void Network::fail_link_now(topo::LinkId link) {
 }
 
 void Network::repair_link_now(topo::LinkId link) {
-  physically_up_[link] = true;
+  physically_up_.at(link) = true;
   topo_->set_link_up(link, true);
   for (auto& dir : link_state_[link]) {
     ++dir.epoch;  // anything stale from before the repair is gone

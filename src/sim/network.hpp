@@ -154,6 +154,16 @@ class Network : private PacketEventSink {
   using LinkStateHook = std::function<void(topo::LinkId, bool up)>;
   void set_link_state_hook(LinkStateHook hook) { link_state_hook_ = std::move(hook); }
 
+  /// Back to the state a new network on the same topology, controller and
+  /// config has, with the random stream seeded from `seed`: empty event
+  /// queue at time 0, empty packet pool, pristine link state (the topology's
+  /// link-up flags as they were at construction), zero counters and packet
+  /// ids, an empty route table, empty residue caches with zero stats and no
+  /// bound metrics, and no trace, link-state or delivery hook. Storage is
+  /// kept, as are the edges' re-encode memos: the controller ignores
+  /// failures, so their answers never change.
+  void reset(std::uint64_t seed);
+
   /// Injects a packet from `edge` into the core at the current time. The
   /// packet must already be stamped (see EdgeNode::stamp).
   void inject(topo::NodeId edge, dataplane::Packet packet);
@@ -162,7 +172,8 @@ class Network : private PacketEventSink {
   void fail_link_at(double time, const std::string& node_a, const std::string& node_b);
   void repair_link_at(double time, const std::string& node_a, const std::string& node_b);
 
-  /// Direct (immediate) failure control.
+  /// Direct (immediate) failure control. Throws std::out_of_range for a
+  /// link the topology lacks.
   void fail_link_now(topo::LinkId link);
   void repair_link_now(topo::LinkId link);
 
@@ -226,6 +237,12 @@ class Network : private PacketEventSink {
     std::uint32_t acquire(dataplane::Packet&& packet);
     /// Returns `slot` to the free list; its contents are overwritten on reuse.
     void release(std::uint32_t slot) noexcept { free_.push_back(slot); }
+    /// Forgets every slot, keeping the chunks: slots are handed out from 0
+    /// again, as by a new pool.
+    void reset() noexcept {
+      free_.clear();
+      created_ = 0;
+    }
 
     [[nodiscard]] Slot& operator[](std::uint32_t slot) noexcept {
       return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
@@ -294,6 +311,8 @@ class Network : private PacketEventSink {
   /// Physical link state; diverges from the topology's (detected) state
   /// during the failure-detection window.
   std::vector<bool> physically_up_;
+  /// The topology's link-up flags at construction, restored by reset().
+  std::vector<bool> pristine_up_;
   std::function<void(const TraceEvent&)> trace_;
   LinkStateHook link_state_hook_;
   std::uint64_t next_packet_id_ = 1;

@@ -126,6 +126,45 @@ TEST(EventQueue, ReservedSeqsFireWhereEagerSchedulingWould) {
                std::invalid_argument);
 }
 
+TEST(EventQueue, ResetReturnsToANewQueue) {
+  // The same script on a queue reset mid-run and on a new queue: same
+  // firing order, same clock. The reset queue had events queued, a timer
+  // armed at t = 5 and seqs reserved, none of which may leak through.
+  const auto script = [](EventQueue& q, std::vector<int>& order) {
+    const std::uint64_t seq = q.reserve_seqs(1);
+    q.schedule_at(0.5, [&order] { order.push_back(2); });
+    q.schedule_at_seq(0.5, seq, EventKind::kTraffic,
+                      [&order] { order.push_back(1); });
+    const EventQueue::TimerId timer =
+        q.add_timer(EventKind::kTransportTimer, [&order] { order.push_back(3); });
+    q.arm_timer_at(timer, 0.75);
+    q.run_all();
+  };
+  EventQueue used;
+  int stale = 0;
+  used.schedule_at(1.0, [&stale] { ++stale; });
+  used.schedule_at(2.0, [&stale] { ++stale; });
+  const EventQueue::TimerId timer =
+      used.add_timer(EventKind::kTransportTimer, [&stale] { ++stale; });
+  used.arm_timer_at(timer, 5.0);
+  (void)used.reserve_seqs(7);
+  used.run_until(1.5);
+  ASSERT_EQ(stale, 1);
+  used.reset();
+  EXPECT_TRUE(used.empty());
+  EXPECT_EQ(used.now(), 0.0);
+
+  std::vector<int> after_reset;
+  std::vector<int> fresh_order;
+  EventQueue fresh;
+  script(used, after_reset);
+  script(fresh, fresh_order);
+  EXPECT_EQ(after_reset, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(after_reset, fresh_order);
+  EXPECT_EQ(used.now(), fresh.now());  // not the dropped timer's t = 5
+  EXPECT_EQ(stale, 1);
+}
+
 // -- differential ordering test against the former priority_queue ----------
 
 using FireFn = std::function<void(std::uint32_t)>;

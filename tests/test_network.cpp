@@ -409,5 +409,65 @@ TEST_F(NetFixture, DeterministicAcrossIdenticalSeeds) {
   EXPECT_NE(run(99), run(100));
 }
 
+TEST_F(NetFixture, ResetRestoresAFreshNetwork) {
+  // A network left dirty (a detected failure, packets in flight, a pending
+  // detection event, a route table, a trace hook) and reset to seed 5 must
+  // then run exactly like a new network seeded 5.
+  NetworkConfig config;
+  config.technique = DeflectionTechnique::kHotPotato;
+  config.failure_detection_delay_s = 0.0002;
+  config.seed = 9;
+  Network used = make_network(config);
+  const auto r = route(ProtectionLevel::kPartial);
+  std::size_t traced = 0;
+  used.set_trace_hook([&traced](const TraceEvent&) { ++traced; });
+  used.install_routes(3, {{7, &r}});
+  used.fail_link_at(0.0001, "SW7", "SW11");
+  for (int i = 0; i < 5; ++i) used.inject(r.src_edge, probe(r, used));
+  used.events().run_until(0.0004);
+  ASSERT_GT(used.packets_in_flight(), 0u);
+  const topo::LinkId failed = *scenario.topology.link_between(
+      scenario.topology.at("SW7"), scenario.topology.at("SW11"));
+  ASSERT_FALSE(scenario.topology.link_up(failed));
+  used.reset(5);
+  EXPECT_TRUE(scenario.topology.link_up(failed));
+  const std::size_t traced_before_reset = traced;
+  EXPECT_TRUE(used.events().empty());
+  EXPECT_EQ(used.now(), 0.0);
+  EXPECT_EQ(used.packets_in_flight(), 0u);
+  EXPECT_EQ(used.counters().injected, 0u);
+  EXPECT_EQ(used.route_table_version(), 0u);
+  EXPECT_EQ(used.installed_route_count(), 0u);
+  EXPECT_EQ(used.config().seed, 5u);
+
+  const auto drive = [](Network& net, const routing::EncodedRoute& route) {
+    std::vector<std::uint64_t> hops;
+    net.set_delivery_handler(route.dst_edge, [&hops](const Packet& p) {
+      hops.push_back(p.hop_count);
+    });
+    net.fail_link_at(0.0, "SW7", "SW11");
+    net.events().run_until(0.001);
+    for (int i = 0; i < 20; ++i) {
+      Packet p;
+      p.transport = dataplane::Datagram{static_cast<std::uint64_t>(i)};
+      net.edge_at(route.src_edge).stamp(p, route, 100);
+      net.inject(route.src_edge, std::move(p));
+    }
+    net.events().run_all();
+    hops.push_back(net.counters().deflections);
+    hops.push_back(net.counters().total_drops());
+    return hops;
+  };
+  Scenario other = topo::make_fig1_network();
+  const routing::Controller other_controller(other.topology);
+  config.seed = 5;
+  Network fresh(other.topology, other_controller, config);
+  const std::vector<std::uint64_t> reused = drive(used, r);
+  EXPECT_EQ(reused, drive(fresh, other_controller.encode_scenario(
+                                     other.route, ProtectionLevel::kPartial)));
+  EXPECT_GT(reused[reused.size() - 2], 0u);  // the walks drew from the RNG
+  EXPECT_EQ(traced, traced_before_reset);    // the old hook was dropped
+}
+
 }  // namespace
 }  // namespace kar::sim
