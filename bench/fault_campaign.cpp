@@ -223,8 +223,7 @@ int run_bench_json(const CliOptions& options, const std::string& path) {
   quiet.progress = options.progress;
 
   const std::size_t parallel_jobs =
-      options.jobs != 0 ? options.jobs
-                        : runner::ThreadPool::default_threads();
+      options.jobs != 0 ? options.jobs : runner::default_jobs();
   const GridOutcome serial = run_grid(quiet, 1, nullptr);
   const GridOutcome parallel = run_grid(quiet, parallel_jobs, nullptr);
   const bool deterministic = serial.canonical == parallel.canonical;
@@ -254,7 +253,7 @@ int run_bench_json(const CliOptions& options, const std::string& path) {
              static_cast<std::uint64_t>(options.techniques.size() *
                                         options.schedules.size()))
       .field("hardware_concurrency",
-             static_cast<std::uint64_t>(runner::ThreadPool::default_threads()))
+             static_cast<std::uint64_t>(runner::default_jobs()))
       .field("jobs", static_cast<std::uint64_t>(parallel_jobs))
       .raw("serial", per_run(serial))
       .raw("parallel", per_run(parallel))

@@ -168,7 +168,8 @@ int main(int argc, char** argv) {
 
   kar::runner::run_indexed<UnitResult>(
       unit_count, runner_config,
-      [&](std::size_t index, const kar::runner::CancelToken&) {
+      [&](std::size_t index, std::size_t,
+          const kar::runner::CancelToken&) {
         const std::size_t set = index % sets;
         const std::size_t cell = index / sets;
         const std::size_t k = cell / kConfigCount;

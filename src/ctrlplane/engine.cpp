@@ -194,7 +194,7 @@ EpochResult ReconvergenceEngine::apply(
   EpochResult result;
   EpochStats& stats = result.stats;
   {
-    obs::SpanTimer timer(&stats.wall_s, trace_, "ctrlplane.apply");
+    obs::SpanTimer timer(&stats.wall_s);
     ++version_;
     result.version = version_;
     stats.events = events.size();

@@ -41,7 +41,6 @@
 #include "ctrlplane/route_store.hpp"
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "routing/controller.hpp"
 #include "routing/protection.hpp"
 #include "topology/graph.hpp"
@@ -115,9 +114,6 @@ class ReconvergenceEngine {
   /// event/re-encode/fallback counters, stored-route gauge).
   void attach_metrics(obs::MetricsRegistry& registry,
                       const obs::Labels& labels = {});
-
-  /// Records a span per apply() into `recorder` (nullptr detaches).
-  void set_trace(obs::TraceRecorder* recorder) noexcept { trace_ = recorder; }
 
   /// Adds a route for (src, dst) and converges it against the current
   /// topology state. Throws std::invalid_argument when the endpoints are
@@ -223,7 +219,6 @@ class ReconvergenceEngine {
   std::unordered_map<topo::NodeId, std::unique_ptr<DstState>> dsts_;
   std::uint64_t version_ = 0;
   EpochStats totals_;
-  obs::TraceRecorder* trace_ = nullptr;
   // Metric handles (inert until attach_metrics).
   obs::Counter events_total_;
   obs::Counter epochs_total_;

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ostream>
@@ -24,10 +25,12 @@ volatile std::sig_atomic_t g_signal_flag = 0;
 
 void on_signal(int) { g_signal_flag = 1; }
 
-/// Creates, binds and listens on a 127.0.0.1 TCP socket; returns the fd and
-/// fills `port_out` with the bound port (resolving an ephemeral request).
+/// Creates, binds and listens on a non-blocking 127.0.0.1 TCP socket;
+/// returns the fd and fills `port_out` with the bound port (resolving an
+/// ephemeral request). Non-blocking, so a thread that polls the listener
+/// ready but loses the connection to another accept() does not block.
 int listen_localhost(std::uint16_t port, std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string("kard: socket(): ") +
                              std::strerror(errno));
@@ -72,13 +75,17 @@ bool write_all(int fd, std::string_view data) {
 }
 
 /// Accept with a poll timeout so stop() and signals are honored promptly.
-/// Returns the connection fd, -1 on timeout, -2 on fatal listener error.
+/// Returns the connection fd, -1 on timeout (or a connection another thread
+/// took first), -2 on fatal listener error. The connection fd is blocking
+/// (Linux accept() does not inherit O_NONBLOCK), as write_all() needs.
 int accept_with_timeout(int listen_fd, int timeout_ms) {
   pollfd pfd{listen_fd, POLLIN, 0};
   const int ready = ::poll(&pfd, 1, timeout_ms);
   if (ready <= 0) return -1;
   const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) return errno == EINTR ? -1 : -2;
+  if (fd < 0) {
+    return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ? -1 : -2;
+  }
   return fd;
 }
 
@@ -142,29 +149,36 @@ void run_stdin_loop(Kard& kard, int in_fd, std::ostream& out) {
 SocketServer::SocketServer(Kard& kard, std::uint16_t port, std::size_t workers)
     : kard_(kard) {
   listen_fd_ = listen_localhost(port, port_);
-  pool_ = std::make_unique<runner::ThreadPool>(workers == 0 ? 1 : workers);
-  acceptor_ = std::thread([this] { accept_loop(); });
+  const std::size_t count = std::max<std::size_t>(workers, 1);
+  try {
+    workers_.reserve(count);
+    for (std::size_t w = 0; w < count; ++w) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop();
+    throw;
+  }
 }
 
 SocketServer::~SocketServer() { stop(); }
 
 void SocketServer::stop() {
   if (stopping_.exchange(true)) return;
-  if (acceptor_.joinable()) acceptor_.join();
-  pool_.reset();  // drains in-flight connections
+  for (std::thread& worker : workers_) worker.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 }
 
-void SocketServer::accept_loop() {
+void SocketServer::worker_loop() {
   while (!stopping_.load(std::memory_order_relaxed) && !shutdown_signalled() &&
          !kard_.shutdown_requested()) {
     const int fd = accept_with_timeout(listen_fd_, /*timeout_ms=*/100);
     if (fd == -1) continue;
     if (fd == -2) break;
-    (void)pool_->submit([this, fd] { serve_connection(fd); });
+    serve_connection(fd);
   }
 }
 

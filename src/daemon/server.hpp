@@ -5,8 +5,8 @@
 //     polled so SIGINT/SIGTERM and `shutdown` interrupt a blocked read.
 //     This is what `kard --stdin` runs and the e2e smoke drives.
 //   * SocketServer — a localhost TCP listener speaking the length-prefixed
-//     frame protocol (daemon/protocol.hpp). Accepted connections are
-//     served on a runner::ThreadPool: each worker drains its connection's
+//     frame protocol (daemon/protocol.hpp). Each of its worker threads
+//     accepts one connection at a time from the shared listener, drains its
 //     FrameDecoder, executes every payload line against the Kard, and
 //     writes one response frame per request. A fatal framing violation
 //     gets a final error frame and the connection closes; a malformed
@@ -22,11 +22,10 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <thread>
+#include <vector>
 
 #include "daemon/daemon.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace kar::daemon {
 
@@ -45,8 +44,10 @@ void run_stdin_loop(Kard& kard, int in_fd, std::ostream& out);
 /// Length-prefixed frame server on a localhost TCP port.
 class SocketServer {
  public:
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts the
-  /// accept loop; connections are served on `workers` pool threads. Throws
+  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts
+  /// `workers` threads (0 counts as 1), each accepting and serving one
+  /// connection at a time, so at most `workers` connections are served at
+  /// once; later ones wait in the listen backlog. Throws
   /// std::runtime_error when the socket cannot be bound.
   SocketServer(Kard& kard, std::uint16_t port, std::size_t workers);
   ~SocketServer();
@@ -57,20 +58,19 @@ class SocketServer {
   /// The bound port (the resolved one when constructed with port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Stops accepting, closes the listener and joins the accept thread.
-  /// In-flight connections finish on the pool. Idempotent.
+  /// Stops accepting, joins the workers (each leaves its connection within
+  /// one 100 ms poll) and closes the listener. Idempotent.
   void stop();
 
  private:
-  void accept_loop();
+  void worker_loop();
   void serve_connection(int fd);
 
   Kard& kard_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::unique_ptr<runner::ThreadPool> pool_;
-  std::thread acceptor_;
+  std::vector<std::thread> workers_;
 };
 
 /// Minimal HTTP/1.0 Prometheus scrape endpoint on 127.0.0.1.

@@ -44,7 +44,7 @@ std::vector<Fig5Cell> fig5_grid(std::size_t runs, double seconds,
   const bool collect_metrics = metrics != nullptr;
   runner::run_indexed<UnitSample>(
       cells.size() * runs, runner,
-      [&](std::size_t index, const runner::CancelToken&) {
+      [&](std::size_t index, std::size_t, const runner::CancelToken&) {
         const Fig5Cell& cell = cells[index / runs];
         obs::MetricsRegistry registry(collect_metrics);
         TcpExperiment base;

@@ -237,15 +237,10 @@ std::string MetricsSnapshot::json() const {
   return out;
 }
 
-void MetricsRegistry::disable_family(std::string_view family) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  disabled_.emplace(family);
-}
-
 MetricsRegistry::FamilyState* MetricsRegistry::family_for(
     std::string_view name, MetricType type, std::string_view help,
     const std::vector<double>* bounds) {
-  if (!enabled_ || disabled_.contains(name)) return nullptr;
+  if (!enabled_) return nullptr;
   const auto it = families_.find(name);
   if (it != families_.end()) {
     if (it->second.type != type) {

@@ -6,12 +6,12 @@
 //     Histogram handle and updates it with one relaxed atomic op; the
 //     registry mutex is only taken at registration and snapshot time;
 //   * near-zero overhead when disabled — a handle created from a disabled
-//     registry (or a disabled family) carries a null cell, and every update
-//     is a single predictable branch (bench/micro_obs.cpp keeps this honest:
-//     <2% on the forwarding hot loop);
+//     registry carries a null cell, and every update is a single
+//     predictable branch (bench/micro_obs.cpp keeps this honest: <2% on
+//     the forwarding hot loop);
 //   * thread safety — registration and snapshotting are mutex-guarded,
 //     updates are lock-free atomics, so the registry is safe under the
-//     work-stealing runner and clean under sanitizers;
+//     parallel runner and clean under sanitizers;
 //   * deterministic aggregation — MetricsSnapshot is a value type ordered
 //     by (family, labels); merging snapshots in run-index order yields
 //     bit-identical results regardless of how the runs were scheduled
@@ -23,7 +23,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -166,10 +165,6 @@ class MetricsRegistry {
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Disables one family by name: subsequently created handles of that
-  /// family are inert. Must be called before the handles are created.
-  void disable_family(std::string_view family);
-
   /// Registers (or finds) a series and returns its handle. The same
   /// (family, labels) pair always maps to the same underlying cell, so
   /// handle creation is idempotent. Throws std::invalid_argument when the
@@ -198,14 +193,13 @@ class MetricsRegistry {
   };
 
   /// Looks up / creates the family, validating the type. Returns nullptr
-  /// when the registry or the family is disabled.
+  /// when the registry is disabled.
   FamilyState* family_for(std::string_view name, MetricType type,
                           std::string_view help,
                           const std::vector<double>* bounds);
 
   mutable std::mutex mutex_;
   bool enabled_;
-  std::set<std::string, std::less<>> disabled_;
   std::map<std::string, FamilyState, std::less<>> families_;
   // Stable storage: handles point into these deques forever.
   std::deque<internal::ScalarCell> scalar_cells_;

@@ -1,8 +1,7 @@
 // Span timers and per-phase wall-time profiles.
 //
-// SpanTimer is a RAII stopwatch accumulating into a double (and optionally
-// recording a kPhase span into a TraceRecorder). PhaseProfile is the
-// setup / event-loop / teardown breakdown a single simulation run
+// SpanTimer is a RAII stopwatch accumulating into a double. PhaseProfile is
+// the setup / event-loop / teardown breakdown a single simulation run
 // produces; profiles merge by addition, so a campaign's profile is the
 // fold of its runs (wall times are inherently non-deterministic and are
 // reported only — they never enter the determinism-checked aggregates).
@@ -15,10 +14,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <string_view>
-
-#include "obs/trace.hpp"
 
 namespace kar::obs {
 
@@ -47,15 +43,11 @@ struct PhaseProfile {
 };
 
 /// RAII stopwatch: adds its elapsed wall time to `*sink` when stopped or
-/// destroyed (once). When a recorder is given, also records a kPhase span.
+/// destroyed (once).
 class SpanTimer {
  public:
-  explicit SpanTimer(double* sink, TraceRecorder* recorder = nullptr,
-                     std::string name = {})
-      : sink_(sink),
-        recorder_(recorder),
-        name_(std::move(name)),
-        start_(std::chrono::steady_clock::now()) {}
+  explicit SpanTimer(double* sink)
+      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
 
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
@@ -70,20 +62,10 @@ class SpanTimer {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
             .count();
     if (sink_ != nullptr) *sink_ += elapsed;
-    if (recorder_ != nullptr) {
-      TraceRecord record;
-      record.cat = TraceCategory::kPhase;
-      record.name = name_.empty() ? "span" : name_;
-      record.ts_s = 0.0;  // phase spans are wall-relative, not sim-time
-      record.dur_s = elapsed;
-      recorder_->record(std::move(record));
-    }
   }
 
  private:
   double* sink_;
-  TraceRecorder* recorder_;
-  std::string name_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
 };

@@ -116,17 +116,13 @@ faultgen::CampaignResult run_campaign(const faultgen::CampaignEngine& engine,
                                       const CampaignJobOptions& options,
                                       CampaignJobStats* stats) {
   faultgen::CampaignAccumulator accumulator(engine);
-  // One world per worker slot, never shared: the serial path runs every
-  // run in slot 0 on this thread, the pool's worker w only in slot w.
-  const std::size_t jobs = options.runner.jobs == 0
-                               ? ThreadPool::default_threads()
-                               : options.runner.jobs;
-  std::vector<faultgen::WorldSlot> worlds(jobs);
-  const auto fn = [&engine, &worlds, jobs](std::size_t index,
-                                           const CancelToken& token) {
-    faultgen::WorldSlot& world =
-        worlds[jobs == 1 ? 0 : ThreadPool::current_worker()];
-    return engine.run_one(world, engine.run_seed_at(index), nullptr,
+  // One world per worker, never shared: run_indexed runs one call at a
+  // time on each worker.
+  std::vector<faultgen::WorldSlot> worlds(
+      options.runner.jobs == 0 ? default_jobs() : options.runner.jobs);
+  const auto fn = [&engine, &worlds](std::size_t index, std::size_t worker,
+                                     const CancelToken& token) {
+    return engine.run_one(worlds[worker], engine.run_seed_at(index), nullptr,
                           token.raw(),
                           /*traced=*/index < engine.config().trace_runs);
   };

@@ -5,7 +5,13 @@
 #include <cstdio>
 #include <iostream>
 
-namespace kar::runner::internal {
+namespace kar::runner {
+
+std::size_t default_jobs() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+namespace internal {
 
 Watchdog::Watchdog(double timeout_s) : timeout_s_(timeout_s) {
   if (timeout_s_ > 0.0) {
@@ -108,4 +114,5 @@ void ProgressMeter::render(std::size_t completed, bool final_line) {
   printed_anything_ = true;
 }
 
-}  // namespace kar::runner::internal
+}  // namespace internal
+}  // namespace kar::runner

@@ -1,12 +1,12 @@
 // Parallel experiment-orchestration runtime.
 //
-// run_indexed() executes `count` independent runs on a work-stealing pool
-// (thread_pool.hpp) and delivers every outcome to the calling thread IN
-// INDEX ORDER, whatever the scheduling. That single property is what makes
-// parallel campaigns bit-identical to serial ones: workers may finish in
-// any order, but aggregation always folds run 0, then run 1, ... — so any
-// order-sensitive reduction (floating-point sums, report lists, JSONL
-// records) sees the exact sequence the `--jobs 1` reference path produces.
+// run_indexed() executes `count` independent runs on `jobs` workers and
+// delivers every outcome to the calling thread IN INDEX ORDER, whatever
+// the scheduling. That single property is what makes parallel campaigns
+// bit-identical to serial ones: workers may finish in any order, but
+// aggregation always folds run 0, then run 1, ... — so any order-sensitive
+// reduction (floating-point sums, report lists, JSONL records) sees the
+// exact sequence the `--jobs 1` run produces.
 //
 // Per-run services:
 //   * crash isolation — a run that throws is captured as a failed outcome
@@ -17,17 +17,18 @@
 //     pathological scenario cannot hang the campaign;
 //   * live progress/ETA on stderr (opt-in), rate-limited.
 //
-// `jobs == 1` is the serial reference path: runs execute inline on the
-// calling thread, no pool is created (a watchdog thread appears only when
-// a timeout is requested).
+// Workers claim run indices from one shared counter. The calling thread is
+// worker 0 and consumes finished runs between its own; `jobs - 1` helper
+// threads are the other workers, so `jobs == 1` starts no thread (a
+// watchdog thread appears only when a timeout is requested).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -36,9 +37,11 @@
 #include <utility>
 #include <vector>
 
-#include "runner/thread_pool.hpp"
-
 namespace kar::runner {
+
+/// `std::thread::hardware_concurrency()`, with a floor of 1 (the standard
+/// allows it to report 0 when unknown).
+[[nodiscard]] std::size_t default_jobs();
 
 /// Cooperative cancellation flag shared between a run and the watchdog.
 class CancelToken {
@@ -56,8 +59,8 @@ class CancelToken {
 };
 
 struct RunnerConfig {
-  /// Worker threads; 0 means ThreadPool::default_threads() (hardware
-  /// concurrency), 1 means the serial in-line reference path.
+  /// Workers; 0 means default_jobs() (hardware concurrency), 1 runs every
+  /// run on the calling thread.
   std::size_t jobs = 0;
   /// Per-run cooperative timeout in seconds; <= 0 disables the watchdog.
   /// Note: a fired timeout makes that run's outcome scheduling-dependent,
@@ -146,12 +149,13 @@ class ProgressMeter {
 };
 
 template <typename T, typename Fn>
-IndexedOutcome<T> execute_one(Fn& fn, std::size_t index, CancelToken& token) {
+IndexedOutcome<T> execute_one(Fn& fn, std::size_t index, std::size_t worker,
+                              CancelToken& token) {
   IndexedOutcome<T> outcome;
   outcome.status.index = index;
   const auto start = std::chrono::steady_clock::now();
   try {
-    outcome.value.emplace(fn(index, token));
+    outcome.value.emplace(fn(index, worker, token));
     outcome.status.ok = true;
   } catch (const std::exception& error) {
     outcome.status.error = error.what();
@@ -167,89 +171,103 @@ IndexedOutcome<T> execute_one(Fn& fn, std::size_t index, CancelToken& token) {
 
 }  // namespace internal
 
-/// Runs fn(index, token) for every index in [0, count) with at most
-/// `config.jobs` runs in flight, and calls consume(index, outcome) on the
-/// calling thread, strictly in index order, exactly once per index.
+/// Runs fn(index, worker, token) for every index in [0, count) on
+/// `config.jobs` workers, and calls consume(index, outcome) on the calling
+/// thread, strictly in index order, exactly once per index.
 ///
-/// Requirements: `fn` is invoked concurrently from pool threads and must be
-/// safe to call in parallel (the campaign runner is: each worker runs on
-/// its own campaign world, keyed by ThreadPool::current_worker()); with
-/// `jobs == 1` every call runs on the calling thread. `consume` runs only
-/// on the calling thread. Completed out-of-order results are buffered
-/// (O(count) slots) — run values should be summaries, not gigabyte traces.
+/// Requirements: `fn` is invoked concurrently from the workers and must be
+/// safe to call in parallel. `worker` (< jobs) names the worker running the
+/// call, and one worker runs one call at a time, so `fn` may key per-worker
+/// state by it (the campaign runner keeps one campaign world per worker).
+/// Worker 0 is the calling thread. `consume` runs only on the calling
+/// thread. Completed out-of-order results are buffered (O(count) slots) —
+/// run values should be summaries, not gigabyte traces.
+///
+/// If `consume` throws, no further index is claimed: each worker finishes
+/// the run it holds, the helpers are joined, and the exception propagates.
 template <typename T, typename Fn, typename Consume>
 RunnerReport run_indexed(std::size_t count, const RunnerConfig& config,
                          Fn&& fn, Consume&& consume) {
   RunnerReport report;
-  report.jobs = config.jobs == 0 ? ThreadPool::default_threads() : config.jobs;
+  report.jobs = config.jobs == 0 ? default_jobs() : config.jobs;
   report.run_wall_s.resize(count, 0.0);
   const auto start = std::chrono::steady_clock::now();
   internal::ProgressMeter progress(config, count);
   internal::Watchdog watchdog(config.run_timeout_s);
 
-  const auto account =
-      [&report](const RunStatus& status) {
-        report.run_wall_s[status.index] = status.wall_s;
-        ++report.completed;
-        if (!status.ok) ++report.errored;
-        if (status.timed_out) ++report.timed_out;
-      };
+  struct Slot {
+    bool done = false;
+    IndexedOutcome<T> outcome;
+  };
+  std::vector<Slot> slots(count);  // guarded by `mutex`
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::atomic<std::size_t> next_claim{0};
 
-  if (report.jobs == 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      CancelToken token;
-      watchdog.arm(i, &token);
-      IndexedOutcome<T> outcome = internal::execute_one<T>(fn, i, token);
-      watchdog.disarm(i);
-      account(outcome.status);
-      consume(i, std::move(outcome));
-      progress.tick(i + 1);
-    }
-  } else {
-    struct Slot {
-      bool done = false;
-      IndexedOutcome<T> outcome;
-    };
-    std::vector<Slot> slots(count);
-    std::vector<std::unique_ptr<CancelToken>> tokens(count);
-    for (auto& token : tokens) token = std::make_unique<CancelToken>();
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t done_count = 0;
+  // Claims the next index and runs it on `worker`; false once none is left.
+  const auto run_next = [&](std::size_t worker) {
+    const std::size_t index = next_claim.fetch_add(1);
+    if (index >= count) return false;
+    CancelToken token;
+    watchdog.arm(index, &token);
+    IndexedOutcome<T> outcome =
+        internal::execute_one<T>(fn, index, worker, token);
+    watchdog.disarm(index);
     {
-      ThreadPool pool(report.jobs);
-      for (std::size_t i = 0; i < count; ++i) {
-        pool.submit([&, i] {
-          watchdog.arm(i, tokens[i].get());
-          IndexedOutcome<T> outcome =
-              internal::execute_one<T>(fn, i, *tokens[i]);
-          watchdog.disarm(i);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            slots[i].outcome = std::move(outcome);
-            slots[i].done = true;
-            ++done_count;
-          }
-          done_cv.notify_all();
-        });
-      }
-      std::size_t next = 0;
-      std::unique_lock<std::mutex> lock(mutex);
-      while (next < count) {
-        done_cv.wait_for(lock, std::chrono::milliseconds(100),
-                         [&] { return slots[next].done; });
-        progress.tick(done_count);
-        while (next < count && slots[next].done) {
-          IndexedOutcome<T> outcome = std::move(slots[next].outcome);
-          lock.unlock();
-          account(outcome.status);
-          consume(next, std::move(outcome));
-          ++next;
-          lock.lock();
+      std::lock_guard<std::mutex> lock(mutex);
+      slots[index].outcome = std::move(outcome);
+      slots[index].done = true;
+    }
+    done_cv.notify_one();
+    return true;
+  };
+
+  // Consumes every finished slot from `next` on, in index order.
+  std::size_t next = 0;
+  const auto consume_ready = [&](std::unique_lock<std::mutex>& lock) {
+    while (next < count && slots[next].done) {
+      IndexedOutcome<T> outcome = std::move(slots[next].outcome);
+      lock.unlock();
+      report.run_wall_s[next] = outcome.status.wall_s;
+      ++report.completed;
+      if (!outcome.status.ok) ++report.errored;
+      if (outcome.status.timed_out) ++report.timed_out;
+      consume(next, std::move(outcome));
+      ++next;
+      lock.lock();
+    }
+    progress.tick(report.completed);
+  };
+
+  std::vector<std::thread> helpers;
+  const auto join_helpers = [&helpers] {
+    for (std::thread& helper : helpers) helper.join();
+  };
+  try {
+    for (std::size_t w = 1; w < std::min(report.jobs, count); ++w) {
+      helpers.emplace_back([&run_next, w] {
+        while (run_next(w)) {
         }
-      }
-    }  // joins the pool
+      });
+    }
+    std::unique_lock<std::mutex> lock(mutex, std::defer_lock);
+    while (run_next(0)) {
+      lock.lock();
+      consume_ready(lock);
+      lock.unlock();
+    }
+    lock.lock();
+    while (next < count) {
+      done_cv.wait_for(lock, std::chrono::milliseconds(100),
+                       [&] { return slots[next].done; });
+      consume_ready(lock);
+    }
+  } catch (...) {
+    next_claim.store(count);
+    join_helpers();
+    throw;
   }
+  join_helpers();
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -61,8 +61,6 @@ void Network::reset(std::uint64_t seed) {
   for (topo::LinkId link = 0; link < pristine_up_.size(); ++link) {
     topo_->set_link_up(link, pristine_up_[link]);
   }
-  installed_.clear();
-  route_table_version_ = 0;
   config_.seed = seed;
   rng_.reseed(seed);
   trace_ = nullptr;
@@ -360,28 +358,6 @@ void Network::repair_link_now(topo::LinkId link) {
     dir.busy_until = now();
   }
   if (link_state_hook_) link_state_hook_(link, /*up=*/true);
-}
-
-void Network::install_routes(std::uint64_t version,
-                             const std::vector<RouteInstall>& batch) {
-  if (version < route_table_version_) {
-    throw std::invalid_argument(
-        "Network::install_routes: stale epoch " + std::to_string(version) +
-        " (table is at " + std::to_string(route_table_version_) + ")");
-  }
-  for (const RouteInstall& entry : batch) {
-    if (entry.route != nullptr) {
-      installed_[entry.key] = *entry.route;
-    } else {
-      installed_.erase(entry.key);
-    }
-  }
-  route_table_version_ = version;
-}
-
-const routing::EncodedRoute* Network::installed_route(std::uint64_t key) const {
-  const auto it = installed_.find(key);
-  return it == installed_.end() ? nullptr : &it->second;
 }
 
 void Network::attach_dataplane_metrics(obs::MetricsRegistry& registry,

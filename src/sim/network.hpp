@@ -158,10 +158,10 @@ class Network : private PacketEventSink {
   /// config has, with the random stream seeded from `seed`: empty event
   /// queue at time 0, empty packet pool, pristine link state (the topology's
   /// link-up flags as they were at construction), zero counters and packet
-  /// ids, an empty route table, empty residue caches with zero stats and no
-  /// bound metrics, and no trace, link-state or delivery hook. Storage is
-  /// kept, as are the edges' re-encode memos: the controller ignores
-  /// failures, so their answers never change.
+  /// ids, empty residue caches with zero stats and no bound metrics, and no
+  /// trace, link-state or delivery hook. Storage is kept, as are the edges'
+  /// re-encode memos: the controller ignores failures, so their answers
+  /// never change.
   void reset(std::uint64_t seed);
 
   /// Injects a packet from `edge` into the core at the current time. The
@@ -176,30 +176,6 @@ class Network : private PacketEventSink {
   /// link the topology lacks.
   void fail_link_now(topo::LinkId link);
   void repair_link_now(topo::LinkId link);
-
-  /// One route-table entry change inside an install epoch; `route` is
-  /// copied, nullptr withdraws the key.
-  struct RouteInstall {
-    std::uint64_t key = 0;
-    const routing::EncodedRoute* route = nullptr;
-  };
-
-  /// Applies one batched control-plane update epoch atomically (the
-  /// simulator is single-threaded: all entries land between two events)
-  /// and advances the table to `version`. Versions must be monotonic;
-  /// a stale epoch (version < current) throws std::invalid_argument —
-  /// equal versions are allowed so an initial load can install in stages.
-  void install_routes(std::uint64_t version, const std::vector<RouteInstall>& batch);
-
-  /// The last installed epoch version (0 before any install).
-  [[nodiscard]] std::uint64_t route_table_version() const noexcept {
-    return route_table_version_;
-  }
-  /// The installed route under `key`, or nullptr when absent/withdrawn.
-  [[nodiscard]] const routing::EncodedRoute* installed_route(std::uint64_t key) const;
-  [[nodiscard]] std::size_t installed_route_count() const noexcept {
-    return installed_.size();
-  }
 
   /// Registers the residue-cache counter families
   /// (kar_dataplane_residue_cache_{hits,misses,evictions}_total) in
@@ -316,9 +292,6 @@ class Network : private PacketEventSink {
   std::function<void(const TraceEvent&)> trace_;
   LinkStateHook link_state_hook_;
   std::uint64_t next_packet_id_ = 1;
-  /// Control-plane route table (install_routes); keyed by RouteKey.
-  std::unordered_map<std::uint64_t, routing::EncodedRoute> installed_;
-  std::uint64_t route_table_version_ = 0;
 };
 
 }  // namespace kar::sim

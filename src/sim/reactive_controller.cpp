@@ -36,15 +36,9 @@ ReactiveController::~ReactiveController() {
 void ReactiveController::watch_flow(topo::NodeId src_edge, topo::NodeId dst_edge,
                                     RouteUpdateHandler on_update) {
   // Flow index == route key (both dense registration orders). The initial
-  // encoding converges against the current topology and is installed at
-  // the engine's current version; handlers only fire on reactions.
-  const ctrlplane::RouteKey key = engine_.add_route(src_edge, dst_edge);
-  const ctrlplane::RouteView entry = store_.get(key);
-  if (entry.live) {
-    const std::vector<Network::RouteInstall> batch{
-        Network::RouteInstall{key, &entry.route}};
-    net_->install_routes(engine_.version(), batch);
-  }
+  // encoding converges against the current topology; handlers only fire on
+  // reactions.
+  (void)engine_.add_route(src_edge, dst_edge);
   flows_.push_back(WatchedFlow{src_edge, dst_edge, std::move(on_update)});
 }
 
@@ -69,14 +63,6 @@ void ReactiveController::react() {
   }
   std::sort(updated.begin(), updated.end());
   recomputes_ += updated.size();
-  std::vector<Network::RouteInstall> batch;
-  batch.reserve(updated.size());
-  for (const ctrlplane::RouteKey key : updated) {
-    const ctrlplane::RouteView entry = store_.get(key);
-    batch.push_back(
-        Network::RouteInstall{key, entry.live ? &entry.route : nullptr});
-  }
-  net_->install_routes(epoch.version, batch);
   // Only flows whose route actually changed (and still exists) hear about
   // it — the affected-set contract.
   for (const ctrlplane::RouteKey key : updated) {

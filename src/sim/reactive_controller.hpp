@@ -6,9 +6,8 @@
 // motivation into a measurable baseline (bench/controller_reaction).
 //
 // The reaction path runs on ctrlplane::ReconvergenceEngine: link events
-// reconverge only the affected route set, the result is installed into the
-// network as one versioned epoch, and only flows whose route actually
-// changed see their update callback.
+// reconverge only the affected route set, and only flows whose route
+// actually changed see their update callback with the new encoding.
 #pragma once
 
 #include <cstdint>

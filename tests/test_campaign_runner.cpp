@@ -1,6 +1,6 @@
 // The determinism contract of the parallel campaign runner: a campaign's
 // aggregates are bit-identical whether its runs execute serially
-// (CampaignEngine::run or --jobs=1) or on a work-stealing pool, JSONL
+// (CampaignEngine::run or --jobs=1) or on parallel workers, JSONL
 // records land one per run in run-index order, and a run that throws is
 // isolated instead of killing the campaign.
 #include "runner/campaign_runner.hpp"

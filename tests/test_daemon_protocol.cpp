@@ -13,17 +13,21 @@
 //     the shutdown drain);
 //   * fuzz walls — random bytes and random malformed lines never crash the
 //     parser; a live SocketServer answers garbage payloads with structured
-//     errors and the connection survives to serve the next valid request.
+//     errors and the connection survives to serve the next valid request;
+//   * worker limit — a SocketServer with N workers serves N connections at
+//     once and answers the next one when one of them closes.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -618,6 +622,12 @@ class Client {
     return read_frame();
   }
 
+  /// True when a response byte (or EOF) arrives within `timeout_ms`.
+  bool readable_within(int timeout_ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, timeout_ms) > 0;
+  }
+
  private:
   int fd_ = -1;
   FrameDecoder decoder_;
@@ -665,6 +675,30 @@ TEST(SocketFuzz, FatalFramingClosesWithStructuredError) {
     // A fresh connection is unaffected.
     Client again(server.port());
     EXPECT_NE(again.request("ping").find("\"pong\""), std::string::npos);
+    server.stop();
+  }
+  kard.stop();
+}
+
+TEST(SocketServer, ServesAtMostWorkersConnectionsAtOnce) {
+  daemon::Kard kard(tiny_config());
+  kard.start();
+  {
+    daemon::SocketServer server(kard, 0, 2);
+    auto first = std::make_unique<Client>(server.port());
+    Client second(server.port());
+    // Both connections are open and served, in either order.
+    EXPECT_NE(first->request("ping").find("\"pong\""), std::string::npos);
+    EXPECT_NE(second.request("ping").find("\"pong\""), std::string::npos);
+    EXPECT_NE(first->request("ping").find("\"pong\""), std::string::npos);
+    // A third connection waits in the backlog while both workers are busy.
+    Client third(server.port());
+    third.send_raw(encode_frame("ping"));
+    EXPECT_FALSE(third.readable_within(/*timeout_ms=*/300));
+    // Closing one frees its worker, which accepts the third connection.
+    first.reset();
+    EXPECT_NE(third.read_frame().find("\"pong\""), std::string::npos);
+    EXPECT_NE(second.request("ping").find("\"pong\""), std::string::npos);
     server.stop();
   }
   kard.stop();

@@ -94,19 +94,6 @@ TEST(MetricsRegistry, DefaultConstructedHandlesAreInert) {
   EXPECT_FALSE(counter.enabled());
 }
 
-TEST(MetricsRegistry, DisableFamilySilencesOnlyThatFamily) {
-  MetricsRegistry registry(true);
-  registry.disable_family("kar_noisy_total");
-  Counter noisy = registry.counter("kar_noisy_total", "help");
-  Counter kept = registry.counter("kar_kept_total", "help");
-  noisy.inc(100);
-  kept.inc(1);
-  EXPECT_FALSE(noisy.enabled());
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.families.count("kar_noisy_total"), 0u);
-  EXPECT_EQ(snap.families.at("kar_kept_total").series.at("").count, 1u);
-}
-
 TEST(MetricsRegistry, FamilyTypeConflictThrows) {
   MetricsRegistry registry(true);
   (void)registry.counter("kar_test_total", "help");
@@ -437,22 +424,16 @@ TEST(TraceRecorder, UnderfilledRingSnapshotsInOrder) {
 // ---------------------------------------------------------------------------
 // Span timers and phase profiles.
 
-TEST(SpanTimer, AccumulatesIntoSinkOnceAndRecordsAPhaseSpan) {
+TEST(SpanTimer, AccumulatesIntoSinkOnce) {
   double sink = 0.0;
-  TraceRecorder recorder(8);
   {
-    SpanTimer timer(&sink, &recorder, "setup");
+    SpanTimer timer(&sink);
     timer.stop();
     const double after_stop = sink;
     timer.stop();  // idempotent
     EXPECT_EQ(sink, after_stop);
   }  // destructor must not double-add
   EXPECT_GE(sink, 0.0);
-  const auto records = recorder.snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].cat, TraceCategory::kPhase);
-  EXPECT_EQ(records[0].name, "setup");
-  EXPECT_GE(records[0].dur_s, 0.0);
 }
 
 TEST(SpanTimer, NullSinkIsInert) {

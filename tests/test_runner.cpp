@@ -1,9 +1,8 @@
-// The parallel experiment runner: seed derivation, the work-stealing
-// thread pool (task execution, future-based exception propagation, the
-// steal path, nested submission), run_indexed (in-index-order delivery,
-// crash isolation, cooperative timeout cancellation) and the JSONL writer
-// (escaping, deterministic number formatting, torn-write safety under
-// concurrent writers).
+// The parallel experiment runner: seed derivation, run_indexed (in-index-
+// order delivery, exclusive worker indices, crash isolation, cooperative
+// timeout cancellation, a throwing consumer stopping the claims) and the
+// JSONL writer (escaping, deterministic number formatting, torn-write
+// safety under concurrent writers).
 #include "runner/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,7 +22,6 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "runner/jsonl.hpp"
-#include "runner/thread_pool.hpp"
 #include "support/testsupport.hpp"
 
 namespace kar::runner {
@@ -57,80 +54,6 @@ TEST(DeriveSeed, IsStableAcrossReleases) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, ExecutesEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 200; ++i) {
-      futures.push_back(pool.submit([&count] { ++count; }));
-    }
-    for (auto& f : futures) f.get();
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, ReturnsValuesThroughFutures) {
-  ThreadPool pool(2);
-  auto square = pool.submit([] { return 21 * 2; });
-  auto text = pool.submit([] { return std::string("kar"); });
-  EXPECT_EQ(square.get(), 42);
-  EXPECT_EQ(text.get(), "kar");
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto failing = pool.submit(
-      []() -> int { throw std::runtime_error("planted failure"); });
-  auto healthy = pool.submit([] { return 7; });
-  EXPECT_EQ(healthy.get(), 7);  // a throwing task must not poison others
-  try {
-    failing.get();
-    FAIL() << "expected the planted exception";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "planted failure");
-  }
-}
-
-TEST(ThreadPool, StealsWorkFromABlockedWorker) {
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  // Occupy one worker indefinitely...
-  auto blocker = pool.submit_to(0, [released] { released.wait(); });
-  // ...then pile work onto worker 0's deque specifically. With worker 0
-  // busy (whichever worker picked the blocker up), the other worker must
-  // steal these for them to complete while the blocker is still held.
-  std::vector<std::future<void>> futures;
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit_to(0, [&done] { ++done; }));
-  }
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  }
-  EXPECT_EQ(done.load(), 50);
-  release.set_value();
-  blocker.get();
-}
-
-TEST(ThreadPool, SupportsNestedSubmission) {
-  ThreadPool pool(2);
-  auto outer = pool.submit([&pool] {
-    auto inner = pool.submit([] { return 5; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 6);
-}
-
-TEST(ThreadPool, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // run_indexed.
 // ---------------------------------------------------------------------------
 
@@ -145,7 +68,7 @@ TEST(RunIndexed, DeliversOutcomesInIndexOrderUnderParallelism) {
   }
   const RunnerReport report = run_indexed<std::size_t>(
       64, config,
-      [&delays](std::size_t index, const CancelToken&) {
+      [&delays](std::size_t index, std::size_t, const CancelToken&) {
         // Scramble completion order.
         std::this_thread::sleep_for(std::chrono::milliseconds(delays[index]));
         return index * 10;
@@ -172,7 +95,7 @@ TEST(RunIndexed, SerialAndParallelFoldIdentically) {
     double sum = 0.0;  // order-sensitive floating-point fold
     run_indexed<double>(
         200, config,
-        [](std::size_t index, const CancelToken&) {
+        [](std::size_t index, std::size_t, const CancelToken&) {
           return 1.0 / static_cast<double>(index + 1);
         },
         [&sum](std::size_t, IndexedOutcome<double>&& outcome) {
@@ -193,7 +116,7 @@ TEST(RunIndexed, IsolatesThrowingRuns) {
     std::size_t failed_runs = 0;
     const RunnerReport report = run_indexed<int>(
         20, config,
-        [](std::size_t index, const CancelToken&) {
+        [](std::size_t index, std::size_t, const CancelToken&) {
           if (index % 5 == 3) {
             throw std::runtime_error("bad scenario " + std::to_string(index));
           }
@@ -222,7 +145,7 @@ TEST(RunIndexed, WatchdogCancelsOverdueRuns) {
     config.run_timeout_s = 0.05;
     const RunnerReport report = run_indexed<int>(
         1, config,
-        [](std::size_t, const CancelToken& token) {
+        [](std::size_t, std::size_t, const CancelToken& token) {
           // A "pathological scenario": loops until cancelled.
           while (!token.cancelled()) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -237,12 +160,77 @@ TEST(RunIndexed, WatchdogCancelsOverdueRuns) {
   }
 }
 
+TEST(RunIndexed, WorkerIndexIsExclusive) {
+  // run_campaign keys one campaign world per worker index, so an index must
+  // stay below `jobs` and never serve two calls at once.
+  for (const std::size_t jobs :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    RunnerConfig config;
+    config.jobs = jobs;
+    std::vector<std::atomic<bool>> in_use(jobs);
+    std::atomic<std::size_t> out_of_range{0};
+    std::atomic<std::size_t> shared{0};
+    std::atomic<std::size_t> runs{0};
+    run_indexed<int>(
+        64, config,
+        [&](std::size_t index, std::size_t worker, const CancelToken&) {
+          if (worker >= jobs) {
+            ++out_of_range;
+            return 0;
+          }
+          ++runs;
+          if (in_use[worker].exchange(true)) ++shared;
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(200 * (index % 3)));
+          in_use[worker].store(false);
+          return 0;
+        },
+        [](std::size_t, IndexedOutcome<int>&&) {});
+    EXPECT_EQ(out_of_range.load(), 0u) << "jobs=" << jobs;
+    EXPECT_EQ(shared.load(), 0u) << "jobs=" << jobs;
+    EXPECT_EQ(runs.load(), 64u) << "jobs=" << jobs;
+  }
+}
+
+TEST(RunIndexed, ThrowingConsumeStopsClaimingRuns) {
+  constexpr std::size_t kRuns = 200;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    RunnerConfig config;
+    config.jobs = jobs;
+    std::atomic<std::size_t> executed{0};
+    bool caught = false;
+    try {
+      run_indexed<int>(
+          kRuns, config,
+          [&executed](std::size_t, std::size_t, const CancelToken&) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ++executed;
+            return 0;
+          },
+          [](std::size_t index, IndexedOutcome<int>&&) {
+            if (index == 2) throw std::runtime_error("consumer failed");
+          });
+    } catch (const std::runtime_error& error) {
+      caught = true;
+      EXPECT_STREQ(error.what(), "consumer failed");
+    }
+    EXPECT_TRUE(caught) << "jobs=" << jobs;
+    const std::size_t at_return = executed.load();
+    EXPECT_LT(at_return, kRuns) << "jobs=" << jobs;
+    // Every worker was joined before the exception left: nothing runs on.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(executed.load(), at_return) << "jobs=" << jobs;
+  }
+}
+
+TEST(RunIndexed, DefaultJobsIsPositive) { EXPECT_GE(default_jobs(), 1u); }
+
 TEST(RunIndexed, HandlesZeroRuns) {
   RunnerConfig config;
   config.jobs = 4;
   bool consumed = false;
   const RunnerReport report = run_indexed<int>(
-      0, config, [](std::size_t, const CancelToken&) { return 0; },
+      0, config, [](std::size_t, std::size_t, const CancelToken&) { return 0; },
       [&consumed](std::size_t, IndexedOutcome<int>&&) { consumed = true; });
   EXPECT_FALSE(consumed);
   EXPECT_EQ(report.completed, 0u);
@@ -365,22 +353,19 @@ TEST(Jsonl, ConcurrentWritersNeverTearLines) {
   JsonlWriter writer(out);
   constexpr int kThreads = 8;
   constexpr int kRecords = 200;
-  {
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.submit([&writer, t] {
-        for (int r = 0; r < kRecords; ++r) {
-          JsonObject record;
-          record.field("writer", static_cast<std::int64_t>(t))
-              .field("record", static_cast<std::int64_t>(r))
-              .field("payload", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
-          writer.write(record);
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&writer, t] {
+      for (int r = 0; r < kRecords; ++r) {
+        JsonObject record;
+        record.field("writer", static_cast<std::int64_t>(t))
+            .field("record", static_cast<std::int64_t>(r))
+            .field("payload", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
+        writer.write(record);
+      }
+    });
   }
+  for (std::thread& thread : writers) thread.join();
   // Every line must be a complete, well-formed record; the set of
   // (writer, record) pairs must be exactly kThreads x kRecords.
   std::istringstream in(out.str());
