@@ -5,10 +5,15 @@
 // nothing:
 //   forwarding — the naive decision, KarSwitch::decide fed
 //                KarSwitch::residue (per-hop BigUint::mod_u64 long
-//                division), vs KarSwitch::forward (PreparedMod reduction
-//                behind the route-ID residue memo), on the fig2
-//                (experimental15) and RNP-28 scenarios across all four
-//                deflection techniques;
+//                division), vs KarSwitch::forward (PreparedMod reduction,
+//                through the route-ID residue memo for routes wider than
+//                128 bits), on the fig2 (experimental15) and RNP-28
+//                scenarios across all four deflection techniques, at the
+//                native route widths, 96, 128 and ~512 bits. Each row also
+//                times both residue paths forward() chooses between,
+//                decide fed PreparedMod::reduce ("direct") and decide fed a
+//                warm ResidueCache hit ("memo"), so the width gate's
+//                break-even is measured, not assumed;
 //   divmod     — multi-limb BigUint::divmod (Knuth Algorithm D, word
 //                level) vs the retired bit-at-a-time divider
 //                (testsupport::divmod_binary) on a route-ID-sized dividend;
@@ -40,6 +45,7 @@
 #include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "dataplane/residue_cache.hpp"
 #include "dataplane/switch.hpp"
 #include "rns/biguint.hpp"
 #include "rns/prepared_mod.hpp"
@@ -79,6 +85,8 @@ struct ForwardingCase {
   std::size_t route_bits = 0;
   double naive_ns = 0.0;
   double fast_ns = 0.0;
+  double direct_ns = 0.0;  ///< decide(PreparedMod::reduce(R)).
+  double memo_ns = 0.0;    ///< decide(ResidueCache hit), the memo's best case.
 
   [[nodiscard]] double speedup() const { return naive_ns / fast_ns; }
 };
@@ -131,6 +139,17 @@ ForwardingCase run_forwarding_case(const kar::topo::Scenario& scenario,
     const KarSwitch sw(scenario.topology, node, technique);
     result.fast_ns = measure(
         [&](kar::common::Rng& rng) { return sw.forward(packet, 0, rng); });
+  }
+  {
+    const KarSwitch sw(scenario.topology, node, technique);
+    const kar::rns::PreparedMod prepared(sw.switch_id());
+    result.direct_ns = measure([&](kar::common::Rng& rng) {
+      return sw.decide(prepared.reduce(packet.kar.route_id), 0, rng);
+    });
+    kar::dataplane::ResidueCache cache;
+    result.memo_ns = measure([&](kar::common::Rng& rng) {
+      return sw.decide(cache.lookup(packet.kar.route_id, prepared), 0, rng);
+    });
   }
   return result;
 }
@@ -197,6 +216,30 @@ int main(int argc, char** argv) {
                             technique, iters, reps);
     c.scenario += "-wide";
     cases.push_back(c);
+  }
+
+  // Break-even rows for the width gate: 96 and 128 bits, wider than a
+  // machine word but still reduced directly (<= 128 bits). Each is the
+  // route plus the smallest multiple of the switch ID that is
+  // >= 2^(bits - 1): exactly `bits` wide, with the same residue.
+  const auto widen_to = [](const BigUint& route, std::uint64_t sw_id,
+                           std::size_t bits) {
+    const BigUint floor = BigUint(1) << (bits - 1);
+    const BigUint multiple = (floor / BigUint(sw_id) + BigUint(1)) * sw_id;
+    return route + multiple;
+  };
+  for (const std::size_t bits : {96u, 128u}) {
+    const std::string suffix = "-" + std::to_string(bits) + "b";
+    for (const auto technique : techniques) {
+      auto c = run_forwarding_case(fig2, widen_to(fig2_route, sw7_id, bits),
+                                   "SW7", technique, iters, reps);
+      c.scenario += suffix;
+      cases.push_back(c);
+      c = run_forwarding_case(rnp28, widen_to(rnp28_route, sw13_id, bits),
+                              "SW13", technique, iters, reps);
+      c.scenario += suffix;
+      cases.push_back(c);
+    }
   }
 
   // divmod: a route-ID-sized dividend over a multi-limb divisor (the
@@ -279,7 +322,8 @@ int main(int argc, char** argv) {
   std::cout << "=== forwarding hot loop: naive mod_u64 vs residue fast path ("
             << iters << " decisions x " << reps << " reps, best-of) ===\n";
   kar::common::TextTable table({"scenario", "technique", "switch", "route bits",
-                                "naive ns/op", "fast ns/op", "speedup"});
+                                "naive ns/op", "fast ns/op", "speedup",
+                                "direct ns/op", "memo ns/op"});
   for (const auto& c : cases) {
     // Every committed scenario gates — the width gate in residue_fast means
     // narrow routes no longer pay the memo, so they must not regress either.
@@ -288,7 +332,9 @@ int main(int argc, char** argv) {
                    std::to_string(c.route_bits),
                    kar::common::fmt_double(c.naive_ns, 2),
                    kar::common::fmt_double(c.fast_ns, 2),
-                   kar::common::fmt_double(c.speedup(), 2) + "x"});
+                   kar::common::fmt_double(c.speedup(), 2) + "x",
+                   kar::common::fmt_double(c.direct_ns, 2),
+                   kar::common::fmt_double(c.memo_ns, 2)});
   }
   std::cout << table.render();
 
@@ -323,7 +369,9 @@ int main(int argc, char** argv) {
           .field("route_bits", static_cast<std::uint64_t>(c.route_bits))
           .field("naive_ns_per_op", c.naive_ns)
           .field("fast_ns_per_op", c.fast_ns)
-          .field("speedup", c.speedup());
+          .field("speedup", c.speedup())
+          .field("direct_ns_per_op", c.direct_ns)
+          .field("memo_ns_per_op", c.memo_ns);
       if (i > 0) forwarding_json += ",";
       forwarding_json += entry.str();
     }

@@ -15,7 +15,7 @@
 //   --stdin               serve newline-delimited requests on stdio
 //   --listen=PORT         serve framed requests on 127.0.0.1:PORT (0 = pick)
 //   --metrics-port=PORT   Prometheus scrape endpoint on 127.0.0.1:PORT
-//   --workers=N           socket worker threads (default 2)
+//   --workers=N           socket worker threads, 1-256 (default 2)
 //   --snapshot=PATH       snapshot file (written on shutdown; `snapshot` verb)
 //   --restore             restore from --snapshot before serving
 //   --no-final-snapshot   skip the shutdown snapshot
@@ -30,7 +30,8 @@
 //   --no-host-edges       do not attach per-switch host edge nodes
 //   --no-metrics          disable the metrics registry
 //
-// An unknown flag or a port outside 0-65535 exits 2 before anything starts.
+// An unknown flag, a port outside 0-65535 or a worker count outside 1-256
+// exits 2 before anything starts.
 // stdout carries only protocol responses; diagnostics go to stderr.
 #include <unistd.h>
 
@@ -44,6 +45,11 @@
 #include "common/flags.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/server.hpp"
+
+namespace {
+/// Most socket worker threads kard starts (--workers).
+constexpr std::int64_t kMaxWorkers = 256;
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace kar;
@@ -67,7 +73,7 @@ int main(int argc, char** argv) {
     const bool use_metrics_port = flags.has("metrics-port");
     const std::int64_t listen_port = flags.get_int("listen", 0);
     const std::int64_t metrics_port = flags.get_int("metrics-port", 0);
-    const auto workers = static_cast<std::size_t>(flags.get_int("workers", 2));
+    const std::int64_t workers = flags.get_int("workers", 2);
 
     for (const auto& [name, port] :
          {std::pair{"listen", listen_port},
@@ -77,6 +83,11 @@ int main(int argc, char** argv) {
                   << " is not a port (0-65535)\n";
         return 2;
       }
+    }
+    if (workers < 1 || workers > kMaxWorkers) {
+      std::cerr << "kard: --workers=" << workers << " is not in 1-"
+                << kMaxWorkers << '\n';
+      return 2;
     }
     if (common::report_unread(flags, "kard")) return 2;
     if (!use_stdin && !use_socket) {
@@ -97,7 +108,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<daemon::SocketServer> socket_server;
     if (use_socket) {
       socket_server = std::make_unique<daemon::SocketServer>(
-          kard, static_cast<std::uint16_t>(listen_port), workers);
+          kard, static_cast<std::uint16_t>(listen_port),
+          static_cast<std::size_t>(workers));
       std::cerr << "kard: listening on 127.0.0.1:" << socket_server->port()
                 << '\n';
     }

@@ -92,21 +92,24 @@ struct Datagram {
 
 using TransportHeader = std::variant<std::monostate, TcpSegment, Datagram>;
 
-/// A packet in flight.
+/// A packet in flight. The fields a core hop reads and writes (the KAR
+/// header and the per-hop telemetry) come first, so they share a cache line
+/// with the hop fields the simulator's packet pool keeps in front of them.
 struct Packet {
   KarHeader kar;
+
+  // -- per-hop telemetry (not part of the wire format) -----------------------
+  std::uint32_t hop_count = 0;         ///< Core-switch hops taken so far.
+  std::uint32_t deflection_count = 0;  ///< Hops that deviated from the residue.
+  std::uint32_t reencode_count = 0;    ///< Wrong-edge controller re-encodes.
+
   topo::NodeId src_edge = topo::kInvalidNode;
   topo::NodeId dst_edge = topo::kInvalidNode;  ///< Inner destination.
   std::uint64_t flow_id = 0;
   std::uint64_t packet_id = 0;  ///< Unique per injected packet (telemetry).
   std::size_t size_bytes = 0;   ///< Wire size including all headers.
   TransportHeader transport;
-
-  // -- telemetry (not part of the wire format) -------------------------------
-  std::uint32_t hop_count = 0;      ///< Core-switch hops taken so far.
-  std::uint32_t deflection_count = 0;  ///< Hops that deviated from the residue.
-  std::uint32_t reencode_count = 0;    ///< Wrong-edge controller re-encodes.
-  double created_at = 0.0;             ///< Injection timestamp (seconds).
+  double created_at = 0.0;  ///< Injection timestamp (seconds; telemetry).
 };
 
 /// Why a packet left the network other than by delivery.

@@ -73,13 +73,15 @@ class KarSwitch {
   }
 
   /// The same residue through the prepared-reciprocal reduction, gated on
-  /// route width (what forward() uses). Routes of <= 64 bits reduce
-  /// directly — at that width the memo's digest + limb compare costs more
-  /// than the reduction it saves (the 0.82x narrow-route regression in
-  /// BENCH_dataplane.json) — while wider routes go through the
-  /// ResidueCache memo. Bit-identical to residue() either way.
+  /// route width (what forward() uses). Routes that fit BigUint's inline
+  /// limbs (<= 128 bits) reduce directly: at up to four limbs the reduction
+  /// costs no more than the memo's digest and limb compare, and the memo's
+  /// per-switch slots cost cache lines besides (BENCH_dataplane.json's 96-
+  /// and 128-bit rows; docs/performance.md). Only wider routes, whose limbs
+  /// live on the heap, go through the ResidueCache memo. Bit-identical to
+  /// residue() either way.
   [[nodiscard]] std::uint64_t residue_fast(const rns::BigUint& route_id) const {
-    if (route_id.fits_u64()) return prepared_mod_.reduce(route_id);
+    if (route_id.fits_inline()) return prepared_mod_.reduce(route_id);
     return cache_.lookup(route_id, prepared_mod_);
   }
 

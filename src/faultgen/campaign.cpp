@@ -120,7 +120,8 @@ CampaignWorld::CampaignWorld(const CampaignConfig& config)
       net_(scenario_.topology, controller_, network_config(config)),
       checker_(net_, invariant_config(config)),
       labels_{{"technique", std::string(dataplane::to_string(config.technique))},
-              {"topology", config.topology}} {}
+              {"topology", config.topology}},
+      eligible_links_(eligible_links(scenario_.topology, config.schedule)) {}
 
 void CampaignWorld::reset(std::uint64_t run_seed) {
   net_.reset(run_seed);
@@ -186,8 +187,9 @@ RunResult CampaignEngine::run_one(WorldSlot& slot, std::uint64_t run_seed,
     result.schedule = *override_schedule;
   } else {
     common::Rng schedule_rng(run_seed ^ 0x5eedfa171c5c11edULL);
-    result.schedule = generate_schedule(world->scenario_.topology,
-                                        config_.schedule, schedule_rng);
+    result.schedule =
+        generate_schedule(world->eligible_links_, config_.schedule,
+                          schedule_rng, world->schedule_scratch_);
   }
   for (const LinkEvent& event : result.schedule.events) {
     // Captures no more than std::function stores inline: no allocation.

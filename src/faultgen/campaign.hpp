@@ -165,6 +165,9 @@ class CampaignWorld {
   sim::Network net_;
   InvariantChecker checker_;
   obs::Labels labels_;
+  /// The links the schedule generator may fail, and its working storage.
+  std::vector<topo::LinkId> eligible_links_;
+  ScheduleScratch schedule_scratch_;
 };
 
 /// A worker's world for one engine: empty until the worker's first run

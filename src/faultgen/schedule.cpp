@@ -7,13 +7,6 @@
 
 namespace kar::faultgen {
 
-void FailureSchedule::sort() {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const LinkEvent& a, const LinkEvent& b) {
-                     return a.time < b.time;
-                   });
-}
-
 std::string FailureSchedule::describe(const topo::Topology& topo) const {
   std::ostringstream out;
   for (const LinkEvent& event : events) {
@@ -64,40 +57,42 @@ double exponential(common::Rng& rng, double mean) {
   return -mean * std::log(1.0 - rng.uniform());
 }
 
-/// Draws `count` distinct elements of `pool` (order randomized).
-std::vector<topo::LinkId> sample_without_replacement(
-    std::vector<topo::LinkId> pool, std::size_t count, common::Rng& rng) {
-  rng.shuffle(pool);
-  if (pool.size() > count) pool.resize(count);
-  return pool;
+/// Draws `count` distinct elements of `pool` into `out` (order randomized).
+const std::vector<topo::LinkId>& sample_without_replacement(
+    const std::vector<topo::LinkId>& pool, std::size_t count,
+    common::Rng& rng, std::vector<topo::LinkId>& out) {
+  out.assign(pool.begin(), pool.end());
+  rng.shuffle(out);
+  if (out.size() > count) out.resize(count);
+  return out;
 }
 
 void generate_updown(const std::vector<topo::LinkId>& links,
                      const ScheduleConfig& config, common::Rng& rng,
-                     FailureSchedule& schedule) {
+                     ScheduleScratch& scratch) {
   for (const topo::LinkId link : links) {
     if (!rng.chance(config.per_link_failure_probability)) continue;
     const double down_at = rng.uniform() * config.horizon_s;
-    schedule.events.push_back({down_at, link, /*fail=*/true});
+    scratch.events.push_back({down_at, link, /*fail=*/true});
     const double up_at = down_at + exponential(rng, config.mean_downtime_s);
     if (up_at < config.horizon_s) {
-      schedule.events.push_back({up_at, link, /*fail=*/false});
+      scratch.events.push_back({up_at, link, /*fail=*/false});
     }
   }
 }
 
 void generate_srlg(const std::vector<topo::LinkId>& links,
                    const ScheduleConfig& config, common::Rng& rng,
-                   FailureSchedule& schedule) {
+                   ScheduleScratch& scratch) {
   for (std::size_t g = 0; g < config.group_count; ++g) {
-    const auto group =
-        sample_without_replacement(links, config.group_size, rng);
+    const auto& group = sample_without_replacement(links, config.group_size,
+                                                   rng, scratch.sample);
     const double down_at = rng.uniform() * config.horizon_s;
     const double up_at = down_at + exponential(rng, config.mean_downtime_s);
     for (const topo::LinkId link : group) {
-      schedule.events.push_back({down_at, link, /*fail=*/true});
+      scratch.events.push_back({down_at, link, /*fail=*/true});
       if (up_at < config.horizon_s) {
-        schedule.events.push_back({up_at, link, /*fail=*/false});
+        scratch.events.push_back({up_at, link, /*fail=*/false});
       }
     }
   }
@@ -105,15 +100,15 @@ void generate_srlg(const std::vector<topo::LinkId>& links,
 
 void generate_flapping(const std::vector<topo::LinkId>& links,
                        const ScheduleConfig& config, common::Rng& rng,
-                       FailureSchedule& schedule) {
-  const auto flappers =
-      sample_without_replacement(links, config.flapping_links, rng);
+                       ScheduleScratch& scratch) {
+  const auto& flappers = sample_without_replacement(
+      links, config.flapping_links, rng, scratch.sample);
   for (const topo::LinkId link : flappers) {
     // Random phase so several flappers are not synchronized.
     double t = rng.uniform() * config.flap_half_period_s;
     bool fail = true;
     while (t < config.horizon_s) {
-      schedule.events.push_back({t, link, fail});
+      scratch.events.push_back({t, link, fail});
       fail = !fail;
       t += config.flap_half_period_s;
     }
@@ -122,15 +117,16 @@ void generate_flapping(const std::vector<topo::LinkId>& links,
 
 void generate_sweep(const std::vector<topo::LinkId>& links,
                     const ScheduleConfig& config, common::Rng& rng,
-                    FailureSchedule& schedule) {
-  const auto victims = sample_without_replacement(links, config.k_failures, rng);
+                    ScheduleScratch& scratch) {
+  const auto& victims = sample_without_replacement(links, config.k_failures,
+                                                   rng, scratch.sample);
   if (victims.empty()) return;
   // Failures staged evenly across the first half of the horizon, so traffic
   // keeps flowing while the failure set grows.
   const double stage = config.horizon_s / (2.0 * static_cast<double>(victims.size()));
   double t = stage;
   for (const topo::LinkId link : victims) {
-    schedule.events.push_back({t, link, /*fail=*/true});
+    scratch.events.push_back({t, link, /*fail=*/true});
     t += stage;
   }
 }
@@ -140,27 +136,44 @@ void generate_sweep(const std::vector<topo::LinkId>& links,
 FailureSchedule generate_schedule(const topo::Topology& topo,
                                   const ScheduleConfig& config,
                                   common::Rng& rng) {
+  ScheduleScratch scratch;
+  return generate_schedule(eligible_links(topo, config), config, rng, scratch);
+}
+
+FailureSchedule generate_schedule(const std::vector<topo::LinkId>& links,
+                                  const ScheduleConfig& config,
+                                  common::Rng& rng, ScheduleScratch& scratch) {
   if (config.horizon_s <= 0.0) {
     throw std::invalid_argument("generate_schedule: horizon must be positive");
   }
-  const std::vector<topo::LinkId> links = eligible_links(topo, config);
   FailureSchedule schedule;
   if (links.empty()) return schedule;
+  scratch.events.clear();
   switch (config.kind) {
     case ScheduleKind::kRandomUpDown:
-      generate_updown(links, config, rng, schedule);
+      generate_updown(links, config, rng, scratch);
       break;
     case ScheduleKind::kSrlgGroups:
-      generate_srlg(links, config, rng, schedule);
+      generate_srlg(links, config, rng, scratch);
       break;
     case ScheduleKind::kFlapping:
-      generate_flapping(links, config, rng, schedule);
+      generate_flapping(links, config, rng, scratch);
       break;
     case ScheduleKind::kKFailureSweep:
-      generate_sweep(links, config, rng, schedule);
+      generate_sweep(links, config, rng, scratch);
       break;
   }
-  schedule.sort();
+  // A stable sort by time, as a sort of unique (time, index) keys, which
+  // needs no merge buffer.
+  scratch.order.clear();
+  for (std::uint32_t i = 0; i < scratch.events.size(); ++i) {
+    scratch.order.emplace_back(scratch.events[i].time, i);
+  }
+  std::sort(scratch.order.begin(), scratch.order.end());
+  schedule.events.reserve(scratch.events.size());
+  for (const auto& [time, index] : scratch.order) {
+    schedule.events.push_back(scratch.events[index]);
+  }
   return schedule;
 }
 

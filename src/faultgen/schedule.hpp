@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,9 +45,6 @@ struct FailureSchedule {
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return events.size(); }
-
-  /// Stable-sorts the events by time (generators call this last).
-  void sort();
 
   /// Human-readable, name-based rendering ("t=0.0125 fail SW7-SW11"), one
   /// event per line — the replayable form printed with violation reports.
@@ -94,9 +92,25 @@ struct ScheduleConfig {
 [[nodiscard]] std::vector<topo::LinkId> eligible_links(
     const topo::Topology& topo, const ScheduleConfig& config);
 
+/// Working storage generate_schedule reuses from call to call: a caller
+/// that keeps one (a campaign world) allocates only the returned schedule.
+struct ScheduleScratch {
+  std::vector<topo::LinkId> sample;  ///< Sampled links (SRLG, flap, sweep).
+  std::vector<LinkEvent> events;     ///< The events in generation order.
+  /// (time, generation index) of each event: sorting it orders the events
+  /// as a stable sort by time would, without a merge buffer.
+  std::vector<std::pair<double, std::uint32_t>> order;
+};
+
 /// Generates a schedule; deterministic in (topology, config, rng state).
 [[nodiscard]] FailureSchedule generate_schedule(const topo::Topology& topo,
                                                 const ScheduleConfig& config,
                                                 common::Rng& rng);
+
+/// The same schedule over `links`, which must be eligible_links(topo,
+/// config), using `scratch`'s storage.
+[[nodiscard]] FailureSchedule generate_schedule(
+    const std::vector<topo::LinkId>& links, const ScheduleConfig& config,
+    common::Rng& rng, ScheduleScratch& scratch);
 
 }  // namespace kar::faultgen

@@ -52,6 +52,12 @@ class BigUint {
   /// True iff the value fits in 64 bits.
   [[nodiscard]] bool fits_u64() const noexcept { return size_ <= 2; }
 
+  /// True iff the value fits in the limbs held inside the object (128
+  /// bits), so copying it allocates nothing.
+  [[nodiscard]] bool fits_inline() const noexcept {
+    return size_ <= kInlineLimbs;
+  }
+
   /// Converts to uint64_t; throws std::overflow_error if it does not fit.
   [[nodiscard]] std::uint64_t to_u64() const;
 

@@ -24,7 +24,7 @@ std::string_view to_string(EventKind kind) {
 EventQueue::Entry EventQueue::handler_entry(double time, std::uint64_t seq,
                                             EventKind kind, Handler fn) {
   if (!fn) throw std::invalid_argument("EventQueue: null handler");
-  if (time < now_) time = now_;  // no scheduling into the past
+  time = clamp_time(time);
   std::uint32_t slot;
   if (free_handlers_.empty()) {
     slot = static_cast<std::uint32_t>(handlers_.size());
@@ -55,8 +55,7 @@ EventQueue::Entry EventQueue::packet_entry(double time, EventKind kind,
   if (sink_ == nullptr) {
     throw std::logic_error("EventQueue: packet event with no sink attached");
   }
-  if (time < now_) time = now_;
-  return Entry{time, next_seq_++, slot, kind, Target::kPacket};
+  return Entry{clamp_time(time), next_seq_++, slot, kind, Target::kPacket};
 }
 
 void EventQueue::schedule_packet_fifo(double time, EventKind kind,
@@ -129,7 +128,7 @@ EventQueue::TimerId EventQueue::add_timer(EventKind kind, Handler fn) {
 }
 
 void EventQueue::arm_timer_at(TimerId id, double time) {
-  if (time < now_) time = now_;
+  time = clamp_time(time);
   if (time > latest_arm_) latest_arm_ = time;
   Timer& timer = timers_[id];
   const Entry entry{time, next_seq_++, id, timer.kind, Target::kTimer};
@@ -193,15 +192,22 @@ template <class Place>
 void EventQueue::sift_down(std::vector<Entry>& heap, std::size_t i,
                            Entry entry, Place place) {
   // Move the hole down through the earliest of each node's (up to) four
-  // children until `entry` fits.
+  // children until `entry` fits. A node with all four children picks the
+  // earliest by a two-round tournament of selects, not branches.
   const std::size_t n = heap.size();
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    const std::size_t end = std::min(first + 4, n);
     std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap[c], heap[best])) best = c;
+    if (first + 4 <= n) {
+      const Entry* c = &heap[first];
+      const std::size_t low = earlier(c[1], c[0]) ? 1 : 0;
+      const std::size_t high = earlier(c[3], c[2]) ? 3 : 2;
+      best += earlier(c[high], c[low]) ? high : low;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (earlier(heap[c], heap[best])) best = c;
+      }
     }
     if (!earlier(heap[best], entry)) break;
     place(i, heap[best]);

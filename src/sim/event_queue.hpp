@@ -35,6 +35,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -233,9 +234,23 @@ class EventQueue {
     std::uint32_t pos = kDisarmed;  ///< Index in timer_heap_.
   };
 
+  /// An entry's (time, seq) as one 128-bit integer. Every queued time is
+  /// >= +0.0 (clamped to now, with -0.0 normalised to +0.0; see
+  /// clamp_time), and the bit patterns of non-negative doubles order like
+  /// their values, so comparing keys compares (time, seq) with one
+  /// two-word compare and no branch.
+  [[nodiscard]] static unsigned __int128 key(const Entry& e) noexcept {
+    return (static_cast<unsigned __int128>(std::bit_cast<std::uint64_t>(e.time))
+            << 64) |
+           e.seq;
+  }
   [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    return key(a) < key(b);
+  }
+  /// `time` clamped to now (no scheduling into the past), and +0.0 for
+  /// -0.0, which key() would otherwise order after every other time.
+  [[nodiscard]] double clamp_time(double time) const noexcept {
+    return time < now_ ? now_ : time + 0.0;
   }
   /// 4-ary sift of `entry` from hole `i` of `heap`; `place(i, e)` stores e
   /// at i (the timer heap also records the position).

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -204,10 +205,20 @@ class Network : private PacketEventSink {
       std::uint8_t dir = 0;      ///< Its direction (arrival only).
       std::uint64_t epoch = 0;   ///< Direction epoch at transmit (arrival only).
     };
+    /// The hop first, then the packet, which starts with its KAR header and
+    /// hop counters: the fields every hop reads share the slot's first 64
+    /// bytes. (Aligning slots to 64 bytes as well cost peak RSS and gained
+    /// nothing; docs/performance.md.)
     struct Slot {
-      dataplane::Packet packet;
       Hop hop;
+      dataplane::Packet packet;
     };
+    static_assert(offsetof(Slot, packet) +
+                          offsetof(dataplane::Packet, deflection_count) +
+                          sizeof(std::uint32_t) <=
+                      64,
+                  "the hop, the KAR header and the hop counters must lie in "
+                  "the slot's first 64 bytes");
 
     /// Moves `packet` into a free slot and returns the slot's index.
     std::uint32_t acquire(dataplane::Packet&& packet);

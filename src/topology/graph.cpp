@@ -50,11 +50,12 @@ LinkId Topology::add_link(NodeId a, NodeId b, LinkParams params) {
   return id;
 }
 
-const Topology::Node& Topology::node_ref(NodeId node) const {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("Topology: bad node handle");
-  }
-  return nodes_[node];
+void Topology::throw_bad_node() {
+  throw std::out_of_range("Topology: bad node handle");
+}
+
+void Topology::throw_bad_link() {
+  throw std::out_of_range("Topology: bad link handle");
 }
 
 NodeKind Topology::kind(NodeId node) const { return node_ref(node).kind; }
@@ -67,10 +68,6 @@ SwitchId Topology::switch_id(NodeId node) const {
     throw std::logic_error("Topology::switch_id: " + n.name + " is not a core switch");
   }
   return n.switch_id;
-}
-
-std::size_t Topology::port_count(NodeId node) const {
-  return node_ref(node).ports.size();
 }
 
 std::optional<NodeId> Topology::find(const std::string& name) const {
@@ -107,12 +104,6 @@ std::vector<SwitchId> Topology::all_switch_ids() const {
   return out;
 }
 
-LinkId Topology::link_at(NodeId node, PortIndex port) const {
-  const Node& n = node_ref(node);
-  if (port >= n.ports.size()) return kInvalidLink;
-  return n.ports[port];
-}
-
 std::optional<NodeId> Topology::neighbor(NodeId node, PortIndex port) const {
   const LinkId id = link_at(node, port);
   if (id == kInvalidLink) return std::nullopt;
@@ -132,16 +123,6 @@ NeighborView Topology::neighbors(NodeId node) const {
   return {links_.data(), node_ref(node).ports, node};
 }
 
-const Link& Topology::link(LinkId id) const {
-  if (id >= links_.size()) throw std::out_of_range("Topology: bad link handle");
-  return links_[id];
-}
-
-Link& Topology::link(LinkId id) {
-  if (id >= links_.size()) throw std::out_of_range("Topology: bad link handle");
-  return links_[id];
-}
-
 std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {
   if (a >= nodes_.size() || b >= nodes_.size()) return std::nullopt;
   for (const LinkId id : nodes_[a].ports) {
@@ -151,15 +132,6 @@ std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {
     }
   }
   return std::nullopt;
-}
-
-void Topology::set_link_up(LinkId id, bool up) { link(id).up = up; }
-
-bool Topology::link_up(LinkId id) const { return link(id).up; }
-
-bool Topology::port_available(NodeId node, PortIndex port) const {
-  const LinkId id = link_at(node, port);
-  return id != kInvalidLink && links_[id].up;
 }
 
 std::vector<PortIndex> Topology::available_ports(NodeId node) const {

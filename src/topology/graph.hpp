@@ -140,7 +140,9 @@ class Topology {
   [[nodiscard]] NodeKind kind(NodeId node) const;
   [[nodiscard]] const std::string& name(NodeId node) const;
   [[nodiscard]] SwitchId switch_id(NodeId node) const;  ///< Throws for edge nodes.
-  [[nodiscard]] std::size_t port_count(NodeId node) const;
+  [[nodiscard]] std::size_t port_count(NodeId node) const {
+    return node_ref(node).ports.size();
+  }
 
   /// Node lookup by unique name; nullopt when absent.
   [[nodiscard]] std::optional<NodeId> find(const std::string& name) const;
@@ -156,7 +158,10 @@ class Topology {
 
   // -- port / link queries ---------------------------------------------------
   /// The link attached to a port, or kInvalidLink when the port is unused.
-  [[nodiscard]] LinkId link_at(NodeId node, PortIndex port) const;
+  [[nodiscard]] LinkId link_at(NodeId node, PortIndex port) const {
+    const Node& n = node_ref(node);
+    return port < n.ports.size() ? n.ports[port] : kInvalidLink;
+  }
   /// The node on the far side of a port; nullopt if no link is attached.
   [[nodiscard]] std::optional<NodeId> neighbor(NodeId node, PortIndex port) const;
   /// The local port that reaches `to`, if the nodes are adjacent.
@@ -165,16 +170,25 @@ class Topology {
   /// NeighborView.
   [[nodiscard]] NeighborView neighbors(NodeId node) const;
 
-  [[nodiscard]] const Link& link(LinkId id) const;
-  [[nodiscard]] Link& link(LinkId id);
+  [[nodiscard]] const Link& link(LinkId id) const {
+    if (id >= links_.size()) throw_bad_link();
+    return links_[id];
+  }
+  [[nodiscard]] Link& link(LinkId id) {
+    if (id >= links_.size()) throw_bad_link();
+    return links_[id];
+  }
   /// The link joining two adjacent nodes, if any.
   [[nodiscard]] std::optional<LinkId> link_between(NodeId a, NodeId b) const;
 
   // -- failure state ---------------------------------------------------------
-  void set_link_up(LinkId id, bool up);
-  [[nodiscard]] bool link_up(LinkId id) const;
+  void set_link_up(LinkId id, bool up) { link(id).up = up; }
+  [[nodiscard]] bool link_up(LinkId id) const { return link(id).up; }
   /// True iff the port has a link and that link is up.
-  [[nodiscard]] bool port_available(NodeId node, PortIndex port) const;
+  [[nodiscard]] bool port_available(NodeId node, PortIndex port) const {
+    const LinkId id = link_at(node, port);
+    return id != kInvalidLink && links_[id].up;
+  }
   /// Ports of `node` whose links are currently up.
   [[nodiscard]] std::vector<PortIndex> available_ports(NodeId node) const;
   /// Restores every link to the up state.
@@ -191,7 +205,14 @@ class Topology {
     std::vector<LinkId> ports;              // port index -> link
   };
 
-  [[nodiscard]] const Node& node_ref(NodeId node) const;
+  // The per-hop reads above are inline; their bounds-check throws stay out
+  // of line so the inlined code carries only a compare and a call.
+  [[nodiscard]] const Node& node_ref(NodeId node) const {
+    if (node >= nodes_.size()) throw_bad_node();
+    return nodes_[node];
+  }
+  [[noreturn]] static void throw_bad_node();
+  [[noreturn]] static void throw_bad_link();
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;

@@ -63,11 +63,22 @@ void expect_same_run(const RunResult& fresh, const RunResult& reused,
 }
 
 /// How many of the compared runs violated an invariant or stopped with
-/// events still queued.
+/// events still queued, and how many residue-cache lookups they made.
 struct Tally {
   std::size_t violating = 0;
   std::size_t undrained = 0;
+  std::uint64_t residue_cache_lookups = 0;
 };
+
+/// The sum of a counter family's series in a run's metrics.
+std::uint64_t counter_total(const obs::MetricsSnapshot& metrics,
+                            const std::string& family) {
+  std::uint64_t total = 0;
+  const auto it = metrics.families.find(family);
+  if (it == metrics.families.end()) return total;
+  for (const auto& entry : it->second.series) total += entry.second.count;
+  return total;
+}
 
 /// Runs `runs` seeds of `config` on one world in a shuffled order and each
 /// on a fresh world, and compares them.
@@ -89,6 +100,9 @@ Tally expect_reuse_matches_fresh(const CampaignConfig& config,
     expect_same_run(fresh, reused, context);
     if (!fresh.violations.empty()) ++tally.violating;
     if (!fresh.queue_drained) ++tally.undrained;
+    tally.residue_cache_lookups +=
+        counter_total(fresh.metrics, "kar_dataplane_residue_cache_hits_total") +
+        counter_total(fresh.metrics, "kar_dataplane_residue_cache_misses_total");
   }
   return tally;
 }
@@ -133,15 +147,18 @@ TEST(CampaignWorld, ReuseKeepsViolationsCachesAndTruncatedRuns) {
                 .violating,
             0u);
 
-  // Internet2 at scale 2 with full protection encodes a 79-bit route, so
-  // the switches' residue caches run, and their hit/miss counts reach the
+  // Internet2 at scale 9 with full protection encodes a 133-bit route. It
+  // is past BigUint's 128 inline bits, so the switches' residue caches run
+  // (narrower routes reduce directly), and their hit/miss counts reach the
   // metrics: a cache the reset left warm would show as extra hits.
   CampaignConfig wide;
-  wide.topology = "gen:internet2:scale=2";
+  wide.topology = "gen:internet2:scale=9";
   wide.protection = topo::ProtectionLevel::kFull;
   wide.runs = 8;
   wide.collect_metrics = true;
-  (void)expect_reuse_matches_fresh(wide, rng, "internet2 wide route");
+  EXPECT_GT(expect_reuse_matches_fresh(wide, rng, "internet2 wide route")
+                .residue_cache_lookups,
+            0u);
 
   // An event cap stops every run with packets queued and in flight, so each
   // reset starts from a dirty world.

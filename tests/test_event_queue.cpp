@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -43,6 +44,29 @@ TEST(EventQueue, TiesFireFifo) {
   }
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, NegativeZeroTiesWithZeroInFifoOrder) {
+  // -0.0 == 0.0, so events at either time tie and fire by seq. The queue
+  // orders entries by the bits of their time, so it must store -0.0 as
+  // +0.0: kept as is, -0.0 would sort after every positive time.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(1e-9, [&] { order.push_back(9); });
+  q.schedule_at(-0.0, [&] { order.push_back(1); });
+  q.schedule_at(0.0, [&] { order.push_back(2); });
+  const EventQueue::TimerId timer =
+      q.add_timer(EventKind::kGeneric, [&] { order.push_back(3); });
+  q.arm_timer_at(timer, -0.0);
+  q.schedule_at(-0.0, [&] {
+    order.push_back(4);
+    q.schedule_at(-0.0, [&] { order.push_back(5); });
+  });
+  EXPECT_EQ(q.run_until(0.0), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_FALSE(std::signbit(q.now()));
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 9}));
 }
 
 TEST(EventQueue, ScheduleInIsRelative) {

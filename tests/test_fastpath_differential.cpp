@@ -13,13 +13,18 @@
 //
 // Coverage: fig1 / fig2 / rnp28 topologies x all four deflection
 // techniques x seeds, each run crossing a mid-route link failure + repair
-// with single packets and back-to-back trains; every fourth seed widens
-// the route ID past 64 bits so the residue memo stays in the loop (narrow
-// routes bypass it); plus campaign-level aggregate identity, with no
-// violations, through the parallel runner at --jobs=1 and --jobs=4.
+// with single packets and back-to-back trains. Residue_fast has two paths,
+// split by route width: every fourth seed widens the route ID past 128
+// bits so the residue memo stays in the loop, and another fourth widens it
+// to 65-128 bits, which reduce directly like narrow routes (on the
+// topologies whose switch-ID product fits 128 bits); plus campaign-level
+// aggregate identity, with no violations, through the parallel runner at
+// --jobs=1 and --jobs=4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,16 +51,30 @@ struct CheckedRun {
   dataplane::ResidueCache::Stats cache;
 };
 
-/// Adds (product of every switch ID in the topology) << 384 to a route ID:
-/// the residue at every core switch is unchanged, but the ID no longer
-/// fits 64 bits, so residue_fast goes through the ResidueCache memo
-/// instead of the width-gated direct reduction.
-void widen_route(const topo::Topology& topology, routing::EncodedRoute& route) {
+/// How run_checked widens the encoded route ID.
+enum class Widen : std::uint8_t {
+  kNone,
+  kInline,  ///< To 65-128 bits: still BigUint's inline limbs, reduced directly.
+  kHeap,    ///< Past 128 bits: heap limbs, through the ResidueCache memo.
+};
+
+/// The product of every switch ID in the topology: adding a multiple of it
+/// to a route ID leaves the residue at every core switch unchanged.
+rns::BigUint switch_id_product(const topo::Topology& topology) {
   rns::BigUint product(1);
   for (const std::uint64_t sid : topology.all_switch_ids()) {
     product *= rns::BigUint(sid);
   }
-  route.route_id += product << 384;
+  return product;
+}
+
+/// The multiple of the switch-ID product that widens a route to 65-128
+/// bits: the product shifted up to 65 bits. Nullopt when the product
+/// itself is wider than 127 bits, so that adding it could leave 128.
+std::optional<rns::BigUint> inline_widening(const topo::Topology& topology) {
+  const rns::BigUint product = switch_id_product(topology);
+  if (product.bit_length() > 127) return std::nullopt;
+  return product << (65 - std::min<std::size_t>(product.bit_length(), 65));
 }
 
 /// One seeded run: singles and trains across a mid-route link failure +
@@ -63,12 +82,19 @@ void widen_route(const topo::Topology& topology, routing::EncodedRoute& route) {
 /// times, sizes, failure window) derives from `seed`.
 CheckedRun run_checked(const std::string& topology_name,
                        DeflectionTechnique technique, std::uint64_t seed,
-                       bool widen = false) {
+                       Widen widen = Widen::kNone) {
   topo::Scenario s = faultgen::make_campaign_scenario(topology_name);
   const routing::Controller controller(s.topology);
   auto route =
       controller.encode_scenario(s.route, topo::ProtectionLevel::kPartial);
-  if (widen) widen_route(s.topology, route);
+  if (widen == Widen::kHeap) {
+    route.route_id += switch_id_product(s.topology) << 384;
+    EXPECT_FALSE(route.route_id.fits_inline());
+  } else if (widen == Widen::kInline) {
+    route.route_id += *inline_widening(s.topology);
+    EXPECT_FALSE(route.route_id.fits_u64());
+    EXPECT_TRUE(route.route_id.fits_inline());
+  }
 
   sim::NetworkConfig config;
   config.technique = technique;
@@ -135,24 +161,35 @@ TEST(FastPathDifferential, CheckerPassesEveryRunAcrossTopologiesTechniquesSeeds)
   const std::uint64_t base = testsupport::seed_or(20260807);
 
   std::uint64_t wide_hits = 0;
+  std::uint64_t inline_wide_hops = 0;
   std::uint64_t deflections = 0;
   std::uint64_t no_viable_port_drops = 0;
   for (const auto& topology : topologies) {
+    const bool inline_fits =
+        inline_widening(faultgen::make_campaign_scenario(topology).topology)
+            .has_value();
     for (const auto technique : techniques) {
       // Seeds per combination; on a violation fail fast with the full
       // context instead of flooding the log hundreds of times.
       for (std::uint64_t i = 0; i < 12; ++i) {
         const std::uint64_t seed = common::derive_seed(base, i);
-        const bool widen = (i % 4 == 0);
+        const Widen widen = i % 4 == 0                 ? Widen::kHeap
+                            : i % 4 == 2 && inline_fits ? Widen::kInline
+                                                        : Widen::kNone;
         const CheckedRun run = run_checked(topology, technique, seed, widen);
         ASSERT_TRUE(run.violations.empty())
             << topology << " " << dataplane::to_string(technique) << " seed "
-            << seed << " widen=" << widen << ": "
+            << seed << " widen=" << static_cast<int>(widen) << ": "
             << faultgen::to_string(run.violations.front().kind) << " — "
             << run.violations.front().detail;
         ASSERT_EQ(run.packets_in_flight, 0u)
             << "a delivered or dropped packet kept its pool slot";
-        if (widen) wide_hits += run.cache.hits;
+        if (widen == Widen::kHeap) wide_hits += run.cache.hits;
+        if (widen == Widen::kInline) {
+          // 65-128-bit routes reduce directly: the memo stays untouched.
+          EXPECT_EQ(run.cache.hits + run.cache.misses, 0u) << topology;
+          inline_wide_hops += run.counters.hops;
+        }
         deflections += run.counters.deflections;
         if (technique == DeflectionTechnique::kNone) {
           no_viable_port_drops += run.counters.drop_no_viable_port;
@@ -160,10 +197,12 @@ TEST(FastPathDifferential, CheckerPassesEveryRunAcrossTopologiesTechniquesSeeds)
       }
     }
   }
-  // The widened runs must have exercised the residue memo (narrow routes
-  // bypass it by design), and both new halves of the residue check must
-  // have had something to judge.
+  // The runs widened past 128 bits must have exercised the residue memo
+  // (narrower routes bypass it by design), the 65-128-bit runs must have
+  // had hops for the checker to judge on the direct path, and both halves
+  // of the residue check must have had something to judge.
   EXPECT_GT(wide_hits, 0u);
+  EXPECT_GT(inline_wide_hops, 0u);
   EXPECT_GT(deflections, 0u);
   EXPECT_GT(no_viable_port_drops, 0u);
 }

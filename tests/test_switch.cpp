@@ -228,10 +228,30 @@ TEST_F(Fig1Fixture, FastResiduePathMatchesNaiveDecisionForDecision) {
   EXPECT_EQ(fast.residue_cache().stats().hits, 0u);
   EXPECT_EQ(fast.residue_cache().stats().misses, 0u);
 
-  // Wide routes do go through the memo; adding a multiple of the switch ID
-  // (7 << 200) widens the route without changing any residue, so decisions
-  // still match naive bit for bit — and the second pass is answered from
-  // the memo.
+  // Routes of 65-128 bits fit BigUint's inline limbs and reduce directly
+  // too. Adding a multiple of the switch ID (7 << 62 or 7 << 125) widens
+  // each route to 65 or 128 bits without changing its residue: decisions
+  // match naive bit for bit, and the memo stays untouched.
+  for (const std::size_t shift : {62u, 125u}) {
+    for (std::uint64_t r : {0u, 1u, 7u, 44u, 660u, 123456u}) {
+      Packet p = make_packet(r);
+      p.kar.route_id += rns::BigUint(7) << shift;
+      ASSERT_GT(p.kar.route_id.bit_length(), 64u);
+      ASSERT_LE(p.kar.route_id.bit_length(), 128u);
+      const auto a = fast.forward(p, 0, rng_fast);
+      const auto b = naive.decide(naive.residue(p.kar.route_id), 0, rng_naive);
+      EXPECT_EQ(a.action, b.action) << r << " << " << shift;
+      EXPECT_EQ(a.out_port, b.out_port) << r << " << " << shift;
+      EXPECT_EQ(a.deflected, b.deflected) << r << " << " << shift;
+    }
+  }
+  EXPECT_EQ(fast.residue_cache().stats().hits, 0u);
+  EXPECT_EQ(fast.residue_cache().stats().misses, 0u);
+
+  // Routes wider than 128 bits do go through the memo; adding 7 << 200
+  // widens the route without changing any residue, so decisions still
+  // match naive bit for bit — and the second pass is answered from the
+  // memo.
   for (int pass = 0; pass < 2; ++pass) {  // second pass hits the memo
     for (std::uint64_t r : {0u, 1u, 7u, 44u, 660u, 123456u}) {
       Packet p = make_packet(r);
