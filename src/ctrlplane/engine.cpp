@@ -75,44 +75,78 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
       {1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000, 25000, 100000}, labels);
 }
 
-const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
-ReconvergenceEngine::protection_for(DstState& state, topo::NodeId dst,
-                                    const std::vector<topo::NodeId>& core_path) {
-  static const std::vector<std::pair<topo::NodeId, topo::NodeId>> kNone;
-  if (!config_.plan_protection) return kNone;
-  auto it = state.protection.find(core_path);
-  if (it == state.protection.end()) {
-    it = state.protection
-             .emplace(core_path,
-                      routing::plan_driven_deflections(*topo_, core_path, dst,
-                                                       config_.planner))
-             .first;
-  }
-  return it->second;
-}
-
 bool ReconvergenceEngine::extract_core(DstState& state, topo::NodeId src,
                                        std::vector<topo::NodeId>& core) {
-  const auto path = state.spt->canonical_path(src);
+  std::vector<topo::NodeId>& path = path_scratch_;
   // A usable route needs src + at least one core switch + dst.
-  if (!path.has_value() || path->size() < 3) return false;
-  core.assign(path->begin() + 1, path->end() - 1);
+  if (!state.spt->canonical_path(src, path) || path.size() < 3) return false;
+  core.assign(path.begin() + 1, path.end() - 1);
   return true;
 }
+
+namespace {
+
+std::uint64_t hash_path(const std::vector<topo::NodeId>& core) {
+  std::uint64_t hash = core.size();
+  for (const topo::NodeId node : core) hash = hash_mix(hash, node);
+  return hash;
+}
+
+/// True iff `route`'s primary assignments are exactly `core`.
+bool primary_is(const routing::EncodedRoute& route,
+                const std::vector<topo::NodeId>& core) {
+  if (route.primary_count != core.size()) return false;
+  for (std::size_t i = 0; i < core.size(); ++i) {
+    if (route.assignments[i].node != core[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 const routing::EncodedRoute& ReconvergenceEngine::lookup_encoding(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
-  auto cache_key = std::make_pair(src, core);
-  auto it = state.encodings.find(cache_key);
-  if (it == state.encodings.end()) {
-    it = state.encodings
-             .emplace(std::move(cache_key),
-                      controller_.encode_path(src, core, dst,
-                                              protection_for(state, dst, core)))
-             .first;
+  const std::uint64_t path_hash = hash_path(core);
+  const std::uint64_t key = hash_mix(path_hash, src);
+  const std::uint32_t hit =
+      state.encoding_index.find(key, [&](std::uint32_t at) {
+        const routing::EncodedRoute& route = state.encodings[at];
+        return route.src_edge == src && primary_is(route, core);
+      });
+  if (hit != HashIndex::kNone) return state.encodings[hit];
+
+  // Miss: plan protection (memoised per core path; the planner works on the
+  // intended topology) and run the CRT. `fresh` stays empty when protection
+  // is off.
+  const auto at = static_cast<std::uint32_t>(state.encodings.size());
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> fresh;
+  const std::vector<std::pair<topo::NodeId, topo::NodeId>>* plan = &fresh;
+  bool planned = false;
+  if (config_.plan_protection) {
+    const std::uint32_t known =
+        state.plan_index.find(path_hash, [&](std::uint32_t p) {
+          return primary_is(state.encodings[state.plans[p].encoding], core);
+        });
+    if (known != HashIndex::kNone) {
+      plan = &state.plans[known].plan;
+    } else {
+      if (state.planner_distances.empty()) {
+        state.planner_distances = routing::planner_distances(*topo_, dst);
+      }
+      fresh = routing::plan_driven_deflections(
+          *topo_, core, dst, state.planner_distances, config_.planner);
+      planned = true;
+    }
   }
-  return it->second;
+  state.encodings.push_back(controller_.encode_path(src, core, dst, *plan));
+  state.encoding_index.insert(key, at);
+  if (planned) {
+    state.plan_index.insert(path_hash,
+                            static_cast<std::uint32_t>(state.plans.size()));
+    state.plans.push_back(PlanEntry{at, std::move(fresh)});
+  }
+  return state.encodings[at];
 }
 
 void ReconvergenceEngine::reconverge_group(GroupId id,
@@ -120,7 +154,11 @@ void ReconvergenceEngine::reconverge_group(GroupId id,
                                            EpochStats& stats) {
   const RouteGroup& group = store_->group(id);
   DstState& state = dst_state(group.dst);
-  std::vector<topo::NodeId> core;
+  // The common case, checked in place: the canonical path held.
+  if (group.live && state.spt->canonical_path_is(group.src, group.core_path)) {
+    return;
+  }
+  std::vector<topo::NodeId>& core = core_scratch_;
   if (!extract_core(state, group.src, core)) {
     if (group.live) {
       store_->set_dead(id, version_);
@@ -129,10 +167,9 @@ void ReconvergenceEngine::reconverge_group(GroupId id,
     }
     return;
   }
-  if (group.live && core == group.core_path) return;  // canonical path held
-  routing::EncodedRoute encoded =
-      lookup_encoding(state, group.src, group.dst, core);
-  store_->set_encoding(id, std::move(core), std::move(encoded), version_);
+  store_->set_encoding(id, core,
+                       lookup_encoding(state, group.src, group.dst, core),
+                       version_);
   changed.push_back(id);
   ++stats.reencoded;
 }
@@ -217,8 +254,11 @@ EpochResult ReconvergenceEngine::apply(
     // indexed against each group's epoch-start path; the first event that
     // changes a group's path sees those masks still valid, which is enough
     // for the superset argument — see docs/ctrlplane.md.)
-    std::vector<GroupId> candidates;
-    std::vector<topo::NodeId> changed_nodes;
+    // Scratch kept across epochs, so a warmed epoch whose candidates all
+    // hold their paths allocates nothing per candidate.
+    std::vector<GroupId>& candidates = candidates_;
+    std::vector<topo::NodeId>& changed_nodes = changed_nodes_;
+    candidates.clear();
     for (const topo::NodeId dst : store_->destinations()) {
       DynamicSpt& spt = *dst_state(dst).spt;
       for (const LinkChange& event : events) {

@@ -31,13 +31,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "ctrlplane/hash_index.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
@@ -167,24 +166,33 @@ class ReconvergenceEngine {
   [[nodiscard]] const EpochStats& totals() const noexcept { return totals_; }
 
  private:
+  /// A memoised protection plan and the encoding it was first used in,
+  /// whose primary assignments spell the plan's core path.
+  struct PlanEntry {
+    std::uint32_t encoding = 0;
+    std::vector<std::pair<topo::NodeId, topo::NodeId>> plan;
+  };
+
   /// Everything the engine keeps per destination: the dynamic SPT plus
   /// the protection and encoding memos (both keyed with the destination
-  /// implicit).
+  /// implicit). Neither memo stores its key path: a hit is verified
+  /// against a memoised route's own primary assignments.
   struct DstState {
     std::unique_ptr<DynamicSpt> spt;
-    /// Protection memo: core path -> planned assignments (pure function
-    /// of the intended topology; never invalidated).
-    std::map<std::vector<topo::NodeId>,
-             std::vector<std::pair<topo::NodeId, topo::NodeId>>>
-        protection;
-    /// Encoding memo: (src, core path) -> encoding. On the static topology
-    /// structure the encoding is a pure function of (src, dst, core path),
-    /// so — like the protection memo — it is never invalidated: churn that
-    /// flips a pair between a handful of alternate paths pays the CRT
-    /// solve once per path.
-    std::map<std::pair<topo::NodeId, std::vector<topo::NodeId>>,
-             routing::EncodedRoute>
-        encodings;
+    /// Encoding memo: hash of (src, core path) -> position in `encodings`.
+    /// On the static topology structure the encoding is a pure function of
+    /// (src, dst, core path), so it is never invalidated: churn that flips
+    /// a pair between a handful of alternate paths pays the CRT solve once
+    /// per path.
+    std::vector<routing::EncodedRoute> encodings;
+    HashIndex encoding_index;
+    /// Protection memo: hash of the core path -> position in `plans`
+    /// (a pure function of the intended topology; never invalidated).
+    std::vector<PlanEntry> plans;
+    HashIndex plan_index;
+    /// The planner's hop distances to the destination on the intended
+    /// topology, computed on the first protection-memo miss.
+    std::vector<double> planner_distances;
   };
 
   [[nodiscard]] std::size_t threshold() const;
@@ -206,12 +214,6 @@ class ReconvergenceEngine {
   /// opening a new group converges that group first.
   RouteKey admit(topo::NodeId src, topo::NodeId dst,
                  std::vector<GroupId>& changed, EpochStats& stats);
-  /// Planned protection for `core_path` (memoised; empty when
-  /// EngineConfig::plan_protection is off).
-  [[nodiscard]] const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
-  protection_for(DstState& state, topo::NodeId dst,
-                 const std::vector<topo::NodeId>& core_path);
-
   const topo::Topology* topo_;
   RouteStore* store_;
   EngineConfig config_;
@@ -219,6 +221,13 @@ class ReconvergenceEngine {
   std::unordered_map<topo::NodeId, std::unique_ptr<DstState>> dsts_;
   std::uint64_t version_ = 0;
   EpochStats totals_;
+  /// Scratch reused across epochs: apply()'s candidate groups and
+  /// per-event changed nodes, and a changed group's canonical path and
+  /// core path.
+  std::vector<GroupId> candidates_;
+  std::vector<topo::NodeId> changed_nodes_;
+  std::vector<topo::NodeId> path_scratch_;
+  std::vector<topo::NodeId> core_scratch_;
   // Metric handles (inert until attach_metrics).
   obs::Counter events_total_;
   obs::Counter epochs_total_;

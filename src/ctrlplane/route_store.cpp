@@ -9,7 +9,9 @@ RouteStore::RouteStore(const topo::Topology& topology)
     : topo_(&topology),
       edge_ordinal_(topology.node_count(), kNone),
       link_index_(topology.link_count()),
-      dst_postings_(topology.node_count()) {
+      dst_postings_(topology.node_count()),
+      scratch_deps_(topology.node_count()),
+      scratch_path_nodes_(topology.node_count()) {
   for (const topo::NodeId edge :
        topology.nodes_of_kind(topo::NodeKind::kEdgeNode)) {
     edge_ordinal_[edge] = static_cast<std::uint32_t>(edge_count_++);
@@ -51,14 +53,15 @@ RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
   return key;
 }
 
-void RouteStore::set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
-                              routing::EncodedRoute route,
+void RouteStore::set_encoding(GroupId id,
+                              const std::vector<topo::NodeId>& core_path,
+                              const routing::EncodedRoute& route,
                               std::uint64_t version) {
   RouteGroup& group = groups_[id];
   if (!group.live) live_ += group.members.size();
   group.live = true;
-  group.route = std::move(route);
-  group.core_path = std::move(core_path);
+  group.route = route;
+  group.core_path = core_path;
   group.version = version;
   reindex(group, id);
 }
@@ -131,9 +134,12 @@ void RouteStore::reindex(RouteGroup& group, GroupId id) {
   // and its incident links, so the dependency set closes over the
   // neighborhoods of the source and every path node, and the link set is
   // the source uplink plus every assignment's egress link.
-  NodeMask deps(topo_->node_count());
-  NodeMask path_nodes(topo_->node_count());
-  std::vector<topo::LinkId> links;
+  NodeMask& deps = scratch_deps_;
+  NodeMask& path_nodes = scratch_path_nodes_;
+  std::vector<topo::LinkId>& links = scratch_links_;
+  deps.clear();
+  path_nodes.clear();
+  links.clear();
   deps.set(group.src);
   path_nodes.set(group.src);
   if (group.live) {
@@ -176,9 +182,9 @@ void RouteStore::reindex(RouteGroup& group, GroupId id) {
   for (const topo::LinkId link : links) {
     if (!uses_link(group, link)) post(link_index_[link]);
   }
-  group.deps = std::move(deps);
-  group.path_nodes = std::move(path_nodes);
-  group.links = std::move(links);
+  std::swap(group.deps, deps);
+  std::swap(group.path_nodes, path_nodes);
+  std::swap(group.links, links);
 }
 
 namespace {

@@ -184,9 +184,10 @@ class RouteStore {
   }
 
   /// Installs a fresh encoding for group `id` (computed from `core_path`)
-  /// and reindexes it.
-  void set_encoding(GroupId id, std::vector<topo::NodeId> core_path,
-                    routing::EncodedRoute route, std::uint64_t version);
+  /// and reindexes it. Both are copied into the group's existing buffers,
+  /// so a warmed group reinstalls without allocating.
+  void set_encoding(GroupId id, const std::vector<topo::NodeId>& core_path,
+                    const routing::EncodedRoute& route, std::uint64_t version);
 
   /// Marks group `id` dead (no usable path) and shrinks its index
   /// footprint to the revive trigger (the source edge's distance).
@@ -256,6 +257,11 @@ class RouteStore {
   mutable std::vector<DstPostings> dst_postings_;
   std::size_t live_ = 0;
   std::size_t withdrawn_ = 0;
+  /// reindex() builds a group's new footprint here and swaps it in, so the
+  /// old footprint's buffers are reused by the next reindex.
+  NodeMask scratch_deps_;
+  NodeMask scratch_path_nodes_;
+  std::vector<topo::LinkId> scratch_links_;
 };
 
 }  // namespace kar::ctrlplane

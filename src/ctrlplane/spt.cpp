@@ -31,6 +31,9 @@ DynamicSpt::DynamicSpt(const topo::Topology& topology, topo::NodeId destination,
   mark_.assign(n, 0);
   affected_flag_.assign(n, 0);
   old_dist_.assign(n, kInf);
+  next_hop_memo_.assign(n, topo::kInvalidNode);
+  next_hop_stamp_.assign(n, 0);
+  memo_link_version_ = topo_->link_state_version();
   rebuild();
 }
 
@@ -41,6 +44,7 @@ bool DynamicSpt::propagates(topo::NodeId node) const {
 }
 
 void DynamicSpt::rebuild() {
+  ++memo_stamp_;
   std::fill(dist_.begin(), dist_.end(), kInf);
   std::fill(parent_.begin(), parent_.end(), topo::kInvalidNode);
   std::fill(parent_link_.begin(), parent_link_.end(), topo::kInvalidLink);
@@ -69,6 +73,7 @@ void DynamicSpt::rebuild() {
 
 SptUpdateStats DynamicSpt::apply_link_event(topo::LinkId link, bool up,
                                             std::vector<topo::NodeId>& changed) {
+  ++memo_stamp_;
   return up ? handle_insert(link, changed) : handle_delete(link, changed);
 }
 
@@ -269,13 +274,20 @@ topo::NodeId DynamicSpt::canonical_next_hop(topo::NodeId from) const {
 
 std::optional<std::vector<topo::NodeId>> DynamicSpt::canonical_path(
     topo::NodeId from) const {
-  if (from == dst_) return std::vector<topo::NodeId>{dst_};
-  if (dist_[from] == kInf) return std::nullopt;
-  std::vector<topo::NodeId> nodes{from};
+  std::vector<topo::NodeId> nodes;
+  if (!canonical_path(from, nodes)) return std::nullopt;
+  return nodes;
+}
+
+bool DynamicSpt::canonical_path(topo::NodeId from,
+                                std::vector<topo::NodeId>& nodes) const {
+  nodes.assign(1, from);
+  if (from == dst_) return true;
+  if (dist_[from] == kInf) return false;
   topo::NodeId cur = from;
   while (cur != dst_) {
     const topo::NodeId next = canonical_next_hop(cur);
-    if (next == topo::kInvalidNode) return std::nullopt;
+    if (next == topo::kInvalidNode) return false;
     nodes.push_back(next);
     cur = next;
     if (nodes.size() > topo_->node_count() + 1) {
@@ -283,7 +295,31 @@ std::optional<std::vector<topo::NodeId>> DynamicSpt::canonical_path(
                              topo_->name(dst_) + " (inconsistent distances)");
     }
   }
-  return nodes;
+  return true;
+}
+
+bool DynamicSpt::canonical_path_is(topo::NodeId from,
+                                   const std::vector<topo::NodeId>& core) {
+  if (dist_[from] == kInf) return false;
+  if (memo_link_version_ != topo_->link_state_version()) {
+    memo_link_version_ = topo_->link_state_version();
+    ++memo_stamp_;
+  }
+  const auto next_hop = [this](topo::NodeId node) {
+    if (next_hop_stamp_[node] != memo_stamp_) {
+      next_hop_memo_[node] = canonical_next_hop(node);
+      next_hop_stamp_[node] = memo_stamp_;
+    }
+    return next_hop_memo_[node];
+  };
+  // canonical_next_hop(dst_) is kInvalidNode, so a walk that reaches dst_
+  // early (or starts there) never matches.
+  topo::NodeId cur = from;
+  for (const topo::NodeId expected : core) {
+    if (next_hop(cur) != expected) return false;
+    cur = expected;
+  }
+  return next_hop(cur) == dst_;
 }
 
 }  // namespace kar::ctrlplane

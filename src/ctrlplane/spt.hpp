@@ -69,6 +69,17 @@ class DynamicSpt {
   /// nullopt when unreachable.
   [[nodiscard]] std::optional<std::vector<topo::NodeId>> canonical_path(
       topo::NodeId from) const;
+  /// The same path written into `nodes` (replacing its contents, reusing
+  /// its buffer); false when unreachable.
+  bool canonical_path(topo::NodeId from, std::vector<topo::NodeId>& nodes) const;
+
+  /// True iff canonical_path(from) is exactly `from`, `core`..., destination:
+  /// the same walk, compared hop by hop in place, without building a path.
+  /// Reads next hops through a memo (hence not const) that holds each
+  /// node's canonical_next_hop until the tree is updated or the topology's
+  /// link states change.
+  [[nodiscard]] bool canonical_path_is(topo::NodeId from,
+                                       const std::vector<topo::NodeId>& core);
 
  private:
   [[nodiscard]] bool propagates(topo::NodeId node) const;
@@ -90,6 +101,13 @@ class DynamicSpt {
   std::vector<std::uint8_t> affected_flag_;
   std::uint32_t epoch_ = 0;
   std::vector<double> old_dist_;
+  /// canonical_path_is's next-hop memo: an entry is valid while its stamp
+  /// equals memo_stamp_, which every tree update and every topology
+  /// link-state change (seen as a new link_state_version) advances.
+  std::vector<topo::NodeId> next_hop_memo_;
+  std::vector<std::uint64_t> next_hop_stamp_;
+  std::uint64_t memo_stamp_ = 1;
+  std::uint64_t memo_link_version_ = 0;
 };
 
 }  // namespace kar::ctrlplane

@@ -343,8 +343,7 @@ SnapshotInfo restore_store(std::string_view bytes, topo::Topology& topology,
   for (ctrlplane::GroupId id = 0; id < groups.size(); ++id) {
     GroupRecord& group = groups[id];
     if (group.live) {
-      store.set_encoding(id, std::move(group.core), std::move(group.route),
-                         group.version);
+      store.set_encoding(id, group.core, group.route, group.version);
     } else if (group.version != 0) {
       store.set_dead(id, group.version);
     }

@@ -198,6 +198,46 @@ BigUint& BigUint::operator*=(const BigUint& rhs) {
   return *this;
 }
 
+BigUint& BigUint::mul_add(std::uint64_t factor, std::uint64_t addend) {
+  std::uint32_t* limbs = data();
+  __uint128_t carry = addend;
+  for (std::size_t i = 0; i < size_; ++i) {
+    carry += static_cast<__uint128_t>(limbs[i]) * factor;
+    limbs[i] = static_cast<std::uint32_t>(carry);
+    carry >>= 32;
+  }
+  while (carry != 0) {
+    push_back(static_cast<std::uint32_t>(carry));
+    carry >>= 32;
+  }
+  normalize();  // factor 0 leaves high zero limbs
+  return *this;
+}
+
+BigUint& BigUint::add_mul(const BigUint& x, std::uint64_t factor) {
+  if (x.size_ > size_) resize(x.size_);
+  std::uint32_t* limbs = data();
+  const std::uint32_t* other = x.data();
+  __uint128_t carry = 0;
+  std::size_t i = 0;
+  for (; i < x.size_; ++i) {
+    carry += limbs[i] + static_cast<__uint128_t>(other[i]) * factor;
+    limbs[i] = static_cast<std::uint32_t>(carry);
+    carry >>= 32;
+  }
+  for (; carry != 0 && i < size_; ++i) {
+    carry += limbs[i];
+    limbs[i] = static_cast<std::uint32_t>(carry);
+    carry >>= 32;
+  }
+  while (carry != 0) {
+    push_back(static_cast<std::uint32_t>(carry));
+    carry >>= 32;
+  }
+  normalize();  // factor 0 on a longer x leaves high zero limbs
+  return *this;
+}
+
 BigUint& BigUint::operator<<=(std::size_t bits) {
   if (is_zero() || bits == 0) return *this;
   const std::size_t limb_shift = bits / 32;

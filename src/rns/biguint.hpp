@@ -75,6 +75,11 @@ class BigUint {
   BigUint& operator+=(const BigUint& rhs);
   BigUint& operator-=(const BigUint& rhs);  ///< Throws std::underflow_error if rhs > *this.
   BigUint& operator*=(const BigUint& rhs);
+  /// *this = *this * factor + addend, in place (no temporary).
+  BigUint& mul_add(std::uint64_t factor, std::uint64_t addend);
+  /// *this += x * factor, in place (no temporary). `x` must not alias
+  /// *this.
+  BigUint& add_mul(const BigUint& x, std::uint64_t factor);
   BigUint& operator<<=(std::size_t bits);
   BigUint& operator>>=(std::size_t bits);
 

@@ -17,27 +17,24 @@ RnsBasis::RnsBasis(std::vector<std::uint64_t> moduli) : moduli_(std::move(moduli
                                   std::to_string(m));
     }
   }
-  if (const auto violation = find_coprime_violation(moduli_)) {
-    throw std::invalid_argument(
-        "RnsBasis: moduli " + std::to_string(moduli_[violation->first_index]) +
-        " and " + std::to_string(moduli_[violation->second_index]) +
-        " share factor " + std::to_string(violation->common_factor));
-  }
-
+  // The prefix product s_0 · ... · s_{i-1} is invertible mod s_i exactly
+  // when s_i shares no factor with an earlier modulus, so the inverses
+  // check pairwise coprimality as they are built.
+  prefix_inverses_.reserve(moduli_.size());
   range_ = BigUint(1);
-  for (const std::uint64_t m : moduli_) range_ *= BigUint(m);
-  bit_length_ = ceil_log2(range_ - BigUint(1));
-
-  crt_coefficients_.reserve(moduli_.size());
   for (const std::uint64_t m : moduli_) {
-    // M_i = M / s_i (Eq. 6); L_i = (M_i)^-1 mod s_i (Eq. 7).
-    const BigUint big_mi = range_ / BigUint(m);
-    const std::uint64_t mi_mod = big_mi.mod_u64(m);
-    const auto li = mod_inverse(mi_mod, m);
-    // Pairwise coprimality guarantees the inverse exists.
-    if (!li) throw std::logic_error("RnsBasis: inverse must exist for coprime basis");
-    crt_coefficients_.push_back((big_mi * BigUint(*li)) % range_);
+    const auto inverse = mod_inverse(range_.mod_u64(m), m);
+    if (!inverse) {
+      const auto violation = find_coprime_violation(moduli_);
+      throw std::invalid_argument(
+          "RnsBasis: moduli " + std::to_string(moduli_[violation->first_index]) +
+          " and " + std::to_string(moduli_[violation->second_index]) +
+          " share factor " + std::to_string(violation->common_factor));
+    }
+    prefix_inverses_.push_back(*inverse);
+    range_.mul_add(m, 0);
   }
+  bit_length_ = ceil_log2(range_ - BigUint(1));
 }
 
 BigUint RnsBasis::encode(std::span<const std::uint64_t> residues) const {
@@ -46,18 +43,25 @@ BigUint RnsBasis::encode(std::span<const std::uint64_t> residues) const {
                                 std::to_string(moduli_.size()) + " residues, got " +
                                 std::to_string(residues.size()));
   }
-  BigUint sum;
+  // Garner: after step i, value is the CRT solution for s_0..s_i, below
+  // prefix = s_0 · ... · s_i. Step i adds the multiple of the old prefix
+  // that corrects the residue mod s_i.
+  BigUint value;
+  BigUint prefix(1);
   for (std::size_t i = 0; i < residues.size(); ++i) {
-    if (residues[i] >= moduli_[i]) {
+    const std::uint64_t m = moduli_[i];
+    const std::uint64_t r = residues[i];
+    if (r >= m) {
       throw std::invalid_argument(
-          "RnsBasis::encode: residue " + std::to_string(residues[i]) +
-          " out of range for modulus " + std::to_string(moduli_[i]));
+          "RnsBasis::encode: residue " + std::to_string(r) +
+          " out of range for modulus " + std::to_string(m));
     }
-    if (residues[i] != 0) {
-      sum += crt_coefficients_[i] * BigUint(residues[i]);
-    }
+    const std::uint64_t have = value.mod_u64(m);
+    const std::uint64_t gap = r >= have ? r - have : r + (m - have);
+    value.add_mul(prefix, mul_mod(gap, prefix_inverses_[i], m));
+    prefix.mul_add(m, 0);
   }
-  return sum % range_;
+  return value;
 }
 
 std::vector<std::uint64_t> RnsBasis::decode(const BigUint& value) const {
@@ -65,18 +69,6 @@ std::vector<std::uint64_t> RnsBasis::decode(const BigUint& value) const {
   out.reserve(moduli_.size());
   for (const std::uint64_t m : moduli_) out.push_back(value.mod_u64(m));
   return out;
-}
-
-BigUint crt_encode(std::span<const Residue> residues) {
-  std::vector<std::uint64_t> moduli;
-  std::vector<std::uint64_t> values;
-  moduli.reserve(residues.size());
-  values.reserve(residues.size());
-  for (const auto& [modulus, residue] : residues) {
-    moduli.push_back(modulus);
-    values.push_back(residue);
-  }
-  return RnsBasis(std::move(moduli)).encode(values);
 }
 
 std::size_t ceil_log2(const BigUint& x) {

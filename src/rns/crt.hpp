@@ -18,18 +18,10 @@
 
 namespace kar::rns {
 
-/// One congruence: value ≡ `residue` (mod `modulus`). In KAR terms the
-/// modulus is a switch ID and the residue that switch's output port.
-struct Residue {
-  std::uint64_t modulus;
-  std::uint64_t residue;
-
-  friend bool operator==(const Residue&, const Residue&) = default;
-};
-
-/// A fixed RNS basis (a set of pairwise-coprime moduli >= 2) with the
-/// precomputed CRT coefficients M_i·L_i of Eq. 4. Encoding against a fixed
-/// basis is O(N) BigUint multiply-adds.
+/// A fixed RNS basis (a set of pairwise-coprime moduli >= 2). Encoding
+/// runs Garner's mixed-radix CRT: it yields the same R as Eq. 4 (the CRT
+/// solution in [0, M) is unique) with O(N) word-by-BigUint steps and no
+/// BigUint division.
 class RnsBasis {
  public:
   /// Validates the moduli: each >= 2 and pairwise coprime.
@@ -56,13 +48,11 @@ class RnsBasis {
 
  private:
   std::vector<std::uint64_t> moduli_;
-  std::vector<BigUint> crt_coefficients_;  // M_i * L_i, reduced mod M
+  /// (s_0 · ... · s_{i-1})^-1 mod s_i: Garner's step-i inverse.
+  std::vector<std::uint64_t> prefix_inverses_;
   BigUint range_;
   std::size_t bit_length_ = 0;
 };
-
-/// One-shot CRT encode of an arbitrary residue set.
-[[nodiscard]] BigUint crt_encode(std::span<const Residue> residues);
 
 /// ceil(log2(x)); 0 for x <= 1.
 [[nodiscard]] std::size_t ceil_log2(const BigUint& x);

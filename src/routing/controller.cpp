@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "rns/crt.hpp"
 
@@ -59,10 +58,10 @@ EncodedRoute Controller::encode_path(
   }
 
   EncodedRoute route;
+  route.assignments.reserve(core_path.size() + protection.size());
   route.src_edge = src_edge;
   route.dst_edge = dst_edge;
 
-  std::unordered_map<topo::NodeId, topo::PortIndex> seen;
   const auto add_assignment = [&](topo::NodeId node, topo::NodeId next) {
     if (t.kind(node) != topo::NodeKind::kCoreSwitch) {
       throw std::invalid_argument(
@@ -72,13 +71,13 @@ EncodedRoute Controller::encode_path(
     }
     const topo::PortIndex port = port_toward(t, node, next);
     check_residue_fits(t, node, port);
-    const auto [it, inserted] = seen.emplace(node, port);
-    if (!inserted) {
-      if (it->second == port) return;  // same assignment twice is harmless
+    for (const PortAssignment& earlier : route.assignments) {
+      if (earlier.node != node) continue;
+      if (earlier.port == port) return;  // same assignment twice is harmless
       throw std::invalid_argument(
           "Controller: conflicting port assignments for " + t.name(node) +
           " (switch id " + std::to_string(t.switch_id(node)) + "): port " +
-          std::to_string(it->second) + " vs port " + std::to_string(port) +
+          std::to_string(earlier.port) + " vs port " + std::to_string(port) +
           " (a switch holds exactly one residue per route ID)");
     }
     route.assignments.push_back(

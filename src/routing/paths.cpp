@@ -60,14 +60,7 @@ std::optional<Path> dijkstra(const topo::Topology& topo, topo::NodeId src,
 
 }  // namespace
 
-double link_cost(const topo::Link& link, PathMetric metric) {
-  switch (metric) {
-    case PathMetric::kHopCount: return 1.0;
-    case PathMetric::kInverseRate: return 1e9 / link.params.rate_bps;
-    case PathMetric::kDelay: return link.params.delay_s;
-  }
-  throw std::logic_error("link_cost: bad metric");
-}
+void throw_bad_metric() { throw std::logic_error("link_cost: bad metric"); }
 
 std::optional<Path> shortest_path(const topo::Topology& topo, topo::NodeId src,
                                   topo::NodeId dst, const PathOptions& options) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
-#include <unordered_set>
 
 #include "routing/paths.hpp"
 #include "rns/biguint.hpp"
@@ -20,20 +18,20 @@ std::vector<std::size_t> hops_from_set(const topo::Topology& topo,
                                        const std::vector<topo::NodeId>& sources) {
   constexpr auto kUnreached = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> dist(topo.node_count(), kUnreached);
-  std::queue<topo::NodeId> frontier;
+  std::vector<topo::NodeId> frontier;  // FIFO: visited in push order
+  frontier.reserve(topo.node_count());
   for (const topo::NodeId s : sources) {
     dist[s] = 0;
-    frontier.push(s);
+    frontier.push_back(s);
   }
-  while (!frontier.empty()) {
-    const topo::NodeId cur = frontier.front();
-    frontier.pop();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const topo::NodeId cur = frontier[head];
     for (const auto& [port, next] : topo.neighbors(cur)) {
       (void)port;
       if (topo.kind(next) != topo::NodeKind::kCoreSwitch) continue;
       if (dist[next] != kUnreached) continue;
       dist[next] = dist[cur] + 1;
-      frontier.push(next);
+      frontier.push_back(next);
     }
   }
   return dist;
@@ -41,25 +39,37 @@ std::vector<std::size_t> hops_from_set(const topo::Topology& topo,
 
 }  // namespace
 
+std::vector<double> planner_distances(const topo::Topology& topo,
+                                      topo::NodeId dst_edge) {
+  const PathOptions path_options{PathMetric::kHopCount, /*ignore_failures=*/true};
+  return distances_to(topo, dst_edge, path_options);
+}
+
 std::vector<std::pair<topo::NodeId, topo::NodeId>> plan_driven_deflections(
     const topo::Topology& topo, const std::vector<topo::NodeId>& core_path,
     topo::NodeId dst_edge, const PlannerOptions& options) {
-  const PathOptions path_options{PathMetric::kHopCount, /*ignore_failures=*/true};
-  const std::vector<double> to_dst = distances_to(topo, dst_edge, path_options);
-  const std::vector<std::size_t> from_path = hops_from_set(topo, core_path);
+  return plan_driven_deflections(topo, core_path, dst_edge,
+                                 planner_distances(topo, dst_edge), options);
+}
 
-  const std::unordered_set<topo::NodeId> on_path(core_path.begin(),
-                                                 core_path.end());
+std::vector<std::pair<topo::NodeId, topo::NodeId>> plan_driven_deflections(
+    const topo::Topology& topo, const std::vector<topo::NodeId>& core_path,
+    topo::NodeId dst_edge, const std::vector<double>& to_dst,
+    const PlannerOptions& options) {
+  // Exactly the path's own switches are at hop distance 0 from it.
+  const std::vector<std::size_t> from_path = hops_from_set(topo, core_path);
 
   struct Candidate {
     topo::NodeId node;
     topo::NodeId next_hop;
     std::size_t path_distance;
     double dst_distance;
+    topo::SwitchId switch_id;
   };
   std::vector<Candidate> candidates;
-  for (const topo::NodeId node : topo.nodes_of_kind(topo::NodeKind::kCoreSwitch)) {
-    if (on_path.contains(node)) continue;
+  for (topo::NodeId node = 0; node < topo.node_count(); ++node) {
+    if (topo.kind(node) != topo::NodeKind::kCoreSwitch) continue;
+    if (from_path[node] == 0) continue;  // on the path
     if (to_dst[node] == std::numeric_limits<double>::infinity()) continue;
     if (from_path[node] == std::numeric_limits<std::size_t>::max()) continue;
     if (from_path[node] > options.max_distance_from_path) continue;
@@ -85,7 +95,8 @@ std::vector<std::pair<topo::NodeId, topo::NodeId>> plan_driven_deflections(
       }
     }
     if (best == topo::kInvalidNode) continue;
-    candidates.push_back(Candidate{node, best, from_path[node], to_dst[node]});
+    candidates.push_back(Candidate{node, best, from_path[node], to_dst[node],
+                                   topo.switch_id(node)});
   }
 
   // Most useful first: nearest to the path, then nearest to the
@@ -98,22 +109,30 @@ std::vector<std::pair<topo::NodeId, topo::NodeId>> plan_driven_deflections(
               if (a.dst_distance != b.dst_distance) {
                 return a.dst_distance < b.dst_distance;
               }
-              return topo.switch_id(a.node) < topo.switch_id(b.node);
+              return a.switch_id < b.switch_id;
             });
 
-  // Greedy add under the bit / count budget.
+  // Greedy add under the bit / count budget. Only a bit budget needs the
+  // route-ID range product (an unlimited one admits every candidate).
+  const bool bit_budget =
+      options.max_route_id_bits != PlannerOptions{}.max_route_id_bits;
   rns::BigUint product(1);
-  for (const topo::NodeId n : core_path) product *= rns::BigUint(topo.switch_id(n));
+  if (bit_budget) {
+    for (const topo::NodeId n : core_path) product.mul_add(topo.switch_id(n), 0);
+  }
 
   std::vector<std::pair<topo::NodeId, topo::NodeId>> plan;
   std::size_t total_switches = core_path.size();
   for (const Candidate& c : candidates) {
     if (total_switches >= options.max_switches) break;
-    const rns::BigUint with = product * rns::BigUint(topo.switch_id(c.node));
-    if (rns::ceil_log2(with - rns::BigUint(1)) > options.max_route_id_bits) {
-      continue;  // this switch is too expensive; a cheaper one may still fit
+    if (bit_budget) {
+      rns::BigUint with = product;
+      with.mul_add(c.switch_id, 0);
+      if (rns::ceil_log2(with - rns::BigUint(1)) > options.max_route_id_bits) {
+        continue;  // this switch is too expensive; a cheaper one may still fit
+      }
+      product = std::move(with);
     }
-    product = with;
     plan.emplace_back(c.node, c.next_hop);
     ++total_switches;
   }

@@ -42,4 +42,17 @@ plan_driven_deflections(const topo::Topology& topo,
                         const std::vector<topo::NodeId>& core_path,
                         topo::NodeId dst_edge, const PlannerOptions& options = {});
 
+/// The planner's hop distances to `dst_edge` on the intended topology
+/// (link failures ignored), so they depend on the destination alone.
+[[nodiscard]] std::vector<double> planner_distances(const topo::Topology& topo,
+                                                    topo::NodeId dst_edge);
+
+/// As above, with `to_dst` = planner_distances(topo, dst_edge) computed
+/// once by a caller that plans many paths toward one destination.
+[[nodiscard]] std::vector<std::pair<topo::NodeId, topo::NodeId>>
+plan_driven_deflections(const topo::Topology& topo,
+                        const std::vector<topo::NodeId>& core_path,
+                        topo::NodeId dst_edge, const std::vector<double>& to_dst,
+                        const PlannerOptions& options = {});
+
 }  // namespace kar::routing

@@ -58,8 +58,6 @@ void Topology::throw_bad_link() {
   throw std::out_of_range("Topology: bad link handle");
 }
 
-NodeKind Topology::kind(NodeId node) const { return node_ref(node).kind; }
-
 const std::string& Topology::name(NodeId node) const { return node_ref(node).name; }
 
 SwitchId Topology::switch_id(NodeId node) const {
@@ -119,10 +117,6 @@ std::optional<PortIndex> Topology::port_to(NodeId from, NodeId to) const {
   return std::nullopt;
 }
 
-NeighborView Topology::neighbors(NodeId node) const {
-  return {links_.data(), node_ref(node).ports, node};
-}
-
 std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {
   if (a >= nodes_.size() || b >= nodes_.size()) return std::nullopt;
   for (const LinkId id : nodes_[a].ports) {
@@ -145,6 +139,7 @@ std::vector<PortIndex> Topology::available_ports(NodeId node) const {
 
 void Topology::repair_all() {
   for (Link& l : links_) l.up = true;
+  ++link_state_version_;
 }
 
 LinkId Topology::fail_link(const std::string& a, const std::string& b) {

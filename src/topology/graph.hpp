@@ -137,7 +137,7 @@ class Topology {
   // -- node queries ----------------------------------------------------------
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t link_count() const noexcept { return links_.size(); }
-  [[nodiscard]] NodeKind kind(NodeId node) const;
+  [[nodiscard]] NodeKind kind(NodeId node) const { return node_ref(node).kind; }
   [[nodiscard]] const std::string& name(NodeId node) const;
   [[nodiscard]] SwitchId switch_id(NodeId node) const;  ///< Throws for edge nodes.
   [[nodiscard]] std::size_t port_count(NodeId node) const {
@@ -168,7 +168,9 @@ class Topology {
   [[nodiscard]] std::optional<PortIndex> port_to(NodeId from, NodeId to) const;
   /// All (port, neighbor) pairs of a node, ascending by port; see
   /// NeighborView.
-  [[nodiscard]] NeighborView neighbors(NodeId node) const;
+  [[nodiscard]] NeighborView neighbors(NodeId node) const {
+    return {links_.data(), node_ref(node).ports, node};
+  }
 
   [[nodiscard]] const Link& link(LinkId id) const {
     if (id >= links_.size()) throw_bad_link();
@@ -182,7 +184,16 @@ class Topology {
   [[nodiscard]] std::optional<LinkId> link_between(NodeId a, NodeId b) const;
 
   // -- failure state ---------------------------------------------------------
-  void set_link_up(LinkId id, bool up) { link(id).up = up; }
+  void set_link_up(LinkId id, bool up) {
+    link(id).up = up;
+    ++link_state_version_;
+  }
+  /// Bumped by every link-state write (set_link_up, fail_link,
+  /// repair_all), so a cache derived from link states can tell it is stale.
+  /// Link states must only be written through these calls.
+  [[nodiscard]] std::uint64_t link_state_version() const noexcept {
+    return link_state_version_;
+  }
   [[nodiscard]] bool link_up(LinkId id) const { return link(id).up; }
   /// True iff the port has a link and that link is up.
   [[nodiscard]] bool port_available(NodeId node, PortIndex port) const {
@@ -218,6 +229,7 @@ class Topology {
   std::vector<Link> links_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::unordered_map<SwitchId, NodeId> by_switch_id_;
+  std::uint64_t link_state_version_ = 0;
 };
 
 }  // namespace kar::topo

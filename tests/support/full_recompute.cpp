@@ -49,7 +49,7 @@ void FullRecomputeReference::reconverge(GroupId id,
           : std::vector<std::pair<topo::NodeId, topo::NodeId>>{};
   routing::EncodedRoute encoded =
       controller_.encode_path(group.src, core, group.dst, protection);
-  store_->set_encoding(id, std::move(core), std::move(encoded), version_);
+  store_->set_encoding(id, core, encoded, version_);
   changed.push_back(id);
   ++stats.reencoded;
 }

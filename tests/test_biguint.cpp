@@ -187,6 +187,33 @@ TEST(BigUint, AppendDecimalMatchesTheDivmodReference) {
   }
 }
 
+TEST(BigUint, InPlaceMultiplyAddsMatchTheOperators) {
+  // mul_add and add_mul (Garner's CRT steps) against * and +, across the
+  // inline/heap boundary, with zero operands and full-width factors.
+  auto rng = testsupport::make_rng(0xADD5ULL, "InPlaceMultiplyAdds");
+  const std::vector<std::uint64_t> edge_factors = {0, 1, 0xFFFFFFFFULL,
+                                                   0x100000000ULL,
+                                                   ~std::uint64_t{0}};
+  for (std::size_t limbs = 0; limbs <= 9; ++limbs) {
+    for (int draw = 0; draw < 30; ++draw) {
+      const BigUint a = random_limbs(rng, limbs);
+      const BigUint b = random_limbs(rng, rng.below(10));
+      const std::uint64_t factor =
+          draw < 5 ? edge_factors[draw] : rng.below(~std::uint64_t{0});
+      const std::uint64_t addend =
+          draw % 3 == 0 ? 0 : rng.below(~std::uint64_t{0});
+      BigUint scaled = a;
+      scaled.mul_add(factor, addend);
+      ASSERT_EQ(scaled, a * BigUint(factor) + BigUint(addend))
+          << a << " * " << factor << " + " << addend;
+      BigUint accumulated = a;
+      accumulated.add_mul(b, factor);
+      ASSERT_EQ(accumulated, a + b * BigUint(factor))
+          << a << " + " << b << " * " << factor;
+    }
+  }
+}
+
 TEST(BigUint, AppendDecimalEdgeShapes) {
   // Exact powers of 10^9: every chunk below the leading one is zero.
   const BigUint billion(1000000000ULL);

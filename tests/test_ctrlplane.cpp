@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -198,6 +199,64 @@ TEST(DynamicSptTest, MatchesOracleOnRnp28WithHostEdges) {
   churn_against_oracle(t, hosts.front(), /*threshold=*/7, 150, rng);
   churn_against_oracle(t, t.at(s.route.dst_edge), /*threshold=*/100000, 150,
                        rng);
+}
+
+TEST(DynamicSptTest, HeldPathCheckMatchesCanonicalPathUnderChurn) {
+  // canonical_path_is reads next hops through a memo. After every link
+  // flip — checked once before the tree hears of it (a topology link-state
+  // change alone must invalidate the memo) and once after — its verdict on
+  // each source's current and previous core path must equal comparing
+  // against canonical_path.
+  common::Rng rng = testsupport::make_rng(0x4e1d, "HeldPathCheck");
+  Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  const topo::NodeId dst = hosts.front();
+  DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, 7);
+  std::vector<std::vector<topo::NodeId>> previous(t.node_count());
+  std::size_t held = 0;
+  // Stale distances can send the full walk around a loop, which
+  // canonical_path reports by throwing; such a walk spells no path.
+  const auto walk = [&](topo::NodeId src) {
+    try {
+      return spt.canonical_path(src);
+    } catch (const std::logic_error&) {
+      return std::optional<std::vector<topo::NodeId>>{};
+    }
+  };
+  const auto check_all = [&](int step) {
+    for (const topo::NodeId src : hosts) {
+      const auto path = walk(src);
+      std::vector<topo::NodeId> core;
+      if (path.has_value() && path->size() >= 2) {
+        core.assign(path->begin() + 1, path->end() - 1);
+      }
+      for (const auto* candidate : {&core, &previous[src]}) {
+        std::vector<topo::NodeId> spelled{src};
+        spelled.insert(spelled.end(), candidate->begin(), candidate->end());
+        spelled.push_back(dst);
+        const bool expected = path.has_value() && *path == spelled;
+        ASSERT_EQ(spt.canonical_path_is(src, *candidate), expected)
+            << "step " << step << ", source " << t.name(src);
+        held += expected ? 1 : 0;
+      }
+      previous[src] = core;
+    }
+  };
+  check_all(-1);
+  std::vector<topo::NodeId> changed;
+  for (int step = 0; step < 150; ++step) {
+    const auto link = static_cast<topo::LinkId>(rng.below(t.link_count()));
+    const bool up = !t.link(link).up;
+    t.set_link_up(link, up);
+    // The tree's distances are stale here, but the next hops both sides
+    // read come from the same distances and the new link states.
+    check_all(step);
+    changed.clear();
+    spt.apply_link_event(link, up, changed);
+    check_all(step);
+  }
+  EXPECT_GT(held, 0u);
 }
 
 TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {

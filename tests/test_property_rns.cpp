@@ -1,5 +1,7 @@
 // Randomized property tests for the RNS/CRT layer (paper §2.2):
 //   * CRT round-trip — R mod s_i == residue_i for random coprime bases;
+//   * Garner vs Eq. 4 — RnsBasis equals testsupport::crt_eq4 on bases of
+//     1-40 moduli, past 512 bits;
 //   * bit length    — RnsBasis::bit_length matches Eq. 9 and ceil_log2(M-1);
 //   * BigUint divmod against an independent schoolbook shift-subtract
 //     reference on random multi-limb operands.
@@ -7,6 +9,7 @@
 // a replayable seed and --seed=N / KAR_SEED=N re-runs it exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "rns/crt.hpp"
 #include "rns/modular.hpp"
 #include "rns/prepared_mod.hpp"
+#include "support/crt_reference.hpp"
 #include "support/divmod_reference.hpp"
 #include "support/testsupport.hpp"
 
@@ -61,13 +65,65 @@ TEST_P(RnsProperty, CrtRoundTripRecoversEveryResidue) {
     }
     EXPECT_EQ(basis.decode(route_id), residues);
 
-    // crt_encode (the unordered one-shot form) must agree with the basis.
-    std::vector<Residue> congruences;
-    for (std::size_t i = 0; i < count; ++i) {
-      congruences.push_back({moduli[i], residues[i]});
+    // A one-shot basis over the same congruences in another order must
+    // agree (Eq. 4 is a commutative sum).
+    std::vector<std::size_t> order(count);
+    for (std::size_t i = 0; i < count; ++i) order[i] = i;
+    rng.shuffle(order);
+    std::vector<std::uint64_t> shuffled_moduli;
+    std::vector<std::uint64_t> shuffled_residues;
+    for (const std::size_t i : order) {
+      shuffled_moduli.push_back(moduli[i]);
+      shuffled_residues.push_back(residues[i]);
     }
-    EXPECT_EQ(crt_encode(congruences), route_id);
+    EXPECT_EQ(RnsBasis(shuffled_moduli).encode(shuffled_residues), route_id);
   }
+}
+
+/// `count` distinct primes drawn upward from random starts below 2^61, so
+/// moduli, prefix residues and Garner's products take the 128-bit paths.
+std::vector<std::uint64_t> random_wide_primes(common::Rng& rng,
+                                              std::size_t count) {
+  std::vector<std::uint64_t> primes;
+  while (primes.size() < count) {
+    std::uint64_t candidate = 2 + rng.below(std::uint64_t{1} << (2 + rng.below(60)));
+    while (!is_prime_u64(candidate)) ++candidate;
+    if (std::find(primes.begin(), primes.end(), candidate) == primes.end()) {
+      primes.push_back(candidate);
+    }
+  }
+  return primes;
+}
+
+TEST_P(RnsProperty, GarnerMatchesEq4Reference) {
+  // RnsBasis runs Garner's mixed-radix CRT; testsupport::crt_eq4 is the
+  // paper's Eq. 4 with BigUint long division. The CRT solution is unique,
+  // so both must give the same route ID and the same Eq. 9 bit length.
+  auto rng = testsupport::make_rng(GetParam() ^ 0x6A7ULL, "GarnerEq4");
+  std::size_t widest = 0;
+  for (int iteration = 0; iteration < 60; ++iteration) {
+    const std::size_t count = 1 + rng.below(40);
+    std::vector<std::uint64_t> moduli =
+        iteration % 2 == 0
+            ? next_coprime_ids(count, 2 + rng.below(std::uint64_t{1} << 31), {})
+            : random_wide_primes(rng, count);
+    rng.shuffle(moduli);
+    std::vector<std::uint64_t> residues;
+    residues.reserve(count);
+    for (const std::uint64_t modulus : moduli) {
+      residues.push_back(rng.below(modulus));
+    }
+
+    const RnsBasis basis(moduli);
+    const testsupport::Eq4Encoding reference =
+        testsupport::crt_eq4(moduli, residues);
+    EXPECT_EQ(basis.encode(residues), reference.route_id)
+        << count << " moduli in iteration " << iteration;
+    EXPECT_EQ(basis.bit_length(), reference.bit_length)
+        << count << " moduli in iteration " << iteration;
+    widest = std::max(widest, basis.bit_length());
+  }
+  EXPECT_GT(widest, 512u);
 }
 
 TEST_P(RnsProperty, BitLengthMatchesEq9) {

@@ -12,7 +12,9 @@
 // window-limited TCP flow through sim::Network; and across hot-potato
 // walkers that keep surfacing at a wrong edge, once each edge has
 // re-encoded toward the destination; and across a walk of every node's
-// neighbors, the inner loop of every graph search. The `kard` query path
+// neighbors, the inner loop of every graph search. A reconvergence epoch
+// whose candidate groups all keep their paths allocates nothing per
+// candidate (the held-path check walks the SPT in place). The `kard` query path
 // gets a budget
 // rather than a zero: its answer is one string, and a std::promise costs
 // two more.
@@ -31,6 +33,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ctrlplane/engine.hpp"
+#include "ctrlplane/route_store.hpp"
 #include "daemon/daemon.hpp"
 #include "dataplane/switch.hpp"
 #include "routing/controller.hpp"
@@ -242,6 +246,57 @@ TEST(ZeroAlloc, NeighborWalkDoesNotTouchTheHeap) {
       << g_allocations << " allocations walking " << pairs << " ports";
   EXPECT_EQ(pairs, 2 * t.link_count());
   EXPECT_GT(port_sum, 0u);
+}
+
+TEST(ZeroAlloc, HeldPathChecksDoNotTouchTheHeap) {
+  // An epoch in which every core link fails and is repaired leaves every
+  // link up and every distance where it was, so each candidate group keeps
+  // its path. Two engines over the same destinations do the same SPT work
+  // but examine different numbers of groups (2 sources vs all), so any
+  // per-candidate allocation shows up as a difference between them.
+  topo::Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  std::vector<ctrlplane::LinkChange> bounce;
+  for (topo::LinkId link = 0; link < t.link_count(); ++link) {
+    const topo::Link& l = t.link(link);
+    if (t.kind(l.a.node) != topo::NodeKind::kCoreSwitch ||
+        t.kind(l.b.node) != topo::NodeKind::kCoreSwitch) {
+      continue;
+    }
+    bounce.push_back({link, false});
+    bounce.push_back({link, true});
+  }
+  struct Epoch {
+    std::uint64_t allocations = 0;
+    std::size_t candidates = 0;
+    std::size_t changed = 0;
+  };
+  const auto held_epoch = [&](std::size_t sources) {
+    ctrlplane::RouteStore store(t);
+    ctrlplane::ReconvergenceEngine engine(t, store);
+    for (std::size_t i = 0; i < sources; ++i) {
+      for (const topo::NodeId dst : hosts) {
+        if (dst != hosts[i]) (void)engine.add_route(hosts[i], dst);
+      }
+    }
+    (void)engine.apply(bounce);  // warm: scratch capacity, posting lists
+    (void)engine.apply(bounce);
+    g_allocations = 0;
+    g_counting = true;
+    const ctrlplane::EpochResult result = engine.apply(bounce);
+    g_counting = false;
+    return Epoch{g_allocations, result.stats.candidates, result.changed.size()};
+  };
+  const Epoch few = held_epoch(2);
+  const Epoch all = held_epoch(hosts.size());
+  EXPECT_EQ(few.changed, 0u);
+  EXPECT_EQ(all.changed, 0u);
+  EXPECT_GE(all.candidates, few.candidates + 500);
+  EXPECT_EQ(all.allocations, few.allocations)
+      << few.candidates << " candidates: " << few.allocations
+      << " allocations; " << all.candidates << " candidates: "
+      << all.allocations << " allocations";
 }
 
 TEST(ZeroAlloc, WarmedKardQueryStaysWithinItsAllocationBudget) {
