@@ -32,15 +32,14 @@ struct ModeResult {
   double mean_hops = 0;
 };
 
-/// Sends `probes` spaced datagrams AS1 -> AS-SP with `link` down.
-ModeResult run_probes(kar::sim::DataPlaneMode mode,
-                      const kar::routing::FailoverFib* fib,
+/// Sends `probes` spaced datagrams AS1 -> AS-SP with `link` down, through
+/// the KAR switches, or through `fib`'s fast-failover tables when non-null.
+ModeResult run_probes(const kar::routing::FailoverFib* fib,
                       kar::topo::LinkId link, std::size_t probes,
                       std::uint64_t seed) {
   Scenario s = kar::topo::make_rnp28();
   const kar::routing::Controller controller(s.topology);
   kar::sim::NetworkConfig config;
-  config.mode = mode;
   config.failover_fib = fib;
   config.seed = seed;
   config.max_hops = 256;
@@ -124,10 +123,8 @@ int main(int argc, char** argv) {
     const auto& l = reference.topology.link(link);
     const std::string name = reference.topology.name(l.a.node) + "-" +
                              reference.topology.name(l.b.node);
-    const ModeResult kar_result =
-        run_probes(kar::sim::DataPlaneMode::kKar, nullptr, link, probes, seed);
-    const ModeResult ff_result = run_probes(
-        kar::sim::DataPlaneMode::kFailoverFib, &fib, link, probes, seed);
+    const ModeResult kar_result = run_probes(nullptr, link, probes, seed);
+    const ModeResult ff_result = run_probes(&fib, link, probes, seed);
     table.add_row({name, "KAR nip+partial",
                    fmt_double(100.0 * kar_result.delivered / kar_result.sent, 1) + "%",
                    fmt_double(kar_result.mean_hops, 2),

@@ -4,20 +4,16 @@
 #include <chrono>
 
 #include "obs/profile.hpp"
+#include "routing/protection.hpp"
 
 namespace kar::ctrlplane {
 
 ReconvergenceEngine::ReconvergenceEngine(const topo::Topology& topology,
-                                         RouteStore& store, EngineConfig config)
+                                         RouteStore& store)
     : topo_(&topology),
       store_(&store),
-      config_(config),
+      fallback_threshold_(std::max<std::size_t>(topology.node_count() / 4, 8)),
       controller_(topology) {}
-
-std::size_t ReconvergenceEngine::threshold() const {
-  if (config_.spt_fallback_threshold != 0) return config_.spt_fallback_threshold;
-  return std::max<std::size_t>(topo_->node_count() / 4, 8);
-}
 
 ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
     topo::NodeId dst) {
@@ -27,8 +23,7 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
   }
   DstState& state = *it->second;
   if (!state.spt) {
-    state.spt =
-        std::make_unique<DynamicSpt>(*topo_, dst, config_.metric, threshold());
+    state.spt = std::make_unique<DynamicSpt>(*topo_, dst, fallback_threshold_);
   }
   return state;
 }
@@ -117,35 +112,28 @@ const routing::EncodedRoute& ReconvergenceEngine::lookup_encoding(
   if (hit != HashIndex::kNone) return state.encodings[hit];
 
   // Miss: plan protection (memoised per core path; the planner works on the
-  // intended topology) and run the CRT. `fresh` stays empty when protection
-  // is off.
+  // intended topology) and run the CRT.
   const auto at = static_cast<std::uint32_t>(state.encodings.size());
-  std::vector<std::pair<topo::NodeId, topo::NodeId>> fresh;
-  const std::vector<std::pair<topo::NodeId, topo::NodeId>>* plan = &fresh;
-  bool planned = false;
-  if (config_.plan_protection) {
-    const std::uint32_t known =
-        state.plan_index.find(path_hash, [&](std::uint32_t p) {
-          return primary_is(state.encodings[state.plans[p].encoding], core);
-        });
-    if (known != HashIndex::kNone) {
-      plan = &state.plans[known].plan;
-    } else {
-      if (state.planner_distances.empty()) {
-        state.planner_distances = routing::planner_distances(*topo_, dst);
-      }
-      fresh = routing::plan_driven_deflections(
-          *topo_, core, dst, state.planner_distances, config_.planner);
-      planned = true;
+  const std::uint32_t known =
+      state.plan_index.find(path_hash, [&](std::uint32_t p) {
+        return primary_is(state.encodings[state.plans[p].encoding], core);
+      });
+  if (known != HashIndex::kNone) {
+    state.encodings.push_back(
+        controller_.encode_path(src, core, dst, state.plans[known].plan));
+  } else {
+    if (state.planner_distances.empty()) {
+      state.planner_distances = routing::planner_distances(*topo_, dst);
     }
-  }
-  state.encodings.push_back(controller_.encode_path(src, core, dst, *plan));
-  state.encoding_index.insert(key, at);
-  if (planned) {
+    std::vector<std::pair<topo::NodeId, topo::NodeId>> plan =
+        routing::plan_driven_deflections(*topo_, core, dst,
+                                         state.planner_distances);
+    state.encodings.push_back(controller_.encode_path(src, core, dst, plan));
     state.plan_index.insert(path_hash,
                             static_cast<std::uint32_t>(state.plans.size()));
-    state.plans.push_back(PlanEntry{at, std::move(fresh)});
+    state.plans.push_back(PlanEntry{at, std::move(plan)});
   }
+  state.encoding_index.insert(key, at);
   return state.encodings[at];
 }
 

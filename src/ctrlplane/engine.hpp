@@ -41,7 +41,6 @@
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
 #include "routing/controller.hpp"
-#include "routing/protection.hpp"
 #include "topology/graph.hpp"
 
 namespace kar::ctrlplane {
@@ -50,18 +49,6 @@ namespace kar::ctrlplane {
 struct LinkChange {
   topo::LinkId link = topo::kInvalidLink;
   bool up = false;
-};
-
-/// Engine knobs.
-struct EngineConfig {
-  routing::PathMetric metric = routing::PathMetric::kHopCount;
-  /// Plan driven-deflection protection for every primary path (memoised);
-  /// false encodes bare primary paths.
-  bool plan_protection = true;
-  routing::PlannerOptions planner;
-  /// Affected-subtree size beyond which a DynamicSpt delete falls back to
-  /// a full Dijkstra rebuild. 0 = auto (node_count / 4, at least 8).
-  std::size_t spt_fallback_threshold = 0;
 };
 
 /// Per-epoch accounting.
@@ -100,12 +87,10 @@ class ReconvergenceEngine {
  public:
   /// Both references must outlive the engine; the store must be driven
   /// exclusively through this engine.
-  ReconvergenceEngine(const topo::Topology& topology, RouteStore& store,
-                      EngineConfig config = {});
+  ReconvergenceEngine(const topo::Topology& topology, RouteStore& store);
 
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
   [[nodiscard]] const RouteStore& store() const noexcept { return *store_; }
-  [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
   /// Registers kar_ctrlplane_* metric families on `registry` and binds the
   /// engine's handles to them (reconvergence-latency histogram, per-phase
@@ -195,7 +180,6 @@ class ReconvergenceEngine {
     std::vector<double> planner_distances;
   };
 
-  [[nodiscard]] std::size_t threshold() const;
   /// Finds or creates the destination's state.
   DstState& dst_state(topo::NodeId dst);
   /// Canonical core path for (src, dst) from the destination's SPT; false
@@ -216,7 +200,9 @@ class ReconvergenceEngine {
                  std::vector<GroupId>& changed, EpochStats& stats);
   const topo::Topology* topo_;
   RouteStore* store_;
-  EngineConfig config_;
+  /// Affected-subtree size beyond which a DynamicSpt delete falls back to
+  /// a full Dijkstra rebuild: node_count / 4, at least 8.
+  std::size_t fallback_threshold_;
   routing::Controller controller_;
   std::unordered_map<topo::NodeId, std::unique_ptr<DstState>> dsts_;
   std::uint64_t version_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace kar::ctrlplane {
@@ -10,19 +9,14 @@ namespace kar::ctrlplane {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-using HeapItem = std::pair<double, topo::NodeId>;
-using MinHeap = std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>;
+/// Hop-count metric: every link costs the same.
+constexpr double kLinkCost = 1.0;
 
 }  // namespace
 
 DynamicSpt::DynamicSpt(const topo::Topology& topology, topo::NodeId destination,
-                       routing::PathMetric metric,
                        std::size_t fallback_threshold)
-    : topo_(&topology),
-      dst_(destination),
-      metric_(metric),
-      threshold_(fallback_threshold) {
+    : topo_(&topology), dst_(destination), threshold_(fallback_threshold) {
   const std::size_t n = topo_->node_count();
   if (destination >= n) throw std::out_of_range("DynamicSpt: bad destination");
   dist_.assign(n, kInf);
@@ -48,24 +42,22 @@ void DynamicSpt::rebuild() {
   std::fill(dist_.begin(), dist_.end(), kInf);
   std::fill(parent_.begin(), parent_.end(), topo::kInvalidNode);
   std::fill(parent_link_.begin(), parent_link_.end(), topo::kInvalidLink);
-  MinHeap heap;
   dist_[dst_] = 0.0;
-  heap.emplace(0.0, dst_);
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  heap_.emplace(0.0, dst_);
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
     for (const auto& [port, next] : topo_->neighbors(cur)) {
       const topo::LinkId link_id = topo_->link_at(cur, port);
-      const topo::Link& link = topo_->link(link_id);
-      if (!link.up) continue;
-      const double nd = d + routing::link_cost(link, metric_);
+      if (!topo_->link(link_id).up) continue;
+      const double nd = d + kLinkCost;
       if (nd < dist_[next]) {
         dist_[next] = nd;
         parent_[next] = cur;
         parent_link_[next] = link_id;
-        heap.emplace(nd, next);
+        heap_.emplace(nd, next);
       }
     }
   }
@@ -92,10 +84,8 @@ SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
   // A coalesced epoch can replay a repair that a later (also pending)
   // failure already reverted; the topology holds the final say.
   if (!l.up) return SptUpdateStats{0, false};
-  const double w = routing::link_cost(l, metric_);
   ++epoch_;
-  std::vector<topo::NodeId> touched;
-  MinHeap heap;
+  dirty_.clear();
 
   const auto improve = [&](topo::NodeId node, topo::NodeId via,
                            topo::LinkId via_link, double nd) {
@@ -103,39 +93,38 @@ SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
     if (mark_[node] != epoch_) {
       mark_[node] = epoch_;
       old_dist_[node] = dist_[node];
-      touched.push_back(node);
+      dirty_.push_back(node);
     }
     dist_[node] = nd;
     parent_[node] = via;
     parent_link_[node] = via_link;
-    heap.emplace(nd, node);
+    heap_.emplace(nd, node);
   };
 
   // Seed: the new link can only lower a distance through an endpoint that
   // relays relaxations (the destination or a core switch).
   if (propagates(l.b.node) && dist_[l.b.node] < kInf) {
-    improve(l.a.node, l.b.node, link, dist_[l.b.node] + w);
+    improve(l.a.node, l.b.node, link, dist_[l.b.node] + kLinkCost);
   }
   if (propagates(l.a.node) && dist_[l.a.node] < kInf) {
-    improve(l.b.node, l.a.node, link, dist_[l.a.node] + w);
+    improve(l.b.node, l.a.node, link, dist_[l.a.node] + kLinkCost);
   }
 
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
     for (const auto& [port, next] : topo_->neighbors(cur)) {
       const topo::LinkId link_id = topo_->link_at(cur, port);
-      const topo::Link& nl = topo_->link(link_id);
-      if (!nl.up) continue;
-      improve(next, cur, link_id, d + routing::link_cost(nl, metric_));
+      if (!topo_->link(link_id).up) continue;
+      improve(next, cur, link_id, d + kLinkCost);
     }
   }
 
-  // Every touched node strictly improved (improve() only fires on <).
-  changed.insert(changed.end(), touched.begin(), touched.end());
-  return SptUpdateStats{touched.size(), false};
+  // Every dirty node strictly improved (improve() only fires on <).
+  changed.insert(changed.end(), dirty_.begin(), dirty_.end());
+  return SptUpdateStats{dirty_.size(), false};
 }
 
 SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
@@ -162,12 +151,11 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     mark_[dst_] = epoch_;
     affected_flag_[dst_] = 0;
   }
-  std::vector<topo::NodeId> affected{seed};
-  std::vector<topo::NodeId> chain;
+  dirty_.assign(1, seed);
   const std::size_t n = topo_->node_count();
   for (topo::NodeId v = 0; v < n; ++v) {
     if (dist_[v] == kInf || mark_[v] == epoch_) continue;
-    chain.clear();
+    chain_.clear();
     topo::NodeId cur = v;
     std::uint8_t verdict = 0;
     while (true) {
@@ -175,7 +163,7 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
         verdict = affected_flag_[cur];
         break;
       }
-      chain.push_back(cur);
+      chain_.push_back(cur);
       const topo::NodeId p = parent_[cur];
       if (p == topo::kInvalidNode) {  // reached the root
         verdict = 0;
@@ -183,14 +171,14 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
       }
       cur = p;
     }
-    for (const topo::NodeId node : chain) {
+    for (const topo::NodeId node : chain_) {
       mark_[node] = epoch_;
       affected_flag_[node] = verdict;
-      if (verdict != 0) affected.push_back(node);
+      if (verdict != 0) dirty_.push_back(node);
     }
   }
 
-  if (affected.size() > threshold_) return fallback_rebuild(changed);
+  if (dirty_.size() > threshold_) return fallback_rebuild(changed);
 
   const auto in_affected = [&](topo::NodeId node) {
     return mark_[node] == epoch_ && affected_flag_[node] != 0;
@@ -199,56 +187,53 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
   // Detach A, remembering old distances for the changed-set diff. Boundary
   // distances (outside A) are already exact: deletion cannot lower them,
   // and their tree paths avoid the dead link.
-  for (const topo::NodeId v : affected) {
+  for (const topo::NodeId v : dirty_) {
     old_dist_[v] = dist_[v];
     dist_[v] = kInf;
     parent_[v] = topo::kInvalidNode;
     parent_link_[v] = topo::kInvalidLink;
   }
 
-  MinHeap heap;
-  for (const topo::NodeId v : affected) {
+  for (const topo::NodeId v : dirty_) {
     for (const auto& [port, next] : topo_->neighbors(v)) {
       const topo::LinkId link_id = topo_->link_at(v, port);
-      const topo::Link& nl = topo_->link(link_id);
-      if (!nl.up) continue;
+      if (!topo_->link(link_id).up) continue;
       if (in_affected(next) || !propagates(next)) continue;
       if (dist_[next] == kInf) continue;
-      const double cand = dist_[next] + routing::link_cost(nl, metric_);
+      const double cand = dist_[next] + kLinkCost;
       if (cand < dist_[v]) {
         dist_[v] = cand;
         parent_[v] = next;
         parent_link_[v] = link_id;
       }
     }
-    if (dist_[v] < kInf) heap.emplace(dist_[v], v);
+    if (dist_[v] < kInf) heap_.emplace(dist_[v], v);
   }
 
   // Restricted Dijkstra: settle A from its boundary.
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
     for (const auto& [port, next] : topo_->neighbors(cur)) {
       if (!in_affected(next)) continue;
       const topo::LinkId link_id = topo_->link_at(cur, port);
-      const topo::Link& nl = topo_->link(link_id);
-      if (!nl.up) continue;
-      const double cand = d + routing::link_cost(nl, metric_);
+      if (!topo_->link(link_id).up) continue;
+      const double cand = d + kLinkCost;
       if (cand < dist_[next]) {
         dist_[next] = cand;
         parent_[next] = cur;
         parent_link_[next] = link_id;
-        heap.emplace(cand, next);
+        heap_.emplace(cand, next);
       }
     }
   }
 
-  for (const topo::NodeId v : affected) {
+  for (const topo::NodeId v : dirty_) {
     if (dist_[v] != old_dist_[v]) changed.push_back(v);
   }
-  return SptUpdateStats{affected.size(), false};
+  return SptUpdateStats{dirty_.size(), false};
 }
 
 topo::NodeId DynamicSpt::canonical_next_hop(topo::NodeId from) const {
@@ -259,11 +244,9 @@ topo::NodeId DynamicSpt::canonical_next_hop(topo::NodeId from) const {
     // Intermediate hops must forward: only the destination itself or core
     // switches qualify as next hops.
     if (next != dst_ && topo_->kind(next) != topo::NodeKind::kCoreSwitch) continue;
-    const topo::LinkId link_id = topo_->link_at(from, port);
-    const topo::Link& link = topo_->link(link_id);
-    if (!link.up) continue;
+    if (!topo_->link(topo_->link_at(from, port)).up) continue;
     if (dist_[next] == kInf) continue;
-    const double cand = dist_[next] + routing::link_cost(link, metric_);
+    const double cand = dist_[next] + kLinkCost;
     if (cand < best_cost || (cand == best_cost && next < best)) {
       best_cost = cand;
       best = next;

@@ -2,9 +2,10 @@
 // (Ramalingam–Reps-style dynamic SSSP, specialised to undirected KAR cores).
 //
 // The tree is rooted at one destination edge node and mirrors the exact
-// semantics of routing::distances_to: symmetric link costs, and edge nodes
-// other than the destination never propagate relaxations (they terminate
-// the KAR domain). On a link-down event only the *affected subtree* — the
+// semantics of routing::distances_to under the hop-count metric: every
+// link costs 1 (the paper's "shortest path"), and edge nodes other than
+// the destination never propagate relaxations (they terminate the KAR
+// domain). On a link-down event only the *affected subtree* — the
 // nodes whose tree path to the root crosses the dead link — is re-settled
 // by a Dijkstra restricted to that subtree, seeded from its boundary; on a
 // link-up event the new link's endpoints seed a relaxation cascade. When
@@ -22,10 +23,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <queue>
+#include <utility>
 #include <vector>
 
-#include "routing/paths.hpp"
 #include "topology/graph.hpp"
 
 namespace kar::ctrlplane {
@@ -44,7 +47,7 @@ class DynamicSpt {
   /// Builds the initial tree with a full Dijkstra over the topology's
   /// *current* link states. The topology must outlive the tree.
   DynamicSpt(const topo::Topology& topology, topo::NodeId destination,
-             routing::PathMetric metric, std::size_t fallback_threshold);
+             std::size_t fallback_threshold);
 
   [[nodiscard]] topo::NodeId destination() const noexcept { return dst_; }
   [[nodiscard]] double distance(topo::NodeId node) const { return dist_[node]; }
@@ -87,9 +90,10 @@ class DynamicSpt {
   SptUpdateStats handle_delete(topo::LinkId link, std::vector<topo::NodeId>& changed);
   SptUpdateStats fallback_rebuild(std::vector<topo::NodeId>& changed);
 
+  using HeapItem = std::pair<double, topo::NodeId>;
+
   const topo::Topology* topo_;
   topo::NodeId dst_;
-  routing::PathMetric metric_;
   std::size_t threshold_;
   std::vector<double> dist_;
   /// Tree parent: the neighbor this node's settled distance came through
@@ -101,6 +105,12 @@ class DynamicSpt {
   std::vector<std::uint8_t> affected_flag_;
   std::uint32_t epoch_ = 0;
   std::vector<double> old_dist_;
+  /// The nodes an update reconsiders (insert: improved; delete: the
+  /// affected subtree), a delete's parent-chain walk, and the Dijkstra
+  /// heap every search drains to empty.
+  std::vector<topo::NodeId> dirty_;
+  std::vector<topo::NodeId> chain_;
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
   /// canonical_path_is's next-hop memo: an entry is valid while its stamp
   /// equals memo_stamp_, which every tree update and every topology
   /// link-state change (seen as a new link_state_version) advances.

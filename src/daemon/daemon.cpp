@@ -125,7 +125,7 @@ Kard::Kard(KardConfig config)
     restored_ = restore_store(bytes, scenario_.topology, store_);
   }
   engine_ = std::make_unique<ctrlplane::ReconvergenceEngine>(
-      scenario_.topology, store_, config_.engine);
+      scenario_.topology, store_);
   engine_->restore_version(restored_.engine_version);
   if (restored_.routes > 0) engine_->warm_spts();
   route_fields_.resize(store_.group_count());

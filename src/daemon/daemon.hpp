@@ -81,7 +81,6 @@ struct KardConfig {
   /// tables draw from). Must match across snapshot/restore runs — the
   /// snapshot fingerprint rejects a mismatch.
   bool host_edges = true;
-  ctrlplane::EngineConfig engine;
   /// Epoch admission cap: flush as soon as this many ops are pending.
   std::size_t flush_max_ops = 4096;
   /// Bounded-latency flush timer: flush once the oldest pending op has

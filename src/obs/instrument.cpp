@@ -67,14 +67,9 @@ void NetworkObserver::on_trace(const sim::TraceEvent& event) {
   switch (event.kind) {
     case sim::TraceEvent::Kind::kInject:
       injected_.inc();
-      inject_time_[event.packet_id] = event.time;
-      hop_count_[event.packet_id] = 0;
       break;
     case sim::TraceEvent::Kind::kHop: {
       hops_.inc();
-      if (auto it = hop_count_.find(event.packet_id); it != hop_count_.end()) {
-        ++it->second;
-      }
       if (!event.deflected) break;
       if (auto it = deflections_by_switch_.find(event.node);
           it != deflections_by_switch_.end()) {
@@ -102,15 +97,9 @@ void NetworkObserver::on_trace(const sim::TraceEvent& event) {
     }
     case sim::TraceEvent::Kind::kDeliver: {
       delivered_.inc();
-      if (auto it = inject_time_.find(event.packet_id);
-          it != inject_time_.end()) {
-        delivery_latency_.observe(event.time - it->second);
-        inject_time_.erase(it);
-      }
-      if (auto it = hop_count_.find(event.packet_id); it != hop_count_.end()) {
-        delivery_hops_.observe(static_cast<double>(it->second));
-        hop_count_.erase(it);
-      }
+      // The packet carries its own injection time and hop count.
+      delivery_latency_.observe(event.time - event.packet->created_at);
+      delivery_hops_.observe(static_cast<double>(event.packet->hop_count));
       break;
     }
     case sim::TraceEvent::Kind::kDrop: {
@@ -119,8 +108,6 @@ void NetworkObserver::on_trace(const sim::TraceEvent& event) {
           it != drops_by_reason_.end()) {
         it->second.inc();
       }
-      inject_time_.erase(event.packet_id);
-      hop_count_.erase(event.packet_id);
       if (trace_ != nullptr) {
         TraceRecord record;
         record.cat = TraceCategory::kPacket;

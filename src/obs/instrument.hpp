@@ -81,11 +81,6 @@ class NetworkObserver {
   Histogram delivery_hops_;
   std::unordered_map<topo::NodeId, Counter> deflections_by_switch_;
   std::unordered_map<std::uint8_t, Counter> drops_by_reason_;
-
-  /// In-flight bookkeeping for the delivery histograms (packet id ->
-  /// inject time / hop count); erased on deliver and drop.
-  std::unordered_map<std::uint64_t, double> inject_time_;
-  std::unordered_map<std::uint64_t, std::uint64_t> hop_count_;
 };
 
 }  // namespace kar::obs

@@ -12,6 +12,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The weight of one link under a metric: the one cost function every path
+/// routine here shares.
+double link_cost(const topo::Link& link, PathMetric metric) {
+  switch (metric) {
+    case PathMetric::kHopCount: return 1.0;
+    case PathMetric::kInverseRate: return 1e9 / link.params.rate_bps;
+    case PathMetric::kDelay: return link.params.delay_s;
+  }
+  throw std::logic_error("link_cost: bad metric");
+}
+
 /// Shared Dijkstra core. When `banned_nodes`/`banned_links` are non-null the
 /// respective elements are skipped (used by Yen's spur computation).
 std::optional<Path> dijkstra(const topo::Topology& topo, topo::NodeId src,
@@ -59,8 +70,6 @@ std::optional<Path> dijkstra(const topo::Topology& topo, topo::NodeId src,
 }
 
 }  // namespace
-
-void throw_bad_metric() { throw std::logic_error("link_cost: bad metric"); }
 
 std::optional<Path> shortest_path(const topo::Topology& topo, topo::NodeId src,
                                   topo::NodeId dst, const PathOptions& options) {

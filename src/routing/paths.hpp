@@ -36,21 +36,6 @@ struct Path {
   friend bool operator==(const Path&, const Path&) = default;
 };
 
-/// Throws std::logic_error for a PathMetric outside the enum.
-[[noreturn]] void throw_bad_metric();
-
-/// The weight of one link under a metric — the single cost function every
-/// path routine here shares (exported so the incremental control plane's
-/// dynamic SPTs price links identically to the full Dijkstra they mirror).
-[[nodiscard]] inline double link_cost(const topo::Link& link, PathMetric metric) {
-  switch (metric) {
-    case PathMetric::kHopCount: return 1.0;
-    case PathMetric::kInverseRate: return 1e9 / link.params.rate_bps;
-    case PathMetric::kDelay: return link.params.delay_s;
-  }
-  throw_bad_metric();
-}
-
 /// Dijkstra from `src` to `dst`. Intermediate hops are restricted to core
 /// switches (edge nodes do not forward). Returns nullopt when disconnected.
 [[nodiscard]] std::optional<Path> shortest_path(const topo::Topology& topo,

@@ -19,10 +19,9 @@
 //     channel sits in a small 4-ary heap; popping a head replaces it in
 //     place with its channel's next entry. A push earlier than its
 //     channel's tail goes to the general heap;
-//   * a position-indexed 4-ary heap of re-armable timers (TCP RTO, the
-//     reactive controller's debounce): one entry per armed timer, moved in
-//     place when re-armed and removed when disarmed, so a superseded
-//     deadline never sits in the queue.
+//   * a position-indexed 4-ary heap of re-armable timers (the TCP RTO):
+//     one entry per armed timer, moved in place when re-armed and removed
+//     when disarmed, so a superseded deadline never sits in the queue.
 // A generic event's slot indexes a slab of std::function handlers recycled
 // through a free list; a packet event's slot is a packet-pool index handed
 // back to the attached PacketEventSink (sim::Network's per-hop events), so

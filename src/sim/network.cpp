@@ -273,13 +273,10 @@ void Network::arrive_at(topo::NodeId node, topo::PortIndex in_port,
 
 void Network::forward_from_switch(topo::NodeId node, topo::PortIndex in_port,
                                   std::uint32_t slot) {
-  if (config_.mode == DataPlaneMode::kFailoverFib) {
+  if (config_.failover_fib != nullptr) {
     // Table-driven fast-failover baseline: the route ID is ignored.
-    const auto selection =
-        config_.failover_fib
-            ? config_.failover_fib->select_with_status(
-                  *topo_, node, pool_[slot].packet.dst_edge)
-            : std::nullopt;
+    const auto selection = config_.failover_fib->select_with_status(
+        *topo_, node, pool_[slot].packet.dst_edge);
     if (!selection) {
       drop(slot, node, DropReason::kNoViablePort);
       return;

@@ -47,16 +47,12 @@
 
 namespace kar::sim {
 
-/// Which forwarding engine the core switches run.
-enum class DataPlaneMode : std::uint8_t {
-  kKar,          ///< Modulo forwarding + deflection (this paper).
-  kFailoverFib,  ///< OpenFlow fast-failover baseline (Table 2 comparator).
-};
-
 /// Simulation knobs.
 struct NetworkConfig {
-  DataPlaneMode mode = DataPlaneMode::kKar;
-  /// Required when mode == kFailoverFib; must outlive the network.
+  /// Non-null: the core switches forward by these OpenFlow fast-failover
+  /// tables (the Table 2 baseline) and ignore the route ID. Null: KAR's
+  /// modulo forwarding with deflection (this paper). Must outlive the
+  /// network.
   const routing::FailoverFib* failover_fib = nullptr;
   dataplane::DeflectionTechnique technique =
       dataplane::DeflectionTechnique::kNotInputPort;

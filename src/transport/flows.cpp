@@ -58,23 +58,6 @@ BulkTransferFlow::BulkTransferFlow(sim::Network& network, FlowDispatcher& dispat
       });
 }
 
-void BulkTransferFlow::set_forward_route(routing::EncodedRoute route) {
-  if (route.src_edge != forward_.src_edge || route.dst_edge != forward_.dst_edge) {
-    throw std::invalid_argument(
-        "BulkTransferFlow::set_forward_route: endpoints must match");
-  }
-  // The sender holds a pointer to forward_; assignment updates it in place.
-  forward_ = std::move(route);
-}
-
-void BulkTransferFlow::set_reverse_route(routing::EncodedRoute route) {
-  if (route.src_edge != reverse_.src_edge || route.dst_edge != reverse_.dst_edge) {
-    throw std::invalid_argument(
-        "BulkTransferFlow::set_reverse_route: endpoints must match");
-  }
-  reverse_ = std::move(route);
-}
-
 void BulkTransferFlow::start_at(double time) {
   net_->events().schedule_at(time, sim::EventKind::kTraffic,
                              [this] { sender_->start(); });

@@ -72,13 +72,6 @@ class BulkTransferFlow {
   void start_at(double time);
   void stop_at(double time);
 
-  /// Replaces the data route in place (models a controller pushing a
-  /// recomputed route ID to the ingress edge — the paper's "traditional
-  /// approach" to failure reaction). Endpoints must match.
-  void set_forward_route(routing::EncodedRoute route);
-  /// Replaces the ACK route in place; endpoints must match.
-  void set_reverse_route(routing::EncodedRoute route);
-
   [[nodiscard]] TcpSender& sender() noexcept { return *sender_; }
   [[nodiscard]] TcpReceiver& receiver() noexcept { return *receiver_; }
   [[nodiscard]] const TcpSender& sender() const noexcept { return *sender_; }

@@ -13,16 +13,14 @@ using ctrlplane::GroupId;
 using ctrlplane::RouteKey;
 
 FullRecomputeReference::FullRecomputeReference(const topo::Topology& topology,
-                                               ctrlplane::RouteStore& store,
-                                               ctrlplane::EngineConfig config)
-    : topo_(&topology), store_(&store), config_(config), controller_(topology) {}
+                                               ctrlplane::RouteStore& store)
+    : topo_(&topology), store_(&store), controller_(topology) {}
 
 const ctrlplane::DynamicSpt& FullRecomputeReference::spt(topo::NodeId dst) {
   std::unique_ptr<ctrlplane::DynamicSpt>& slot = spts_[dst];
-  if (!slot) {
-    slot = std::make_unique<ctrlplane::DynamicSpt>(
-        *topo_, dst, config_.metric, config_.spt_fallback_threshold);
-  }
+  // Built fresh every epoch and never updated, so the fallback threshold
+  // is never consulted.
+  if (!slot) slot = std::make_unique<ctrlplane::DynamicSpt>(*topo_, dst, 0);
   return *slot;
 }
 
@@ -43,10 +41,7 @@ void FullRecomputeReference::reconverge(GroupId id,
   std::vector<topo::NodeId> core(path->begin() + 1, path->end() - 1);
   if (group.live && core == group.core_path) return;
   const auto protection =
-      config_.plan_protection
-          ? routing::plan_driven_deflections(*topo_, core, group.dst,
-                                             config_.planner)
-          : std::vector<std::pair<topo::NodeId, topo::NodeId>>{};
+      routing::plan_driven_deflections(*topo_, core, group.dst);
   routing::EncodedRoute encoded =
       controller_.encode_path(group.src, core, group.dst, protection);
   store_->set_encoding(id, core, encoded, version_);

@@ -36,10 +36,9 @@ namespace kar::testsupport {
 class FullRecomputeReference {
  public:
   /// Both references must outlive the reference engine; the store must be
-  /// driven only through it. `config` is read as the engine reads it.
+  /// driven only through it.
   FullRecomputeReference(const topo::Topology& topology,
-                         ctrlplane::RouteStore& store,
-                         ctrlplane::EngineConfig config = {});
+                         ctrlplane::RouteStore& store);
 
   /// ReconvergenceEngine::add_route.
   ctrlplane::RouteKey add_route(topo::NodeId src, topo::NodeId dst);
@@ -67,7 +66,6 @@ class FullRecomputeReference {
 
   const topo::Topology* topo_;
   ctrlplane::RouteStore* store_;
-  ctrlplane::EngineConfig config_;
   routing::Controller controller_;
   std::uint64_t version_ = 0;
   /// SPTs built since the current epoch began; apply() drops them all.

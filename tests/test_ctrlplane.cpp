@@ -1,8 +1,8 @@
 // Unit tests for the incremental control plane (src/ctrlplane/): the route
 // store's inverted indexes, the dynamic SPT against its full-Dijkstra
-// oracle, the reconvergence engine (against the full-recompute reference)
-// and the ReactiveController. The heavyweight cross-topology equivalence proof
-// lives in tests/test_ctrlplane_differential.cpp.
+// oracle and the reconvergence engine (against the full-recompute
+// reference). The heavyweight cross-topology equivalence proof lives in
+// tests/test_ctrlplane_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,6 @@
 #include "ctrlplane/spt.hpp"
 #include "obs/metrics.hpp"
 #include "routing/paths.hpp"
-#include "sim/network.hpp"
-#include "sim/reactive_controller.hpp"
 #include "support/full_recompute.hpp"
 #include "support/testsupport.hpp"
 #include "topology/builders.hpp"
@@ -28,7 +26,6 @@ namespace kar {
 namespace {
 
 using ctrlplane::DynamicSpt;
-using ctrlplane::EngineConfig;
 using ctrlplane::LinkChange;
 using ctrlplane::NodeMask;
 using ctrlplane::ReconvergenceEngine;
@@ -156,7 +153,7 @@ void expect_matches_oracle(const topo::Topology& t, const DynamicSpt& spt,
 
 void churn_against_oracle(topo::Topology& t, topo::NodeId dst,
                           std::size_t threshold, int steps, common::Rng& rng) {
-  DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, threshold);
+  DynamicSpt spt(t, dst, threshold);
   expect_matches_oracle(t, spt, -1);
   std::vector<topo::NodeId> changed;
   for (int step = 0; step < steps; ++step) {
@@ -212,7 +209,7 @@ TEST(DynamicSptTest, HeldPathCheckMatchesCanonicalPathUnderChurn) {
   topo::Topology& t = s.topology;
   const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
   const topo::NodeId dst = hosts.front();
-  DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, 7);
+  DynamicSpt spt(t, dst, 7);
   std::vector<std::vector<topo::NodeId>> previous(t.node_count());
   std::size_t held = 0;
   // Stale distances can send the full walk around a loop, which
@@ -264,7 +261,7 @@ TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {
   topo::Topology& t = s.topology;
   const topo::NodeId src = t.at("AS1");
   const topo::NodeId dst = t.at("AS3");
-  DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, 1000);
+  DynamicSpt spt(t, dst, 1000);
 
   const auto check = [&](const DynamicSpt& tree) -> std::vector<topo::NodeId> {
     const auto path = tree.canonical_path(src);
@@ -292,7 +289,7 @@ TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {
   spt.apply_link_event(link, false, changed);
   const auto after = check(spt);
   EXPECT_NE(before, after);
-  DynamicSpt fresh(t, dst, routing::PathMetric::kHopCount, 1000);
+  DynamicSpt fresh(t, dst, 1000);
   EXPECT_EQ(after, *fresh.canonical_path(src));
   EXPECT_EQ(spt.canonical_next_hop(t.at("SW10")),
             fresh.canonical_next_hop(t.at("SW10")));
@@ -364,20 +361,20 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
 }
 
 TEST(ReconvergenceEngineTest, MetricsFamiliesAndFallbackCounter) {
-  Scenario s = topo::make_line(5);
+  // 42 nodes: the engine's SPT fallback threshold is 42 / 4 = 10.
+  Scenario s = topo::make_line(40);
   topo::Topology& t = s.topology;
   RouteStore store(t);
-  EngineConfig config;
-  config.spt_fallback_threshold = 1;  // any delete with >1 affected falls back
-  ReconvergenceEngine engine(t, store, config);
+  ReconvergenceEngine engine(t, store);
   obs::MetricsRegistry registry(true);
   engine.attach_metrics(registry, {{"topology", "line"}});
   engine.add_route(t.at(s.route.src_edge), t.at(s.route.dst_edge));
 
-  // Cutting the middle of a line strands the source side: withdrawal, and
-  // an affected subtree of 3 nodes > threshold 1 -> fallback rebuild.
-  const std::string& mid_a = s.route.core_path[1];
-  const std::string& mid_b = s.route.core_path[2];
+  // Cutting the line after its 30th switch strands the source side:
+  // withdrawal, and an affected subtree of 31 nodes > 10 -> fallback
+  // rebuild.
+  const std::string& mid_a = s.route.core_path[29];
+  const std::string& mid_b = s.route.core_path[30];
   const auto result = engine.apply({flip(t, mid_a.c_str(), mid_b.c_str(), false)});
   EXPECT_EQ(result.stats.withdrawn, 1u);
   EXPECT_EQ(result.stats.spt_fallbacks, 1u);
@@ -455,63 +452,6 @@ TEST(ForwardingTrace, WalksFig1Residues) {
   const std::vector<testsupport::TraceHop> expected = {
       {t.at("S"), 0}, {t.at("SW4"), 0}, {t.at("SW7"), 2}, {t.at("SW11"), 0}};
   EXPECT_EQ(trace, expected);
-}
-
-// -- ReactiveController on the incremental engine -----------------------------
-
-// Two independent islands: flows A->B (with a detour X3) and C->D (a bare
-// line) share nothing, so an event on one island must not touch the other.
-topo::Topology make_two_islands() {
-  topo::Topology t;
-  const auto a = t.add_edge_node("A");
-  const auto b = t.add_edge_node("B");
-  const auto c = t.add_edge_node("C");
-  const auto d = t.add_edge_node("D");
-  const auto x1 = t.add_switch("X1", 3);
-  const auto x2 = t.add_switch("X2", 5);
-  const auto x3 = t.add_switch("X3", 7);
-  const auto y1 = t.add_switch("Y1", 11);
-  const auto y2 = t.add_switch("Y2", 13);
-  t.add_link(a, x1);
-  t.add_link(x1, x2);
-  t.add_link(x1, x3);
-  t.add_link(x3, x2);
-  t.add_link(x2, b);
-  t.add_link(c, y1);
-  t.add_link(y1, y2);
-  t.add_link(y2, d);
-  return t;
-}
-
-TEST(ReactiveControllerIncremental, OnlyAffectedFlowsReact) {
-  topo::Topology t = make_two_islands();
-  const routing::Controller controller(t);
-  sim::Network net(t, controller, {});
-  sim::ReactiveController reactive(net, /*reaction_delay_s=*/0.010);
-
-  int ab_updates = 0;
-  int cd_updates = 0;
-  reactive.watch_flow(t.at("A"), t.at("B"),
-                      [&](const routing::EncodedRoute&) { ++ab_updates; });
-  reactive.watch_flow(t.at("C"), t.at("D"),
-                      [&](const routing::EncodedRoute&) { ++cd_updates; });
-
-  // X1-X2 dies: only A->B reroutes (via X3); C->D is untouched.
-  net.fail_link_at(1.0, "X1", "X2");
-  net.events().run_until(2.0);
-  EXPECT_EQ(reactive.reactions(), 1u);
-  EXPECT_EQ(reactive.route_recomputes(), 1u);
-  EXPECT_EQ(ab_updates, 1);
-  EXPECT_EQ(cd_updates, 0);
-
-  // X1-X3 dies too: A->B has no path left — withdrawn, no update callback
-  // (there is nothing to push).
-  net.fail_link_at(2.5, "X1", "X3");
-  net.events().run_until(3.5);
-  EXPECT_EQ(reactive.reactions(), 2u);
-  EXPECT_EQ(reactive.route_recomputes(), 2u);
-  EXPECT_EQ(ab_updates, 1);
-  EXPECT_EQ(cd_updates, 0);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 namespace kar {
 namespace {
 
-using ctrlplane::EngineConfig;
 using ctrlplane::LinkChange;
 using ctrlplane::LinkCoalescer;
 using ctrlplane::ReconvergenceEngine;
@@ -154,13 +153,10 @@ struct StormRun {
 // Replays `schedule` into a fresh engine; window_s == 0 applies one epoch
 // per event timestamp, window_s > 0 batches through a LinkCoalescer.
 void run_storm(topo::Scenario& s, const faultgen::FailureSchedule& schedule,
-               std::uint64_t seed, double window_s, bool plan_protection,
-               StormRun& run) {
+               std::uint64_t seed, double window_s, StormRun& run) {
   topo::Topology& t = s.topology;
   const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
-  EngineConfig config;
-  config.plan_protection = plan_protection;
-  ReconvergenceEngine engine(t, run.store, config);
+  ReconvergenceEngine engine(t, run.store);
   common::Rng route_rng(common::derive_seed(seed, 0x90f7e5));
   for (std::size_t i = 0; i < 25; ++i) {
     const std::size_t si = route_rng.below(edges.size());
@@ -231,13 +227,10 @@ TEST_P(CoalesceStorm, WindowedReplayMatchesSerialTables) {
     (void)topo::attach_host_edges(serial_scenario.topology);
     topo::Scenario windowed_scenario = make_scenario(topology);
     (void)topo::attach_host_edges(windowed_scenario.topology);
-    const bool plan_protection = (sequence % 2 == 0);
     StormRun serial(serial_scenario.topology);
     StormRun windowed(windowed_scenario.topology);
-    run_storm(serial_scenario, schedule, sequence, 0.0, plan_protection,
-              serial);
-    run_storm(windowed_scenario, schedule, sequence, window_s,
-              plan_protection, windowed);
+    run_storm(serial_scenario, schedule, sequence, 0.0, serial);
+    run_storm(windowed_scenario, schedule, sequence, window_s, windowed);
 
     const std::string tag = topology + " storm " + std::to_string(sequence);
     // Strict epoch bound: one epoch per expired window plus the final

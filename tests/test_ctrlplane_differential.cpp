@@ -12,8 +12,8 @@
 //
 // Schedule families rotate through fail/repair churn (kRandomUpDown),
 // correlated cuts (kSrlgGroups), flapping and permanent k-failure sweeps;
-// half the sequences plan driven-deflection protection, half encode bare
-// primary paths.
+// every encoding carries its driven-deflection protection, as the engine
+// always plans it.
 //
 // A second suite mixes admissions and withdrawals into the churn epochs
 // (apply(events, installs, withdraws)) and holds the engine and the
@@ -39,7 +39,6 @@
 namespace kar {
 namespace {
 
-using ctrlplane::EngineConfig;
 using ctrlplane::LinkChange;
 using ctrlplane::ReconvergenceEngine;
 using ctrlplane::RouteKey;
@@ -121,12 +120,8 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
 
   RouteStore inc_store(t);
   RouteStore full_store(t);
-  EngineConfig config;
-  // Half the sequences exercise the memoised protection planner, half the
-  // bare-primary encoding path.
-  config.plan_protection = (sequence % 2 == 0);
-  ReconvergenceEngine inc(t, inc_store, config);
-  FullRecomputeReference full(t, full_store, config);
+  ReconvergenceEngine inc(t, inc_store);
+  FullRecomputeReference full(t, full_store);
 
   const std::size_t route_count = 25;
   for (std::size_t i = 0; i < route_count; ++i) {
@@ -143,8 +138,8 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
   const FailureSchedule schedule =
       faultgen::generate_schedule(t, schedule_for(sequence), schedule_rng);
 
-  // Group the time-sorted events into epochs (equal timestamps coalesce,
-  // exactly like the reaction-delay window of sim::ReactiveController).
+  // Group the time-sorted events into epochs (equal timestamps coalesce
+  // into one epoch).
   std::size_t i = 0;
   std::size_t epoch_index = 0;
   while (i < schedule.events.size()) {
@@ -188,10 +183,8 @@ void run_mixed_sequence(const std::string& topology, std::uint64_t sequence,
 
   RouteStore inc_store(t);
   RouteStore full_store(t);
-  EngineConfig config;
-  config.plan_protection = (sequence % 2 == 0);
-  ReconvergenceEngine inc(t, inc_store, config);
-  FullRecomputeReference full(t, full_store, config);
+  ReconvergenceEngine inc(t, inc_store);
+  FullRecomputeReference full(t, full_store);
 
   const auto random_pair = [&] {
     const std::size_t si = rng.below(edges.size());

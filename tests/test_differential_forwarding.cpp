@@ -41,10 +41,10 @@ std::vector<TracePacket> make_trace(common::Rng& rng, std::size_t count) {
   return trace;
 }
 
-/// Runs the shared trace through a fresh scenario in the given data-plane
-/// mode and reports what got delivered and in how many hops.
-RunObservation run_trace(sim::DataPlaneMode mode,
-                         const std::vector<TracePacket>& trace) {
+/// Runs the shared trace through a fresh scenario, on the KAR switches or
+/// (`failover`) on installed fast-failover tables, and reports what got
+/// delivered and in how many hops.
+RunObservation run_trace(bool failover, const std::vector<TracePacket>& trace) {
   topo::Scenario s = topo::make_experimental15();
   const routing::Controller controller(s.topology);
   const auto route =
@@ -52,8 +52,7 @@ RunObservation run_trace(sim::DataPlaneMode mode,
 
   routing::FailoverFib fib;
   sim::NetworkConfig config;
-  config.mode = mode;
-  if (mode == sim::DataPlaneMode::kFailoverFib) {
+  if (failover) {
     fib = routing::install_failover_fibs(s.topology);
     config.failover_fib = &fib;
   }
@@ -83,8 +82,8 @@ TEST(DifferentialForwarding, KarMatchesFailoverFibOnHealthyFig2) {
   auto rng = testsupport::make_rng(20260807, "DifferentialTrace");
   const auto trace = make_trace(rng, 120);
 
-  const RunObservation kar = run_trace(sim::DataPlaneMode::kKar, trace);
-  const RunObservation fib = run_trace(sim::DataPlaneMode::kFailoverFib, trace);
+  const RunObservation kar = run_trace(/*failover=*/false, trace);
+  const RunObservation fib = run_trace(/*failover=*/true, trace);
 
   // Everything injected must arrive: the network is healthy.
   EXPECT_EQ(kar.counters.injected, trace.size());
@@ -114,8 +113,8 @@ TEST(DifferentialForwarding, AgreementHoldsAcrossSeeds) {
   for (const std::uint64_t seed : {11ULL, 29ULL, 31ULL}) {
     auto rng = testsupport::make_rng(seed, "DifferentialTraceSweep");
     const auto trace = make_trace(rng, 40);
-    const RunObservation kar = run_trace(sim::DataPlaneMode::kKar, trace);
-    const RunObservation fib = run_trace(sim::DataPlaneMode::kFailoverFib, trace);
+    const RunObservation kar = run_trace(/*failover=*/false, trace);
+    const RunObservation fib = run_trace(/*failover=*/true, trace);
     EXPECT_EQ(kar.hops_by_packet, fib.hops_by_packet) << "seed " << seed;
     EXPECT_EQ(kar.counters.delivered, trace.size()) << "seed " << seed;
   }

@@ -107,7 +107,6 @@ TEST(FailoverSim, TableModeForwardsAndFailsOver) {
   const routing::Controller controller(s.topology);
   const auto fib = routing::install_failover_fibs(s.topology);
   sim::NetworkConfig config;
-  config.mode = sim::DataPlaneMode::kFailoverFib;
   config.failover_fib = &fib;
   sim::Network net(s.topology, controller, config);
   const auto route =
@@ -140,9 +139,9 @@ TEST(FailoverSim, TableModeForwardsAndFailsOver) {
 TEST(FailoverSim, MissingFibDropsCleanly) {
   Scenario s = topo::make_fig1_network();
   const routing::Controller controller(s.topology);
+  const routing::FailoverFib fib;  // installed, but no group for any dst
   sim::NetworkConfig config;
-  config.mode = sim::DataPlaneMode::kFailoverFib;
-  config.failover_fib = nullptr;  // nothing installed
+  config.failover_fib = &fib;
   sim::Network net(s.topology, controller, config);
   const auto route =
       controller.encode_scenario(s.route, topo::ProtectionLevel::kUnprotected);

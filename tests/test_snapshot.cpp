@@ -25,7 +25,6 @@
 namespace kar {
 namespace {
 
-using ctrlplane::EngineConfig;
 using ctrlplane::LinkChange;
 using ctrlplane::ReconvergenceEngine;
 using ctrlplane::RouteKey;

@@ -14,10 +14,10 @@
 // re-encoded toward the destination; and across a walk of every node's
 // neighbors, the inner loop of every graph search. A reconvergence epoch
 // whose candidate groups all keep their paths allocates nothing per
-// candidate (the held-path check walks the SPT in place). The `kard` query path
-// gets a budget
-// rather than a zero: its answer is one string, and a std::promise costs
-// two more.
+// candidate (the held-path check walks the SPT in place) and nothing per
+// SPT update (DynamicSpt reuses its scratch). The `kard` query path gets a
+// budget rather than a zero: its answer is one string, and a std::promise
+// costs two more.
 //
 // Registered under the `bench` and `sim` ctest labels: an allocation
 // sneaking into the hot loop is a performance regression before it is
@@ -248,36 +248,42 @@ TEST(ZeroAlloc, NeighborWalkDoesNotTouchTheHeap) {
   EXPECT_GT(port_sum, 0u);
 }
 
-TEST(ZeroAlloc, HeldPathChecksDoNotTouchTheHeap) {
-  // An epoch in which every core link fails and is repaired leaves every
-  // link up and every distance where it was, so each candidate group keeps
-  // its path. Two engines over the same destinations do the same SPT work
-  // but examine different numbers of groups (2 sources vs all), so any
-  // per-candidate allocation shows up as a difference between them.
+/// rnp28 with one host edge per core switch, and an epoch in which every
+/// core link fails and is repaired: it leaves every link up and every
+/// distance where it was, so each candidate group keeps its path.
+struct BounceFixture {
   topo::Scenario s = topo::make_rnp28();
-  topo::Topology& t = s.topology;
-  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  std::vector<topo::NodeId> hosts = topo::attach_host_edges(s.topology);
   std::vector<ctrlplane::LinkChange> bounce;
-  for (topo::LinkId link = 0; link < t.link_count(); ++link) {
-    const topo::Link& l = t.link(link);
-    if (t.kind(l.a.node) != topo::NodeKind::kCoreSwitch ||
-        t.kind(l.b.node) != topo::NodeKind::kCoreSwitch) {
-      continue;
+
+  BounceFixture() {
+    const topo::Topology& t = s.topology;
+    for (topo::LinkId link = 0; link < t.link_count(); ++link) {
+      const topo::Link& l = t.link(link);
+      if (t.kind(l.a.node) != topo::NodeKind::kCoreSwitch ||
+          t.kind(l.b.node) != topo::NodeKind::kCoreSwitch) {
+        continue;
+      }
+      bounce.push_back({link, false});
+      bounce.push_back({link, true});
     }
-    bounce.push_back({link, false});
-    bounce.push_back({link, true});
   }
+
   struct Epoch {
     std::uint64_t allocations = 0;
     std::size_t candidates = 0;
     std::size_t changed = 0;
+    std::size_t spt_dirty = 0;
   };
-  const auto held_epoch = [&](std::size_t sources) {
-    ctrlplane::RouteStore store(t);
-    ctrlplane::ReconvergenceEngine engine(t, store);
+
+  /// Routes from the first `sources` hosts to the first `dsts` hosts, two
+  /// warming bounces, then the allocations of a third.
+  Epoch held_epoch(std::size_t sources, std::size_t dsts) {
+    ctrlplane::RouteStore store(s.topology);
+    ctrlplane::ReconvergenceEngine engine(s.topology, store);
     for (std::size_t i = 0; i < sources; ++i) {
-      for (const topo::NodeId dst : hosts) {
-        if (dst != hosts[i]) (void)engine.add_route(hosts[i], dst);
+      for (std::size_t j = 0; j < dsts; ++j) {
+        if (i != j) (void)engine.add_route(hosts[i], hosts[j]);
       }
     }
     (void)engine.apply(bounce);  // warm: scratch capacity, posting lists
@@ -286,16 +292,41 @@ TEST(ZeroAlloc, HeldPathChecksDoNotTouchTheHeap) {
     g_counting = true;
     const ctrlplane::EpochResult result = engine.apply(bounce);
     g_counting = false;
-    return Epoch{g_allocations, result.stats.candidates, result.changed.size()};
-  };
-  const Epoch few = held_epoch(2);
-  const Epoch all = held_epoch(hosts.size());
+    return Epoch{g_allocations, result.stats.candidates,
+                 result.changed.size(), result.stats.spt_dirty};
+  }
+};
+
+TEST(ZeroAlloc, HeldPathChecksDoNotTouchTheHeap) {
+  // Two engines over the same destinations do the same SPT work but
+  // examine different numbers of groups (2 sources vs all), so any
+  // per-candidate allocation shows up as a difference between them.
+  BounceFixture f;
+  const auto few = f.held_epoch(2, f.hosts.size());
+  const auto all = f.held_epoch(f.hosts.size(), f.hosts.size());
   EXPECT_EQ(few.changed, 0u);
   EXPECT_EQ(all.changed, 0u);
   EXPECT_GE(all.candidates, few.candidates + 500);
   EXPECT_EQ(all.allocations, few.allocations)
       << few.candidates << " candidates: " << few.allocations
       << " allocations; " << all.candidates << " candidates: "
+      << all.allocations << " allocations";
+}
+
+TEST(ZeroAlloc, SptUpdatesDoNotTouchTheHeap) {
+  // Two engines with one source each, toward 2 destinations vs all: the
+  // second advances ~14x as many SPTs through every link event of the
+  // bounce, so any allocation per SPT update (DynamicSpt's affected set,
+  // parent-chain walk, improved set or heap) shows up as a difference.
+  BounceFixture f;
+  const auto few = f.held_epoch(1, 3);
+  const auto all = f.held_epoch(1, f.hosts.size());
+  EXPECT_EQ(few.changed, 0u);
+  EXPECT_EQ(all.changed, 0u);
+  EXPECT_GE(all.spt_dirty, few.spt_dirty + 1000);
+  EXPECT_EQ(all.allocations, few.allocations)
+      << few.spt_dirty << " dirty SPT nodes: " << few.allocations
+      << " allocations; " << all.spt_dirty << " dirty SPT nodes: "
       << all.allocations << " allocations";
 }
 
